@@ -14,7 +14,6 @@ from .linalg import (
 from .measures import (
     EntanglementReport,
     WitnessPair,
-    concurrence_pure,
     concurrence_quasi,
     concurrence_wootters,
     estimator_bias,

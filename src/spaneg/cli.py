@@ -53,9 +53,7 @@ def _resolve_state(args) -> states.DensityMatrix:
         return states.load_state(args.state)
     if not args.family:
         raise UsageError("one of --family or --state is required")
-    if args.family == "bell":
-        return states.bell_state(0 if args.param is None else int(args.param))
-    if args.param is None:
+    if args.param is None and args.family != "bell":
         raise UsageError(f"family {args.family!r} requires --param")
     return states.from_spec(args.family, args.param)
 
@@ -236,7 +234,6 @@ def build_parser() -> _Parser:
             p.add_argument("--param", type=float, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
         if sweep:
             p.add_argument("--points", type=int, default=101)
         if rand:

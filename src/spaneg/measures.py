@@ -46,7 +46,6 @@ class EntanglementReport:
     bias: float
     concurrence_pure_est: float | None = None
     concurrence_quasi_est: float | None = None
-    ls_bound: float | None = None
 
 
 @dataclass(frozen=True)
@@ -115,13 +114,6 @@ def concurrence_wootters(rho: DensityMatrix) -> float:
     return float(max(0.0, l[0] - l[1] - l[2] - l[3]))
 
 
-def concurrence_pure(mu_min: float) -> float:
-    """Concurrence of a pure state from mu_min; numerically identical to
-    negativity_normalized.  The caller is responsible for the state being
-    rank 1 within tolerance."""
-    return negativity_normalized(mu_min)
-
-
 def concurrence_quasi(n: float) -> float:
     """Concurrence of a rank-2 quasi-distillable state from its negativity:
     C = -N + sqrt(2 N (N + 1)); exact inverse of verstraete_rhs."""
@@ -163,14 +155,14 @@ def mu_from_favg(f: float) -> float:
 
 
 def ls_upper_bound(lam: float, mu_min_of_pure_part: float) -> float:
-    """Concurrence upper bound (1 - lambda) * concurrence_pure(mu) from a
+    """Concurrence upper bound (1 - lambda) * negativity_normalized(mu) from a
     given separable-plus-pure decomposition weight lambda."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda {lam} outside [0, 1]")
     mu = float(mu_min_of_pure_part)
     if not MU_MIN_LO - _RANGE_SLACK <= mu <= SEPARABILITY_THRESHOLD + _RANGE_SLACK:
         raise ValueError(f"mu_min {mu} outside [1/6, 2/9]")
-    return (1.0 - lam) * concurrence_pure(min(mu, MU_MIN_HI))
+    return (1.0 - lam) * negativity_normalized(min(mu, MU_MIN_HI))
 
 
 def _is_pure(rho: DensityMatrix, tol: float = 1e-9) -> bool:
@@ -195,15 +187,15 @@ def full_report(rho: DensityMatrix) -> EntanglementReport:
     outcome = spa_pt_affine(rho)
     mu = outcome.mu_min
     nd = negativity_exact(rho)
-    report = EntanglementReport(
+    nn = negativity_normalized(mu)
+    return EntanglementReport(
         nd=nd,
-        nn=negativity_normalized(mu),
+        nn=nn,
         lower_bound=negativity_lower_bound(mu),
         concurrence=concurrence_wootters(rho),
         ppt=nd <= PPT_TOL,
         mu_min=mu,
         bias=estimator_bias(nd),
-        concurrence_pure_est=concurrence_pure(mu) if _is_pure(rho) else None,
+        concurrence_pure_est=nn if _is_pure(rho) else None,
         concurrence_quasi_est=concurrence_quasi(min(nd, 1.0)) if _matches_quasi(rho) else None,
     )
-    return report

@@ -6,15 +6,19 @@ Three independent constructions of the same channel:
                    forced by the trace relation Tr(P rho^{T_B}) = 9 Tr(P rho_tilde) - 2.
 * compositional -- (1/3)(I x T~) + (2/3)(Theta~ x D) built from the
                    four-outcome tetrahedral measurement; agrees with affine
-                   to machine precision (checked at import).
+                   to machine precision (checked by spa-verify).
 * paper_literal -- the published per-entry formulas, reproduced verbatim
                    including their off-diagonal phase terms.  Kept as a
                    diagnostic variant; it is NOT required to match the
                    affine map off the families it was published for.
+
+Each linear map (affine, compositional, raw PT, identity) is one cached 16x16
+superoperator; both its action and its Choi matrix are read from that array.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,11 +167,36 @@ def _apply_product_map(rho_mat: np.ndarray, map_a, map_b) -> np.ndarray:
     return out
 
 
+_ACTIONS = {
+    "affine": lambda x: partial_transpose_b(x) / 9.0 + (2.0 / 9.0) * np.trace(x) * np.eye(4),
+    # Built from the tetrahedral POVM maps only, never from the affine form,
+    # so that the two stay independent oracles for each other.
+    "compositional": lambda x: (
+        _apply_product_map(x, lambda y: y, spa_transpose_tilde) / 3.0
+        + 2.0 * _apply_product_map(x, spa_theta, depol_d) / 3.0
+    ),
+    "pt": partial_transpose_b,
+    "identity": lambda x: x,
+}
+
+
+@functools.cache
+def superoperator(method: str) -> np.ndarray:
+    """16x16 S with vec(Phi(X)) = S vec(X), row-major vec; built on first use.
+
+    Column 4i+j is the map applied to the matrix unit |i><j|.  Read-only.
+    """
+    if method not in _ACTIONS:
+        raise ValueError(f"unknown map method {method!r}; expected one of {CHOI_METHODS}")
+    units = np.eye(16, dtype=complex).reshape(16, 4, 4)
+    s = np.stack([_ACTIONS[method](unit).reshape(16) for unit in units], axis=1)
+    s.flags.writeable = False
+    return s
+
+
 def spa_pt_compositional(rho: DensityMatrix) -> SpaOutcome:
     """SPA-PT via the measurement-based maps: (1/3)(I x T~) + (2/3)(Theta~ x D)."""
-    first = _apply_product_map(rho.mat, lambda x: x, spa_transpose_tilde)
-    second = _apply_product_map(rho.mat, spa_theta, depol_d)
-    mat = first / 3.0 + 2.0 * second / 3.0
+    mat = (superoperator("compositional") @ rho.mat.reshape(16)).reshape(4, 4)
     try:
         validate(mat)
     except StateValidationError as exc:
@@ -220,33 +249,13 @@ def spa_pt_paper_entries(rho: DensityMatrix) -> SpaOutcome:
     )
 
 
-def _map_action(method: str):
-    if method == "affine":
-        return lambda x: partial_transpose_b(x) / 9.0 + (2.0 / 9.0) * np.trace(x) * np.eye(4)
-    if method == "compositional":
-        return lambda x: (
-            _apply_product_map(x, lambda y: y, spa_transpose_tilde) / 3.0
-            + 2.0 * _apply_product_map(x, spa_theta, depol_d) / 3.0
-        )
-    if method == "pt":
-        return partial_transpose_b
-    if method == "identity":
-        return lambda x: x
-    raise ValueError(f"unknown map method {method!r}; expected one of {CHOI_METHODS}")
-
-
 def choi_matrix(method: str) -> tuple[np.ndarray, bool, float]:
     """Choi operator of the two-qubit map; (choi, is_cp, min_eigenvalue).
 
-    Built from the map's action on the 16 matrix units |i><j|.  is_cp is
-    true iff the minimum Choi eigenvalue is >= -1e-10.
+    A reshuffle of the map's superoperator: Choi block (i, j) is the map's
+    image of |i><j|.  is_cp is true iff the minimum Choi eigenvalue is
+    >= -1e-10.
     """
-    action = _map_action(method)
-    choi = np.zeros((16, 16), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            unit = np.zeros((4, 4), dtype=complex)
-            unit[i, j] = 1.0
-            choi[4 * i : 4 * i + 4, 4 * j : 4 * j + 4] = action(unit)
+    choi = superoperator(method).reshape(4, 4, 4, 4).transpose(2, 0, 3, 1).reshape(16, 16)
     min_eig = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0])
     return choi, min_eig >= -RESIDUAL_TOL, min_eig

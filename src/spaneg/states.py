@@ -59,6 +59,8 @@ def validate(raw) -> DensityMatrix:
     violations = []
     if m.shape != (4, 4):
         raise StateValidationError([f"shape {m.shape} is not (4, 4)"])
+    if not np.isfinite(m).all():
+        raise StateValidationError([f"non-finite entries: {np.count_nonzero(~np.isfinite(m))} of 16"])
     defect = hermiticity_defect(m)
     if defect > VALIDATE_TOL:
         violations.append(f"not Hermitian: max asymmetry {defect:.3e}")
@@ -186,14 +188,14 @@ def load_state(path) -> DensityMatrix:
     return validate(re + 1j * im)
 
 
-def from_spec(kind: str, param: float | None = None, source_path=None) -> DensityMatrix:
-    """Resolve a named state spec (family + parameter, or raw file) to a state."""
-    if kind == "raw":
-        if source_path is None:
-            raise ValueError("raw state spec requires a source path")
-        return load_state(source_path)
+def from_spec(kind: str, param: float | None = None) -> DensityMatrix:
+    """Resolve a family and its parameter to a state; a bell index (default 0)
+    must be integral, so 2.0 is accepted and 1.9 rejected."""
     if kind == "bell":
-        return bell_state(0 if param is None else int(param))
+        index = 0.0 if param is None else float(param)
+        if not index.is_integer():
+            raise ValueError(f"bell index must be an integer 0..3, got {param}")
+        return bell_state(int(index))
     if param is None:
         raise ValueError(f"family {kind!r} requires a parameter")
     if kind == "pure_m":

@@ -34,6 +34,27 @@ class TestExitCodes:
     def test_out_of_range_param_is_input_error(self, capsys):
         assert cli.run(["analyze", "--family", "horodecki", "--param", "1.5"]) == 2
 
+    def test_non_integral_bell_index_is_input_error(self, capsys):
+        assert cli.run(["analyze", "--family", "bell", "--param", "1.9"]) == 2
+        assert "bell index" in capsys.readouterr().err
+
+    def test_integral_float_bell_index_is_accepted(self, tmp_path):
+        code, text = run_to_file(tmp_path, ["analyze", "--family", "bell", "--param", "2.0"])
+        assert code == 0
+        assert json.loads(text)["nd"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_nan_state_file_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        re = (np.eye(4) / 4).tolist()
+        re[0][0] = float("nan")
+        path.write_text(json.dumps({"re": re, "im": np.zeros((4, 4)).tolist()}))
+        assert cli.run(["analyze", "--state", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite entries" in err and "mu_min" not in err
+
+    def test_format_flag_is_gone(self, capsys):
+        assert cli.run(["spa-verify", "--format", "json"]) == 1
+
 
 class TestAnalyze:
     def test_bell(self, tmp_path):

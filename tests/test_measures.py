@@ -4,7 +4,6 @@ import pytest
 from spaneg import measures
 from spaneg.linalg import SIGMA_Y, kron
 from spaneg.measures import (
-    concurrence_pure,
     concurrence_quasi,
     concurrence_wootters,
     estimator_bias,
@@ -108,10 +107,9 @@ class TestConcurrence:
 
     def test_pure_state_specialization(self):
         mu = spa_pt_affine(family_pure_m(0.25)).mu_min
-        assert concurrence_pure(mu) == negativity_normalized(mu)
-        assert concurrence_pure(spa_pt_affine(bell_state(0)).mu_min) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        assert full_report(family_pure_m(0.25)).concurrence_pure_est == negativity_normalized(mu)
+        assert full_report(bell_state(0)).concurrence_pure_est == pytest.approx(1.0, abs=1e-12)
+        assert full_report(family_horodecki(0.5)).concurrence_pure_est is None
 
 
 class TestQuasiRelations:

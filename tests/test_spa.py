@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from spaneg import spa
+from spaneg.cli import spa_verify_report
 from spaneg.linalg import SIGMA_Y, SIGMA_Z, hermiticity_defect, partial_transpose_b
 from spaneg.spa import (
+    CHOI_METHODS,
     CONSTANTS,
     choi_matrix,
     depol_d,
@@ -12,6 +14,7 @@ from spaneg.spa import (
     spa_pt_paper_entries,
     spa_theta,
     spa_transpose_tilde,
+    superoperator,
 )
 from spaneg.states import (
     bell_state,
@@ -233,3 +236,62 @@ class TestChoi:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             choi_matrix("bogus")
+
+
+def _affine_closed_form(x):
+    return partial_transpose_b(x) / 9 + (2 / 9) * np.trace(x) * np.eye(4)
+
+
+# Closed forms of each map; compositional is checked against the affine one,
+# its independent oracle.
+CLOSED_FORMS = {
+    "affine": _affine_closed_form,
+    "compositional": _affine_closed_form,
+    "pt": partial_transpose_b,
+    "identity": lambda x: x,
+}
+
+
+class TestSuperoperator:
+    @pytest.mark.parametrize("method", CHOI_METHODS)
+    def test_action_matches_closed_form(self, method):
+        rng = np.random.default_rng(41)
+        s = superoperator(method)
+        assert s.shape == (16, 16)
+        for _ in range(20):
+            x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            out = (s @ x.reshape(16)).reshape(4, 4)
+            assert np.abs(out - CLOSED_FORMS[method](x)).max() < 1e-12
+
+    @pytest.mark.parametrize("method", ["affine", "compositional", "identity"])
+    def test_trace_preserving(self, method):
+        # Tr(Phi(X)) = Tr(X) for all X iff the diagonal rows of S sum to vec(I).
+        s = superoperator(method)
+        assert np.abs(s[[0, 5, 10, 15]].sum(axis=0) - np.eye(4).reshape(16)).max() < 1e-12
+
+    @pytest.mark.parametrize("method", CHOI_METHODS)
+    def test_choi_blocks_are_columns(self, method):
+        choi, _, _ = choi_matrix(method)
+        s = superoperator(method)
+        for i in range(4):
+            for j in range(4):
+                block = choi[4 * i : 4 * i + 4, 4 * j : 4 * j + 4]
+                assert np.array_equal(block, s[:, 4 * i + j].reshape(4, 4))
+
+    def test_cached_and_read_only(self):
+        assert superoperator("compositional") is superoperator("compositional")
+        with pytest.raises(ValueError):
+            superoperator("compositional")[0, 0] = 1.0
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError, match="unknown map method"):
+            superoperator("paper_literal")
+
+
+def test_verify_report_same_text_on_cold_and_warm_cache():
+    superoperator.cache_clear()
+    first = spa_verify_report(seed=1)
+    assert superoperator.cache_info().currsize == len(CHOI_METHODS)
+    second = spa_verify_report(seed=1)
+    assert first == second
+    assert superoperator.cache_info().hits > 0

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,23 @@ class TestValidate:
         m[0, 1] = 0.1
         with pytest.raises(StateValidationError, match="Hermitian"):
             validate(m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_before_eigensolve(self, bad):
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1] = bad
+        with pytest.raises(StateValidationError, match="non-finite entries: 1 of 16") as exc:
+            validate(m)
+        assert len(exc.value.violations) == 1
+
+    def test_load_rejects_nan_file(self, tmp_path):
+        path = tmp_path / "nan.json"
+        re = (np.eye(4) / 4).tolist()
+        re[2][2] = float("nan")
+        path.write_text(json.dumps({"re": re, "im": np.zeros((4, 4)).tolist()}))
+        assert "NaN" in path.read_text()
+        with pytest.raises(StateValidationError, match="non-finite entries"):
+            load_state(path)
 
     def test_file_round_trip(self, tmp_path):
         rho = family_pure_m(0.3)
@@ -163,12 +182,18 @@ class TestRandomStates:
             random_mixed(np.random.default_rng(0), rank=5)
 
 
-def test_from_spec_dispatch(tmp_path):
+def test_from_spec_dispatch():
     assert np.array_equal(states.from_spec("bell", 2).mat, bell_state(2).mat)
+    assert np.array_equal(states.from_spec("quasi", 0.4).mat, family_quasi(0.4).mat)
     with pytest.raises(ValueError):
         states.from_spec("pure_m")
     with pytest.raises(ValueError):
         states.from_spec("nope", 0.5)
-    path = tmp_path / "s.json"
-    save_state(family_quasi(0.4), path)
-    assert np.abs(states.from_spec("raw", source_path=path).mat - family_quasi(0.4).mat).max() < 1e-15
+
+
+def test_from_spec_bell_index_must_be_integral():
+    assert np.array_equal(states.from_spec("bell").mat, bell_state(0).mat)
+    assert np.array_equal(states.from_spec("bell", 2.0).mat, bell_state(2).mat)
+    for bad in (1.9, 0.5, -0.1, np.nan, np.inf, 4.0):
+        with pytest.raises(ValueError, match="bell index"):
+            states.from_spec("bell", bad)
