@@ -6,16 +6,22 @@ from .linalg import (
     VALIDATE_TOL,
     Spectrum,
     herm_eigen,
+    herm_eigen_batch,
     kron,
     partial_trace,
     partial_transpose_b,
+    partial_transpose_batch,
     psd_sqrt,
+    psd_sqrt_batch,
 )
 from .measures import (
+    BatchReport,
     EntanglementReport,
     WitnessPair,
+    batch_report,
     concurrence_quasi,
     concurrence_wootters,
+    concurrence_wootters_batch,
     estimator_bias,
     favg_from_mu,
     full_report,
@@ -24,6 +30,8 @@ from .measures import (
     negativity_exact,
     negativity_lower_bound,
     negativity_normalized,
+    negativity_normalized_batch,
+    pt_spectrum_batch,
     verstraete_rhs,
     witness_pair,
 )
@@ -32,7 +40,9 @@ from .spa import (
     SpaOutcome,
     choi_matrix,
     depol_d,
+    mu_min_batch,
     spa_pt_affine,
+    spa_pt_affine_batch,
     spa_pt_compositional,
     spa_pt_paper_entries,
     spa_theta,
@@ -48,6 +58,7 @@ from .states import (
     load_state,
     pure_from_vector,
     random_mixed,
+    random_mixed_batch,
     random_pure,
     save_state,
     validate,

@@ -3,6 +3,11 @@
 Everything here is a pure function of its arguments.  Matrices are plain
 complex numpy arrays; the basis order for 4x4 operators is
 |00>, |01>, |10>, |11>.
+
+The partial transpose, the Hermitian eigensolve and the PSD root each have
+one implementation over (N, d, d) stacks (the *_batch functions); the
+per-matrix functions are N = 1 wrappers around them.  A batch error names the
+index of the first offending matrix.
 """
 
 from __future__ import annotations
@@ -44,6 +49,23 @@ def _as_square(m, dims=(2, 4)) -> np.ndarray:
     return m
 
 
+def _as_stack(m, dims=(2, 4)) -> np.ndarray:
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise DimensionError(
+            f"expected a stack of square matrices (N, d, d), got shape {m.shape}"
+        )
+    if m.shape[1] not in dims:
+        raise DimensionError(f"expected dimension in {dims}, got {m.shape[1]}")
+    return m
+
+
+def first_index(bad: np.ndarray) -> int | None:
+    """Index of the first true entry of a boolean vector, or None."""
+    i = int(bad.argmax())
+    return i if bad[i] else None
+
+
 def hermiticity_defect(m) -> float:
     """Max-entry deviation from Hermitian symmetry, ||M - M^dag||_max."""
     m = np.asarray(m, dtype=complex)
@@ -77,6 +99,12 @@ def kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
+def partial_transpose_batch(m) -> np.ndarray:
+    """Transpose the B-subsystem indices of each operator in an (N, 4, 4) stack."""
+    m = _as_stack(m, dims=(4,))
+    return m.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
+
+
 def partial_transpose_b(m) -> np.ndarray:
     """Transpose the B-subsystem indices of a 4x4 bipartite operator.
 
@@ -84,8 +112,7 @@ def partial_transpose_b(m) -> np.ndarray:
     but not completely positive as a map, hence the need for its structural
     physical approximation downstream.
     """
-    m = _as_square(m, dims=(4,))
-    return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    return partial_transpose_batch(_as_square(m, dims=(4,))[None])[0]
 
 
 def partial_trace(m, subsystem: str) -> np.ndarray:
@@ -99,35 +126,51 @@ def partial_trace(m, subsystem: str) -> np.ndarray:
     raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
 
 
-def herm_eigen(m) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix.
+def herm_eigen_batch(m) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (w, v) of each matrix in a Hermitian (N, d, d) stack.
 
-    Raises NotHermitianError if ||M - M^dag||_max exceeds VALIDATE_TOL; the
-    error message names the measured asymmetry.  The strictly Hermitian part
-    is diagonalized, so residuals stay at machine precision.
+    w[n] is ascending and v[n][:, i] pairs with w[n, i].  Raises
+    NotHermitianError naming the first matrix whose ||M - M^dag||_max exceeds
+    VALIDATE_TOL.  The strictly Hermitian part is diagonalized, so residuals
+    stay at machine precision.
     """
-    m = _as_square(m)
-    defect = hermiticity_defect(m)
-    if defect > VALIDATE_TOL:
+    m = _as_stack(m)
+    mh = m.conj().swapaxes(1, 2)
+    asym = np.abs(m - mh)
+    if asym.max(initial=0.0) > VALIDATE_TOL:
+        defect = asym.max(axis=(1, 2))
+        i = first_index(defect > VALIDATE_TOL)
         raise NotHermitianError(
-            f"matrix is not Hermitian: max asymmetry {defect:.3e} exceeds {VALIDATE_TOL:.0e}"
+            f"matrix {i} of {len(m)} is not Hermitian: max asymmetry {defect[i]:.3e} "
+            f"exceeds {VALIDATE_TOL:.0e}"
         )
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    return Spectrum(eigenvalues=w, eigenvectors=v)
+    return np.linalg.eigh((m + mh) / 2)
+
+
+def herm_eigen(m) -> Spectrum:
+    """Eigendecomposition of one Hermitian matrix; see herm_eigen_batch."""
+    w, v = herm_eigen_batch(_as_square(m)[None])
+    return Spectrum(eigenvalues=w[0], eigenvectors=v[0])
+
+
+def psd_sqrt_batch(m) -> np.ndarray:
+    """Hermitian PSD square root of each matrix in an (N, d, d) stack.
+
+    Eigenvalues in [-PSD_CLAMP, 0) are clamped to zero; a lower one raises
+    NotPsdError naming the first such matrix.
+    """
+    w, v = herm_eigen_batch(m)
+    i = first_index(w[:, 0] < -PSD_CLAMP)
+    if i is not None:
+        raise NotPsdError(
+            f"matrix {i} of {len(w)} is not PSD: minimum eigenvalue {w[i, 0]:.3e} "
+            f"below -{PSD_CLAMP:.0e}"
+        )
+    s = np.sqrt(np.maximum(w, 0.0))
+    return (v * s[:, None, :]) @ v.conj().swapaxes(1, 2)
 
 
 def psd_sqrt(m) -> np.ndarray:
-    """Hermitian PSD square root S with S @ S == M up to 1e-9.
-
-    Eigenvalues in [-PSD_CLAMP, 0) are clamped to zero; anything lower
-    raises NotPsdError.
-    """
-    spec = herm_eigen(m)
-    w = spec.eigenvalues
-    if w[0] < -PSD_CLAMP:
-        raise NotPsdError(
-            f"matrix is not PSD: minimum eigenvalue {w[0]:.3e} below -{PSD_CLAMP:.0e}"
-        )
-    v = spec.eigenvectors
-    s = np.sqrt(np.maximum(w, 0.0))
-    return (v * s) @ v.conj().T
+    """Hermitian PSD square root S of one matrix, S @ S == M up to 1e-9;
+    see psd_sqrt_batch."""
+    return psd_sqrt_batch(_as_square(m)[None])[0]

@@ -11,6 +11,10 @@ only on mu_min, the smallest eigenvalue of the SPA-PT output state:
 
 For two qubits the lower bound is tight, which collapses the estimator to
 the single curve N^N = N^D (338 + N^D) / 339.
+
+Negativity, the estimator and Wootters concurrence are computed over
+(N, 4, 4) stacks of states (or (N,) arrays of mu_min) by the *_batch
+functions; the per-state functions are N = 1 wrappers around them.
 """
 
 from __future__ import annotations
@@ -19,8 +23,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PSD_CLAMP, RESIDUAL_TOL, SIGMA_Y, kron, partial_transpose_b, psd_sqrt
-from .spa import MU_MIN_HI, MU_MIN_LO, SEPARABILITY_THRESHOLD, spa_pt_affine
+from .linalg import (
+    RESIDUAL_TOL,
+    SIGMA_Y,
+    first_index,
+    kron,
+    partial_transpose_batch,
+    psd_sqrt_batch,
+)
+from .spa import (
+    MU_MIN_HI,
+    MU_MIN_LO,
+    SEPARABILITY_THRESHOLD,
+    mu_min_batch,
+    spa_pt_affine,
+    spa_pt_affine_batch,
+)
 from .states import DensityMatrix, family_quasi
 
 PPT_TOL = 1e-10
@@ -49,6 +67,22 @@ class EntanglementReport:
 
 
 @dataclass(frozen=True)
+class BatchReport:
+    """Per-state quantifiers of an (N, 4, 4) stack, one length-N array each.
+
+    nd and neg_count come from the partial-transpose spectrum, mu_min from
+    the separate SPA-PT output matrix, nn from mu_min.
+    """
+
+    nd: np.ndarray
+    neg_count: np.ndarray
+    mu_min: np.ndarray
+    nn: np.ndarray
+    concurrence: np.ndarray
+    ppt: np.ndarray
+
+
+@dataclass(frozen=True)
 class WitnessPair:
     """Entanglement witness W = |phi><phi| - (2/9)I and its SPA image."""
 
@@ -57,40 +91,57 @@ class WitnessPair:
     phi: np.ndarray
 
 
-def _check_mu(mu: float) -> float:
-    if not MU_MIN_LO - _RANGE_SLACK <= mu <= MU_MIN_HI + _RANGE_SLACK:
-        raise ValueError(f"mu_min {mu} outside [1/6, 1/4]")
-    return float(mu)
+def _check_mu(mu) -> np.ndarray:
+    """mu_min value(s) as a float array; ValueError names the first outside [1/6, 1/4]."""
+    mu = np.asarray(mu, dtype=float)
+    ok = (MU_MIN_LO - _RANGE_SLACK <= mu) & (mu <= MU_MIN_HI + _RANGE_SLACK)
+    if np.count_nonzero(ok) < mu.size:
+        i = first_index(~ok.reshape(-1))
+        where = f" at index {i}" if mu.ndim else ""
+        raise ValueError(f"mu_min {mu.reshape(-1)[i]}{where} outside [1/6, 1/4]")
+    return mu
+
+
+def pt_spectrum_batch(rhos, tol: float = RESIDUAL_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """(N^D, negative count) of each state of an (N, 4, 4) stack.
+
+    N^D = 2 sum_i max(0, -lambda_i(rho^{T_B})) and the count of eigenvalues
+    below -tol, both from one partial-transpose spectrum.
+    """
+    lam = np.linalg.eigvalsh(partial_transpose_batch(rhos))
+    return 2.0 * np.maximum(0.0, -lam).sum(axis=1), (lam < -tol).sum(axis=1)
 
 
 def negativity_exact(rho: DensityMatrix) -> float:
     """Negativity by definition: 2 sum_i max(0, -lambda_i(rho^{T_B}))."""
-    lam = np.linalg.eigvalsh(partial_transpose_b(rho.mat))
-    return float(2.0 * np.sum(np.maximum(0.0, -lam)))
+    return float(pt_spectrum_batch(rho.mat[None])[0][0])
 
 
 def pt_negative_count(rho: DensityMatrix, tol: float = RESIDUAL_TOL) -> int:
     """Number of partial-transpose eigenvalues below -tol (at most 1 for two qubits)."""
-    lam = np.linalg.eigvalsh(partial_transpose_b(rho.mat))
-    return int(np.sum(lam < -tol))
+    return int(pt_spectrum_batch(rho.mat[None], tol)[1][0])
 
 
 def negativity_lower_bound(mu_min: float) -> float:
     """Lower bound 4 - 18 mu_min; negative values quantify separability margin."""
-    return 4.0 - 18.0 * _check_mu(mu_min)
+    return 4.0 - 18.0 * float(_check_mu(mu_min))
+
+
+def negativity_normalized_batch(mu_min) -> np.ndarray:
+    """Normalized negativity estimator of each mu_min in an array.
+
+    (108/113)(2/9 - mu)(19 - mu) for mu < 2/9, clamped to 0 at and above
+    the separability threshold, matching N^D = 0 there.
+    """
+    mu = _check_mu(mu_min)
+    # In range, mu >= 2/9 gives val <= 0, which the clamp maps to +0.0.
+    val = (108.0 / 113.0) * (SEPARABILITY_THRESHOLD - mu) * (19.0 - mu)
+    return np.minimum(np.maximum(val, 0.0), 1.0)
 
 
 def negativity_normalized(mu_min: float) -> float:
-    """Normalized negativity estimator, a quadratic in mu_min.
-
-    Defined as (108/113)(2/9 - mu)(19 - mu) for mu < 2/9 and clamped to 0
-    at and above the separability threshold, matching N^D = 0 there.
-    """
-    mu = _check_mu(mu_min)
-    if mu >= SEPARABILITY_THRESHOLD:
-        return 0.0
-    val = (108.0 / 113.0) * (SEPARABILITY_THRESHOLD - mu) * (19.0 - mu)
-    return float(min(max(val, 0.0), 1.0))
+    """Normalized negativity estimator of one mu_min; see negativity_normalized_batch."""
+    return float(negativity_normalized_batch(mu_min))
 
 
 def estimator_bias(nd: float) -> float:
@@ -98,8 +149,8 @@ def estimator_bias(nd: float) -> float:
     return nd * (1.0 - nd) / 339.0
 
 
-def concurrence_wootters(rho: DensityMatrix) -> float:
-    """Wootters concurrence max(0, l1 - l2 - l3 - l4).
+def concurrence_wootters_batch(rhos) -> np.ndarray:
+    """Wootters concurrence max(0, l1 - l2 - l3 - l4) of each state of a stack.
 
     The l_i are the descending square roots of the spectrum of
     rho (sy x sy) rho* (sy x sy).  That spectrum equals the squared singular
@@ -108,10 +159,15 @@ def concurrence_wootters(rho: DensityMatrix) -> float:
     = A A^dag; taking singular values directly keeps the small l_i at
     absolute machine precision instead of sqrt-amplifying eigenvalue noise.
     """
-    root = psd_sqrt(rho.mat)
+    root = psd_sqrt_batch(rhos)
     a = root @ SIGMA_YY @ root.conj()
     l = np.linalg.svd(a, compute_uv=False)
-    return float(max(0.0, l[0] - l[1] - l[2] - l[3]))
+    return np.maximum(0.0, l[:, 0] - l[:, 1] - l[:, 2] - l[:, 3])
+
+
+def concurrence_wootters(rho: DensityMatrix) -> float:
+    """Wootters concurrence of one state; see concurrence_wootters_batch."""
+    return float(concurrence_wootters_batch(rho.mat[None])[0])
 
 
 def concurrence_quasi(n: float) -> float:
@@ -144,7 +200,7 @@ def witness_pair(phi) -> WitnessPair:
 
 def favg_from_mu(mu: float) -> float:
     """Average fidelity that yields a given mu_min: F = (8 mu)/15 + 47/135."""
-    return 8.0 * _check_mu(mu) / 15.0 + 47.0 / 135.0
+    return 8.0 * float(_check_mu(mu)) / 15.0 + 47.0 / 135.0
 
 
 def mu_from_favg(f: float) -> float:
@@ -176,6 +232,20 @@ def _matches_quasi(rho: DensityMatrix, tol: float = 1e-9) -> bool:
         return False
     ref = family_quasi(min(max(c, 0.0), 1.0)).mat
     return bool(np.abs(rho.mat - ref).max() <= tol)
+
+
+def batch_report(rhos) -> BatchReport:
+    """Quantifiers of each state of an (N, 4, 4) stack via the affine SPA pipeline."""
+    nd, neg_count = pt_spectrum_batch(rhos)
+    mu = mu_min_batch(spa_pt_affine_batch(rhos))
+    return BatchReport(
+        nd=nd,
+        neg_count=neg_count,
+        mu_min=mu,
+        nn=negativity_normalized_batch(mu),
+        concurrence=concurrence_wootters_batch(rhos),
+        ppt=nd <= PPT_TOL,
+    )
 
 
 def full_report(rho: DensityMatrix) -> EntanglementReport:

@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import favg_from_mu, mu_from_favg, negativity_normalized
+from .measures import (
+    favg_from_mu,
+    mu_from_favg,
+    negativity_normalized,
+    negativity_normalized_batch,
+)
 from .spa import MU_MIN_HI, MU_MIN_LO, spa_pt_affine
 from .states import DensityMatrix
 
@@ -53,14 +58,6 @@ def simulate_favg(rho: DensityMatrix, shots: int, rng_seed: int) -> float:
     return float(rng.binomial(shots, f_true)) / shots
 
 
-def _nn_from_favg(favg_hat: float) -> tuple[float, float, bool]:
-    # F_avg range maps to mu in [1/6, 1/4]; noisy estimates can land outside.
-    mu_raw = 15.0 * favg_hat / 8.0 - 47.0 / 72.0
-    mu = min(max(mu_raw, MU_MIN_LO), MU_MIN_HI)
-    clamped = mu != mu_raw
-    return mu, negativity_normalized(mu), clamped
-
-
 def estimate_negativity(
     rho: DensityMatrix, shots: int, trials: int, rng_seed: int
 ) -> ShotEstimate:
@@ -74,24 +71,21 @@ def estimate_negativity(
     if shots < 1 or trials < 1:
         raise ValueError(f"shots and trials must be >= 1, got {shots}, {trials}")
     f_true = favg_from_mu(spa_pt_affine(rho).mu_min)
-    nn_values = np.empty(trials)
-    clamp_count = 0
-    first = None
+    favg_hat = np.empty(trials)
     for i in range(trials):
-        rng = _trial_rng(rng_seed, i)
-        favg_hat = float(rng.binomial(shots, f_true)) / shots
-        mu_hat, nn_hat, clamped = _nn_from_favg(favg_hat)
-        clamp_count += clamped
-        nn_values[i] = nn_hat
-        if first is None:
-            first = (favg_hat, mu_hat, nn_hat)
+        favg_hat[i] = float(_trial_rng(rng_seed, i).binomial(shots, f_true)) / shots
+    # F_avg range maps to mu in [1/6, 1/4]; noisy estimates can land outside.
+    mu_raw = 15.0 * favg_hat / 8.0 - 47.0 / 72.0
+    mu_hat = np.minimum(np.maximum(mu_raw, MU_MIN_LO), MU_MIN_HI)
+    clamp_count = int(np.count_nonzero(mu_hat != mu_raw))
+    nn_values = negativity_normalized_batch(mu_hat)
     mean_nn = float(nn_values.mean())
     std_nn = float(nn_values.std(ddof=1)) if trials > 1 else 0.0
     half = 1.959963984540054 * std_nn / np.sqrt(trials)
     return ShotEstimate(
-        favg_hat=first[0],
-        mu_hat=first[1],
-        nn_hat=first[2],
+        favg_hat=float(favg_hat[0]),
+        mu_hat=float(mu_hat[0]),
+        nn_hat=float(nn_values[0]),
         shots=shots,
         trials=trials,
         mean_nn=mean_nn,

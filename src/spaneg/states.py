@@ -142,29 +142,23 @@ def random_pure(rng) -> DensityMatrix:
 
 def random_mixed(rng, rank: int = 4) -> DensityMatrix:
     """Ginibre-induced random mixed state G G^dag / Tr(G G^dag), G 4 x rank."""
-    if rank not in (1, 2, 3, 4):
-        raise ValueError(f"rank must be 1..4, got {rank}")
-    rng = np.random.default_rng(rng)
-    g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
-    m = g @ g.conj().T
-    return DensityMatrix(mat=m / np.trace(m).real)
+    return DensityMatrix(mat=random_mixed_batch(rng, 1, rank)[0])
 
 
 def random_mixed_batch(rng, count: int, rank: int = 4) -> np.ndarray:
     """Stack of `count` Ginibre random density matrices, shape (count, 4, 4).
 
-    Matrix i is bitwise identical to the i-th sequential random_mixed draw
-    from the same generator.
+    One standard-normal draw of shape (count, 2, 4, rank) holds the real and
+    imaginary parts of each G in turn, so matrix i is bitwise identical to the
+    i-th of `count` sequential random_mixed draws from the same generator.
     """
     if rank not in (1, 2, 3, 4):
         raise ValueError(f"rank must be 1..4, got {rank}")
     rng = np.random.default_rng(rng)
-    out = np.empty((count, 4, 4), dtype=complex)
-    for i in range(count):
-        g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
-        m = g @ g.conj().T
-        out[i] = m / np.trace(m).real
-    return out
+    x = rng.standard_normal((count, 2, 4, rank))
+    g = x[:, 0] + 1j * x[:, 1]
+    m = g @ g.conj().swapaxes(1, 2)
+    return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
 
 
 def save_state(state: DensityMatrix, path) -> None:

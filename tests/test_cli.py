@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -111,6 +112,24 @@ class TestSweep:
 
 
 class TestRandomStudy:
+    # SHA-256 of `random-study --count 600 --seed 7`, recorded from the
+    # per-state implementation that preceded the chunked batch path.
+    GOLDEN_600_SEED_7 = "a48a02079f70728e53475fd6390491cc634692074d56fc49df0db7daf4c34879"
+
+    def test_golden_bytes(self, tmp_path):
+        # 600 states span three chunks, the last one partial.
+        assert 2 * cli.STUDY_CHUNK < 600 < 3 * cli.STUDY_CHUNK
+        _, text = run_to_file(tmp_path, ["random-study", "--count", "600", "--seed", "7"])
+        assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN_600_SEED_7
+
+    def test_shorter_run_is_a_prefix(self, tmp_path):
+        _, short = run_to_file(tmp_path, ["random-study", "--count", "300", "--seed", "7"], "a.csv")
+        _, long = run_to_file(tmp_path, ["random-study", "--count", "600", "--seed", "7"], "b.csv")
+        short_rows = short.split("\n")[:-2]
+        long_rows = long.split("\n")[:-2]
+        assert len(short_rows) == 301 and len(long_rows) == 601
+        assert short_rows == long_rows[:301]
+
     def test_small_run(self, tmp_path):
         code, text = run_to_file(
             tmp_path, ["random-study", "--count", "200", "--seed", "11"]
