@@ -8,7 +8,6 @@ from .linalg import (
     herm_eigen,
     herm_eigen_batch,
     kron,
-    partial_trace,
     partial_transpose_b,
     partial_transpose_batch,
     psd_sqrt,
@@ -44,6 +43,7 @@ from .spa import (
     spa_pt_affine,
     spa_pt_affine_batch,
     spa_pt_compositional,
+    spa_pt_compositional_batch,
     spa_pt_paper_entries,
     spa_theta,
     spa_transpose_tilde,
@@ -62,6 +62,7 @@ from .states import (
     random_pure,
     save_state,
     validate,
+    validate_batch,
 )
 
 __version__ = "0.1.0"

@@ -66,10 +66,11 @@ def first_index(bad: np.ndarray) -> int | None:
     return i if bad[i] else None
 
 
-def hermiticity_defect(m) -> float:
-    """Max-entry deviation from Hermitian symmetry, ||M - M^dag||_max."""
+def hermiticity_defect(m):
+    """Max-entry deviation from Hermitian symmetry, ||M - M^dag||_max, of a
+    matrix (a float) or of each matrix of an (N, d, d) stack (an array)."""
     m = np.asarray(m, dtype=complex)
-    return float(np.abs(m - m.conj().T).max())
+    return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import (
-    favg_from_mu,
-    mu_from_favg,
-    negativity_normalized,
-    negativity_normalized_batch,
-)
+from .measures import favg_from_mu, negativity_normalized_batch
 from .spa import MU_MIN_HI, MU_MIN_LO, spa_pt_affine
 from .states import DensityMatrix
 
@@ -94,12 +89,3 @@ def estimate_negativity(
         clamp_count=clamp_count,
     )
 
-
-def exact_passthrough_nn(rho: DensityMatrix) -> float:
-    """Noise-free limit of the protocol: F_avg taken exactly, no sampling.
-
-    Reproduces the pipeline normalized negativity bit for bit; exposed so
-    the propagation path can be checked without Monte Carlo noise.
-    """
-    mu = mu_from_favg(favg_from_mu(spa_pt_affine(rho).mu_min))
-    return negativity_normalized(min(max(mu, MU_MIN_LO), MU_MIN_HI))

@@ -28,13 +28,15 @@ from .linalg import (
     RESIDUAL_TOL,
     SIGMA_Y,
     Spectrum,
+    _as_stack,
+    first_index,
     herm_eigen,
     herm_eigen_batch,
     kron,
     partial_transpose_b,
     partial_transpose_batch,
 )
-from .states import DensityMatrix, StateValidationError, validate
+from .states import DensityMatrix, StateValidationError, validate, validate_batch
 
 MU_MIN_LO = 1.0 / 6.0
 MU_MIN_HI = 0.25
@@ -151,9 +153,14 @@ def _outcome(mat: np.ndarray, method: str, diagnostics: dict | None = None) -> S
     )
 
 
+def affine_from_pt(pts) -> np.ndarray:
+    """Canonical SPA-PT (1/9) rho^{T_B} + (2/9) I from a stack of partial transposes."""
+    return pts / 9.0 + (2.0 / 9.0) * np.eye(4)
+
+
 def spa_pt_affine_batch(rhos) -> np.ndarray:
     """Canonical SPA-PT of each state in an (N, 4, 4) stack: (1/9) rho^{T_B} + (2/9) I."""
-    return partial_transpose_batch(rhos) / 9.0 + (2.0 / 9.0) * np.eye(4)
+    return affine_from_pt(partial_transpose_batch(rhos))
 
 
 def mu_min_batch(rho_tildes) -> np.ndarray:
@@ -206,17 +213,32 @@ def superoperator(method: str) -> np.ndarray:
     return s
 
 
+def spa_pt_compositional_batch(rhos) -> np.ndarray:
+    """SPA-PT of each state in an (N, 4, 4) stack via the measurement-based
+    maps (1/3)(I x T~) + (2/3)(Theta~ x D).
+
+    Each output is validated as a state; ConstructionInconsistencyError names
+    the first that fails.
+    """
+    rhos = _as_stack(rhos, dims=(4,))
+    # One matrix-vector product per state, bitwise the per-state S @ vec(rho);
+    # a single (N, 16) x (16, 16) product rounds differently.
+    out = (superoperator("compositional") @ rhos.reshape(-1, 16, 1)).reshape(-1, 4, 4)
+    check = validate_batch(out)
+    i = first_index(~check.valid)
+    if i is not None:
+        bad = out[i]
+        raise ConstructionInconsistencyError(
+            f"compositional SPA output {i} of {len(out)} is not a valid state "
+            f"({StateValidationError(check.violations(i))})",
+            np.linalg.eigvalsh((bad + bad.conj().T) / 2),
+        )
+    return out
+
+
 def spa_pt_compositional(rho: DensityMatrix) -> SpaOutcome:
     """SPA-PT via the measurement-based maps: (1/3)(I x T~) + (2/3)(Theta~ x D)."""
-    mat = (superoperator("compositional") @ rho.mat.reshape(16)).reshape(4, 4)
-    try:
-        validate(mat)
-    except StateValidationError as exc:
-        raise ConstructionInconsistencyError(
-            f"compositional SPA output is not a valid state ({exc})",
-            np.linalg.eigvalsh((mat + mat.conj().T) / 2),
-        ) from exc
-    return _outcome(mat, "compositional")
+    return _outcome(spa_pt_compositional_batch(rho.mat[None])[0], "compositional")
 
 
 def spa_pt_paper_entries(rho: DensityMatrix) -> SpaOutcome:

@@ -50,28 +50,76 @@ class DensityMatrix:
     mat: np.ndarray
 
 
+@dataclass(frozen=True)
+class StackValidity:
+    """Per-matrix validity measures of an (N, 4, 4) stack; see validate_batch.
+
+    min_eigenvalue is NaN for a matrix with non-finite entries, which is
+    flagged by its count alone, without an eigensolve.
+    """
+
+    nonfinite: np.ndarray
+    hermiticity_defect: np.ndarray
+    trace_deviation: np.ndarray
+    min_eigenvalue: np.ndarray
+
+    @property
+    def valid(self) -> np.ndarray:
+        # NaN comparisons are false, so a non-finite matrix fails here too.
+        return (
+            (self.nonfinite == 0)
+            & (self.hermiticity_defect <= VALIDATE_TOL)
+            & (self.trace_deviation <= VALIDATE_TOL)
+            & (self.min_eigenvalue >= -PSD_CLAMP)
+        )
+
+    def violations(self, i: int) -> list[str]:
+        """Every violated invariant of matrix i, each with its magnitude."""
+        if self.nonfinite[i]:
+            return [f"non-finite entries: {self.nonfinite[i]} of 16"]
+        out = []
+        if self.hermiticity_defect[i] > VALIDATE_TOL:
+            out.append(f"not Hermitian: max asymmetry {self.hermiticity_defect[i]:.3e}")
+        if self.trace_deviation[i] > VALIDATE_TOL:
+            out.append(f"trace deviates from 1 by {self.trace_deviation[i]:.3e}")
+        if self.min_eigenvalue[i] < -PSD_CLAMP:
+            out.append(f"not PSD: minimum eigenvalue {self.min_eigenvalue[i]:.3e}")
+        return out
+
+
+def validate_batch(raw) -> StackValidity:
+    """Check Hermiticity, unit trace and positivity of each matrix of an
+    (N, 4, 4) stack, with the tolerances of validate; nothing is raised."""
+    m = np.asarray(raw, dtype=complex)
+    if m.ndim != 3 or m.shape[1:] != (4, 4):
+        raise StateValidationError([f"shape {m.shape} is not (N, 4, 4)"])
+    nonfinite = 16 - np.isfinite(m).sum(axis=(1, 2))
+    finite = nonfinite == 0
+    min_eig = np.full(len(m), np.nan)
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite matrix
+        defect = hermiticity_defect(m)
+        trace_dev = np.abs(np.trace(m, axis1=1, axis2=2) - 1.0)
+        h = (m + m.conj().swapaxes(1, 2)) / 2
+    min_eig[finite] = np.linalg.eigvalsh(h if finite.all() else h[finite])[:, 0]
+    return StackValidity(
+        nonfinite=nonfinite,
+        hermiticity_defect=defect,
+        trace_deviation=trace_dev,
+        min_eigenvalue=min_eig,
+    )
+
+
 def validate(raw) -> DensityMatrix:
     """Check Hermiticity, unit trace and positivity; return the state.
 
     Every violated invariant is reported, not just the first.
     """
     m = np.asarray(raw, dtype=complex)
-    violations = []
     if m.shape != (4, 4):
         raise StateValidationError([f"shape {m.shape} is not (4, 4)"])
-    if not np.isfinite(m).all():
-        raise StateValidationError([f"non-finite entries: {np.count_nonzero(~np.isfinite(m))} of 16"])
-    defect = hermiticity_defect(m)
-    if defect > VALIDATE_TOL:
-        violations.append(f"not Hermitian: max asymmetry {defect:.3e}")
-    tr_dev = abs(np.trace(m) - 1.0)
-    if tr_dev > VALIDATE_TOL:
-        violations.append(f"trace deviates from 1 by {tr_dev:.3e}")
-    w = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    if w[0] < -PSD_CLAMP:
-        violations.append(f"not PSD: minimum eigenvalue {w[0]:.3e}")
-    if violations:
-        raise StateValidationError(violations)
+    check = validate_batch(m[None])
+    if not check.valid[0]:
+        raise StateValidationError(check.violations(0))
     return DensityMatrix(mat=m)
 
 
@@ -155,7 +203,11 @@ def random_mixed_batch(rng, count: int, rank: int = 4) -> np.ndarray:
     if rank not in (1, 2, 3, 4):
         raise ValueError(f"rank must be 1..4, got {rank}")
     rng = np.random.default_rng(rng)
-    x = rng.standard_normal((count, 2, 4, rank))
+    return ginibre_from_normals(rng.standard_normal((count, 2, 4, rank)))
+
+
+def ginibre_from_normals(x) -> np.ndarray:
+    """G G^dag / Tr(G G^dag) for each G = x[n, 0] + i x[n, 1], x of shape (N, 2, 4, rank)."""
     g = x[:, 0] + 1j * x[:, 1]
     m = g @ g.conj().swapaxes(1, 2)
     return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]

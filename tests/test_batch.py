@@ -1,9 +1,11 @@
-"""The stacked (N, 4, 4) kernels: position independence, local-unitary
-invariance, the boundary checks of the batched path, and agreement of the
-chunked random study with per-state reports.
+"""The stacked (N, 4, 4) kernels: position independence, the paper's
+invariants over generated states, the boundary checks of the batched path, and
+agreement of the chunked random study and SPA cross-check with their per-state
+forms.
 
 The property tests draw Ginibre stacks from hypothesis-generated seeds, sizes
-and ranks (requires the `test` extra: pip install -e '.[test]').
+and ranks (requires the `test` extra: pip install -e '.[test]'); their
+settings are the profile loaded in conftest.py.
 """
 
 import numpy as np
@@ -11,13 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spaneg import cli, linalg, measures, shotsim, spa, states
+from spaneg import cli, curves, linalg, measures, shotsim, spa, states
 from spaneg.linalg import DimensionError, NotHermitianError, NotPsdError
 
 SEEDS = st.integers(0, 2**32 - 1)
 SIZES = st.integers(1, 9)
 RANKS = st.integers(1, 4)
-PROPERTY = settings(max_examples=60, deadline=None)
 
 KERNELS = {
     "partial_transpose_batch": linalg.partial_transpose_batch,
@@ -49,7 +50,6 @@ def haar_unitary(rng):
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
-@PROPERTY
 @given(seed=SEEDS, n=SIZES, rank=RANKS)
 def test_kernel_output_does_not_depend_on_batch_position(name, seed, n, rank):
     kernel = KERNELS[name]
@@ -61,7 +61,6 @@ def test_kernel_output_does_not_depend_on_batch_position(name, seed, n, rank):
             assert np.array_equal(f[i], o[0]), (name, i)
 
 
-@PROPERTY
 @given(seed=SEEDS, n=SIZES, rank=RANKS)
 def test_batch_draw_matches_sequential_draws(seed, n, rank):
     stack = ginibre(seed, n, rank)
@@ -70,7 +69,6 @@ def test_batch_draw_matches_sequential_draws(seed, n, rank):
         assert np.array_equal(stack[i], states.random_mixed(rng, rank=rank).mat)
 
 
-@PROPERTY
 @given(seed=SEEDS, n=SIZES, rank=RANKS)
 def test_nd_and_concurrence_invariant_under_local_unitaries(seed, n, rank):
     rng = np.random.default_rng(seed)
@@ -83,6 +81,53 @@ def test_nd_and_concurrence_invariant_under_local_unitaries(seed, n, rank):
     conc = measures.concurrence_wootters_batch(rhos)
     conc_rot = measures.concurrence_wootters_batch(rotated)
     assert np.abs(conc - conc_rot).max() <= 1e-12
+
+
+@given(seed=SEEDS, n=SIZES, rank=RANKS)
+def test_partial_transpose_is_a_trace_preserving_involution(seed, n, rank):
+    stack = ginibre(seed, n, rank)
+    pt = linalg.partial_transpose_batch(stack)
+    assert np.array_equal(linalg.partial_transpose_batch(pt), stack)
+    assert np.array_equal(np.trace(pt, axis1=1, axis2=2), np.trace(stack, axis1=1, axis2=2))
+
+
+@given(seed=SEEDS, n=SIZES, rank=RANKS)
+def test_tightness_with_at_most_one_negative_pt_eigenvalue(seed, n, rank):
+    rep = measures.batch_report(ginibre(seed, n, rank))
+    assert np.abs(rep.nd - np.maximum(0.0, 4.0 - 18.0 * rep.mu_min)).max() <= 1e-10
+    assert rep.neg_count.max() <= 1
+
+
+@given(seed=SEEDS, n=SIZES, rank=RANKS)
+def test_universal_curve_and_bias_bound(seed, n, rank):
+    rep = measures.batch_report(ginibre(seed, n, rank))
+    assert np.abs(rep.nn - curves.nn_from_nd(rep.nd)).max() <= 1e-10
+    bias = rep.nd - rep.nn
+    assert np.abs(bias - measures.estimator_bias(rep.nd)).max() <= 1e-10
+    assert -1e-10 <= bias.min() and bias.max() <= 1.0 / 1356.0 + 1e-10
+
+
+@given(seed=SEEDS, n=SIZES, rank=RANKS)
+def test_verstraete_inequality(seed, n, rank):
+    rep = measures.batch_report(ginibre(seed, n, rank))
+    for conc, nd in zip(rep.concurrence, rep.nd):
+        assert measures.verstraete_rhs(conc) <= nd + 1e-10
+
+
+@pytest.mark.parametrize("method", spa.CHOI_METHODS)
+@given(seed=SEEDS, n=SIZES, rank=RANKS)
+def test_superoperator_preserves_trace(method, seed, n, rank):
+    stack = ginibre(seed, n, rank)
+    out = (spa.superoperator(method) @ stack.reshape(-1, 16, 1)).reshape(-1, 4, 4)
+    trace_in = np.trace(stack, axis1=1, axis2=2)
+    assert np.abs(np.trace(out, axis1=1, axis2=2) - trace_in).max() <= 1e-12
+
+
+@given(seed=SEEDS, n=SIZES, rank=RANKS)
+def test_spa_channels_map_states_to_states(seed, n, rank):
+    stack = ginibre(seed, n, rank)
+    for out in (spa.spa_pt_affine_batch(stack), spa.spa_pt_compositional_batch(stack)):
+        assert states.validate_batch(out).valid.all()
 
 
 class TestBoundary:
@@ -140,6 +185,21 @@ class TestBoundary:
         with pytest.raises(ValueError, match=r"^mu_min 0.3 outside \[1/6, 1/4\]$"):
             measures.negativity_normalized(0.3)
 
+    def test_invalid_compositional_output_is_named(self, monkeypatch):
+        real = spa.superoperator("compositional")
+        monkeypatch.setattr(spa, "superoperator", lambda method: 1.01 * real)
+        with pytest.raises(spa.ConstructionInconsistencyError,
+                           match="compositional SPA output 0 of 3 is not a valid state"):
+            spa.spa_pt_compositional_batch(ginibre(4, 3))
+
+    def test_spa_verify_exits_3_on_invalid_compositional_output(self, monkeypatch, capsys):
+        real = spa.superoperator("compositional")
+        monkeypatch.setattr(spa, "superoperator", lambda method: 1.01 * real)
+        assert cli.run(["spa-verify"]) == 3
+        err = capsys.readouterr().err
+        assert "compositional SPA output 0 of 256" in err
+        assert "trace deviates from 1 by 1.000e-02" in err
+
     def test_per_state_dimension_errors_unchanged(self):
         with pytest.raises(DimensionError, match="expected dimension in \\(4,\\), got 3"):
             linalg.partial_transpose_b(np.eye(3))
@@ -169,6 +229,37 @@ def test_random_study_rows_match_per_state_reports():
         assert row == expected
         assert [type(x) for x in row] == [type(x) for x in expected]
     assert summary["max_neg_pt_eigs"] <= 1
+
+
+def per_state_residuals(seed, n_states):
+    """The per-state loop spa-verify ran before it was chunked: alternating
+    random_mixed / random_pure draws, the partial transpose built twice."""
+    rng = np.random.default_rng(seed)
+    max_dev = 0.0
+    max_trace_rel = 0.0
+    for _ in range(n_states):
+        rho = states.random_mixed(rng)
+        affine = spa.spa_pt_affine(rho)
+        comp = spa.spa_pt_compositional(rho)
+        max_dev = max(max_dev, float(np.abs(affine.rho_tilde.mat - comp.rho_tilde.mat).max()))
+        phi = states.random_pure(rng).mat
+        lhs = np.trace(phi @ np.asarray(spa.partial_transpose_b(rho.mat))).real
+        rhs = 9.0 * np.trace(phi @ affine.rho_tilde.mat).real - 2.0
+        max_trace_rel = max(max_trace_rel, abs(lhs - rhs))
+    return max_dev, max_trace_rel
+
+
+@pytest.mark.parametrize("n_states", [1, cli.STUDY_CHUNK - 1, cli.STUDY_CHUNK,
+                                      cli.STUDY_CHUNK + 1, 1000])
+@settings(max_examples=4)
+@given(seed=SEEDS)
+def test_spa_verify_matches_per_state_loop(n_states, seed):
+    expected = per_state_residuals(seed, n_states)
+    assert cli.random_pair_residuals(seed, n_states) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "random_pair_residuals", lambda seed, n: expected)
+        oracle = cli.spa_verify_report(seed=seed, n_states=n_states)
+    assert cli.spa_verify_report(seed=seed, n_states=n_states) == oracle
 
 
 @pytest.mark.parametrize("shots", [1, 1000])

@@ -185,6 +185,19 @@ class TestSimulate:
 
 
 class TestSpaVerify:
+    # SHA-256 of `spa-verify --seed N`, recorded from the per-state
+    # implementation that preceded the chunked batch path.
+    GOLDEN = {
+        "1": "e5982d5e23649bf6e3ac983c5ea872253a8d736e7231f70b1d707ac4e70caef8",
+        "2": "997a4f925734c1a40a9d3d30e646ca68042b37e4ad24cf528c6f433ea206e985",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    def test_golden_bytes(self, tmp_path, seed):
+        code, text = run_to_file(tmp_path, ["spa-verify", "--seed", seed])
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN[seed]
+
     def test_report_content_and_exit(self, tmp_path):
         code, text = run_to_file(tmp_path, ["spa-verify", "--seed", "1"])
         assert code == 0

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from spaneg.measures import favg_from_mu, negativity_normalized
-from spaneg.shotsim import estimate_negativity, exact_passthrough_nn, simulate_favg
-from spaneg.spa import spa_pt_affine
+from spaneg.measures import favg_from_mu, mu_from_favg, negativity_normalized
+from spaneg.shotsim import estimate_negativity, simulate_favg
+from spaneg.spa import MU_MIN_HI, MU_MIN_LO, spa_pt_affine
 from spaneg.states import bell_state, family_horodecki, validate
 
 
@@ -91,4 +91,6 @@ def test_noise_free_passthrough_matches_pipeline():
     for p in np.linspace(0, 1, 11):
         rho = family_horodecki(float(p))
         exact = negativity_normalized(spa_pt_affine(rho).mu_min)
-        assert exact_passthrough_nn(rho) == pytest.approx(exact, abs=1e-12)
+        mu = mu_from_favg(favg_from_mu(spa_pt_affine(rho).mu_min))
+        passthrough = negativity_normalized(min(max(mu, MU_MIN_LO), MU_MIN_HI))
+        assert passthrough == pytest.approx(exact, abs=1e-12)

@@ -45,6 +45,35 @@ class TestValidate:
             validate(m)
         assert len(exc.value.violations) == 1
 
+    @pytest.mark.filterwarnings("error")
+    def test_batch_flags_each_matrix(self):
+        stack = np.stack([np.eye(4) / 4] * 5).astype(complex)
+        stack[1, 0, 1] = 0.1
+        stack[2] = np.diag([0.5, 0.6, 0.0, -0.2])
+        stack[3, 2, 2] = np.inf
+        check = states.validate_batch(stack)
+        assert check.valid.tolist() == [True, False, False, False, True]
+        assert check.violations(0) == [] and check.violations(4) == []
+        for i in (1, 2):
+            with pytest.raises(StateValidationError) as exc:
+                validate(stack[i])
+            assert check.violations(i) == exc.value.violations
+        assert check.violations(3) == ["non-finite entries: 1 of 16"]
+
+    def test_batch_skips_the_eigensolve_of_non_finite_matrices(self, monkeypatch):
+        stack = np.stack([np.eye(4) / 4] * 3).astype(complex)
+        stack[1, 0, 0] = np.nan
+        solved = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solved.append(len(m)) or real(m))
+        check = states.validate_batch(stack)
+        assert solved == [2]
+        assert np.isnan(check.min_eigenvalue[1]) and check.min_eigenvalue[0] == 0.25
+
+    def test_batch_rejects_wrong_shape(self):
+        with pytest.raises(StateValidationError, match=r"shape \(4, 4\) is not \(N, 4, 4\)"):
+            states.validate_batch(np.eye(4))
+
     def test_load_rejects_nan_file(self, tmp_path):
         path = tmp_path / "nan.json"
         re = (np.eye(4) / 4).tolist()
