@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -25,11 +26,23 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_INVARIANT = 3
 
-# States per stacked draw in random_study_rows and random_pair_residuals.
+# States per stacked chunk in random_study_rows, random_pair_residuals and sweep_rows.
 # Peak memory grows with the chunk faster than speed does: for a 10 000-state
 # study, peak RSS over the per-state loop was +1-3 % at 256, +2-4 % at 1024
 # (for ~5 % more throughput) and +30 % unchunked.
 STUDY_CHUNK = 256
+
+# Caps on run sizes, checked right after parsing, before any draw or allocation.
+# The cost at each cap is scaled from a run at a tenth of it on a 2-core Xeon.
+# random-study keeps every row until it writes the CSV: ~30 s and ~0.5 GB.
+MAX_COUNT = 1_000_000
+# sweep keeps every CSV line until it writes: ~20 s and ~0.4 GB.
+MAX_POINTS = 1_000_000
+# simulate seeds one generator per trial: ~15 s.
+MAX_TRIALS = 1_000_000
+# A trial's F_avg is k / shots, which float64 holds exactly for shots <= 2**53.
+MAX_SHOTS = 2**53
+_SIZE_CAPS = {"count": MAX_COUNT, "points": MAX_POINTS, "trials": MAX_TRIALS, "shots": MAX_SHOTS}
 
 
 class UsageError(Exception):
@@ -65,8 +78,9 @@ def _resolve_state(args) -> states.DensityMatrix:
 
 
 def _report_payload(report: measures.EntanglementReport) -> dict:
-    payload = dataclasses.asdict(report)
-    return {k: v for k, v in payload.items() if v is not None}
+    # A shallow read: every field is a float, a bool or None, so asdict's deep copy buys nothing.
+    fields = ((f.name, getattr(report, f.name)) for f in dataclasses.fields(report))
+    return {k: v for k, v in fields if v is not None}
 
 
 def cmd_analyze(args) -> int:
@@ -81,20 +95,25 @@ def sweep_rows(family: str, points: int):
 
     Yields (param, nd_definition, nd_closed_form, mu_min, nn_pipeline,
     nn_closed_form, abs_gap); abs_gap is |nn_pipeline - nd_definition|,
-    the visible distance between the two curves.
+    the visible distance between the two curves.  The family states are
+    measured STUDY_CHUNK at a time through the stacked kernels; the closed
+    forms are evaluated per point.
     """
     if family not in curves.ND_CLOSED:
         raise UsageError(f"sweep supports families {sorted(curves.ND_CLOSED)}, got {family!r}")
     if points < 2:
         raise UsageError(f"--points must be >= 2, got {points}")
-    for value in np.linspace(0.0, 1.0, points):
-        rho = states.from_spec(family, float(value))
-        nd = measures.negativity_exact(rho)
-        mu = spa.spa_pt_affine(rho).mu_min
-        nn = measures.negativity_normalized(mu)
-        nd_cf = curves.ND_CLOSED[family](float(value))
-        nn_cf = curves.NN_CLOSED[family](nd_cf)
-        yield float(value), nd, nd_cf, mu, nn, nn_cf, abs(nn - nd)
+    values = np.linspace(0.0, 1.0, points).tolist()
+    for start in range(0, points, STUDY_CHUNK):
+        chunk = values[start:start + STUDY_CHUNK]
+        rhos = np.stack([states.from_spec(family, value).mat for value in chunk])
+        nd = measures.pt_spectrum_batch(rhos)[0].tolist()
+        mu = spa.mu_min_batch(spa.spa_pt_affine_batch(rhos))
+        nn = measures.negativity_normalized_batch(mu).tolist()
+        for value, nd_i, mu_i, nn_i in zip(chunk, nd, mu.tolist(), nn):
+            nd_cf = curves.ND_CLOSED[family](value)
+            nn_cf = curves.NN_CLOSED[family](nd_cf)
+            yield value, nd_i, nd_cf, mu_i, nn_i, nn_cf, abs(nn_i - nd_i)
 
 
 def cmd_sweep(args) -> int:
@@ -266,7 +285,14 @@ def cmd_spa_verify(args) -> int:
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built on first use and then shared by every run() call.
+
+    Sharing is safe: parse_args starts a fresh Namespace each call, every
+    default is immutable, no action mutates the parser, and help and usage
+    errors look up sys.stdout / sys.stderr when they are written.
+    """
     parser = _Parser(prog="spaneg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -295,6 +321,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _check_limits(args) -> None:
+    """Reject a negative --seed or a run size over its cap as a usage error."""
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    for name, cap in _SIZE_CAPS.items():
+        value = getattr(args, name, None)
+        if value is not None and value > cap:
+            raise UsageError(f"--{name} must be <= {cap}, got {value}")
+
+
 _DISPATCH = {
     "analyze": cmd_analyze,
     "sweep": cmd_sweep,
@@ -308,6 +344,7 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_limits(args)
         return _DISPATCH[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

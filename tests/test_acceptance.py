@@ -53,14 +53,18 @@ def ensemble():
 
 @pytest.fixture(scope="module")
 def pure_ensemble():
+    """(N^D, C) of PURE_ENSEMBLE_SIZE random pure states, measured as one stack.
+
+    Each row of the (N, 2, 4) draw holds 4 real then 4 imaginary parts, as a
+    random_pure call draws them, so these are the states of N sequential
+    random_pure draws; each is normalised on its own, as random_pure does.
+    """
     rng = np.random.default_rng(ENSEMBLE_SEED + 1)
-    nd = np.empty(PURE_ENSEMBLE_SIZE)
-    conc = np.empty(PURE_ENSEMBLE_SIZE)
-    for i in range(PURE_ENSEMBLE_SIZE):
-        rho = states.random_pure(rng)
-        nd[i] = measures.negativity_exact(rho)
-        conc[i] = measures.concurrence_wootters(rho)
-    return nd, conc
+    x = rng.standard_normal((PURE_ENSEMBLE_SIZE, 2, 4))
+    rhos = np.stack([
+        states.pure_from_vector(v / np.linalg.norm(v)).mat for v in x[:, 0] + 1j * x[:, 1]
+    ])
+    return measures.pt_spectrum_batch(rhos)[0], measures.concurrence_wootters_batch(rhos)
 
 
 def test_criterion_1_figure1_pure_family():

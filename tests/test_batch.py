@@ -231,6 +231,24 @@ def test_random_study_rows_match_per_state_reports():
     assert summary["max_neg_pt_eigs"] <= 1
 
 
+@pytest.mark.parametrize("family", sorted(curves.ND_CLOSED))
+def test_sweep_rows_match_per_state_loop(family):
+    # Two full chunks and a partial one; the per-point loop sweep_rows ran
+    # before it was stacked is the oracle, types included.
+    points = 2 * cli.STUDY_CHUNK + 5
+    rows = list(cli.sweep_rows(family, points))
+    assert len(rows) == points
+    for row, value in zip(rows, np.linspace(0.0, 1.0, points)):
+        rho = states.from_spec(family, float(value))
+        nd = measures.negativity_exact(rho)
+        mu = spa.spa_pt_affine(rho).mu_min
+        nn = measures.negativity_normalized(mu)
+        nd_cf = curves.ND_CLOSED[family](float(value))
+        expected = (float(value), nd, nd_cf, mu, nn, curves.NN_CLOSED[family](nd_cf), abs(nn - nd))
+        assert row == expected
+        assert [type(x) for x in row] == [type(x) for x in expected]
+
+
 def per_state_residuals(seed, n_states):
     """The per-state loop spa-verify ran before it was chunked: alternating
     random_mixed / random_pure draws, the partial transpose built twice."""

@@ -1,11 +1,14 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spaneg import cli
-from spaneg.states import family_horodecki, save_state
+from spaneg import cli, shotsim
+from spaneg.states import family_horodecki, random_mixed, save_state
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_to_file(tmp_path, argv, name="out.txt"):
@@ -81,8 +84,87 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(text)["mu_min"] == pytest.approx(0.2107162899340807, abs=1e-12)
 
+    # SHA-256 of the `analyze` JSON, recorded when the parser was still built
+    # per call and the payload went through dataclasses.asdict.
+    GOLDEN = {
+        "pure_m 0.3": "989334921408e2746961fa282572b81697f7aa657afb08667f5ff9d8fe33ff88",
+        "horodecki 0.3": "40f238854f6daf86fb4a2519b347b8bdc617c2c9b8c6ef4e281e687fd373b216",
+        "quasi 0.6": "0c0ed5ccbef106811d04c789c1ef56c0ac06baec386c7def552dc2ce0a2cb515",
+        "bell 2": "e2b51f39e8c756854ba6fb9d535d11ac7842587c95048d349039e2039ef00304",
+        # save_state(random_mixed(default_rng(5)))
+        "state file": "2e84b08e13afe8089b52bc1af66c63d549d4c7e5a2e39842471d2e117fa78b6e",
+    }
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_golden_bytes(self, tmp_path, case):
+        if case == "state file":
+            path = tmp_path / "f.json"
+            save_state(random_mixed(np.random.default_rng(5)), path)
+            argv = ["analyze", "--state", str(path)]
+        else:
+            family, param = case.split()
+            argv = ["analyze", "--family", family, "--param", param]
+        code, text = run_to_file(tmp_path, argv)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN[case]
+
+
+class TestSharedParser:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_no_state_leaks_between_calls(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        save_state(family_horodecki(0.5), path)
+        sequence = [
+            ["analyze", "--state", str(path)],
+            ["analyze", "--family", "horodecki", "--param", "0.3"],
+            ["analyze", "--bogus"],
+            ["simulate", "--family", "bell", "--shots", "100", "--trials", "5", "--seed", "3"],
+            ["random-study", "--count", "10"],
+        ]
+
+        def outcome(argv):
+            code = cli.run(argv)
+            return (code, *capsys.readouterr())
+
+        shared = [outcome(argv) for argv in sequence]
+        fresh = []
+        for argv in sequence:
+            cli.build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert [code for code, _, _ in shared] == [0, 0, 1, 0, 0]
+        assert shared == fresh
+
+    def test_single_workload_matches_recorded_digest(self, tmp_path, monkeypatch):
+        # The benchmark's 160 `analyze` requests at its default seed, in one
+        # process, must print the bytes recorded in perfbench/reference.json.
+        monkeypatch.syspath_prepend(str(ROOT))
+        from perfbench import bench, workloads
+
+        reference = bench.load_reference()
+        rep = workloads.build("single", reference["default_seed"], tmp_path)
+        ledger = bench.Ledger()
+        _, digest, _ = bench.run_repetition(cli, rep, ledger)
+        assert ledger.failed == 0, ledger.reasons
+        assert digest == reference["digests"]["single"]
+
 
 class TestSweep:
+    # SHA-256 of `sweep --family F --points 101`, recorded from the per-point
+    # implementation that preceded the stacked one.
+    GOLDEN_101 = {
+        "pure_m": "7e08228ef70fb0e0b3674dfd1eba407ea3a3064c3d4b028d234614e0ea88b211",
+        "horodecki": "3cabbfe6d27488a9a39ebc4e3fbf16d5ac33a41b38ee5f992ae20465004e0be5",
+        "quasi": "758995434ed2ee49805319ba484192055e8904673fd028f641e85e85b50f87af",
+    }
+
+    @pytest.mark.parametrize("family", sorted(GOLDEN_101))
+    def test_golden_bytes(self, tmp_path, family):
+        code, text = run_to_file(tmp_path, ["sweep", "--family", family, "--points", "101"])
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN_101[family]
+
     def test_header_and_rows(self, tmp_path):
         code, text = run_to_file(tmp_path, ["sweep", "--family", "pure_m", "--points", "11"])
         assert code == 0
@@ -182,6 +264,57 @@ class TestSimulate:
 
     def test_bad_counts(self, capsys):
         assert cli.run(["simulate", "--family", "bell", "--shots", "0"]) == 1
+
+
+class _Reached(Exception):
+    pass
+
+
+class TestSizeCaps:
+    # (argv without the size flag, flag, cap, module and name of the worker it guards)
+    CAPS = [
+        (["random-study"], "--count", cli.MAX_COUNT, cli, "random_study_rows"),
+        (["sweep", "--family", "pure_m"], "--points", cli.MAX_POINTS, cli, "sweep_rows"),
+        (["simulate", "--family", "bell"], "--trials", cli.MAX_TRIALS, shotsim, "estimate_negativity"),
+        (["simulate", "--family", "bell"], "--shots", cli.MAX_SHOTS, shotsim, "estimate_negativity"),
+    ]
+
+    @staticmethod
+    def _guard(monkeypatch, module, name):
+        def reached(*args, **kwargs):
+            raise _Reached(name)
+
+        monkeypatch.setattr(module, name, reached)
+
+    @pytest.mark.parametrize("argv, flag, cap, module, worker", CAPS)
+    def test_over_cap_is_usage_error_before_any_work(
+        self, monkeypatch, capsys, argv, flag, cap, module, worker
+    ):
+        self._guard(monkeypatch, module, worker)
+        assert cli.run(argv + [flag, str(cap + 1)]) == 1
+        assert f"{flag} must be <= {cap}, got {cap + 1}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag, cap, module, worker", CAPS)
+    def test_cap_itself_is_accepted(self, monkeypatch, argv, flag, cap, module, worker):
+        self._guard(monkeypatch, module, worker)
+        with pytest.raises(_Reached):
+            cli.run(argv + [flag, str(cap)])
+
+    def test_huge_shots_is_a_usage_error_not_a_traceback(self, monkeypatch, capsys):
+        self._guard(monkeypatch, shotsim, "estimate_negativity")
+        argv = ["simulate", "--family", "bell", "--shots", "100000000000000000000"]
+        assert cli.run(argv) == 1
+        assert "--shots must be <= 9007199254740992" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, module, worker", [
+        (["random-study"], cli, "random_study_rows"),
+        (["simulate", "--family", "bell"], shotsim, "estimate_negativity"),
+        (["spa-verify"], cli, "spa_verify_report"),
+    ])
+    def test_negative_seed_is_usage_error(self, monkeypatch, capsys, argv, module, worker):
+        self._guard(monkeypatch, module, worker)
+        assert cli.run(argv + ["--seed", "-1"]) == 1
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 class TestSpaVerify:
