@@ -20,17 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from . import curves, linalg, measures, shotsim, spa, states
+from .linalg import STUDY_CHUNK
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_INVARIANT = 3
-
-# States per stacked chunk in random_study_rows, random_pair_residuals and sweep_rows.
-# Peak memory grows with the chunk faster than speed does: for a 10 000-state
-# study, peak RSS over the per-state loop was +1-3 % at 256, +2-4 % at 1024
-# (for ~5 % more throughput) and +30 % unchunked.
-STUDY_CHUNK = 256
 
 # Caps on run sizes, checked right after parsing, before any draw or allocation.
 # The cost at each cap is scaled from a run at a tenth of it on a 2-core Xeon.
@@ -38,7 +33,8 @@ STUDY_CHUNK = 256
 MAX_COUNT = 1_000_000
 # sweep keeps every CSV line until it writes: ~20 s and ~0.4 GB.
 MAX_POINTS = 1_000_000
-# simulate seeds one generator per trial: ~15 s.
+# simulate sets the state of one reused generator per trial: ~6 s and ~80 MB,
+# measured at the cap itself.
 MAX_TRIALS = 1_000_000
 # A trial's F_avg is k / shots, which float64 holds exactly for shots <= 2**53.
 MAX_SHOTS = 2**53
@@ -296,12 +292,13 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="spaneg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, state=False, sweep=False, rand=False, sim=False):
+    def add_common(p, state=False, seed=False, sweep=False, rand=False, sim=False):
         if state:
             p.add_argument("--family", choices=states.FAMILIES, default=None)
             p.add_argument("--state", default=None, help="path to a JSON state file")
             p.add_argument("--param", type=float, default=None)
-        p.add_argument("--seed", type=int, default=0)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
         if sweep:
             p.add_argument("--points", type=int, default=101)
@@ -315,16 +312,19 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="figure-reproduction parameter sweep (CSV)")
     add_common(p, state=False, sweep=True)
     p.add_argument("--family", choices=sorted(curves.ND_CLOSED), required=False, default=None)
-    add_common(sub.add_parser("random-study", help="random-ensemble invariant study (CSV)"), rand=True)
-    add_common(sub.add_parser("simulate", help="finite-shot estimation of one state"), state=True, sim=True)
-    add_common(sub.add_parser("spa-verify", help="SPA construction compatibility report"))
+    add_common(sub.add_parser("random-study", help="random-ensemble invariant study (CSV)"), seed=True, rand=True)
+    add_common(
+        sub.add_parser("simulate", help="finite-shot estimation of one state"), state=True, seed=True, sim=True
+    )
+    add_common(sub.add_parser("spa-verify", help="SPA construction compatibility report"), seed=True)
     return parser
 
 
 def _check_limits(args) -> None:
     """Reject a negative --seed or a run size over its cap as a usage error."""
-    if args.seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {seed}")
     for name, cap in _SIZE_CAPS.items():
         value = getattr(args, name, None)
         if value is not None and value > cap:
@@ -346,6 +346,9 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
         _check_limits(args)
         return _DISPATCH[args.command](args)
+    except SystemExit as exc:
+        # --help prints its text and then exits through argparse's SystemExit.
+        return exc.code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -21,6 +21,14 @@ VALIDATE_TOL = 1e-9
 RESIDUAL_TOL = 1e-10
 PSD_CLAMP = 1e-10
 
+# Items per stacked chunk wherever many states or shot trials are processed:
+# cli's random_study_rows, random_pair_residuals and sweep_rows, and the seed
+# hashing of shotsim.trial_counts.  Peak memory grows with the chunk faster
+# than speed does: for a 10 000-state study, peak RSS over the per-state loop
+# was +1-3 % at 256, +2-4 % at 1024 (for ~5 % more throughput) and +30 %
+# unchunked.
+STUDY_CHUNK = 256
+
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)

@@ -203,11 +203,20 @@ def favg_from_mu(mu: float) -> float:
     return 8.0 * float(_check_mu(mu)) / 15.0 + 47.0 / 135.0
 
 
+def fidelity_link(f):
+    """mu_min = (15/8) F_avg - 47/72 of a float or an array, with no range check.
+
+    Noisy shot estimates of F_avg fall outside [FAVG_LO, FAVG_HI]; their
+    callers clamp the result instead.
+    """
+    return 15.0 * f / 8.0 - 47.0 / 72.0
+
+
 def mu_from_favg(f: float) -> float:
     """Invert the fidelity link: mu_min = (15/8) F_avg - 47/72."""
     if not FAVG_LO - _RANGE_SLACK <= f <= FAVG_HI + _RANGE_SLACK:
         raise ValueError(f"F_avg {f} outside [{FAVG_LO:.6f}, {FAVG_HI:.6f}]")
-    return 15.0 * float(f) / 8.0 - 47.0 / 72.0
+    return fidelity_link(float(f))
 
 
 def ls_upper_bound(lam: float, mu_min_of_pure_part: float) -> float:

@@ -59,6 +59,26 @@ class TestExitCodes:
     def test_format_flag_is_gone(self, capsys):
         assert cli.run(["spa-verify", "--format", "json"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--family", "bell", "--param", "0"],
+        ["sweep", "--family", "horodecki"],
+    ])
+    def test_seed_flag_is_gone_where_unused(self, capsys, argv):
+        assert cli.run(argv + ["--seed", "0"]) == 1
+        assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [[], ["analyze"], ["sweep"], ["random-study"],
+                                         ["simulate"], ["spa-verify"]])
+    def test_help_returns_0_with_argparse_text(self, capsys, command):
+        with pytest.raises(SystemExit) as exited:
+            cli.build_parser().parse_args(command + ["--help"])
+        assert exited.value.code == 0
+        expected = capsys.readouterr().out
+        assert cli.run(command + ["--help"]) == 0
+        out, err = capsys.readouterr()
+        assert out == expected and out.startswith(" ".join(["usage: spaneg", *command]))
+        assert err == ""
+
 
 class TestAnalyze:
     def test_bell(self, tmp_path):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spaneg.measures import favg_from_mu, mu_from_favg, negativity_normalized
-from spaneg.shotsim import estimate_negativity, simulate_favg
+from spaneg.shotsim import _pcg64_states, estimate_negativity, simulate_favg, trial_counts
 from spaneg.spa import MU_MIN_HI, MU_MIN_LO, spa_pt_affine
 from spaneg.states import bell_state, family_horodecki, validate
 
@@ -94,3 +96,38 @@ def test_noise_free_passthrough_matches_pipeline():
         mu = mu_from_favg(favg_from_mu(spa_pt_affine(rho).mu_min))
         passthrough = negativity_normalized(min(max(mu, MU_MIN_LO), MU_MIN_HI))
         assert passthrough == pytest.approx(exact, abs=1e-12)
+
+
+# Seeds where SeedSequence's entropy gains a uint32 word (2**32, 2**64), where
+# a 256-trial chunk carries into the high 64 bits (2**64 - 128), and where the
+# run crosses into seeds hashed by SeedSequence itself (2**128 - 3).
+SEED_EDGES = [0, 2**32 - 1, 2**32, 2**64 - 128, 2**64, 2**128 - 3]
+# 1 and 10 shots draw by inversion, 1000 and 100000 mostly by BTPE; 255-257
+# trials straddle one hashing chunk.
+SHOTS = st.sampled_from([1, 10, 1000, 100000])
+TRIALS = st.sampled_from([1, 255, 256, 257])
+
+
+def _default_rng_counts(shots, p, trials, base):
+    return [np.random.default_rng(base + i).binomial(shots, p) for i in range(trials)]
+
+
+@pytest.mark.parametrize("base", SEED_EDGES)
+@settings(max_examples=20)
+@given(shots=SHOTS, trials=TRIALS, p=st.floats(0.0, 1.0))
+def test_trial_counts_are_default_rng_per_trial_at_seed_edges(base, shots, trials, p):
+    assert trial_counts(shots, p, trials, base).tolist() == _default_rng_counts(shots, p, trials, base)
+
+
+@given(base=st.integers(0, 2**130), shots=SHOTS, trials=TRIALS, p=st.floats(0.0, 1.0))
+def test_trial_counts_are_default_rng_per_trial(base, shots, trials, p):
+    assert trial_counts(shots, p, trials, base).tolist() == _default_rng_counts(shots, p, trials, base)
+
+
+def test_pcg64_seeding_is_pinned():
+    # PCG64(2**32)'s state under numpy 2.4.  If a numpy release seeds PCG64
+    # differently, the first assert fails and the bulk seeding must be redone.
+    pinned = (48934169112922715694246890610800379348, 159503441853545908714793740543692941767)
+    numpy_state = np.random.PCG64(2**32).state["state"]
+    assert (numpy_state["state"], numpy_state["inc"]) == pinned, "numpy changed PCG64 seeding"
+    assert _pcg64_states(2**32, 1) == [pinned]
