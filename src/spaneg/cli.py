@@ -183,7 +183,6 @@ def cmd_simulate(args) -> int:
     est = shotsim.estimate_negativity(rho, args.shots, args.trials, args.seed)
     payload = dataclasses.asdict(est)
     payload["ci95"] = list(payload["ci95"])
-    payload["exact_nn"] = measures.negativity_normalized(spa.spa_pt_affine(rho).mu_min)
     _write(json.dumps(payload, indent=1) + "\n", args.out)
     return EXIT_OK
 
@@ -196,11 +195,7 @@ def _pair_residuals(x) -> tuple[float, float]:
     pts = linalg.partial_transpose_batch(rhos)
     affine = spa.affine_from_pt(pts)
     dev = float(np.abs(affine - comp).max())
-    # Per state, as in random_pure: stacked normalisations round differently.
-    phis = np.stack([
-        states.pure_from_vector(v / np.linalg.norm(v)).mat
-        for v in x[:, 32:36] + 1j * x[:, 36:40]
-    ])
+    phis = states.pure_from_normals(x[:, 32:].reshape(k, 2, 4))
     lhs = np.trace(phis @ pts, axis1=1, axis2=2).real
     rhs = 9.0 * np.trace(phis @ affine, axis1=1, axis2=2).real - 2.0
     return dev, float(np.abs(lhs - rhs).max())
@@ -228,6 +223,24 @@ def random_pair_residuals(seed: int, n_states: int) -> tuple[float, float]:
     return max_dev, max_trace_rel
 
 
+def _literal_grid_deviations(family: str, mu_cf, grid: int) -> tuple[float, float]:
+    """Worst paper-literal vs affine entry deviation, and worst paper-literal
+    mu_min vs its closed form mu_cf, over `grid` points of a family in [0, 1].
+
+    The grid is one stack.  The literal mu_min is the least eigenvalue of the
+    literal output's Hermitian part; the closed form is evaluated per point.
+    """
+    values = np.linspace(0.0, 1.0, grid).tolist()
+    rhos = np.stack([states.from_spec(family, value).mat for value in values])
+    literal = spa.spa_pt_paper_entries_batch(rhos)
+    mu = linalg.herm_eigen_batch((literal + literal.conj().swapaxes(1, 2)) / 2)[0][:, 0]
+    affine = spa.spa_pt_affine_batch(rhos)
+    spa.mu_min_batch(affine)  # the Hermiticity guard of the affine outputs
+    max_lit = float(np.abs(literal - affine).max())
+    max_mu = max(abs(mu_i - mu_cf(value)) for mu_i, value in zip(mu.tolist(), values))
+    return max_lit, max_mu
+
+
 def spa_verify_report(seed: int = 20260824, n_states: int = 1000, grid: int = 21):
     """Build the SPA compatibility report; (text, all_affine_invariants_ok)."""
     lines = ["SPA-PT verification report", "=" * 26]
@@ -245,16 +258,7 @@ def spa_verify_report(seed: int = 20260824, n_states: int = 1000, grid: int = 21
         lines.append("NOTE: compositional path deviates from affine beyond 1e-10")
 
     for family, mu_cf in (("pure_m", curves.mu_pure_m), ("horodecki", curves.mu_horodecki)):
-        max_lit = 0.0
-        max_mu = 0.0
-        for value in np.linspace(0.0, 1.0, grid):
-            rho = states.from_spec(family, float(value))
-            literal = spa.spa_pt_paper_entries(rho)
-            affine = spa.spa_pt_affine(rho)
-            max_lit = max(
-                max_lit, float(np.abs(literal.rho_tilde.mat - affine.rho_tilde.mat).max())
-            )
-            max_mu = max(max_mu, abs(literal.mu_min - mu_cf(float(value))))
+        max_lit, max_mu = _literal_grid_deviations(family, mu_cf, grid)
         lines.append(
             f"paper-literal vs affine max entry deviation on {family} grid: {max_lit:.3e}"
         )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import STUDY_CHUNK
-from .measures import favg_from_mu, fidelity_link, negativity_normalized_batch
+from .measures import favg_from_mu, fidelity_link, negativity_normalized, negativity_normalized_batch
 from .spa import MU_MIN_HI, MU_MIN_LO, spa_pt_affine
 from .states import DensityMatrix
 
@@ -26,7 +26,8 @@ class ShotEstimate:
     favg_hat / mu_hat / nn_hat come from the first trial; mean_nn, std_nn
     and ci95 summarize all trials.  clamp_count is the number of trials
     whose noisy mu estimate fell outside [1/6, 1/4] and was clamped before
-    the negativity formula was applied.
+    the negativity formula was applied.  exact_nn is the noise-free
+    normalized negativity of the state, from the same mu_min that sets F_avg.
     """
 
     favg_hat: float
@@ -38,6 +39,7 @@ class ShotEstimate:
     std_nn: float
     ci95: tuple[float, float]
     clamp_count: int
+    exact_nn: float
 
 
 # numpy's SeedSequence with its default pool of 4 uint32 words
@@ -140,14 +142,6 @@ def trial_counts(shots: int, p: float, trials: int, seed: int) -> np.ndarray:
     return counts
 
 
-def simulate_favg(rho: DensityMatrix, shots: int, rng_seed: int) -> float:
-    """Empirical mean of `shots` Bernoulli draws at p = F_avg(rho); deterministic per seed."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    f_true = favg_from_mu(spa_pt_affine(rho).mu_min)
-    return float(trial_counts(shots, f_true, 1, rng_seed)[0]) / shots
-
-
 def estimate_negativity(
     rho: DensityMatrix, shots: int, trials: int, rng_seed: int
 ) -> ShotEstimate:
@@ -160,7 +154,8 @@ def estimate_negativity(
     """
     if shots < 1 or trials < 1:
         raise ValueError(f"shots and trials must be >= 1, got {shots}, {trials}")
-    f_true = favg_from_mu(spa_pt_affine(rho).mu_min)
+    mu_true = spa_pt_affine(rho).mu_min
+    f_true = favg_from_mu(mu_true)
     favg_hat = trial_counts(shots, f_true, trials, rng_seed) / shots
     # F_avg range maps to mu in [1/6, 1/4]; noisy estimates can land outside.
     mu_raw = fidelity_link(favg_hat)
@@ -180,5 +175,6 @@ def estimate_negativity(
         std_nn=std_nn,
         ci95=(mean_nn - half, mean_nn + half),
         clamp_count=clamp_count,
+        exact_nn=negativity_normalized(mu_true),
     )
 

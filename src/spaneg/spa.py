@@ -241,30 +241,42 @@ def spa_pt_compositional(rho: DensityMatrix) -> SpaOutcome:
     return _outcome(spa_pt_compositional_batch(rho.mat[None])[0], "compositional")
 
 
-def spa_pt_paper_entries(rho: DensityMatrix) -> SpaOutcome:
-    """SPA-PT built verbatim from the published per-entry formulas.
+def spa_pt_paper_entries_batch(rhos) -> np.ndarray:
+    """SPA-PT of each state in an (N, 4, 4) stack, built verbatim from the
+    published per-entry formulas.
 
     The off-diagonal phase terms are reproduced as printed, without any
-    repair; if the resulting matrix fails Hermiticity or positivity the
-    outcome is still returned, with diagnostics flags recording the defect.
-    The entry formulas only fix the upper triangle, the lower one being the
-    conjugate by construction.
+    repair, so an output need not be Hermitian-positive off the families the
+    formulas were published for.  The formulas fix the upper triangle; the
+    lower one is its conjugate by construction.  Entrywise, not a 16x16
+    superoperator: a matrix product rounds the entries differently.
     """
-    t = rho.mat
-    e = np.zeros((4, 4), dtype=complex)
-    e[0, 0] = (2 + t[0, 0]) / 9
-    e[0, 1] = (-1j * t[0, 1] + np.conj(t[0, 1])) / 9
-    e[0, 2] = (t[0, 2] - 1j * (np.conj(t[0, 2]) + np.conj(t[1, 3]))) / 9
-    e[0, 3] = (-1j * t[0, 3] + t[1, 2]) / 9
-    e[1, 1] = (2 + t[1, 1]) / 9
-    e[1, 2] = (t[0, 3] + 1j * t[1, 2]) / 9
-    e[1, 3] = -1j * (np.conj(t[0, 2]) + np.conj(t[1, 3])) / 9
-    e[2, 2] = (2 + t[2, 2]) / 9
-    e[2, 3] = (-1j * t[2, 3] + np.conj(t[2, 3])) / 9
-    e[3, 3] = (2 + t[3, 3]) / 9
-    for i in range(4):
-        for j in range(i):
-            e[i, j] = np.conj(e[j, i])
+    t = _as_stack(rhos, dims=(4,))
+    e = np.empty_like(t)
+    tc = t.conj()
+    e[:, 0, 0] = (2 + t[:, 0, 0]) / 9
+    e[:, 0, 1] = (-1j * t[:, 0, 1] + tc[:, 0, 1]) / 9
+    e[:, 0, 2] = (t[:, 0, 2] - 1j * (tc[:, 0, 2] + tc[:, 1, 3])) / 9
+    e[:, 0, 3] = (-1j * t[:, 0, 3] + t[:, 1, 2]) / 9
+    e[:, 1, 1] = (2 + t[:, 1, 1]) / 9
+    e[:, 1, 2] = (t[:, 0, 3] + 1j * t[:, 1, 2]) / 9
+    e[:, 1, 3] = -1j * (tc[:, 0, 2] + tc[:, 1, 3]) / 9
+    e[:, 2, 2] = (2 + t[:, 2, 2]) / 9
+    e[:, 2, 3] = (-1j * t[:, 2, 3] + tc[:, 2, 3]) / 9
+    e[:, 3, 3] = (2 + t[:, 3, 3]) / 9
+    i, j = np.tril_indices(4, -1)
+    e[:, i, j] = e[:, j, i].conj()
+    return e
+
+
+def spa_pt_paper_entries(rho: DensityMatrix) -> SpaOutcome:
+    """SPA-PT from the published per-entry formulas; see spa_pt_paper_entries_batch.
+
+    If the matrix fails Hermiticity or positivity the outcome is still
+    returned, with diagnostics flags recording the defect; its spectrum is
+    that of the Hermitian part.
+    """
+    e = spa_pt_paper_entries_batch(rho.mat[None])[0]
     diagnostics = {}
     try:
         validate(e)

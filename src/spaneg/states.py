@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import PSD_CLAMP, VALIDATE_TOL, hermiticity_defect
+from .linalg import PSD_CLAMP, VALIDATE_TOL, first_index, hermiticity_defect
 
 FAMILIES = ("pure_m", "horodecki", "quasi", "bell")
 
@@ -123,20 +123,45 @@ def validate(raw) -> DensityMatrix:
     return DensityMatrix(mat=m)
 
 
-def pure_from_vector(v) -> DensityMatrix:
-    """Rank-1 projector |v><v| from a normalized 4-amplitude vector.
+def row_norm(v) -> np.ndarray:
+    """Euclidean norm of each row of an (N, 4) complex stack, bitwise np.linalg.norm(v[i]).
 
-    Norm deviations up to 1e-6 are silently renormalized; larger ones are
-    rejected.
+    np.linalg.norm of a complex vector is sqrt(re . re + im . im), two strided
+    BLAS ddot calls; OpenBLAS 0.3.31 sums a 4-element strided ddot as
+    (x0 + x2) + (x1 + x3).  A sequential sum, einsum or norm(v, axis=1) round
+    differently on 14-29 % of Gaussian vectors.
     """
-    v = np.asarray(v, dtype=complex).reshape(4)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise ValueError("zero vector cannot define a pure state")
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError(f"vector norm {norm:.6f} deviates from 1 beyond 1e-6")
-    v = v / norm
-    return DensityMatrix(mat=np.outer(v, v.conj()))
+    q = np.ascontiguousarray(v, dtype=complex).view(float).reshape(-1, 4, 2)
+    q = q * q  # q[n, k] = (re_k^2, im_k^2)
+    s = (q[:, 0] + q[:, 2]) + (q[:, 1] + q[:, 3])
+    return np.sqrt(s[:, 0] + s[:, 1])
+
+
+def pure_from_vectors(v) -> np.ndarray:
+    """Rank-1 projectors |v><v| of each row of an (N, 4) amplitude stack, shape (N, 4, 4).
+
+    Norm deviations up to 1e-6 are silently renormalized.  A zero, larger or
+    non-finite deviation raises ValueError, naming the first offending row of
+    a stack of more than one.
+    """
+    v = np.asarray(v, dtype=complex)
+    if v.ndim != 2 or v.shape[1] != 4:
+        raise ValueError(f"shape {v.shape} is not (N, 4)")
+    norm = row_norm(v)
+    ok = np.abs(norm - 1.0) <= 1e-6  # false for a NaN norm
+    if not ok.all():
+        i = first_index(~ok)
+        where = f"vector {i} of {len(v)}: " if len(v) > 1 else ""
+        if norm[i] == 0.0:
+            raise ValueError(f"{where}zero vector cannot define a pure state")
+        raise ValueError(f"{where}vector norm {norm[i]:.6f} deviates from 1 beyond 1e-6")
+    v = v / norm[:, None]
+    return v[:, :, None] * v.conj()[:, None, :]
+
+
+def pure_from_vector(v) -> DensityMatrix:
+    """Rank-1 projector |v><v| from a normalized 4-amplitude vector; see pure_from_vectors."""
+    return DensityMatrix(mat=pure_from_vectors(np.asarray(v, dtype=complex).reshape(1, 4))[0])
 
 
 def bell_state(index: int) -> DensityMatrix:
@@ -183,9 +208,25 @@ def random_pure(rng) -> DensityMatrix:
     rng is a numpy Generator (or a seed acceptable to default_rng); the
     output is deterministic per generator state.
     """
+    return DensityMatrix(mat=random_pure_batch(rng, 1)[0])
+
+
+def random_pure_batch(rng, count: int) -> np.ndarray:
+    """Stack of `count` Haar-random pure states, shape (count, 4, 4).
+
+    One standard-normal draw of shape (count, 2, 4) holds the 4 real and then
+    the 4 imaginary parts of each vector, so state i is bitwise the state of
+    the i-th of `count` sequential draws of 4 real and 4 imaginary parts,
+    each vector normalized on its own.
+    """
     rng = np.random.default_rng(rng)
-    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    return pure_from_vector(v / np.linalg.norm(v))
+    return pure_from_normals(rng.standard_normal((count, 2, 4)))
+
+
+def pure_from_normals(x) -> np.ndarray:
+    """|w><w| for each v = x[n, 0] + i x[n, 1], x of shape (N, 2, 4), w = v / |v|."""
+    v = x[:, 0] + 1j * x[:, 1]
+    return pure_from_vectors(v / row_norm(v)[:, None])
 
 
 def random_mixed(rng, rank: int = 4) -> DensityMatrix:

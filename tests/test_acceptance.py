@@ -53,17 +53,9 @@ def ensemble():
 
 @pytest.fixture(scope="module")
 def pure_ensemble():
-    """(N^D, C) of PURE_ENSEMBLE_SIZE random pure states, measured as one stack.
-
-    Each row of the (N, 2, 4) draw holds 4 real then 4 imaginary parts, as a
-    random_pure call draws them, so these are the states of N sequential
-    random_pure draws; each is normalised on its own, as random_pure does.
-    """
-    rng = np.random.default_rng(ENSEMBLE_SEED + 1)
-    x = rng.standard_normal((PURE_ENSEMBLE_SIZE, 2, 4))
-    rhos = np.stack([
-        states.pure_from_vector(v / np.linalg.norm(v)).mat for v in x[:, 0] + 1j * x[:, 1]
-    ])
+    """(N^D, C) of PURE_ENSEMBLE_SIZE random pure states, drawn and measured
+    as one stack: the states of that many sequential random_pure draws."""
+    rhos = states.random_pure_batch(np.random.default_rng(ENSEMBLE_SEED + 1), PURE_ENSEMBLE_SIZE)
     return measures.pt_spectrum_batch(rhos)[0], measures.concurrence_wootters_batch(rhos)
 
 

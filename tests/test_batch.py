@@ -19,12 +19,16 @@ from spaneg.linalg import DimensionError, NotHermitianError, NotPsdError
 SEEDS = st.integers(0, 2**32 - 1)
 SIZES = st.integers(1, 9)
 RANKS = st.integers(1, 4)
+# Stacks of one row and around one STUDY_CHUNK.
+ROWS = st.sampled_from([1, 255, 256, 257])
+SCALES = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
 
 KERNELS = {
     "partial_transpose_batch": linalg.partial_transpose_batch,
     "herm_eigen_batch": linalg.herm_eigen_batch,
     "psd_sqrt_batch": linalg.psd_sqrt_batch,
     "spa_pt_affine_batch": spa.spa_pt_affine_batch,
+    "spa_pt_paper_entries_batch": spa.spa_pt_paper_entries_batch,
     "mu_min_batch": lambda s: spa.mu_min_batch(spa.spa_pt_affine_batch(s)),
     "pt_spectrum_batch": measures.pt_spectrum_batch,
     "negativity_normalized_batch": lambda s: measures.negativity_normalized_batch(
@@ -67,6 +71,61 @@ def test_batch_draw_matches_sequential_draws(seed, n, rank):
     rng = np.random.default_rng(seed)
     for i in range(n):
         assert np.array_equal(stack[i], states.random_mixed(rng, rank=rank).mat)
+
+
+def inline_pure(v):
+    """|w><w| with w = v / |v| renormalised, as random_pure built it per state."""
+    w = v / np.linalg.norm(v)
+    w = w / np.linalg.norm(w)
+    return np.outer(w, w.conj())
+
+
+@given(seed=SEEDS, n=ROWS, scale=SCALES)
+def test_pure_from_vectors_matches_per_vector_formula(seed, n, scale):
+    x = np.random.default_rng(seed).standard_normal((n, 2, 4)) * scale
+    v = x[:, 0] + 1j * x[:, 1]
+    norms = states.row_norm(v)
+    phis = states.pure_from_vectors(v / norms[:, None])
+    for i in range(n):
+        assert norms[i] == np.linalg.norm(v[i])
+        assert np.array_equal(phis[i], inline_pure(v[i]))
+
+
+@given(seed=SEEDS, n=ROWS)
+def test_random_pure_batch_matches_sequential_draws(seed, n):
+    stack = states.random_pure_batch(np.random.default_rng(seed), n)
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        assert np.array_equal(stack[i], inline_pure(v))
+
+
+def inline_paper_entries(t):
+    """The published per-entry SPA-PT formulas, entry by entry for one matrix."""
+    e = np.zeros((4, 4), dtype=complex)
+    e[0, 0] = (2 + t[0, 0]) / 9
+    e[0, 1] = (-1j * t[0, 1] + np.conj(t[0, 1])) / 9
+    e[0, 2] = (t[0, 2] - 1j * (np.conj(t[0, 2]) + np.conj(t[1, 3]))) / 9
+    e[0, 3] = (-1j * t[0, 3] + t[1, 2]) / 9
+    e[1, 1] = (2 + t[1, 1]) / 9
+    e[1, 2] = (t[0, 3] + 1j * t[1, 2]) / 9
+    e[1, 3] = -1j * (np.conj(t[0, 2]) + np.conj(t[1, 3])) / 9
+    e[2, 2] = (2 + t[2, 2]) / 9
+    e[2, 3] = (-1j * t[2, 3] + np.conj(t[2, 3])) / 9
+    e[3, 3] = (2 + t[3, 3]) / 9
+    for i in range(4):
+        for j in range(i):
+            e[i, j] = np.conj(e[j, i])
+    return e
+
+
+@given(seed=SEEDS, n=SIZES, rank=RANKS)
+def test_paper_entries_batch_matches_per_state_formulas(seed, n, rank):
+    stack = ginibre(seed, n, rank)
+    batch = spa.spa_pt_paper_entries_batch(stack)
+    for i in range(n):
+        one = spa.spa_pt_paper_entries(states.DensityMatrix(mat=stack[i])).rho_tilde.mat
+        assert batch[i].tobytes() == one.tobytes() == inline_paper_entries(stack[i]).tobytes()
 
 
 @given(seed=SEEDS, n=SIZES, rank=RANKS)
@@ -200,6 +259,22 @@ class TestBoundary:
         assert "compositional SPA output 0 of 256" in err
         assert "trace deviates from 1 by 1.000e-02" in err
 
+    def test_first_bad_vector_is_named(self):
+        v = np.tile(np.eye(4, dtype=complex)[0], (5, 1))
+        v[3] *= 2.0
+        with pytest.raises(ValueError, match=r"^vector 3 of 5: vector norm 2.000000 deviates"):
+            states.pure_from_vectors(v)
+        v[1] = 0.0
+        with pytest.raises(ValueError, match=r"^vector 1 of 5: zero vector"):
+            states.pure_from_vectors(v)
+        with pytest.raises(ValueError, match=r"^zero vector cannot define a pure state$"):
+            states.pure_from_vector(np.zeros(4))
+        with pytest.raises(ValueError, match=r"^vector norm nan deviates"):
+            states.pure_from_vector([np.nan, 0, 0, 0])
+        assert states.pure_from_vectors(np.zeros((0, 4))).shape == (0, 4, 4)
+        with pytest.raises(ValueError, match=r"is not \(N, 4\)"):
+            states.pure_from_vectors(np.ones(4))
+
     def test_per_state_dimension_errors_unchanged(self):
         with pytest.raises(DimensionError, match="expected dimension in \\(4,\\), got 3"):
             linalg.partial_transpose_b(np.eye(3))
@@ -251,7 +326,8 @@ def test_sweep_rows_match_per_state_loop(family):
 
 def per_state_residuals(seed, n_states):
     """The per-state loop spa-verify ran before it was chunked: alternating
-    random_mixed / random_pure draws, the partial transpose built twice."""
+    random_mixed / random_pure draws, the partial transpose built twice.  The
+    pure state is built inline, independent of the stacked states code."""
     rng = np.random.default_rng(seed)
     max_dev = 0.0
     max_trace_rel = 0.0
@@ -260,7 +336,7 @@ def per_state_residuals(seed, n_states):
         affine = spa.spa_pt_affine(rho)
         comp = spa.spa_pt_compositional(rho)
         max_dev = max(max_dev, float(np.abs(affine.rho_tilde.mat - comp.rho_tilde.mat).max()))
-        phi = states.random_pure(rng).mat
+        phi = inline_pure(rng.standard_normal(4) + 1j * rng.standard_normal(4))
         lhs = np.trace(phi @ np.asarray(spa.partial_transpose_b(rho.mat))).real
         rhs = 9.0 * np.trace(phi @ affine.rho_tilde.mat).real - 2.0
         max_trace_rel = max(max_trace_rel, abs(lhs - rhs))
@@ -278,6 +354,42 @@ def test_spa_verify_matches_per_state_loop(n_states, seed):
         mp.setattr(cli, "random_pair_residuals", lambda seed, n: expected)
         oracle = cli.spa_verify_report(seed=seed, n_states=n_states)
     assert cli.spa_verify_report(seed=seed, n_states=n_states) == oracle
+
+
+def per_point_literal_grid(family, mu_cf, grid):
+    """The per-point family loop spa-verify ran before its grids were stacked."""
+    max_lit = 0.0
+    max_mu = 0.0
+    for value in np.linspace(0.0, 1.0, grid):
+        rho = states.from_spec(family, float(value))
+        literal = spa.spa_pt_paper_entries(rho)
+        affine = spa.spa_pt_affine(rho)
+        max_lit = max(max_lit, float(np.abs(literal.rho_tilde.mat - affine.rho_tilde.mat).max()))
+        max_mu = max(max_mu, abs(literal.mu_min - mu_cf(float(value))))
+    return max_lit, max_mu
+
+
+@pytest.mark.parametrize("grid", [2, 21, 101])
+def test_spa_verify_grids_match_per_point_loop(grid):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "random_pair_residuals", lambda seed, n: (0.0, 0.0))
+        stacked = cli.spa_verify_report(grid=grid)
+        mp.setattr(cli, "_literal_grid_deviations", per_point_literal_grid)
+        assert cli.spa_verify_report(grid=grid) == stacked
+
+
+def test_spa_verify_runs_no_per_state_path(monkeypatch):
+    expected = cli.spa_verify_report(seed=1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("spa-verify reached a per-state function")
+
+    for module, name in [(states, "pure_from_vector"), (states, "random_pure"),
+                         (states, "validate"), (spa, "validate"),
+                         (spa, "spa_pt_paper_entries"), (spa, "spa_pt_affine"),
+                         (linalg, "herm_eigen"), (spa, "herm_eigen")]:
+        monkeypatch.setattr(module, name, refuse)
+    assert cli.spa_verify_report(seed=1) == expected
 
 
 @pytest.mark.parametrize("shots", [1, 1000])

@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spaneg.measures import favg_from_mu, mu_from_favg, negativity_normalized
-from spaneg.shotsim import _pcg64_states, estimate_negativity, simulate_favg, trial_counts
+from spaneg.shotsim import _pcg64_states, estimate_negativity, trial_counts
 from spaneg.spa import MU_MIN_HI, MU_MIN_LO, spa_pt_affine
 from spaneg.states import bell_state, family_horodecki, validate
 
 
 def test_determinism():
     rho = family_horodecki(0.7)
-    assert simulate_favg(rho, 1000, 5) == simulate_favg(rho, 1000, 5)
     a = estimate_negativity(rho, 1000, 20, 5)
     b = estimate_negativity(rho, 1000, 20, 5)
     assert a == b
@@ -20,7 +19,7 @@ def test_determinism():
 def test_invalid_counts():
     rho = bell_state(0)
     with pytest.raises(ValueError):
-        simulate_favg(rho, 0, 1)
+        estimate_negativity(rho, 0, 1, 1)
     with pytest.raises(ValueError):
         estimate_negativity(rho, 10, 0, 1)
 
@@ -28,7 +27,7 @@ def test_invalid_counts():
 def test_favg_concentration_at_large_shots():
     rho = bell_state(0)
     f_true = favg_from_mu(spa_pt_affine(rho).mu_min)
-    f_hat = simulate_favg(rho, 10**7, 17)
+    f_hat = estimate_negativity(rho, 10**7, 1, 17).favg_hat
     assert abs(f_hat - f_true) <= 5 * np.sqrt(f_true * (1 - f_true) / 10**7)
     assert 0.0 <= f_hat <= 1.0
 
@@ -37,7 +36,7 @@ def test_unbiased_at_fidelity_level():
     rho = family_horodecki(0.6)
     f_true = favg_from_mu(spa_pt_affine(rho).mu_min)
     shots, trials = 10000, 300
-    means = [simulate_favg(rho, shots, seed) for seed in range(trials)]
+    means = trial_counts(shots, f_true, trials, 0) / shots
     se = np.sqrt(f_true * (1 - f_true) / shots) / np.sqrt(trials)
     assert abs(np.mean(means) - f_true) <= 3 * se
 
@@ -56,7 +55,7 @@ def test_separable_stays_at_zero():
     assert est.mean_nn <= 0.01
     zero_trials = 0
     for i in range(100):
-        f_hat = simulate_favg(rho, 10**5, 9 + i)
+        f_hat = estimate_negativity(rho, 10**5, 1, 9 + i).favg_hat
         mu_hat = min(max(15 / 8 * f_hat - 47 / 72, 1 / 6), 0.25)
         zero_trials += negativity_normalized(mu_hat) == 0.0
     assert zero_trials >= 99
@@ -70,6 +69,7 @@ def test_estimate_fields_consistent():
     assert est.nn_hat == negativity_normalized(est.mu_hat)
     assert est.ci95[0] <= est.mean_nn <= est.ci95[1]
     assert est.std_nn >= 0.0
+    assert est.exact_nn == negativity_normalized(spa_pt_affine(family_horodecki(0.8)).mu_min)
 
 
 def test_clt_consistency_against_exact():
