@@ -6,14 +6,24 @@ failure, 3 internal invariant failure.
 
 All CSV output uses '.' as decimal separator, 17 significant digits and LF
 line endings, and is byte-stable across runs at a fixed seed.
+
+random-study and sweep write their CSV one chunk of rows at a time, so their
+memory does not grow with the run.  With --out PATH every command writes
+PATH.partial and renames it to PATH only on success: a failed run leaves no
+file, and an earlier PATH is untouched.  On stdout the rows of a failed run
+that were already written stay written; the run exits non-zero and
+random-study's closing '# summary' line is missing, so a random-study CSV
+without it is incomplete.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -28,10 +38,10 @@ EXIT_INPUT = 2
 EXIT_INVARIANT = 3
 
 # Caps on run sizes, checked right after parsing, before any draw or allocation.
-# The cost at each cap is scaled from a run at a tenth of it on a 2-core Xeon.
-# random-study keeps every row until it writes the CSV: ~30 s and ~0.5 GB.
+# The time at each cap is scaled from a run at a tenth of it on a 2-core Xeon.
+# random-study: ~25 s.
 MAX_COUNT = 1_000_000
-# sweep keeps every CSV line until it writes: ~20 s and ~0.4 GB.
+# sweep: ~20 s (horodecki, the slowest family).
 MAX_POINTS = 1_000_000
 # simulate sets the state of one reused generator per trial: ~6 s and ~80 MB,
 # measured at the cap itself.
@@ -52,15 +62,31 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+@contextlib.contextmanager
+def _output(out_path):
+    """Yield the write function of a run's output: the file at out_path, or stdout.
+
+    A file is written as out_path + ".partial" and renamed onto out_path only
+    when the block ends without an exception; otherwise the partial file is
+    deleted, so a failed run leaves no file and an earlier file at out_path
+    untouched.  Text already written to stdout stays written.
+    """
+    if not out_path:
+        yield sys.stdout.write
+        return
+    partial = Path(f"{out_path}.partial")
+    try:
+        with open(partial, "w", newline="\n") as f:
+            yield f.write
+        os.replace(partial, out_path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def _write(text: str, out_path) -> None:
-    if out_path:
-        Path(out_path).write_text(text, newline="\n")
-    else:
-        sys.stdout.write(text)
+    with _output(out_path) as write:
+        write(text)
 
 
 def _resolve_state(args) -> states.DensityMatrix:
@@ -86,57 +112,75 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def sweep_rows(family: str, points: int):
-    """Rows of the figure-reproduction sweep for one family.
+# One CSV line per row, each float with 17 significant digits ('%.17g' % x is
+# format(float(x), ".17g")).
+_SWEEP_HEADER = "param,nd_definition,nd_closed_form,mu_min,nn_pipeline,nn_closed_form,abs_gap\n"
+_SWEEP_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+_STUDY_HEADER = "seed_index,rank,nd,nn,mu_min,concurrence,ppt,neg_pt_eigs\n"
+_STUDY_ROW = "%d,%d,%.17g,%.17g,%.17g,%.17g,%s,%d\n"
 
-    Yields (param, nd_definition, nd_closed_form, mu_min, nn_pipeline,
+
+def _sweep_chunk(family: str, values: list) -> list:
+    rhos = np.stack([states.from_spec(family, value).mat for value in values])
+    nd = measures.pt_spectrum_batch(rhos)[0].tolist()
+    mu = spa.mu_min_batch(spa.spa_pt_affine_batch(rhos))
+    nn = measures.negativity_normalized_batch(mu).tolist()
+    rows = []
+    for value, nd_i, mu_i, nn_i in zip(values, nd, mu.tolist(), nn):
+        nd_cf = curves.ND_CLOSED[family](value)
+        nn_cf = curves.NN_CLOSED[family](nd_cf)
+        rows.append((value, nd_i, nd_cf, mu_i, nn_i, nn_cf, abs(nn_i - nd_i)))
+    return rows
+
+
+def sweep_rows(family: str, points: int):
+    """Rows of the figure-reproduction sweep for one family, one list per
+    STUDY_CHUNK points.
+
+    A row is (param, nd_definition, nd_closed_form, mu_min, nn_pipeline,
     nn_closed_form, abs_gap); abs_gap is |nn_pipeline - nd_definition|,
-    the visible distance between the two curves.  The family states are
-    measured STUDY_CHUNK at a time through the stacked kernels; the closed
-    forms are evaluated per point.
+    the visible distance between the two curves.  The arguments are checked
+    on the call; each chunk is measured through the stacked kernels only when
+    the iterator reaches it.  The closed forms are evaluated per point.
     """
     if family not in curves.ND_CLOSED:
         raise UsageError(f"sweep supports families {sorted(curves.ND_CLOSED)}, got {family!r}")
     if points < 2:
         raise UsageError(f"--points must be >= 2, got {points}")
-    values = np.linspace(0.0, 1.0, points).tolist()
-    for start in range(0, points, STUDY_CHUNK):
-        chunk = values[start:start + STUDY_CHUNK]
-        rhos = np.stack([states.from_spec(family, value).mat for value in chunk])
-        nd = measures.pt_spectrum_batch(rhos)[0].tolist()
-        mu = spa.mu_min_batch(spa.spa_pt_affine_batch(rhos))
-        nn = measures.negativity_normalized_batch(mu).tolist()
-        for value, nd_i, mu_i, nn_i in zip(chunk, nd, mu.tolist(), nn):
-            nd_cf = curves.ND_CLOSED[family](value)
-            nn_cf = curves.NN_CLOSED[family](nd_cf)
-            yield value, nd_i, nd_cf, mu_i, nn_i, nn_cf, abs(nn_i - nd_i)
+    values = np.linspace(0.0, 1.0, points)
+    return (_sweep_chunk(family, values[start:start + STUDY_CHUNK].tolist())
+            for start in range(0, points, STUDY_CHUNK))
 
 
 def cmd_sweep(args) -> int:
     if not args.family:
         raise UsageError("sweep requires --family")
-    lines = ["param,nd_definition,nd_closed_form,mu_min,nn_pipeline,nn_closed_form,abs_gap"]
-    for row in sweep_rows(args.family, args.points):
-        lines.append(",".join(_fmt(x) for x in row))
-    _write("\n".join(lines) + "\n", args.out)
+    chunks = sweep_rows(args.family, args.points)
+    with _output(args.out) as write:
+        write(_SWEEP_HEADER)
+        for rows in chunks:
+            write("".join([_SWEEP_ROW % row for row in rows]))
     return EXIT_OK
 
 
 def random_study_rows(count: int, seed: int, rank: int = 4):
-    """Per-state rows plus a summary of the worst invariant violations.
+    """Per-state rows of a random-ensemble study, with a running summary of
+    the worst invariant violations.
 
-    States are drawn and measured STUDY_CHUNK at a time; the rows are those
-    of `count` sequential random_mixed draws from one generator.
+    Yields (rows, summary) once per STUDY_CHUNK states, which are drawn and
+    measured only when the iterator reaches them.  A row is (seed_index,
+    rank, nd, nn, mu_min, concurrence, ppt, neg_pt_eigs); the rows are those
+    of `count` sequential random_mixed draws from one generator.  summary
+    holds the maxima over every chunk so far, so the last one is the run's.
     """
     rng = np.random.default_rng(seed)
     max_tight = 0.0
     max_universal = 0.0
     max_neg = 0
-    rows = []
     for start in range(0, count, STUDY_CHUNK):
         rhos = states.random_mixed_batch(rng, min(STUDY_CHUNK, count - start), rank=rank)
         rep = measures.batch_report(rhos)
-        rows.extend(zip(
+        rows = list(zip(
             range(start, start + len(rhos)), [rank] * len(rhos), rep.nd.tolist(),
             rep.nn.tolist(), rep.mu_min.tolist(), rep.concurrence.tolist(),
             rep.ppt.tolist(), rep.neg_count.tolist(),
@@ -145,34 +189,34 @@ def random_study_rows(count: int, seed: int, rank: int = 4):
         max_tight = max(max_tight, float(tight.max()))
         max_universal = max(max_universal, float(np.abs(rep.nn - curves.nn_from_nd(rep.nd)).max()))
         max_neg = max(max_neg, int(rep.neg_count.max()))
-    summary = {
-        "max_tightness_violation": max_tight,
-        "max_universal_relation_violation": max_universal,
-        "max_neg_pt_eigs": max_neg,
-    }
-    return rows, summary
+        yield rows, {
+            "max_tightness_violation": max_tight,
+            "max_universal_relation_violation": max_universal,
+            "max_neg_pt_eigs": max_neg,
+        }
 
 
 def cmd_random_study(args) -> int:
     if args.count < 1:
         raise UsageError(f"--count must be >= 1, got {args.count}")
-    rows, summary = random_study_rows(args.count, args.seed)
-    lines = ["seed_index,rank,nd,nn,mu_min,concurrence,ppt,neg_pt_eigs"]
-    for i, rank, nd, nn, mu, conc, ppt, neg in rows:
-        lines.append(
-            f"{i},{rank},{_fmt(nd)},{_fmt(nn)},{_fmt(mu)},{_fmt(conc)},"
-            f"{'true' if ppt else 'false'},{neg}"
+    chunks = random_study_rows(args.count, args.seed)
+    with _output(args.out) as write:
+        write(_STUDY_HEADER)
+        for rows, summary in chunks:
+            write("".join([
+                _STUDY_ROW % (i, rank, nd, nn, mu, conc, "true" if ppt else "false", neg)
+                for i, rank, nd, nn, mu, conc, ppt, neg in rows
+            ]))
+        # Written last: a CSV on stdout without this line is from a run that failed.
+        write(
+            "# summary,max_tightness_violation=%.17g,max_universal_relation_violation=%.17g,"
+            "max_neg_pt_eigs=%d\n"
+            % (
+                summary["max_tightness_violation"],
+                summary["max_universal_relation_violation"],
+                summary["max_neg_pt_eigs"],
+            )
         )
-    lines.append(
-        "# summary,max_tightness_violation=%s,max_universal_relation_violation=%s,"
-        "max_neg_pt_eigs=%d"
-        % (
-            _fmt(summary["max_tightness_violation"]),
-            _fmt(summary["max_universal_relation_violation"]),
-            summary["max_neg_pt_eigs"],
-        )
-    )
-    _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -235,7 +279,7 @@ def _literal_grid_deviations(family: str, mu_cf, grid: int) -> tuple[float, floa
     literal = spa.spa_pt_paper_entries_batch(rhos)
     mu = linalg.herm_eigen_batch((literal + literal.conj().swapaxes(1, 2)) / 2)[0][:, 0]
     affine = spa.spa_pt_affine_batch(rhos)
-    spa.mu_min_batch(affine)  # the Hermiticity guard of the affine outputs
+    linalg.check_hermitian(affine)  # the guard spa_pt_affine applies to its output
     max_lit = float(np.abs(literal - affine).max())
     max_mu = max(abs(mu_i - mu_cf(value)) for mu_i, value in zip(mu.tolist(), values))
     return max_lit, max_mu

@@ -128,15 +128,17 @@ def partial_transpose_b(m) -> np.ndarray:
     return partial_transpose_batch(_as_square(m, dims=(4,))[None])[0]
 
 
-def partial_trace(m, subsystem: str) -> np.ndarray:
-    """Trace out one qubit of a 4x4 operator; subsystem is "A" or "B"."""
-    m = _as_square(m, dims=(4,))
-    t = m.reshape(2, 2, 2, 2)
-    if subsystem == "A":
-        return np.einsum("ijik->jk", t)
-    if subsystem == "B":
-        return np.einsum("ijkj->ik", t)
-    raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
+def check_hermitian(m) -> None:
+    """Raise NotHermitianError naming the first matrix of an (N, d, d) stack
+    whose ||M - M^dag||_max exceeds VALIDATE_TOL."""
+    m = _as_stack(m)
+    defect = hermiticity_defect(m)
+    if defect.max(initial=0.0) > VALIDATE_TOL:
+        i = first_index(defect > VALIDATE_TOL)
+        raise NotHermitianError(
+            f"matrix {i} of {len(m)} is not Hermitian: max asymmetry {defect[i]:.3e} "
+            f"exceeds {VALIDATE_TOL:.0e}"
+        )
 
 
 def herm_eigen_batch(m) -> tuple[np.ndarray, np.ndarray]:
@@ -148,13 +150,7 @@ def herm_eigen_batch(m) -> tuple[np.ndarray, np.ndarray]:
     stay at machine precision.
     """
     m = _as_stack(m)
-    defect = hermiticity_defect(m)
-    if defect.max(initial=0.0) > VALIDATE_TOL:
-        i = first_index(defect > VALIDATE_TOL)
-        raise NotHermitianError(
-            f"matrix {i} of {len(m)} is not Hermitian: max asymmetry {defect[i]:.3e} "
-            f"exceeds {VALIDATE_TOL:.0e}"
-        )
+    check_hermitian(m)
     return np.linalg.eigh((m + m.conj().swapaxes(1, 2)) / 2)
 
 

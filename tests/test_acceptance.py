@@ -61,7 +61,7 @@ def pure_ensemble():
 
 def test_criterion_1_figure1_pure_family():
     t0 = time.perf_counter()
-    rows = list(cli.sweep_rows("pure_m", 101))
+    rows = [row for chunk in cli.sweep_rows("pure_m", 101) for row in chunk]
     elapsed = time.perf_counter() - t0
     max_nd = max(abs(r[1] - r[2]) for r in rows)
     max_nn = max(abs(r[4] - r[5]) for r in rows)
@@ -76,7 +76,7 @@ def test_criterion_1_figure1_pure_family():
 
 def test_criterion_2_figure2_horodecki_family():
     t0 = time.perf_counter()
-    rows = list(cli.sweep_rows("horodecki", 101))
+    rows = [row for chunk in cli.sweep_rows("horodecki", 101) for row in chunk]
     elapsed = time.perf_counter() - t0
     max_nd = max(abs(r[1] - r[2]) for r in rows)
     max_nn = max(abs(r[4] - r[5]) for r in rows)

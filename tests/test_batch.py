@@ -200,6 +200,31 @@ class TestBoundary:
         with pytest.raises(NotHermitianError, match="matrix 3 of 5"):
             measures.batch_report(stack)
 
+    def test_hermiticity_guard_keeps_its_message(self):
+        # The text herm_eigen_batch raised when it carried the check itself.
+        stack = ginibre(4, 3)
+        stack[1, 2, 0] += 1e-6
+        defect = float(np.abs(stack[1] - stack[1].conj().T).max())
+        message = f"matrix 1 of 3 is not Hermitian: max asymmetry {defect:.3e} exceeds 1e-09"
+        for check in (linalg.check_hermitian, linalg.herm_eigen_batch):
+            with pytest.raises(NotHermitianError) as raised:
+                check(stack)
+            assert str(raised.value) == message
+        linalg.check_hermitian(ginibre(4, 3))
+
+    def test_literal_grid_guards_the_affine_outputs(self, monkeypatch):
+        affine_batch = spa.spa_pt_affine_batch
+
+        def skewed(rhos):
+            out = affine_batch(rhos)
+            out[7, 0, 3] += 1e-6
+            return out
+
+        monkeypatch.setattr(spa, "spa_pt_affine_batch", skewed)
+        monkeypatch.setattr(spa, "mu_min_batch", None)  # the guard needs no eigensolve
+        with pytest.raises(NotHermitianError, match="matrix 7 of 21 is not Hermitian"):
+            cli._literal_grid_deviations("horodecki", curves.mu_horodecki, 21)
+
     def test_first_offending_index_is_named(self):
         stack = ginibre(2, 6)
         stack[4, 1, 2] += 1e-3
@@ -294,7 +319,10 @@ class TestBoundary:
 
 def test_random_study_rows_match_per_state_reports():
     count = cli.STUDY_CHUNK + 7
-    rows, summary = cli.random_study_rows(count, seed=13, rank=3)
+    chunks = list(cli.random_study_rows(count, seed=13, rank=3))
+    assert [len(rows) for rows, _ in chunks] == [cli.STUDY_CHUNK, 7]
+    rows = [row for chunk, _ in chunks for row in chunk]
+    summary = chunks[-1][1]
     rng = np.random.default_rng(13)
     for i, row in enumerate(rows):
         rho = states.random_mixed(rng, rank=3)
@@ -311,7 +339,7 @@ def test_sweep_rows_match_per_state_loop(family):
     # Two full chunks and a partial one; the per-point loop sweep_rows ran
     # before it was stacked is the oracle, types included.
     points = 2 * cli.STUDY_CHUNK + 5
-    rows = list(cli.sweep_rows(family, points))
+    rows = [row for chunk in cli.sweep_rows(family, points) for row in chunk]
     assert len(rows) == points
     for row, value in zip(rows, np.linspace(0.0, 1.0, points)):
         rho = states.from_spec(family, float(value))

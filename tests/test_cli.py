@@ -1,11 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spaneg import cli, shotsim
+from spaneg import cli, measures, shotsim
 from spaneg.states import family_horodecki, random_mixed, save_state
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -260,6 +263,107 @@ class TestRandomStudy:
 
     def test_bad_count(self, capsys):
         assert cli.run(["random-study", "--count", "0"]) == 1
+
+
+def _fail_on_call(monkeypatch, module, name, call):
+    """Make module.name raise an input error on its call-th call (1-based)."""
+    original = getattr(module, name)
+    calls = []
+
+    def stub(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == call:
+            raise ValueError(f"stubbed failure of {name}")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, stub)
+
+
+class TestStreaming:
+    # random-study and sweep write one STUDY_CHUNK of rows at a time; the
+    # second chunk's measurement is made to fail, after the first was written.
+    FAILING = [
+        (["random-study", "--count", "600", "--seed", "7"], "batch_report"),
+        (["sweep", "--family", "horodecki", "--points", "600"], "pt_spectrum_batch"),
+    ]
+
+    @pytest.mark.parametrize("size", [255, 256, 257, 513])
+    @pytest.mark.parametrize("argv", [
+        ["random-study", "--seed", "3", "--count"],
+        ["sweep", "--family", "pure_m", "--points"],
+    ])
+    def test_out_file_matches_stdout(self, tmp_path, capsys, argv, size):
+        assert cli.run(argv + [str(size)]) == 0
+        stdout = capsys.readouterr().out
+        code, text = run_to_file(tmp_path, argv + [str(size)])
+        assert code == 0 and text == stdout
+        rows = [line for line in text.splitlines()[1:] if not line.startswith("# summary")]
+        assert len(rows) == size
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    @pytest.mark.parametrize("earlier", [None, "earlier run\n"])
+    @pytest.mark.parametrize("argv, step", FAILING)
+    def test_failed_run_leaves_out_path_as_it_was(
+        self, tmp_path, monkeypatch, capsys, argv, step, earlier
+    ):
+        path = tmp_path / "out.csv"
+        if earlier:
+            path.write_text(earlier)
+        _fail_on_call(monkeypatch, measures, step, 2)
+        assert cli.run(argv + ["--out", str(path)]) == 2
+        assert f"stubbed failure of {step}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == (["out.csv"] if earlier else [])
+        if earlier:
+            assert path.read_text() == earlier
+
+    @pytest.mark.parametrize("argv, step", FAILING)
+    def test_failed_run_on_stdout_has_first_chunk_and_no_summary(
+        self, monkeypatch, capsys, argv, step
+    ):
+        assert cli.run(argv) == 0
+        full = capsys.readouterr().out
+        _fail_on_call(monkeypatch, measures, step, 2)
+        assert cli.run(argv) == 2
+        out = capsys.readouterr().out
+        lines = out.split("\n")
+        assert len(lines) == cli.STUDY_CHUNK + 2 and lines[-1] == ""
+        assert full.startswith(out) and "# summary" not in out
+
+
+class TestPeakRss:
+    # Each child prints its exit code and its own peak resident set size (KiB).
+    CHILD = (
+        "import resource, sys\n"
+        "from spaneg import cli\n"
+        "code = cli.run(sys.argv[1:])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    # Linux carries the peak RSS of the memory a process replaces across exec,
+    # so a child started from this test process would report at least this
+    # process's peak.  A bare interpreter that imports only subprocess starts
+    # each child instead.
+    LAUNCHER = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+
+    def peak_rss_kib(self, tmp_path, argv):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.LAUNCHER, sys.executable, "-c", self.CHILD,
+             *argv, "--out", str(tmp_path / "out.csv")],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        code, kib = map(int, proc.stdout.split())
+        assert code == 0
+        return kib
+
+    @pytest.mark.parametrize("argv", [
+        ["random-study", "--count"],
+        ["sweep", "--family", "horodecki", "--points"],
+    ])
+    def test_memory_does_not_grow_with_run_size(self, tmp_path, argv):
+        small = self.peak_rss_kib(tmp_path, argv + ["1000"])
+        large = self.peak_rss_kib(tmp_path, argv + ["50000"])
+        assert large - small <= 5 * 1024, f"peak RSS {small} KiB at 1000, {large} KiB at 50000"
 
 
 class TestSimulate:

@@ -8,7 +8,6 @@ from spaneg.linalg import (
     SIGMA_Z,
     herm_eigen,
     kron,
-    partial_trace,
     partial_transpose_b,
     psd_sqrt,
 )
@@ -81,32 +80,6 @@ class TestPartialTranspose:
         pt = partial_transpose_b(h)
         assert abs(np.trace(pt) - np.trace(h)) < 1e-14
         assert linalg.hermiticity_defect(pt) < 1e-14
-
-
-class TestPartialTrace:
-    def test_product_state(self):
-        rng = np.random.default_rng(2)
-        a = random_hermitian(rng, 2)
-        b = random_hermitian(rng, 2)
-        assert np.abs(partial_trace(kron(a, b), "B") - a * np.trace(b)).max() < 1e-13
-        assert np.abs(partial_trace(kron(a, b), "A") - b * np.trace(a)).max() < 1e-13
-
-    def test_bell_marginal_maximally_mixed(self):
-        v = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-        rho = np.outer(v, v.conj())
-        assert np.abs(partial_trace(rho, "A") - np.eye(2) / 2).max() < 1e-14
-
-    def test_trace_preserved_index_sum_oracle(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            m = random_hermitian(rng)
-            expected = sum(m[i, i] for i in range(4))  # direct index sum
-            for sub in ("A", "B"):
-                assert abs(np.trace(partial_trace(m, sub)) - expected) < 1e-13
-
-    def test_bad_subsystem(self):
-        with pytest.raises(ValueError):
-            partial_trace(np.eye(4), "C")
 
 
 class TestHermEigen:
