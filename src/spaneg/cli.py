@@ -69,16 +69,25 @@ def _output(out_path):
     A file is written as out_path + ".partial" and renamed onto out_path only
     when the block ends without an exception; otherwise the partial file is
     deleted, so a failed run leaves no file and an earlier file at out_path
-    untouched.  Text already written to stdout stays written.
+    untouched.  Text already written to stdout stays written.  A partial file
+    that cannot be created, or a rename that fails, is a UsageError naming
+    --out.
     """
     if not out_path:
         yield sys.stdout.write
         return
     partial = Path(f"{out_path}.partial")
     try:
-        with open(partial, "w", newline="\n") as f:
+        f = open(partial, "w", newline="\n")
+    except OSError as exc:
+        raise UsageError(f"--out {out_path}: cannot create {partial}: {exc.strerror}") from exc
+    try:
+        with f:
             yield f.write
-        os.replace(partial, out_path)
+        try:
+            os.replace(partial, out_path)
+        except OSError as exc:
+            raise UsageError(f"--out {out_path}: cannot move {partial} onto it: {exc.strerror}") from exc
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
@@ -121,7 +130,7 @@ _STUDY_ROW = "%d,%d,%.17g,%.17g,%.17g,%.17g,%s,%d\n"
 
 
 def _sweep_chunk(family: str, values: list) -> list:
-    rhos = np.stack([states.from_spec(family, value).mat for value in values])
+    rhos = states.family_batch(family, values)
     nd = measures.pt_spectrum_batch(rhos)[0].tolist()
     mu = spa.mu_min_batch(spa.spa_pt_affine_batch(rhos))
     nn = measures.negativity_normalized_batch(mu).tolist()
@@ -275,7 +284,7 @@ def _literal_grid_deviations(family: str, mu_cf, grid: int) -> tuple[float, floa
     literal output's Hermitian part; the closed form is evaluated per point.
     """
     values = np.linspace(0.0, 1.0, grid).tolist()
-    rhos = np.stack([states.from_spec(family, value).mat for value in values])
+    rhos = states.family_batch(family, values)
     literal = spa.spa_pt_paper_entries_batch(rhos)
     mu = linalg.herm_eigen_batch((literal + literal.conj().swapaxes(1, 2)) / 2)[0][:, 0]
     affine = spa.spa_pt_affine_batch(rhos)

@@ -19,7 +19,7 @@ superoperator; both its action and its Choi matrix are read from that array.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,16 +27,14 @@ from .linalg import (
     PAULIS,
     RESIDUAL_TOL,
     SIGMA_Y,
-    Spectrum,
     _as_stack,
     first_index,
-    herm_eigen,
     herm_eigen_batch,
     kron,
     partial_transpose_b,
     partial_transpose_batch,
 )
-from .states import DensityMatrix, StateValidationError, validate, validate_batch
+from .states import DensityMatrix, StateValidationError, validate_batch
 
 MU_MIN_LO = 1.0 / 6.0
 MU_MIN_HI = 0.25
@@ -56,14 +54,10 @@ class ConstructionInconsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpaOutcome:
-    """SPA-PT output state with its spectrum and extremal eigenpair."""
+    """SPA-PT output state and its minimum eigenvalue mu_min."""
 
     rho_tilde: DensityMatrix
-    spectrum: Spectrum
     mu_min: float
-    min_eigvec: np.ndarray
-    method: str
-    diagnostics: dict = field(default_factory=dict)
 
 
 def _tetrahedral_vectors():
@@ -141,18 +135,6 @@ def depol_d(x) -> np.ndarray:
     return out / 4.0
 
 
-def _outcome(mat: np.ndarray, method: str, diagnostics: dict | None = None) -> SpaOutcome:
-    spec = herm_eigen(mat)
-    return SpaOutcome(
-        rho_tilde=DensityMatrix(mat=mat),
-        spectrum=spec,
-        mu_min=spec.min_eigenvalue,
-        min_eigvec=spec.min_eigenvector,
-        method=method,
-        diagnostics=diagnostics or {},
-    )
-
-
 def affine_from_pt(pts) -> np.ndarray:
     """Canonical SPA-PT (1/9) rho^{T_B} + (2/9) I from a stack of partial transposes."""
     return pts / 9.0 + (2.0 / 9.0) * np.eye(4)
@@ -169,9 +151,13 @@ def mu_min_batch(rho_tildes) -> np.ndarray:
     return herm_eigen_batch(rho_tildes)[0][:, 0]
 
 
+def _outcome(mat: np.ndarray) -> SpaOutcome:
+    return SpaOutcome(rho_tilde=DensityMatrix(mat=mat), mu_min=float(mu_min_batch(mat[None])[0]))
+
+
 def spa_pt_affine(rho: DensityMatrix) -> SpaOutcome:
     """Canonical SPA-PT: rho_tilde = (1/9) rho^{T_B} + (2/9) I."""
-    return _outcome(spa_pt_affine_batch(rho.mat[None])[0], "affine")
+    return _outcome(spa_pt_affine_batch(rho.mat[None])[0])
 
 
 def _apply_product_map(rho_mat: np.ndarray, map_a, map_b) -> np.ndarray:
@@ -238,7 +224,7 @@ def spa_pt_compositional_batch(rhos) -> np.ndarray:
 
 def spa_pt_compositional(rho: DensityMatrix) -> SpaOutcome:
     """SPA-PT via the measurement-based maps: (1/3)(I x T~) + (2/3)(Theta~ x D)."""
-    return _outcome(spa_pt_compositional_batch(rho.mat[None])[0], "compositional")
+    return _outcome(spa_pt_compositional_batch(rho.mat[None])[0])
 
 
 def spa_pt_paper_entries_batch(rhos) -> np.ndarray:
@@ -272,36 +258,23 @@ def spa_pt_paper_entries_batch(rhos) -> np.ndarray:
 def spa_pt_paper_entries(rho: DensityMatrix) -> SpaOutcome:
     """SPA-PT from the published per-entry formulas; see spa_pt_paper_entries_batch.
 
-    If the matrix fails Hermiticity or positivity the outcome is still
-    returned, with diagnostics flags recording the defect; its spectrum is
-    that of the Hermitian part.
+    The output is returned whether or not it is a valid state; mu_min is the
+    least eigenvalue of its Hermitian part.
     """
     e = spa_pt_paper_entries_batch(rho.mat[None])[0]
-    diagnostics = {}
-    try:
-        validate(e)
-        diagnostics["valid_state"] = True
-    except StateValidationError as exc:
-        diagnostics["valid_state"] = False
-        diagnostics["violations"] = exc.violations
-    spec = herm_eigen((e + e.conj().T) / 2)
-    return SpaOutcome(
-        rho_tilde=DensityMatrix(mat=e),
-        spectrum=spec,
-        mu_min=spec.min_eigenvalue,
-        min_eigvec=spec.min_eigenvector,
-        method="paper_literal",
-        diagnostics=diagnostics,
-    )
+    mu = mu_min_batch(((e + e.conj().T) / 2)[None])[0]
+    return SpaOutcome(rho_tilde=DensityMatrix(mat=e), mu_min=float(mu))
 
 
+@functools.cache
 def choi_matrix(method: str) -> tuple[np.ndarray, bool, float]:
     """Choi operator of the two-qubit map; (choi, is_cp, min_eigenvalue).
 
     A reshuffle of the map's superoperator: Choi block (i, j) is the map's
     image of |i><j|.  is_cp is true iff the minimum Choi eigenvalue is
-    >= -1e-10.
+    >= -1e-10.  Computed on first use; the Choi array is read-only.
     """
     choi = superoperator(method).reshape(4, 4, 4, 4).transpose(2, 0, 3, 1).reshape(16, 16)
+    choi.flags.writeable = False
     min_eig = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0])
     return choi, min_eig >= -RESIDUAL_TOL, min_eig

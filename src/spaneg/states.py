@@ -54,8 +54,12 @@ class DensityMatrix:
 class StackValidity:
     """Per-matrix validity measures of an (N, 4, 4) stack; see validate_batch.
 
-    min_eigenvalue is NaN for a matrix with non-finite entries, which is
-    flagged by its count alone, without an eigensolve.
+    min_eigenvalue is a lower bound on the least eigenvalue of each matrix's
+    Hermitian part, exact where an eigensolve ran.  For a matrix its
+    Gershgorin discs clear, it is the least disc edge, which equals the least
+    eigenvalue for a diagonal matrix; for any other finite matrix it is the
+    least eigenvalue from eigvalsh.  It is NaN for a matrix with non-finite
+    entries, which is flagged by its count alone, without an eigensolve.
     """
 
     nonfinite: np.ndarray
@@ -87,20 +91,47 @@ class StackValidity:
         return out
 
 
+# Rounding margin of the Gershgorin screen, relative to a matrix's largest
+# absolute row sum (which bounds its 2-norm).  It covers the rounding of the
+# disc edge (a few eps) and of eigvalsh's backward-stable 4x4 solve (a small
+# multiple of eps times the 2-norm), so a cleared matrix is one whose eigvalsh
+# minimum would also be >= -PSD_CLAMP.
+_DISC_MARGIN = 64 * np.finfo(float).eps
+
+
 def validate_batch(raw) -> StackValidity:
     """Check Hermiticity, unit trace and positivity of each matrix of an
-    (N, 4, 4) stack, with the tolerances of validate; nothing is raised."""
+    (N, 4, 4) stack, with the tolerances of validate; nothing is raised.
+
+    Positivity is screened first.  Every eigenvalue of the Hermitian part h
+    lies in a Gershgorin disc, so min_i (h_ii - sum_{j != i} |h_ij|) bounds
+    the least one from below.  A matrix whose bound is >= -PSD_CLAMP plus a
+    rounding margin is PSD as validate counts it, and is not diagonalized;
+    every SPA-PT output is cleared, its bound being >= 1/18.  eigvalsh
+    decides the rest, so the flags and violation texts are those of an
+    eigensolve of every matrix.
+    """
     m = np.asarray(raw, dtype=complex)
     if m.ndim != 3 or m.shape[1:] != (4, 4):
         raise StateValidationError([f"shape {m.shape} is not (N, 4, 4)"])
     nonfinite = 16 - np.isfinite(m).sum(axis=(1, 2))
     finite = nonfinite == 0
-    min_eig = np.full(len(m), np.nan)
     with np.errstate(invalid="ignore"):  # inf - inf in a non-finite matrix
         defect = hermiticity_defect(m)
         trace_dev = np.abs(np.trace(m, axis1=1, axis2=2) - 1.0)
         h = (m + m.conj().swapaxes(1, 2)) / 2
-    min_eig[finite] = np.linalg.eigvalsh(h if finite.all() else h[finite])[:, 0]
+        rows = np.einsum("nij->ni", np.abs(h))
+        d = h.diagonal(axis1=1, axis2=2).real
+        # Reduce contiguous (4, N) copies, as hermiticity_defect does.
+        edge = np.ascontiguousarray((d - (rows - np.abs(d))).T).min(axis=0)
+        margin = _DISC_MARGIN * np.ascontiguousarray(rows.T).max(axis=0)
+        cleared = finite & (edge >= margin - PSD_CLAMP)
+    min_eig = np.where(cleared, edge, np.nan)
+    todo = finite & ~cleared
+    if todo.all():
+        min_eig = np.linalg.eigvalsh(h)[:, 0]
+    elif todo.any():
+        min_eig[todo] = np.linalg.eigvalsh(h[todo])[:, 0]
     return StackValidity(
         nonfinite=nonfinite,
         hermiticity_defect=defect,
@@ -171,35 +202,59 @@ def bell_state(index: int) -> DensityMatrix:
     return pure_from_vector(_BELL_VECTORS[index])
 
 
+# Each family's parameter name, as its range errors print it.
+_FAMILY_PARAM = {"pure_m": "M", "horodecki": "p", "quasi": "C"}
+
+
+def family_batch(family: str, params) -> np.ndarray:
+    """Stack of a parametric family's states, one per parameter, shape (N, 4, 4).
+
+    family is "pure_m", "horodecki" or "quasi"; state i is bitwise
+    from_spec(family, params[i]).mat.  A parameter outside [0, 1] raises
+    ValueError, naming the first such index of a stack of more than one.
+    """
+    if family not in _FAMILY_PARAM:
+        raise ValueError(f"family_batch supports {sorted(_FAMILY_PARAM)}, got {family!r}")
+    x = np.asarray(params, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"params shape {x.shape} is not (N,)")
+    ok = (0.0 <= x) & (x <= 1.0)  # false for NaN
+    if not ok.all():
+        i = first_index(~ok)
+        where = f"param {i} of {len(x)}: " if len(x) > 1 else ""
+        raise ValueError(f"{where}{_FAMILY_PARAM[family]} must lie in [0, 1], got {params[i]}")
+    if family == "horodecki":
+        # p|psi+><psi+| + (1-p)|00><00|
+        mat = x[:, None, None] * np.outer(PSI_PLUS, PSI_PLUS.conj())
+        mat[:, 0, 0] += 1.0 - x
+        return mat
+    mat = np.zeros((len(x), 4, 4), dtype=complex)
+    if family == "pure_m":
+        # M|01><01| + sqrt(M(1-M))(|01><10| + h.c.) + (1-M)|10><10|
+        c = np.sqrt(x * (1.0 - x))
+        mat[:, 1, 1] = x
+        mat[:, 2, 2] = 1.0 - x
+        mat[:, 1, 2] = mat[:, 2, 1] = c
+    else:
+        # quasi: (C/2)(|00> + |11>)(<00| + <11|) + (1-C)|01><01|
+        mat[:, 0, 0] = mat[:, 3, 3] = mat[:, 0, 3] = mat[:, 3, 0] = x / 2.0
+        mat[:, 1, 1] = 1.0 - x
+    return mat
+
+
 def family_pure_m(m_param: float) -> DensityMatrix:
     """Pure entangled family: M|01><01| + sqrt(M(1-M))(|01><10| + h.c.) + (1-M)|10><10|."""
-    if not 0.0 <= m_param <= 1.0:
-        raise ValueError(f"M must lie in [0, 1], got {m_param}")
-    c = np.sqrt(m_param * (1.0 - m_param))
-    mat = np.zeros((4, 4), dtype=complex)
-    mat[1, 1] = m_param
-    mat[2, 2] = 1.0 - m_param
-    mat[1, 2] = mat[2, 1] = c
-    return DensityMatrix(mat=mat)
+    return DensityMatrix(mat=family_batch("pure_m", [m_param])[0])
 
 
 def family_horodecki(p: float) -> DensityMatrix:
     """Horodecki mixed family: p|psi+><psi+| + (1-p)|00><00|."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    mat = p * np.outer(PSI_PLUS, PSI_PLUS.conj())
-    mat[0, 0] += 1.0 - p
-    return DensityMatrix(mat=mat)
+    return DensityMatrix(mat=family_batch("horodecki", [p])[0])
 
 
 def family_quasi(c: float) -> DensityMatrix:
     """Rank-2 quasi-distillable family; the parameter equals the state's concurrence."""
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"C must lie in [0, 1], got {c}")
-    mat = np.zeros((4, 4), dtype=complex)
-    mat[0, 0] = mat[3, 3] = mat[0, 3] = mat[3, 0] = c / 2.0
-    mat[1, 1] = 1.0 - c
-    return DensityMatrix(mat=mat)
+    return DensityMatrix(mat=family_batch("quasi", [c])[0])
 
 
 def random_pure(rng) -> DensityMatrix:
@@ -266,7 +321,7 @@ def load_state(path) -> DensityMatrix:
         payload = json.loads(Path(path).read_text())
         re = np.asarray(payload["re"], dtype=float)
         im = np.asarray(payload["im"], dtype=float)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise StateValidationError([f"unreadable state file {path}: {exc}"]) from exc
     if re.shape != (4, 4) or im.shape != (4, 4):
         raise StateValidationError(

@@ -413,11 +413,25 @@ def test_spa_verify_runs_no_per_state_path(monkeypatch):
         raise AssertionError("spa-verify reached a per-state function")
 
     for module, name in [(states, "pure_from_vector"), (states, "random_pure"),
-                         (states, "validate"), (spa, "validate"),
+                         (states, "validate"), (states, "from_spec"),
                          (spa, "spa_pt_paper_entries"), (spa, "spa_pt_affine"),
-                         (linalg, "herm_eigen"), (spa, "herm_eigen")]:
+                         (linalg, "herm_eigen")]:
         monkeypatch.setattr(module, name, refuse)
     assert cli.spa_verify_report(seed=1) == expected
+
+
+def test_spa_verify_makes_no_validation_eigensolve(monkeypatch):
+    # Every compositional output is cleared by its Gershgorin discs; the only
+    # eigvalsh calls are the four 16x16 Choi matrices, and those are cached.
+    spa.choi_matrix.cache_clear()
+    shapes = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: shapes.append(np.shape(m)) or real(m))
+    cold = cli.spa_verify_report(seed=1)
+    assert shapes == [(16, 16)] * 4
+    shapes.clear()
+    assert cli.spa_verify_report(seed=1) == cold
+    assert shapes == []
 
 
 @pytest.mark.parametrize("shots", [1, 1000])

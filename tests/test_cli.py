@@ -59,6 +59,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "non-finite entries" in err and "mu_min" not in err
 
+    @pytest.mark.parametrize("state", ["missing.json", "a_directory"])
+    def test_unreadable_state_path_is_input_error(self, tmp_path, capsys, state):
+        (tmp_path / "a_directory").mkdir()
+        path = tmp_path / state
+        assert cli.run(["analyze", "--state", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"unreadable state file {path}" in err
+        assert os.listdir(tmp_path) == ["a_directory"]
+
+    @pytest.mark.parametrize("out", ["missing/x.json", "a_directory"])
+    def test_unwritable_out_path_is_usage_error(self, tmp_path, capsys, out):
+        # A parent directory that does not exist cannot hold the partial
+        # file; a directory cannot be replaced by the finished one.
+        (tmp_path / "a_directory").mkdir()
+        path = tmp_path / out
+        assert cli.run(["analyze", "--family", "bell", "--out", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"usage error: --out {path}: ")
+        assert os.listdir(tmp_path) == ["a_directory"]
+        assert os.listdir(tmp_path / "a_directory") == []
+
     def test_format_flag_is_gone(self, capsys):
         assert cli.run(["spa-verify", "--format", "json"]) == 1
 

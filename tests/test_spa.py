@@ -3,7 +3,7 @@ import pytest
 
 from spaneg import spa
 from spaneg.cli import spa_verify_report
-from spaneg.linalg import SIGMA_Y, SIGMA_Z, hermiticity_defect, partial_transpose_b
+from spaneg.linalg import SIGMA_Y, SIGMA_Z, herm_eigen, hermiticity_defect, partial_transpose_b
 from spaneg.spa import (
     CHOI_METHODS,
     CONSTANTS,
@@ -24,6 +24,7 @@ from spaneg.states import (
     random_mixed,
     random_pure,
     validate,
+    validate_batch,
 )
 
 
@@ -118,8 +119,10 @@ class TestAffine:
 
     def test_outcome_fields_consistent(self):
         out = spa_pt_affine(family_horodecki(0.7))
-        assert out.mu_min == out.spectrum.eigenvalues[0]
-        resid = np.abs(out.rho_tilde.mat @ out.min_eigvec - out.mu_min * out.min_eigvec).max()
+        spec = herm_eigen(out.rho_tilde.mat)
+        assert out.mu_min == spec.eigenvalues[0]
+        v = spec.min_eigenvector
+        resid = np.abs(out.rho_tilde.mat @ v - out.mu_min * v).max()
         assert resid < 1e-10
         validate(out.rho_tilde.mat)
 
@@ -128,7 +131,7 @@ class TestAffine:
         for _ in range(100):
             rho = random_mixed(rng)
             lam = np.linalg.eigvalsh(partial_transpose_b(rho.mat))
-            mu = spa_pt_affine(rho).spectrum.eigenvalues
+            mu = herm_eigen(spa_pt_affine(rho).rho_tilde.mat).eigenvalues
             assert np.abs(mu - (lam / 9 + 2 / 9)).max() <= 1e-10
 
     def test_mu_range_and_npt_equivalence(self):
@@ -210,10 +213,10 @@ class TestPaperLiteral:
         aff = spa_pt_affine(rho)
         assert np.abs(lit.rho_tilde.mat - aff.rho_tilde.mat).max() < 1e-14
 
-    def test_method_tag_and_diagnostics(self):
+    def test_output_on_its_family_is_a_valid_state(self):
         out = spa_pt_paper_entries(family_pure_m(0.5))
-        assert out.method == "paper_literal"
-        assert "valid_state" in out.diagnostics
+        check = validate_batch(out.rho_tilde.mat[None])
+        assert check.valid[0] and check.violations(0) == []
 
 
 class TestChoi:
@@ -236,6 +239,11 @@ class TestChoi:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             choi_matrix("bogus")
+
+    def test_cached_and_read_only(self):
+        assert choi_matrix("affine") is choi_matrix("affine")
+        with pytest.raises(ValueError):
+            choi_matrix("affine")[0][0, 0] = 1.0
 
 
 def _affine_closed_form(x):
@@ -290,6 +298,7 @@ class TestSuperoperator:
 
 def test_verify_report_same_text_on_cold_and_warm_cache():
     superoperator.cache_clear()
+    choi_matrix.cache_clear()
     first = spa_verify_report(seed=1)
     assert superoperator.cache_info().currsize == len(CHOI_METHODS)
     second = spa_verify_report(seed=1)

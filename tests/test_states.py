@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from spaneg import measures, states
+from spaneg import measures, spa, states
+from spaneg.linalg import PSD_CLAMP, VALIDATE_TOL
 from spaneg.states import (
     StateValidationError,
     bell_state,
@@ -61,14 +64,24 @@ class TestValidate:
         assert check.violations(3) == ["non-finite entries: 1 of 16"]
 
     def test_batch_skips_the_eigensolve_of_non_finite_matrices(self, monkeypatch):
-        stack = np.stack([np.eye(4) / 4] * 3).astype(complex)
-        stack[1, 0, 0] = np.nan
         solved = []
         real = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solved.append(len(m)) or real(m))
+        # I/4 is cleared by its Gershgorin discs, so nothing is diagonalized.
+        stack = np.stack([np.eye(4) / 4] * 3).astype(complex)
+        stack[1, 0, 0] = np.nan
+        check = states.validate_batch(stack)
+        assert solved == []
+        assert np.isnan(check.min_eigenvalue[1]) and check.min_eigenvalue[0] == 0.25
+        # Pure projectors with spread amplitudes are not cleared: the finite
+        # two are diagonalized together, the NaN one is not.
+        vectors = np.array([[1, 1, 1, 1], [1, 1j, -1, 0], [1, 0, 0, 0]]) / [[2], [np.sqrt(3)], [1]]
+        stack = vectors[:, :, None] * vectors.conj()[:, None, :]
+        stack[2, 3, 1] = np.nan
         check = states.validate_batch(stack)
         assert solved == [2]
-        assert np.isnan(check.min_eigenvalue[1]) and check.min_eigenvalue[0] == 0.25
+        assert np.isnan(check.min_eigenvalue[2])
+        assert np.abs(check.min_eigenvalue[:2]).max() <= 1e-15
 
     def test_batch_rejects_wrong_shape(self):
         with pytest.raises(StateValidationError, match=r"shape \(4, 4\) is not \(N, 4, 4\)"):
@@ -95,6 +108,84 @@ class TestValidate:
         path.write_text("{not json")
         with pytest.raises(StateValidationError):
             load_state(path)
+
+
+def eigvalsh_only_verdicts(stack):
+    """(valid, violations) of each matrix by the rule validate_batch applied
+    before its Gershgorin screen: an eigvalsh of every finite matrix."""
+    m = np.asarray(stack, dtype=complex)
+    nonfinite = 16 - np.isfinite(m).sum(axis=(1, 2))
+    finite = nonfinite == 0
+    min_eig = np.full(len(m), np.nan)
+    with np.errstate(invalid="ignore"):
+        defect = np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        trace_dev = np.abs(np.trace(m, axis1=1, axis2=2) - 1.0)
+        h = (m + m.conj().swapaxes(1, 2)) / 2
+    min_eig[finite] = np.linalg.eigvalsh(h[finite])[:, 0]
+    valid = finite & (defect <= VALIDATE_TOL) & (trace_dev <= VALIDATE_TOL) & (min_eig >= -PSD_CLAMP)
+    texts = []
+    for i in range(len(m)):
+        out = []
+        if nonfinite[i]:
+            out.append(f"non-finite entries: {nonfinite[i]} of 16")
+        else:
+            if defect[i] > VALIDATE_TOL:
+                out.append(f"not Hermitian: max asymmetry {defect[i]:.3e}")
+            if trace_dev[i] > VALIDATE_TOL:
+                out.append(f"trace deviates from 1 by {trace_dev[i]:.3e}")
+            if min_eig[i] < -PSD_CLAMP:
+                out.append(f"not PSD: minimum eigenvalue {min_eig[i]:.3e}")
+        texts.append(out)
+    return valid.tolist(), texts
+
+
+def screen_matrix(kind, seed, k, scale, corrupt):
+    """One matrix of a mixed stack.  diag, perturbed and rotated have their
+    least diagonal entry or eigenvalue k * 1e-14 from -PSD_CLAMP, before the
+    scale.  perturbed couples that entry to another by (|k| + 1..9) * 1e-14,
+    which puts its disc edge 1 to 9 units below min(-PSD_CLAMP, the entry)
+    but moves its eigenvalue by ~1e-25."""
+    rng = np.random.default_rng(seed)
+    if kind == "ginibre":
+        mat = states.random_mixed_batch(rng, 1)[0]
+    elif kind == "pure":
+        mat = states.random_pure_batch(rng, 1)[0]
+    elif kind == "spa":
+        mat = spa.spa_pt_affine_batch(states.random_mixed_batch(rng, 1))[0]
+    else:
+        lam = rng.permutation(np.append(rng.random(3), -PSD_CLAMP + k * 1e-14))
+        mat = np.diag(lam).astype(complex)
+        if kind == "perturbed":
+            i = int(np.argmin(lam))
+            j = (i + 1 + rng.integers(3)) % 4
+            mat[i, j] = (abs(k) + rng.integers(1, 10)) * 1e-14 * np.exp(2j * np.pi * rng.random())
+            mat[j, i] = mat[i, j].conjugate()
+        elif kind == "rotated":
+            z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            u = np.linalg.qr(z)[0]
+            mat = u @ mat @ u.conj().T
+    mat = scale * mat
+    if corrupt is not None:
+        mat[rng.integers(4), rng.integers(4)] = corrupt
+    return mat
+
+
+SCREEN_MATRICES = st.tuples(
+    st.sampled_from(["ginibre", "pure", "spa", "diag", "perturbed", "rotated"]),
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.integers(-200, 200), st.integers(-5, 5)),
+    st.one_of(st.just(1.0), st.floats(0.0, 6.0).map(lambda e: 10.0**e)),
+    st.sampled_from([None, None, None, np.nan, np.inf, -np.inf, complex(0.0, np.nan)]),
+)
+
+
+@given(matrices=st.lists(SCREEN_MATRICES, min_size=1, max_size=12))
+def test_screen_keeps_the_eigvalsh_verdicts(matrices):
+    stack = np.stack([screen_matrix(*spec) for spec in matrices])
+    valid, texts = eigvalsh_only_verdicts(stack)
+    check = states.validate_batch(stack)
+    assert check.valid.tolist() == valid
+    assert [check.violations(i) for i in range(len(stack))] == texts
 
 
 class TestPureFromVector:
@@ -177,6 +268,57 @@ class TestFamilies:
             validate(bell_state(i).mat)
         with pytest.raises(ValueError):
             bell_state(4)
+
+
+def per_point_family(family, x):
+    """The per-point family constructors that preceded family_batch."""
+    if family == "pure_m":
+        mat = np.zeros((4, 4), dtype=complex)
+        mat[1, 1] = x
+        mat[2, 2] = 1.0 - x
+        mat[1, 2] = mat[2, 1] = np.sqrt(x * (1.0 - x))
+    elif family == "horodecki":
+        mat = x * np.outer(states.PSI_PLUS, states.PSI_PLUS.conj())
+        mat[0, 0] += 1.0 - x
+    else:
+        mat = np.zeros((4, 4), dtype=complex)
+        mat[0, 0] = mat[3, 3] = mat[0, 3] = mat[3, 0] = x / 2.0
+        mat[1, 1] = 1.0 - x
+    return mat
+
+
+FAMILY_PARAMS = st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                         min_size=1, max_size=300)
+
+
+@pytest.mark.parametrize("family", ["pure_m", "horodecki", "quasi"])
+@given(params=FAMILY_PARAMS)
+def test_family_batch_is_bitwise_the_per_point_states(family, params):
+    params = [0.0, 1.0] + params
+    expected = np.stack([per_point_family(family, x) for x in params])
+    batch = states.family_batch(family, params)
+    assert batch.dtype == expected.dtype and batch.tobytes() == expected.tobytes()
+    single = np.stack([states.from_spec(family, x).mat for x in params])
+    assert single.tobytes() == expected.tobytes()
+
+
+class TestFamilyBatchRange:
+    @pytest.mark.parametrize("family, name", [("pure_m", "M"), ("horodecki", "p"), ("quasi", "C")])
+    def test_first_bad_index_is_named(self, family, name):
+        with pytest.raises(ValueError, match=rf"^param 2 of 4: {name} must lie in \[0, 1\], got nan$"):
+            states.family_batch(family, [0.0, 0.5, np.nan, 2.0])
+
+    @pytest.mark.parametrize("family, name", [(family_pure_m, "M"), (family_horodecki, "p"),
+                                              (family_quasi, "C")])
+    @pytest.mark.parametrize("bad", [-0.01, 1.01, 2, float("nan")])
+    def test_single_state_message_is_unchanged(self, family, name, bad):
+        with pytest.raises(ValueError) as exc:
+            family(bad)
+        assert str(exc.value) == f"{name} must lie in [0, 1], got {bad}"
+
+    def test_unsupported_family(self):
+        with pytest.raises(ValueError, match="family_batch supports"):
+            states.family_batch("bell", [0.0])
 
 
 class TestRandomStates:
