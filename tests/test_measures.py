@@ -19,6 +19,7 @@ from spaneg.measures import (
 )
 from spaneg.spa import spa_pt_affine
 from spaneg.states import (
+    DensityMatrix,
     bell_state,
     family_horodecki,
     family_pure_m,
@@ -215,6 +216,41 @@ class TestLsUpperBound:
             ls_upper_bound(-0.1, 1 / 6)
         with pytest.raises(ValueError):
             ls_upper_bound(0.5, 0.24)
+
+
+def reference_only_quasi_match(rho, tol=1e-9):
+    """The quasi-family match as it was before its entry-(1, 1) shortcut."""
+    c = 2.0 * float(rho.mat[0, 0].real)
+    if not -tol <= c <= 1.0 + tol:
+        return False
+    ref = family_quasi(min(max(c, 0.0), 1.0)).mat
+    return bool(np.abs(rho.mat - ref).max() <= tol)
+
+
+def test_quasi_match_shortcut_keeps_the_verdict():
+    rng = np.random.default_rng(31)
+    mats = [random_mixed(rng).mat for _ in range(20)]
+    mats += [family_horodecki(p).mat for p in np.linspace(0, 1, 13)]
+    mats += [family_pure_m(m).mat for m in np.linspace(0, 1, 13)]
+    for c in (0.0, 0.3, 1.0):
+        base = family_quasi(c).mat
+        mats.append(base)
+        # Off by less and by more than the tolerance, at (1, 1) and elsewhere;
+        # c = 0 and 1 put 2 * rho[0, 0] just outside [0, 1].
+        for i, j in ((1, 1), (0, 3), (0, 0)):
+            for delta in (-2e-9, -0.4e-9, 0.4e-9, 2e-9):
+                m = base.copy()
+                m[i, j] += delta
+                mats.append(m)
+        # 2 * rho[0, 0] past an end of [0, 1] together with a shifted (1, 1).
+        for d00, d11 in ((0.45e-9, 0.6e-9), (-0.45e-9, -0.6e-9), (0.45e-9, -0.6e-9)):
+            m = base.copy()
+            m[0, 0] += d00
+            m[1, 1] += d11
+            mats.append(m)
+    verdicts = [measures._matches_quasi(DensityMatrix(mat=m)) for m in mats]
+    assert verdicts == [reference_only_quasi_match(DensityMatrix(mat=m)) for m in mats]
+    assert any(verdicts) and not all(verdicts)
 
 
 class TestFullReport:
