@@ -4,13 +4,9 @@ from .linalg import (
     PSD_CLAMP,
     RESIDUAL_TOL,
     VALIDATE_TOL,
-    Spectrum,
-    herm_eigen,
     herm_eigen_batch,
-    kron,
     partial_transpose_b,
     partial_transpose_batch,
-    psd_sqrt,
     psd_sqrt_batch,
 )
 from .measures import (

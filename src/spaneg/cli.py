@@ -48,7 +48,15 @@ MAX_POINTS = 1_000_000
 MAX_TRIALS = 1_000_000
 # A trial's F_avg is k / shots, which float64 holds exactly for shots <= 2**53.
 MAX_SHOTS = 2**53
-_SIZE_CAPS = {"count": MAX_COUNT, "points": MAX_POINTS, "trials": MAX_TRIALS, "shots": MAX_SHOTS}
+# (least, greatest) of each integer flag; None is no bound.  --param is not
+# here: a family checks its own range, as an input error (exit 2).
+_LIMITS = {
+    "seed": (0, None),
+    "count": (1, MAX_COUNT),
+    "points": (2, MAX_POINTS),
+    "trials": (1, MAX_TRIALS),
+    "shots": (1, MAX_SHOTS),
+}
 
 
 class UsageError(Exception):
@@ -148,22 +156,18 @@ def sweep_rows(family: str, points: int):
 
     A row is (param, nd_definition, nd_closed_form, mu_min, nn_pipeline,
     nn_closed_form, abs_gap); abs_gap is |nn_pipeline - nd_definition|,
-    the visible distance between the two curves.  The arguments are checked
-    on the call; each chunk is measured through the stacked kernels only when
+    the visible distance between the two curves.  The family is checked on
+    the call; each chunk is measured through the stacked kernels only when
     the iterator reaches it.  The closed forms are evaluated per point.
     """
     if family not in curves.ND_CLOSED:
         raise UsageError(f"sweep supports families {sorted(curves.ND_CLOSED)}, got {family!r}")
-    if points < 2:
-        raise UsageError(f"--points must be >= 2, got {points}")
     values = np.linspace(0.0, 1.0, points)
     return (_sweep_chunk(family, values[start:start + STUDY_CHUNK].tolist())
             for start in range(0, points, STUDY_CHUNK))
 
 
 def cmd_sweep(args) -> int:
-    if not args.family:
-        raise UsageError("sweep requires --family")
     chunks = sweep_rows(args.family, args.points)
     with _output(args.out) as write:
         write(_SWEEP_HEADER)
@@ -206,8 +210,6 @@ def random_study_rows(count: int, seed: int, rank: int = 4):
 
 
 def cmd_random_study(args) -> int:
-    if args.count < 1:
-        raise UsageError(f"--count must be >= 1, got {args.count}")
     chunks = random_study_rows(args.count, args.seed)
     with _output(args.out) as write:
         write(_STUDY_HEADER)
@@ -231,8 +233,6 @@ def cmd_random_study(args) -> int:
 
 def cmd_simulate(args) -> int:
     rho = _resolve_state(args)
-    if args.shots < 1 or args.trials < 1:
-        raise UsageError("--shots and --trials must be >= 1")
     est = shotsim.estimate_negativity(rho, args.shots, args.trials, args.seed)
     payload = dataclasses.asdict(est)
     payload["ci95"] = list(payload["ci95"])
@@ -285,10 +285,10 @@ def _literal_grid_deviations(family: str, mu_cf, grid: int) -> tuple[float, floa
     """
     values = np.linspace(0.0, 1.0, grid).tolist()
     rhos = states.family_batch(family, values)
-    literal = spa.spa_pt_paper_entries_batch(rhos)
-    mu = linalg.herm_eigen_batch((literal + literal.conj().swapaxes(1, 2)) / 2)[0][:, 0]
     affine = spa.spa_pt_affine_batch(rhos)
     linalg.check_hermitian(affine)  # the guard spa_pt_affine applies to its output
+    literal = spa.spa_pt_paper_entries_batch(rhos)
+    mu = spa.mu_min_batch((literal + literal.conj().swapaxes(1, 2)) / 2)
     max_lit = float(np.abs(literal - affine).max())
     max_mu = max(abs(mu_i - mu_cf(value)) for mu_i, value in zip(mu.tolist(), values))
     return max_lit, max_mu
@@ -299,7 +299,7 @@ def spa_verify_report(seed: int = 20260824, n_states: int = 1000, grid: int = 21
     lines = ["SPA-PT verification report", "=" * 26]
     ok = True
 
-    res = spa.CONSTANTS.completeness_residual
+    res = spa.COMPLETENESS_RESIDUAL
     lines.append(f"POVM completeness residual: {res:.3e}")
 
     max_dev, max_trace_rel = random_pair_residuals(seed, n_states)
@@ -368,7 +368,7 @@ def build_parser() -> _Parser:
     add_common(sub.add_parser("analyze", help="full entanglement report of one state"), state=True)
     p = sub.add_parser("sweep", help="figure-reproduction parameter sweep (CSV)")
     add_common(p, state=False, sweep=True)
-    p.add_argument("--family", choices=sorted(curves.ND_CLOSED), required=False, default=None)
+    p.add_argument("--family", choices=sorted(curves.ND_CLOSED), required=True)
     add_common(sub.add_parser("random-study", help="random-ensemble invariant study (CSV)"), seed=True, rand=True)
     add_common(
         sub.add_parser("simulate", help="finite-shot estimation of one state"), state=True, seed=True, sim=True
@@ -378,14 +378,15 @@ def build_parser() -> _Parser:
 
 
 def _check_limits(args) -> None:
-    """Reject a negative --seed or a run size over its cap as a usage error."""
-    seed = getattr(args, "seed", None)
-    if seed is not None and seed < 0:
-        raise UsageError(f"--seed must be >= 0, got {seed}")
-    for name, cap in _SIZE_CAPS.items():
+    """Reject an integer flag outside its _LIMITS range as a usage error."""
+    for name, (least, greatest) in _LIMITS.items():
         value = getattr(args, name, None)
-        if value is not None and value > cap:
-            raise UsageError(f"--{name} must be <= {cap}, got {value}")
+        if value is None:
+            continue
+        if value < least:
+            raise UsageError(f"--{name} must be >= {least}, got {value}")
+        if greatest is not None and value > greatest:
+            raise UsageError(f"--{name} must be <= {greatest}, got {value}")
 
 
 _DISPATCH = {

@@ -16,16 +16,6 @@ def nd_pure_m(m: float) -> float:
     return 2.0 * np.sqrt(m * (1.0 - m))
 
 
-def nd_horodecki(p: float) -> float:
-    """Exact negativity of the Horodecki family: sqrt((1-p)^2 + p^2) - (1-p)."""
-    return np.sqrt((1.0 - p) ** 2 + p**2) - (1.0 - p)
-
-
-def nd_quasi(c: float) -> float:
-    """Exact negativity of the quasi-distillable family (Verstraete bound saturated)."""
-    return verstraete_rhs(c)
-
-
 def mu_pure_m(m: float) -> float:
     """Minimum SPA-PT eigenvalue of the pure family: 2/9 - sqrt(M(1-M))/9."""
     return 2.0 / 9.0 - np.sqrt(m * (1.0 - m)) / 9.0
@@ -34,11 +24,6 @@ def mu_pure_m(m: float) -> float:
 def mu_horodecki(p: float) -> float:
     """Minimum SPA-PT eigenvalue of the Horodecki family."""
     return 5.0 / 18.0 - p / 18.0 - np.sqrt(1.0 - 2.0 * p + 2.0 * p**2) / 18.0
-
-
-def mu_quasi(c: float) -> float:
-    """Minimum SPA-PT eigenvalue of the quasi family via the tightness identity."""
-    return 2.0 / 9.0 - nd_quasi(c) / 18.0
 
 
 def nn_from_nd(nd: float) -> float:
@@ -52,6 +37,7 @@ def nn_from_nd_pure(nd: float) -> float:
     return 54.0 * nd / 9153.0 * (169.0 + nd / 2.0)
 
 
-ND_CLOSED = {"pure_m": nd_pure_m, "horodecki": nd_horodecki, "quasi": nd_quasi}
-MU_CLOSED = {"pure_m": mu_pure_m, "horodecki": mu_horodecki, "quasi": mu_quasi}
+# The Horodecki and quasi-distillable families both saturate the Verstraete
+# bound: their exact negativity is verstraete_rhs of the parameter.
+ND_CLOSED = {"pure_m": nd_pure_m, "horodecki": verstraete_rhs, "quasi": verstraete_rhs}
 NN_CLOSED = {"pure_m": nn_from_nd_pure, "horodecki": nn_from_nd, "quasi": nn_from_nd}

@@ -5,14 +5,12 @@ complex numpy arrays; the basis order for 4x4 operators is
 |00>, |01>, |10>, |11>.
 
 The partial transpose, the Hermitian eigensolve and the PSD root each have
-one implementation over (N, d, d) stacks (the *_batch functions); the
-per-matrix functions are N = 1 wrappers around them.  A batch error names the
+one implementation over (N, d, d) stacks (the *_batch functions); only the
+partial transpose keeps a per-matrix N = 1 wrapper.  A batch error names the
 index of the first offending matrix.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,12 +46,12 @@ class NotPsdError(ValueError):
     """Input matrix has an eigenvalue below the PSD clamp tolerance."""
 
 
-def _as_square(m, dims=(2, 4)) -> np.ndarray:
+def _as_square(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] not in dims:
-        raise DimensionError(f"expected dimension in {dims}, got {m.shape[0]}")
+    if m.shape[0] != 4:
+        raise DimensionError(f"expected dimension in (4,), got {m.shape[0]}")
     return m
 
 
@@ -85,33 +83,6 @@ def hermiticity_defect(m):
     return np.ascontiguousarray(flat.T).max(axis=0)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Full eigensystem of a Hermitian matrix.
-
-    eigenvalues are real and sorted ascending; eigenvectors[:, i] is the
-    orthonormal eigenvector paired with eigenvalues[i].
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def min_eigenvalue(self) -> float:
-        return float(self.eigenvalues[0])
-
-    @property
-    def min_eigenvector(self) -> np.ndarray:
-        return self.eigenvectors[:, 0]
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two 2x2 operators in the |00>,|01>,|10>,|11> basis."""
-    a = _as_square(a, dims=(2,))
-    b = _as_square(b, dims=(2,))
-    return np.kron(a, b)
-
-
 def partial_transpose_batch(m) -> np.ndarray:
     """Transpose the B-subsystem indices of each operator in an (N, 4, 4) stack."""
     m = _as_stack(m, dims=(4,))
@@ -125,7 +96,7 @@ def partial_transpose_b(m) -> np.ndarray:
     but not completely positive as a map, hence the need for its structural
     physical approximation downstream.
     """
-    return partial_transpose_batch(_as_square(m, dims=(4,))[None])[0]
+    return partial_transpose_batch(_as_square(m)[None])[0]
 
 
 def check_hermitian(m) -> None:
@@ -154,12 +125,6 @@ def herm_eigen_batch(m) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh((m + m.conj().swapaxes(1, 2)) / 2)
 
 
-def herm_eigen(m) -> Spectrum:
-    """Eigendecomposition of one Hermitian matrix; see herm_eigen_batch."""
-    w, v = herm_eigen_batch(_as_square(m)[None])
-    return Spectrum(eigenvalues=w[0], eigenvectors=v[0])
-
-
 def psd_sqrt_batch(m) -> np.ndarray:
     """Hermitian PSD square root of each matrix in an (N, d, d) stack.
 
@@ -175,9 +140,3 @@ def psd_sqrt_batch(m) -> np.ndarray:
         )
     s = np.sqrt(np.maximum(w, 0.0))
     return (v * s[:, None, :]) @ v.conj().swapaxes(1, 2)
-
-
-def psd_sqrt(m) -> np.ndarray:
-    """Hermitian PSD square root S of one matrix, S @ S == M up to 1e-9;
-    see psd_sqrt_batch."""
-    return psd_sqrt_batch(_as_square(m)[None])[0]

@@ -27,7 +27,6 @@ from .linalg import (
     RESIDUAL_TOL,
     SIGMA_Y,
     first_index,
-    kron,
     partial_transpose_batch,
     psd_sqrt_batch,
 )
@@ -46,7 +45,7 @@ PPT_TOL = 1e-10
 FAVG_LO = 59.0 / 135.0
 FAVG_HI = 65.0 / 135.0
 
-SIGMA_YY = kron(SIGMA_Y, SIGMA_Y)
+SIGMA_YY = np.kron(SIGMA_Y, SIGMA_Y)
 
 _RANGE_SLACK = 1e-9
 
@@ -102,24 +101,19 @@ def _check_mu(mu) -> np.ndarray:
     return mu
 
 
-def pt_spectrum_batch(rhos, tol: float = RESIDUAL_TOL) -> tuple[np.ndarray, np.ndarray]:
+def pt_spectrum_batch(rhos) -> tuple[np.ndarray, np.ndarray]:
     """(N^D, negative count) of each state of an (N, 4, 4) stack.
 
     N^D = 2 sum_i max(0, -lambda_i(rho^{T_B})) and the count of eigenvalues
-    below -tol, both from one partial-transpose spectrum.
+    below -RESIDUAL_TOL, both from one partial-transpose spectrum.
     """
     lam = np.linalg.eigvalsh(partial_transpose_batch(rhos))
-    return 2.0 * np.maximum(0.0, -lam).sum(axis=1), (lam < -tol).sum(axis=1)
+    return 2.0 * np.maximum(0.0, -lam).sum(axis=1), (lam < -RESIDUAL_TOL).sum(axis=1)
 
 
 def negativity_exact(rho: DensityMatrix) -> float:
     """Negativity by definition: 2 sum_i max(0, -lambda_i(rho^{T_B}))."""
     return float(pt_spectrum_batch(rho.mat[None])[0][0])
-
-
-def pt_negative_count(rho: DensityMatrix, tol: float = RESIDUAL_TOL) -> int:
-    """Number of partial-transpose eigenvalues below -tol (at most 1 for two qubits)."""
-    return int(pt_spectrum_batch(rho.mat[None], tol)[1][0])
 
 
 def negativity_lower_bound(mu_min: float) -> float:
@@ -175,7 +169,8 @@ def concurrence_quasi(n: float) -> float:
     C = -N + sqrt(2 N (N + 1)); exact inverse of verstraete_rhs."""
     if not -_RANGE_SLACK <= n <= 1.0 + _RANGE_SLACK:
         raise ValueError(f"negativity {n} outside [0, 1]")
-    n = float(n)
+    # Within the slack, clamp: below 0 the root would be NaN, above 1 C > 1.
+    n = min(max(float(n), 0.0), 1.0)
     return -n + np.sqrt(2.0 * n * (n + 1.0))
 
 
@@ -183,7 +178,7 @@ def verstraete_rhs(c: float) -> float:
     """Negativity-concurrence bound: sqrt((1-C)^2 + C^2) - (1-C)."""
     if not -_RANGE_SLACK <= c <= 1.0 + _RANGE_SLACK:
         raise ValueError(f"concurrence {c} outside [0, 1]")
-    c = float(c)
+    c = min(max(float(c), 0.0), 1.0)
     return np.sqrt((1.0 - c) ** 2 + c**2) - (1.0 - c)
 
 

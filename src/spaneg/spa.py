@@ -30,7 +30,6 @@ from .linalg import (
     _as_stack,
     first_index,
     herm_eigen_batch,
-    kron,
     partial_transpose_b,
     partial_transpose_batch,
 )
@@ -40,7 +39,6 @@ MU_MIN_LO = 1.0 / 6.0
 MU_MIN_HI = 0.25
 SEPARABILITY_THRESHOLD = 2.0 / 9.0
 
-METHODS = ("affine", "compositional", "paper_literal")
 CHOI_METHODS = ("affine", "compositional", "pt", "identity")
 
 
@@ -60,52 +58,26 @@ class SpaOutcome:
     mu_min: float
 
 
-def _tetrahedral_vectors():
+def _tetrahedral_povm() -> tuple[tuple, tuple]:
+    """Effects M_k and vectors s_k of the four-outcome measurement.
+
+    M_k = (1/2)|s_k*><s_k*|.  The Bloch vectors of the four s_k form a
+    regular tetrahedron; the effects sum to the identity, which makes the
+    approximated transpose trace-preserving.
+    """
     b1 = 1j * np.exp(2j * np.pi / 3) / (1j + np.exp(-2j * np.pi / 3))
     b2 = 1j * np.exp(2j * np.pi / 3) / (1j - np.exp(-2j * np.pi / 3))
     s_star = []
     for b, sign in ((b1, 1), (b1, -1), (b2, 1), (b2, -1)):
         v = np.array([1.0, sign * np.conj(b)], dtype=complex)
         s_star.append(v / np.linalg.norm(v))
-    return b1, b2, s_star
+    return tuple(0.5 * np.outer(v, v.conj()) for v in s_star), tuple(v.conj() for v in s_star)
 
 
-@dataclass(frozen=True)
-class SpaConstants:
-    """Measurement data of the four-outcome construction, computed once.
-
-    The Bloch vectors of the four s_k form a regular tetrahedron; the
-    effects M_k = (1/2)|s_k*><s_k*| sum to the identity, which makes the
-    approximated transpose trace-preserving.
-    """
-
-    b1: complex
-    b2: complex
-    s_vectors: tuple
-    s_star_vectors: tuple
-    povm: tuple
-    completeness_residual: float
-
-
-def _build_constants() -> SpaConstants:
-    b1, b2, s_star = _tetrahedral_vectors()
-    povm = tuple(0.5 * np.outer(v, v.conj()) for v in s_star)
-    s_vecs = tuple(v.conj() for v in s_star)
-    residual = float(np.abs(sum(povm) - np.eye(2)).max())
-    return SpaConstants(
-        b1=b1,
-        b2=b2,
-        s_vectors=s_vecs,
-        s_star_vectors=tuple(s_star),
-        povm=povm,
-        completeness_residual=residual,
-    )
-
-
-CONSTANTS = _build_constants()
-assert CONSTANTS.completeness_residual <= RESIDUAL_TOL, (
-    "tetrahedral POVM lost completeness: residual "
-    f"{CONSTANTS.completeness_residual:.3e}"
+POVM, S_VECTORS = _tetrahedral_povm()
+COMPLETENESS_RESIDUAL = float(np.abs(sum(POVM) - np.eye(2)).max())
+assert COMPLETENESS_RESIDUAL <= RESIDUAL_TOL, (
+    f"tetrahedral POVM lost completeness: residual {COMPLETENESS_RESIDUAL:.3e}"
 )
 
 
@@ -116,7 +88,7 @@ def spa_transpose_tilde(x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=complex)
     out = np.zeros((2, 2), dtype=complex)
-    for m_k, s_k in zip(CONSTANTS.povm, CONSTANTS.s_vectors):
+    for m_k, s_k in zip(POVM, S_VECTORS):
         out += np.trace(m_k @ x) * np.outer(s_k, s_k.conj())
     return out
 
@@ -167,8 +139,8 @@ def _apply_product_map(rho_mat: np.ndarray, map_a, map_b) -> np.ndarray:
     for sig_a in PAULIS:
         fa = map_a(sig_a)
         for sig_b in PAULIS:
-            c = np.trace(kron(sig_a, sig_b).conj().T @ rho_mat) / 4.0
-            out += c * kron(fa, map_b(sig_b))
+            c = np.trace(np.kron(sig_a, sig_b).conj().T @ rho_mat) / 4.0
+            out += c * np.kron(fa, map_b(sig_b))
     return out
 
 

@@ -157,7 +157,7 @@ def test_criterion_7_compositional_cross_check():
     text2, ok2 = cli.spa_verify_report(seed=2, n_states=200)
     dev1 = float(text1.split("max deviation (200 random states): ")[1].split("\n")[0])
     dev2 = float(text2.split("max deviation (200 random states): ")[1].split("\n")[0])
-    povm = spa.CONSTANTS.completeness_residual
+    povm = spa.COMPLETENESS_RESIDUAL
     ok = ok1 and ok2 and dev1 <= 1e-10 and dev2 <= 1e-10
     report(
         7, ok,

@@ -304,9 +304,9 @@ class TestBoundary:
         with pytest.raises(DimensionError, match="expected dimension in \\(4,\\), got 3"):
             linalg.partial_transpose_b(np.eye(3))
         with pytest.raises(DimensionError, match="expected a square matrix, got shape \\(4, 3\\)"):
-            linalg.herm_eigen(np.ones((4, 3)))
+            linalg.partial_transpose_b(np.ones((4, 3)))
         with pytest.raises(DimensionError, match="expected a square matrix"):
-            linalg.psd_sqrt(np.eye(4)[None])
+            linalg.partial_transpose_b(np.eye(4)[None])
 
     def test_batch_dimension_errors(self):
         with pytest.raises(DimensionError, match="stack of square matrices"):
@@ -327,8 +327,9 @@ def test_random_study_rows_match_per_state_reports():
     for i, row in enumerate(rows):
         rho = states.random_mixed(rng, rank=3)
         rep = measures.full_report(rho)
-        expected = (i, 3, rep.nd, rep.nn, rep.mu_min, rep.concurrence, rep.ppt,
-                    measures.pt_negative_count(rho))
+        lam = np.linalg.eigvalsh(linalg.partial_transpose_b(rho.mat))
+        neg = int((lam < -linalg.RESIDUAL_TOL).sum())
+        expected = (i, 3, rep.nd, rep.nn, rep.mu_min, rep.concurrence, rep.ppt, neg)
         assert row == expected
         assert [type(x) for x in row] == [type(x) for x in expected]
     assert summary["max_neg_pt_eigs"] <= 1
@@ -414,8 +415,7 @@ def test_spa_verify_runs_no_per_state_path(monkeypatch):
 
     for module, name in [(states, "pure_from_vector"), (states, "random_pure"),
                          (states, "validate"), (states, "from_spec"),
-                         (spa, "spa_pt_paper_entries"), (spa, "spa_pt_affine"),
-                         (linalg, "herm_eigen")]:
+                         (spa, "spa_pt_paper_entries"), (spa, "spa_pt_affine")]:
         monkeypatch.setattr(module, name, refuse)
     assert cli.spa_verify_report(seed=1) == expected
 

@@ -221,6 +221,7 @@ class TestSweep:
 
     def test_requires_family(self, capsys):
         assert cli.run(["sweep"]) == 1
+        assert "the following arguments are required: --family" in capsys.readouterr().err
 
     def test_quasi_closed_form(self, tmp_path):
         code, text = run_to_file(tmp_path, ["sweep", "--family", "quasi", "--points", "21"])
@@ -460,6 +461,43 @@ class TestSizeCaps:
         self._guard(monkeypatch, module, worker)
         assert cli.run(argv + ["--seed", "-1"]) == 1
         assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+
+    # (argv without the flag, flag, least value, module and name of the worker it guards)
+    FLOORS = [
+        (["random-study"], "--count", 1, cli, "random_study_rows"),
+        (["sweep", "--family", "pure_m"], "--points", 2, cli, "sweep_rows"),
+        (["simulate", "--family", "bell"], "--trials", 1, shotsim, "estimate_negativity"),
+        (["simulate", "--family", "bell"], "--shots", 1, shotsim, "estimate_negativity"),
+    ]
+
+    @pytest.mark.parametrize("argv, flag, least, module, worker", FLOORS)
+    def test_under_floor_is_usage_error_before_any_work(
+        self, monkeypatch, capsys, argv, flag, least, module, worker
+    ):
+        self._guard(monkeypatch, module, worker)
+        assert cli.run(argv + [flag, str(least - 1)]) == 1
+        assert f"usage error: {flag} must be >= {least}, got {least - 1}\n" == capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag, least, module, worker", FLOORS)
+    def test_floor_itself_is_accepted(self, monkeypatch, argv, flag, least, module, worker):
+        self._guard(monkeypatch, module, worker)
+        with pytest.raises(_Reached):
+            cli.run(argv + [flag, str(least)])
+
+    def test_limits_are_checked_before_the_state_is_read(self, tmp_path, capsys):
+        argv = ["simulate", "--state", str(tmp_path / "missing.json"), "--trials", "0"]
+        assert cli.run(argv) == 1
+        assert "--trials must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_every_integer_flag_has_limits(self):
+        subparsers = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        int_flags = {
+            action.dest
+            for parser in subparsers.choices.values()
+            for action in parser._actions
+            if action.type is int
+        }
+        assert int_flags == set(cli._LIMITS)
 
 
 class TestSpaVerify:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spaneg import measures
-from spaneg.linalg import SIGMA_Y, kron
+from spaneg.linalg import SIGMA_Y
 from spaneg.measures import (
     concurrence_quasi,
     concurrence_wootters,
@@ -97,7 +97,7 @@ class TestConcurrence:
 
     def test_matches_nonhermitian_product_oracle(self):
         # Same spectrum as rho (sy x sy) rho* (sy x sy) diagonalized directly.
-        syy = kron(SIGMA_Y, SIGMA_Y)
+        syy = np.kron(SIGMA_Y, SIGMA_Y)
         rng = np.random.default_rng(31)
         for _ in range(100):
             rho = random_mixed(rng)
@@ -130,11 +130,33 @@ class TestQuasiRelations:
         vals = [concurrence_quasi(float(n)) for n in np.linspace(0, 1, 50)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("n,expected", [(-5e-10, 0.0), (1.0 + 5e-10, 1.0)])
+    def test_slack_outside_the_range_clamps_to_its_end(self, n, expected):
+        # Below 0 the root was NaN with a RuntimeWarning, above 1 C exceeded 1.
+        assert concurrence_quasi(n) == expected
+
+    @pytest.mark.parametrize("n", [0.0, 5e-10, 0.25, 1.0 - 5e-10, 1.0])
+    def test_in_range_keeps_the_formula_bits(self, n):
+        assert concurrence_quasi(n) == -n + np.sqrt(2.0 * n * (n + 1.0))
+
+    @pytest.mark.parametrize("n", [-2e-9, 1.0 + 2e-9, float("nan")])
+    def test_outside_the_slack_raises(self, n):
+        with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
+            concurrence_quasi(n)
+
 
 class TestVerstraete:
     @pytest.mark.parametrize("c,expected", [(0.0, 0.0), (1.0, 1.0), (0.5, np.sqrt(0.5) - 0.5)])
     def test_values(self, c, expected):
         assert verstraete_rhs(c) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("c,expected", [(-5e-10, 0.0), (1.0 + 5e-10, 1.0)])
+    def test_slack_outside_the_range_clamps_to_its_end(self, c, expected):
+        assert verstraete_rhs(c) == expected
+
+    @pytest.mark.parametrize("c", [0.0, 5e-10, 0.5, 1.0 - 5e-10, 1.0])
+    def test_in_range_keeps_the_formula_bits(self, c):
+        assert verstraete_rhs(c) == np.sqrt((1.0 - c) ** 2 + c**2) - (1.0 - c)
 
     def test_inequality_on_random_states(self):
         rng = np.random.default_rng(32)

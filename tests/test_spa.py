@@ -3,10 +3,18 @@ import pytest
 
 from spaneg import spa
 from spaneg.cli import spa_verify_report
-from spaneg.linalg import SIGMA_Y, SIGMA_Z, herm_eigen, hermiticity_defect, partial_transpose_b
+from spaneg.linalg import (
+    SIGMA_Y,
+    SIGMA_Z,
+    herm_eigen_batch,
+    hermiticity_defect,
+    partial_transpose_b,
+)
 from spaneg.spa import (
     CHOI_METHODS,
-    CONSTANTS,
+    COMPLETENESS_RESIDUAL,
+    POVM,
+    S_VECTORS,
     choi_matrix,
     depol_d,
     spa_pt_affine,
@@ -35,16 +43,18 @@ def random_qubit_hermitian(rng):
 
 class TestConstants:
     def test_povm_complete(self):
-        assert CONSTANTS.completeness_residual <= 1e-10
+        assert COMPLETENESS_RESIDUAL <= 1e-10
+        assert COMPLETENESS_RESIDUAL == float(np.abs(sum(POVM) - np.eye(2)).max())
 
     def test_vectors_normalized(self):
-        for v in CONSTANTS.s_vectors + CONSTANTS.s_star_vectors:
+        for v in S_VECTORS:
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+            assert abs(np.linalg.norm(v.conj()) - 1.0) <= 1e-12
 
     def test_bloch_vectors_tetrahedral(self):
         # The four outcome directions pairwise overlap at -1/3.
         bloch = []
-        for v in CONSTANTS.s_star_vectors:
+        for v in (s.conj() for s in S_VECTORS):
             rho = np.outer(v, v.conj())
             bloch.append(
                 [np.trace(rho @ s).real for s in (spa.PAULIS[1], spa.PAULIS[2], spa.PAULIS[3])]
@@ -53,6 +63,23 @@ class TestConstants:
         for i in range(4):
             for j in range(i + 1, 4):
                 assert abs(np.dot(bloch[i], bloch[j]) + 1 / 3) < 1e-12
+
+
+    def test_bitwise_the_tetrahedral_construction(self):
+        # The construction from the phases b1, b2 and the s_k* vectors, as
+        # spa held it before the POVM became module constants.
+        b1 = 1j * np.exp(2j * np.pi / 3) / (1j + np.exp(-2j * np.pi / 3))
+        b2 = 1j * np.exp(2j * np.pi / 3) / (1j - np.exp(-2j * np.pi / 3))
+        s_star = []
+        for b, sign in ((b1, 1), (b1, -1), (b2, 1), (b2, -1)):
+            v = np.array([1.0, sign * np.conj(b)], dtype=complex)
+            s_star.append(v / np.linalg.norm(v))
+        povm = tuple(0.5 * np.outer(v, v.conj()) for v in s_star)
+        s_vecs = tuple(v.conj() for v in s_star)
+        assert len(POVM) == len(S_VECTORS) == 4
+        for got, want in zip(POVM + S_VECTORS, povm + s_vecs):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert COMPLETENESS_RESIDUAL == float(np.abs(sum(povm) - np.eye(2)).max())
 
 
 class TestTransposeTilde:
@@ -119,9 +146,9 @@ class TestAffine:
 
     def test_outcome_fields_consistent(self):
         out = spa_pt_affine(family_horodecki(0.7))
-        spec = herm_eigen(out.rho_tilde.mat)
-        assert out.mu_min == spec.eigenvalues[0]
-        v = spec.min_eigenvector
+        w, vecs = herm_eigen_batch(out.rho_tilde.mat[None])
+        assert out.mu_min == w[0, 0]
+        v = vecs[0][:, 0]
         resid = np.abs(out.rho_tilde.mat @ v - out.mu_min * v).max()
         assert resid < 1e-10
         validate(out.rho_tilde.mat)
@@ -131,7 +158,7 @@ class TestAffine:
         for _ in range(100):
             rho = random_mixed(rng)
             lam = np.linalg.eigvalsh(partial_transpose_b(rho.mat))
-            mu = herm_eigen(spa_pt_affine(rho).rho_tilde.mat).eigenvalues
+            mu = herm_eigen_batch(spa_pt_affine(rho).rho_tilde.mat[None])[0][0]
             assert np.abs(mu - (lam / 9 + 2 / 9)).max() <= 1e-10
 
     def test_mu_range_and_npt_equivalence(self):
