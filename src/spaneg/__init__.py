@@ -15,16 +15,13 @@ from .measures import (
     WitnessPair,
     batch_report,
     concurrence_quasi,
-    concurrence_wootters,
     concurrence_wootters_batch,
     estimator_bias,
     favg_from_mu,
     full_report,
     ls_upper_bound,
     mu_from_favg,
-    negativity_exact,
     negativity_lower_bound,
-    negativity_normalized,
     negativity_normalized_batch,
     pt_spectrum_batch,
     verstraete_rhs,
@@ -38,9 +35,7 @@ from .spa import (
     mu_min_batch,
     spa_pt_affine,
     spa_pt_affine_batch,
-    spa_pt_compositional,
     spa_pt_compositional_batch,
-    spa_pt_paper_entries,
     spa_pt_paper_entries_batch,
     spa_theta,
     spa_transpose_tilde,
@@ -50,15 +45,9 @@ from .states import (
     StateValidationError,
     bell_state,
     family_batch,
-    family_horodecki,
-    family_pure_m,
-    family_quasi,
     load_state,
-    pure_from_vector,
     pure_from_vectors,
-    random_mixed,
     random_mixed_batch,
-    random_pure,
     random_pure_batch,
     save_state,
     validate,

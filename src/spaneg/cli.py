@@ -182,9 +182,10 @@ def random_study_rows(count: int, seed: int, rank: int = 4):
 
     Yields (rows, summary) once per STUDY_CHUNK states, which are drawn and
     measured only when the iterator reaches them.  A row is (seed_index,
-    rank, nd, nn, mu_min, concurrence, ppt, neg_pt_eigs); the rows are those
-    of `count` sequential random_mixed draws from one generator.  summary
-    holds the maxima over every chunk so far, so the last one is the run's.
+    rank, nd, nn, mu_min, concurrence, ppt, neg_pt_eigs); the states are
+    bitwise those of one random_mixed_batch(default_rng(seed), count, rank)
+    draw.  summary holds the maxima over every chunk so far, so the last one
+    is the run's.
     """
     rng = np.random.default_rng(seed)
     max_tight = 0.0
@@ -261,8 +262,9 @@ def random_pair_residuals(seed: int, n_states: int) -> tuple[float, float]:
     Pairs are drawn and checked STUDY_CHUNK at a time.  Each row of a chunk's
     (k, 40) normal draw holds a Ginibre G (32 normals, as in
     random_mixed_batch) and then the real and imaginary parts of P's vector,
-    so the pairs are those of alternating random_mixed / random_pure draws
-    from one generator, and both maxima are bitwise theirs.
+    so the pairs are those of alternating random_mixed_batch(rng, 1) /
+    random_pure_batch(rng, 1) draws from one generator, and both maxima are
+    bitwise theirs.
     """
     rng = np.random.default_rng(seed)
     max_dev = 0.0

@@ -14,7 +14,8 @@ the single curve N^N = N^D (338 + N^D) / 339.
 
 Negativity, the estimator and Wootters concurrence are computed over
 (N, 4, 4) stacks of states (or (N,) arrays of mu_min) by the *_batch
-functions; the per-state functions are N = 1 wrappers around them.
+functions; full_report, the one per-state entry, calls them on a stack of
+one state.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .spa import (
     spa_pt_affine,
     spa_pt_affine_batch,
 )
-from .states import DensityMatrix, family_quasi
+from .states import DensityMatrix, family_batch
 
 PPT_TOL = 1e-10
 
@@ -111,11 +112,6 @@ def pt_spectrum_batch(rhos) -> tuple[np.ndarray, np.ndarray]:
     return 2.0 * np.maximum(0.0, -lam).sum(axis=1), (lam < -RESIDUAL_TOL).sum(axis=1)
 
 
-def negativity_exact(rho: DensityMatrix) -> float:
-    """Negativity by definition: 2 sum_i max(0, -lambda_i(rho^{T_B}))."""
-    return float(pt_spectrum_batch(rho.mat[None])[0][0])
-
-
 def negativity_lower_bound(mu_min: float) -> float:
     """Lower bound 4 - 18 mu_min; negative values quantify separability margin."""
     return 4.0 - 18.0 * float(_check_mu(mu_min))
@@ -131,11 +127,6 @@ def negativity_normalized_batch(mu_min) -> np.ndarray:
     # In range, mu >= 2/9 gives val <= 0, which the clamp maps to +0.0.
     val = (108.0 / 113.0) * (SEPARABILITY_THRESHOLD - mu) * (19.0 - mu)
     return np.minimum(np.maximum(val, 0.0), 1.0)
-
-
-def negativity_normalized(mu_min: float) -> float:
-    """Normalized negativity estimator of one mu_min; see negativity_normalized_batch."""
-    return float(negativity_normalized_batch(mu_min))
 
 
 def estimator_bias(nd: float) -> float:
@@ -157,11 +148,6 @@ def concurrence_wootters_batch(rhos) -> np.ndarray:
     a = root @ SIGMA_YY @ root.conj()
     l = np.linalg.svd(a, compute_uv=False)
     return np.maximum(0.0, l[:, 0] - l[:, 1] - l[:, 2] - l[:, 3])
-
-
-def concurrence_wootters(rho: DensityMatrix) -> float:
-    """Wootters concurrence of one state; see concurrence_wootters_batch."""
-    return float(concurrence_wootters_batch(rho.mat[None])[0])
 
 
 def concurrence_quasi(n: float) -> float:
@@ -186,7 +172,7 @@ def witness_pair(phi) -> WitnessPair:
     """Witness W = |phi><phi| - (2/9)I and its SPA image W~ = (2/9)W + (7/36)I."""
     phi = np.asarray(phi, dtype=complex).reshape(4)
     norm = float(np.linalg.norm(phi))
-    if abs(norm - 1.0) > _RANGE_SLACK:
+    if not abs(norm - 1.0) <= _RANGE_SLACK:  # true for a NaN norm
         raise ValueError(f"witness vector norm {norm:.9f} deviates from 1")
     w = np.outer(phi, phi.conj()) - (2.0 / 9.0) * np.eye(4)
     w_tilde = (2.0 / 9.0) * w + (7.0 / 36.0) * np.eye(4)
@@ -215,14 +201,14 @@ def mu_from_favg(f: float) -> float:
 
 
 def ls_upper_bound(lam: float, mu_min_of_pure_part: float) -> float:
-    """Concurrence upper bound (1 - lambda) * negativity_normalized(mu) from a
-    given separable-plus-pure decomposition weight lambda."""
+    """Concurrence upper bound (1 - lambda) * N^N(mu) from a given
+    separable-plus-pure decomposition weight lambda."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda {lam} outside [0, 1]")
     mu = float(mu_min_of_pure_part)
     if not MU_MIN_LO - _RANGE_SLACK <= mu <= SEPARABILITY_THRESHOLD + _RANGE_SLACK:
         raise ValueError(f"mu_min {mu} outside [1/6, 2/9]")
-    return (1.0 - lam) * negativity_normalized(min(mu, MU_MIN_HI))
+    return (1.0 - lam) * float(negativity_normalized_batch(min(mu, MU_MIN_HI)))
 
 
 def _is_pure(rho: DensityMatrix, tol: float = 1e-9) -> bool:
@@ -239,7 +225,7 @@ def _matches_quasi(rho: DensityMatrix, tol: float = 1e-9) -> bool:
     # states the construction of the reference, with the same verdict.
     if abs(rho.mat[1, 1] - (1.0 - c)) > tol:
         return False
-    ref = family_quasi(c).mat
+    ref = family_batch("quasi", [c])[0]
     return bool(np.abs(rho.mat - ref).max() <= tol)
 
 
@@ -265,13 +251,13 @@ def full_report(rho: DensityMatrix) -> EntanglementReport:
     """
     outcome = spa_pt_affine(rho)
     mu = outcome.mu_min
-    nd = negativity_exact(rho)
-    nn = negativity_normalized(mu)
+    nd = float(pt_spectrum_batch(rho.mat[None])[0][0])
+    nn = float(negativity_normalized_batch(mu))
     return EntanglementReport(
         nd=nd,
         nn=nn,
         lower_bound=negativity_lower_bound(mu),
-        concurrence=concurrence_wootters(rho),
+        concurrence=float(concurrence_wootters_batch(rho.mat[None])[0]),
         ppt=nd <= PPT_TOL,
         mu_min=mu,
         bias=estimator_bias(nd),

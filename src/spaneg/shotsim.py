@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import STUDY_CHUNK
-from .measures import favg_from_mu, fidelity_link, negativity_normalized, negativity_normalized_batch
+from .measures import favg_from_mu, fidelity_link, negativity_normalized_batch
 from .spa import MU_MIN_HI, MU_MIN_LO, spa_pt_affine
 from .states import DensityMatrix
 
@@ -175,6 +175,6 @@ def estimate_negativity(
         std_nn=std_nn,
         ci95=(mean_nn - half, mean_nn + half),
         clamp_count=clamp_count,
-        exact_nn=negativity_normalized(mu_true),
+        exact_nn=float(negativity_normalized_batch(mu_true)),
     )
 

@@ -123,13 +123,10 @@ def mu_min_batch(rho_tildes) -> np.ndarray:
     return herm_eigen_batch(rho_tildes)[0][:, 0]
 
 
-def _outcome(mat: np.ndarray) -> SpaOutcome:
-    return SpaOutcome(rho_tilde=DensityMatrix(mat=mat), mu_min=float(mu_min_batch(mat[None])[0]))
-
-
 def spa_pt_affine(rho: DensityMatrix) -> SpaOutcome:
-    """Canonical SPA-PT: rho_tilde = (1/9) rho^{T_B} + (2/9) I."""
-    return _outcome(spa_pt_affine_batch(rho.mat[None])[0])
+    """Canonical SPA-PT of one state: rho_tilde = (1/9) rho^{T_B} + (2/9) I."""
+    mat = spa_pt_affine_batch(rho.mat[None])[0]
+    return SpaOutcome(rho_tilde=DensityMatrix(mat=mat), mu_min=float(mu_min_batch(mat[None])[0]))
 
 
 def _apply_product_map(rho_mat: np.ndarray, map_a, map_b) -> np.ndarray:
@@ -194,11 +191,6 @@ def spa_pt_compositional_batch(rhos) -> np.ndarray:
     return out
 
 
-def spa_pt_compositional(rho: DensityMatrix) -> SpaOutcome:
-    """SPA-PT via the measurement-based maps: (1/3)(I x T~) + (2/3)(Theta~ x D)."""
-    return _outcome(spa_pt_compositional_batch(rho.mat[None])[0])
-
-
 def spa_pt_paper_entries_batch(rhos) -> np.ndarray:
     """SPA-PT of each state in an (N, 4, 4) stack, built verbatim from the
     published per-entry formulas.
@@ -225,17 +217,6 @@ def spa_pt_paper_entries_batch(rhos) -> np.ndarray:
     i, j = np.tril_indices(4, -1)
     e[:, i, j] = e[:, j, i].conj()
     return e
-
-
-def spa_pt_paper_entries(rho: DensityMatrix) -> SpaOutcome:
-    """SPA-PT from the published per-entry formulas; see spa_pt_paper_entries_batch.
-
-    The output is returned whether or not it is a valid state; mu_min is the
-    least eigenvalue of its Hermitian part.
-    """
-    e = spa_pt_paper_entries_batch(rho.mat[None])[0]
-    mu = mu_min_batch(((e + e.conj().T) / 2)[None])[0]
-    return SpaOutcome(rho_tilde=DensityMatrix(mat=e), mu_min=float(mu))
 
 
 @functools.cache

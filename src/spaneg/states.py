@@ -43,9 +43,9 @@ class StateValidationError(ValueError):
 class DensityMatrix:
     """A validated 4x4 two-qubit density operator.
 
-    Construct via validate() / the family constructors rather than directly;
-    mat is Hermitian within 1e-9, unit trace within 1e-9, and PSD within
-    the clamp tolerance.
+    Construct via validate(), from_spec(), bell_state() or load_state() rather
+    than directly; mat is Hermitian within 1e-9, unit trace within 1e-9, and
+    PSD within the clamp tolerance.
     """
 
     mat: np.ndarray
@@ -192,16 +192,11 @@ def pure_from_vectors(v) -> np.ndarray:
     return v[:, :, None] * v.conj()[:, None, :]
 
 
-def pure_from_vector(v) -> DensityMatrix:
-    """Rank-1 projector |v><v| from a normalized 4-amplitude vector; see pure_from_vectors."""
-    return DensityMatrix(mat=pure_from_vectors(np.asarray(v, dtype=complex).reshape(1, 4))[0])
-
-
 def bell_state(index: int) -> DensityMatrix:
     """One of the four Bell-state projectors; index 0..3 is phi+, phi-, psi+, psi-."""
     if index not in (0, 1, 2, 3):
         raise ValueError(f"bell index must be 0..3, got {index}")
-    return pure_from_vector(_BELL_VECTORS[index])
+    return DensityMatrix(mat=pure_from_vectors(_BELL_VECTORS[index][None])[0])
 
 
 # Each family's parameter name, as its range errors print it.
@@ -213,9 +208,9 @@ def family_batch(family: str, params) -> np.ndarray:
 
     family is "pure_m", "horodecki" or "quasi".  Each entry is the family's
     formula applied elementwise, so state i does not depend on the other
-    parameters; family_pure_m, family_horodecki and family_quasi are the
-    N = 1 wrappers.  A parameter outside [0, 1] raises ValueError, naming the
-    first such index of a stack of more than one.
+    parameters; from_spec builds one state as the stack of one parameter.  A
+    parameter outside [0, 1] raises ValueError, naming the first such index
+    of a stack of more than one.
     """
     if family not in _FAMILY_PARAM:
         raise ValueError(f"family_batch supports {sorted(_FAMILY_PARAM)}, got {family!r}")
@@ -241,43 +236,20 @@ def family_batch(family: str, params) -> np.ndarray:
         mat[:, 2, 2] = 1.0 - x
         mat[:, 1, 2] = mat[:, 2, 1] = c
     else:
-        # quasi: (C/2)(|00> + |11>)(<00| + <11|) + (1-C)|01><01|
+        # quasi: (C/2)(|00> + |11>)(<00| + <11|) + (1-C)|01><01|, concurrence C
         mat[:, 0, 0] = mat[:, 3, 3] = mat[:, 0, 3] = mat[:, 3, 0] = x / 2.0
         mat[:, 1, 1] = 1.0 - x
     return mat
 
 
-def family_pure_m(m_param: float) -> DensityMatrix:
-    """Pure entangled family: M|01><01| + sqrt(M(1-M))(|01><10| + h.c.) + (1-M)|10><10|."""
-    return DensityMatrix(mat=family_batch("pure_m", [m_param])[0])
-
-
-def family_horodecki(p: float) -> DensityMatrix:
-    """Horodecki mixed family: p|psi+><psi+| + (1-p)|00><00|."""
-    return DensityMatrix(mat=family_batch("horodecki", [p])[0])
-
-
-def family_quasi(c: float) -> DensityMatrix:
-    """Rank-2 quasi-distillable family; the parameter equals the state's concurrence."""
-    return DensityMatrix(mat=family_batch("quasi", [c])[0])
-
-
-def random_pure(rng) -> DensityMatrix:
-    """Haar-random pure state: 4 complex standard normals, normalized, projected.
-
-    rng is a numpy Generator (or a seed acceptable to default_rng); the
-    output is deterministic per generator state.
-    """
-    return DensityMatrix(mat=random_pure_batch(rng, 1)[0])
-
-
 def random_pure_batch(rng, count: int) -> np.ndarray:
     """Stack of `count` Haar-random pure states, shape (count, 4, 4).
 
-    One standard-normal draw of shape (count, 2, 4) holds the 4 real and then
-    the 4 imaginary parts of each vector, so state i is bitwise the state of
-    the i-th of `count` sequential draws of 4 real and 4 imaginary parts,
-    each vector normalized on its own.
+    rng is a numpy Generator (or a seed acceptable to default_rng).  One
+    standard-normal draw of shape (count, 2, 4) holds the 4 real and then the
+    4 imaginary parts of each vector, each normalized on its own, so state i
+    is bitwise the state of the i-th of `count` sequential
+    random_pure_batch(rng, 1) draws.
     """
     rng = np.random.default_rng(rng)
     return pure_from_normals(rng.standard_normal((count, 2, 4)))
@@ -289,17 +261,14 @@ def pure_from_normals(x) -> np.ndarray:
     return pure_from_vectors(v / row_norm(v)[:, None])
 
 
-def random_mixed(rng, rank: int = 4) -> DensityMatrix:
-    """Ginibre-induced random mixed state G G^dag / Tr(G G^dag), G 4 x rank."""
-    return DensityMatrix(mat=random_mixed_batch(rng, 1, rank)[0])
-
-
 def random_mixed_batch(rng, count: int, rank: int = 4) -> np.ndarray:
-    """Stack of `count` Ginibre random density matrices, shape (count, 4, 4).
+    """Stack of `count` Ginibre random density matrices G G^dag / Tr(G G^dag),
+    G 4 x rank, shape (count, 4, 4).
 
     One standard-normal draw of shape (count, 2, 4, rank) holds the real and
     imaginary parts of each G in turn, so matrix i is bitwise identical to the
-    i-th of `count` sequential random_mixed draws from the same generator.
+    i-th of `count` sequential random_mixed_batch(rng, 1, rank) draws from the
+    same generator.
     """
     if rank not in (1, 2, 3, 4):
         raise ValueError(f"rank must be 1..4, got {rank}")
@@ -326,7 +295,8 @@ def load_state(path) -> DensityMatrix:
         payload = json.loads(Path(path).read_text())
         re = np.asarray(payload["re"], dtype=float)
         im = np.asarray(payload["im"], dtype=float)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    # json.loads raises RecursionError on a deeply nested file.
+    except (OSError, json.JSONDecodeError, RecursionError, KeyError, TypeError, ValueError) as exc:
         raise StateValidationError([f"unreadable state file {path}: {exc}"]) from exc
     if re.shape != (4, 4) or im.shape != (4, 4):
         raise StateValidationError(
@@ -345,10 +315,6 @@ def from_spec(kind: str, param: float | None = None) -> DensityMatrix:
         return bell_state(int(index))
     if param is None:
         raise ValueError(f"family {kind!r} requires a parameter")
-    if kind == "pure_m":
-        return family_pure_m(param)
-    if kind == "horodecki":
-        return family_horodecki(param)
-    if kind == "quasi":
-        return family_quasi(param)
-    raise ValueError(f"unknown state family {kind!r}")
+    if kind not in _FAMILY_PARAM:
+        raise ValueError(f"unknown state family {kind!r}")
+    return DensityMatrix(mat=family_batch(kind, [param])[0])

@@ -54,7 +54,7 @@ def ensemble():
 @pytest.fixture(scope="module")
 def pure_ensemble():
     """(N^D, C) of PURE_ENSEMBLE_SIZE random pure states, drawn and measured
-    as one stack: the states of that many sequential random_pure draws."""
+    as one stack: the states of that many sequential one-state random_pure_batch draws."""
     rhos = states.random_pure_batch(np.random.default_rng(ENSEMBLE_SEED + 1), PURE_ENSEMBLE_SIZE)
     return measures.pt_spectrum_batch(rhos)[0], measures.concurrence_wootters_batch(rhos)
 
@@ -131,8 +131,8 @@ def test_criterion_6_spa_channel_integrity(ensemble):
     rng = np.random.default_rng(99)
     max_trace = 0.0
     for _ in range(1000):
-        rho = states.random_mixed(rng)
-        p = states.random_pure(rng).mat
+        rho = states.DensityMatrix(mat=states.random_mixed_batch(rng, 1)[0])
+        p = states.random_pure_batch(rng, 1)[0]
         lhs = np.trace(p @ partial_transpose_b(rho.mat)).real
         rhs = 9 * np.trace(p @ spa.spa_pt_affine(rho).rho_tilde.mat).real - 2
         max_trace = max(max_trace, abs(lhs - rhs))
@@ -168,9 +168,8 @@ def test_criterion_7_compositional_cross_check():
 
 def test_criterion_8_concurrence_suite(ensemble, pure_ensemble):
     grid = np.linspace(0, 1, 11)
-    quasi_dev = max(
-        abs(measures.concurrence_wootters(states.family_quasi(float(c))) - c) for c in grid
-    )
+    quasi = states.family_batch("quasi", grid)
+    quasi_dev = np.abs(measures.concurrence_wootters_batch(quasi) - grid).max()
     pure_nd, pure_conc = pure_ensemble
     pure_dev = np.abs(pure_conc - pure_nd).max()
     verstraete_viol = max(
@@ -182,11 +181,8 @@ def test_criterion_8_concurrence_suite(ensemble, pure_ensemble):
         ),
     )
     quasi_eq_dev = max(
-        abs(
-            measures.negativity_exact(states.family_quasi(float(c)))
-            - measures.verstraete_rhs(float(c))
-        )
-        for c in grid
+        abs(nd - measures.verstraete_rhs(c))
+        for nd, c in zip(measures.pt_spectrum_batch(quasi)[0].tolist(), grid.tolist())
     )
     round_trip = max(
         abs(measures.concurrence_quasi(measures.verstraete_rhs(float(c))) - c) for c in grid
@@ -208,8 +204,8 @@ def test_criterion_8_concurrence_suite(ensemble, pure_ensemble):
 
 def test_criterion_9_shot_noise_protocol():
     t0 = time.perf_counter()
-    rho = states.family_horodecki(0.8)
-    exact = measures.negativity_normalized(spa.spa_pt_affine(rho).mu_min)
+    rho = states.from_spec("horodecki", 0.8)
+    exact = float(measures.negativity_normalized_batch(spa.spa_pt_affine(rho).mu_min))
     est = shotsim.estimate_negativity(rho, 10**5, 200, 42)
     est4 = shotsim.estimate_negativity(rho, 4 * 10**5, 200, 1042)
     elapsed = time.perf_counter() - t0

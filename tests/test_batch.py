@@ -70,11 +70,11 @@ def test_batch_draw_matches_sequential_draws(seed, n, rank):
     stack = ginibre(seed, n, rank)
     rng = np.random.default_rng(seed)
     for i in range(n):
-        assert np.array_equal(stack[i], states.random_mixed(rng, rank=rank).mat)
+        assert np.array_equal(stack[i], states.random_mixed_batch(rng, 1, rank=rank)[0])
 
 
 def inline_pure(v):
-    """|w><w| with w = v / |v| renormalised, as random_pure built it per state."""
+    """|w><w| with w = v / |v| renormalised, as random_pure_batch builds each state."""
     w = v / np.linalg.norm(v)
     w = w / np.linalg.norm(w)
     return np.outer(w, w.conj())
@@ -124,7 +124,7 @@ def test_paper_entries_batch_matches_per_state_formulas(seed, n, rank):
     stack = ginibre(seed, n, rank)
     batch = spa.spa_pt_paper_entries_batch(stack)
     for i in range(n):
-        one = spa.spa_pt_paper_entries(states.DensityMatrix(mat=stack[i])).rho_tilde.mat
+        one = spa.spa_pt_paper_entries_batch(stack[i : i + 1])[0]
         assert batch[i].tobytes() == one.tobytes() == inline_paper_entries(stack[i]).tobytes()
 
 
@@ -267,7 +267,7 @@ class TestBoundary:
 
     def test_scalar_mu_message_has_no_index(self):
         with pytest.raises(ValueError, match=r"^mu_min 0.3 outside \[1/6, 1/4\]$"):
-            measures.negativity_normalized(0.3)
+            measures.negativity_normalized_batch(0.3)
 
     def test_invalid_compositional_output_is_named(self, monkeypatch):
         real = spa.superoperator("compositional")
@@ -293,9 +293,9 @@ class TestBoundary:
         with pytest.raises(ValueError, match=r"^vector 1 of 5: zero vector"):
             states.pure_from_vectors(v)
         with pytest.raises(ValueError, match=r"^zero vector cannot define a pure state$"):
-            states.pure_from_vector(np.zeros(4))
+            states.pure_from_vectors(np.zeros((1, 4)))
         with pytest.raises(ValueError, match=r"^vector norm nan deviates"):
-            states.pure_from_vector([np.nan, 0, 0, 0])
+            states.pure_from_vectors([[np.nan, 0, 0, 0]])
         assert states.pure_from_vectors(np.zeros((0, 4))).shape == (0, 4, 4)
         with pytest.raises(ValueError, match=r"is not \(N, 4\)"):
             states.pure_from_vectors(np.ones(4))
@@ -317,19 +317,22 @@ class TestBoundary:
             measures.concurrence_wootters_batch(np.zeros((2, 4, 3)))
 
 
-def test_random_study_rows_match_per_state_reports():
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_random_study_rows_match_per_state_reports(rank):
+    # full_report of each state of one-state draws is the oracle of the
+    # chunked batch_report rows, bit for bit and type for type.
     count = cli.STUDY_CHUNK + 7
-    chunks = list(cli.random_study_rows(count, seed=13, rank=3))
+    chunks = list(cli.random_study_rows(count, seed=13, rank=rank))
     assert [len(rows) for rows, _ in chunks] == [cli.STUDY_CHUNK, 7]
     rows = [row for chunk, _ in chunks for row in chunk]
     summary = chunks[-1][1]
     rng = np.random.default_rng(13)
     for i, row in enumerate(rows):
-        rho = states.random_mixed(rng, rank=3)
+        rho = states.DensityMatrix(mat=states.random_mixed_batch(rng, 1, rank=rank)[0])
         rep = measures.full_report(rho)
         lam = np.linalg.eigvalsh(linalg.partial_transpose_b(rho.mat))
         neg = int((lam < -linalg.RESIDUAL_TOL).sum())
-        expected = (i, 3, rep.nd, rep.nn, rep.mu_min, rep.concurrence, rep.ppt, neg)
+        expected = (i, rank, rep.nd, rep.nn, rep.mu_min, rep.concurrence, rep.ppt, neg)
         assert row == expected
         assert [type(x) for x in row] == [type(x) for x in expected]
     assert summary["max_neg_pt_eigs"] <= 1
@@ -343,10 +346,8 @@ def test_sweep_rows_match_per_state_loop(family):
     rows = [row for chunk in cli.sweep_rows(family, points) for row in chunk]
     assert len(rows) == points
     for row, value in zip(rows, np.linspace(0.0, 1.0, points)):
-        rho = states.from_spec(family, float(value))
-        nd = measures.negativity_exact(rho)
-        mu = spa.spa_pt_affine(rho).mu_min
-        nn = measures.negativity_normalized(mu)
+        rep = measures.full_report(states.from_spec(family, float(value)))
+        nd, mu, nn = rep.nd, rep.mu_min, rep.nn
         nd_cf = curves.ND_CLOSED[family](float(value))
         expected = (float(value), nd, nd_cf, mu, nn, curves.NN_CLOSED[family](nd_cf), abs(nn - nd))
         assert row == expected
@@ -355,16 +356,16 @@ def test_sweep_rows_match_per_state_loop(family):
 
 def per_state_residuals(seed, n_states):
     """The per-state loop spa-verify ran before it was chunked: alternating
-    random_mixed / random_pure draws, the partial transpose built twice.  The
+    one-state Ginibre and pure draws, the partial transpose built twice.  The
     pure state is built inline, independent of the stacked states code."""
     rng = np.random.default_rng(seed)
     max_dev = 0.0
     max_trace_rel = 0.0
     for _ in range(n_states):
-        rho = states.random_mixed(rng)
+        rho = states.DensityMatrix(mat=states.random_mixed_batch(rng, 1)[0])
         affine = spa.spa_pt_affine(rho)
-        comp = spa.spa_pt_compositional(rho)
-        max_dev = max(max_dev, float(np.abs(affine.rho_tilde.mat - comp.rho_tilde.mat).max()))
+        comp = spa.spa_pt_compositional_batch(rho.mat[None])[0]
+        max_dev = max(max_dev, float(np.abs(affine.rho_tilde.mat - comp).max()))
         phi = inline_pure(rng.standard_normal(4) + 1j * rng.standard_normal(4))
         lhs = np.trace(phi @ np.asarray(spa.partial_transpose_b(rho.mat))).real
         rhs = 9.0 * np.trace(phi @ affine.rho_tilde.mat).real - 2.0
@@ -391,10 +392,11 @@ def per_point_literal_grid(family, mu_cf, grid):
     max_mu = 0.0
     for value in np.linspace(0.0, 1.0, grid):
         rho = states.from_spec(family, float(value))
-        literal = spa.spa_pt_paper_entries(rho)
+        literal = spa.spa_pt_paper_entries_batch(rho.mat[None])
+        literal_mu = float(spa.mu_min_batch((literal + literal.conj().swapaxes(1, 2)) / 2)[0])
         affine = spa.spa_pt_affine(rho)
-        max_lit = max(max_lit, float(np.abs(literal.rho_tilde.mat - affine.rho_tilde.mat).max()))
-        max_mu = max(max_mu, abs(literal.mu_min - mu_cf(float(value))))
+        max_lit = max(max_lit, float(np.abs(literal[0] - affine.rho_tilde.mat).max()))
+        max_mu = max(max_mu, abs(literal_mu - mu_cf(float(value))))
     return max_lit, max_mu
 
 
@@ -413,9 +415,8 @@ def test_spa_verify_runs_no_per_state_path(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("spa-verify reached a per-state function")
 
-    for module, name in [(states, "pure_from_vector"), (states, "random_pure"),
-                         (states, "validate"), (states, "from_spec"),
-                         (spa, "spa_pt_paper_entries"), (spa, "spa_pt_affine")]:
+    for module, name in [(states, "bell_state"), (states, "validate"), (states, "from_spec"),
+                         (spa, "spa_pt_affine"), (measures, "full_report")]:
         monkeypatch.setattr(module, name, refuse)
     assert cli.spa_verify_report(seed=1) == expected
 
@@ -436,7 +437,7 @@ def test_spa_verify_makes_no_validation_eigensolve(monkeypatch):
 
 @pytest.mark.parametrize("shots", [1, 1000])
 def test_estimate_matches_per_trial_scalar_path(shots):
-    rho = states.family_horodecki(0.8)
+    rho = states.from_spec("horodecki", 0.8)
     trials = 40
     est = shotsim.estimate_negativity(rho, shots, trials, 5)
     f_true = measures.favg_from_mu(spa.spa_pt_affine(rho).mu_min)
@@ -446,7 +447,7 @@ def test_estimate_matches_per_trial_scalar_path(shots):
         mu_raw = 15.0 * favg / 8.0 - 47.0 / 72.0
         mu = min(max(mu_raw, spa.MU_MIN_LO), spa.MU_MIN_HI)
         clamped += mu != mu_raw
-        nn.append(measures.negativity_normalized(mu))
+        nn.append(float(measures.negativity_normalized_batch(mu)))
     assert est.clamp_count == clamped
     assert est.mean_nn == float(np.mean(nn))
     assert est.nn_hat == nn[0]

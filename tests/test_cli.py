@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from spaneg import cli, measures, shotsim
-from spaneg.states import family_horodecki, random_mixed, save_state
+from spaneg.states import DensityMatrix, from_spec, random_mixed_batch, save_state
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -68,6 +68,15 @@ class TestExitCodes:
         assert out == "" and f"unreadable state file {path}" in err
         assert os.listdir(tmp_path) == ["a_directory"]
 
+    def test_deeply_nested_state_file_is_input_error(self, tmp_path, capsys):
+        # json.loads of 100 000 nested arrays raises RecursionError.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        assert cli.run(["analyze", "--state", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"unreadable state file {path}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("out", ["missing/x.json", "a_directory"])
     def test_unwritable_out_path_is_usage_error(self, tmp_path, capsys, out):
         # A parent directory that does not exist cannot hold the partial
@@ -123,7 +132,7 @@ class TestAnalyze:
 
     def test_state_file(self, tmp_path):
         path = tmp_path / "h.json"
-        save_state(family_horodecki(0.5), path)
+        save_state(from_spec("horodecki", 0.5), path)
         code, text = run_to_file(tmp_path, ["analyze", "--state", str(path)])
         assert code == 0
         assert json.loads(text)["mu_min"] == pytest.approx(0.2107162899340807, abs=1e-12)
@@ -135,7 +144,7 @@ class TestAnalyze:
         "horodecki 0.3": "40f238854f6daf86fb4a2519b347b8bdc617c2c9b8c6ef4e281e687fd373b216",
         "quasi 0.6": "0c0ed5ccbef106811d04c789c1ef56c0ac06baec386c7def552dc2ce0a2cb515",
         "bell 2": "e2b51f39e8c756854ba6fb9d535d11ac7842587c95048d349039e2039ef00304",
-        # save_state(random_mixed(default_rng(5)))
+        # save_state of random_mixed_batch(default_rng(5), 1)[0]
         "state file": "2e84b08e13afe8089b52bc1af66c63d549d4c7e5a2e39842471d2e117fa78b6e",
     }
 
@@ -143,7 +152,7 @@ class TestAnalyze:
     def test_golden_bytes(self, tmp_path, case):
         if case == "state file":
             path = tmp_path / "f.json"
-            save_state(random_mixed(np.random.default_rng(5)), path)
+            save_state(DensityMatrix(mat=random_mixed_batch(np.random.default_rng(5), 1)[0]), path)
             argv = ["analyze", "--state", str(path)]
         else:
             family, param = case.split()
@@ -159,7 +168,7 @@ class TestSharedParser:
 
     def test_no_state_leaks_between_calls(self, tmp_path, capsys):
         path = tmp_path / "f.json"
-        save_state(family_horodecki(0.5), path)
+        save_state(from_spec("horodecki", 0.5), path)
         sequence = [
             ["analyze", "--state", str(path)],
             ["analyze", "--family", "horodecki", "--param", "0.3"],
@@ -410,6 +419,22 @@ class TestSimulate:
 
     def test_bad_counts(self, capsys):
         assert cli.run(["simulate", "--family", "bell", "--shots", "0"]) == 1
+
+    # SHA-256 of `simulate --shots 1000 --trials 40 --seed 3`, recorded while
+    # estimate_negativity still called the per-state negativity_normalized.
+    GOLDEN = {
+        "bell": "8806464e7c107ce17a5092c56a7a0431f3ce7b1a13af8043ea5e1cbadab4e6d8",
+        "horodecki 0.8": "b7a067bd12537ba2d6878562b92d45e43d15d3b9b5cca9acf88213838a6284ec",
+    }
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_golden_bytes(self, tmp_path, case):
+        family, *param = case.split()
+        argv = ["simulate", "--family", family, *(["--param", *param] if param else []),
+                "--shots", "1000", "--trials", "40", "--seed", "3"]
+        code, text = run_to_file(tmp_path, argv)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN[case]
 
 
 class _Reached(Exception):

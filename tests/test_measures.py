@@ -5,15 +5,15 @@ from spaneg import measures
 from spaneg.linalg import SIGMA_Y
 from spaneg.measures import (
     concurrence_quasi,
-    concurrence_wootters,
+    concurrence_wootters_batch,
     estimator_bias,
     favg_from_mu,
     full_report,
     ls_upper_bound,
     mu_from_favg,
-    negativity_exact,
     negativity_lower_bound,
-    negativity_normalized,
+    negativity_normalized_batch,
+    pt_spectrum_batch,
     verstraete_rhs,
     witness_pair,
 )
@@ -21,12 +21,11 @@ from spaneg.spa import spa_pt_affine
 from spaneg.states import (
     DensityMatrix,
     bell_state,
-    family_horodecki,
-    family_pure_m,
-    family_quasi,
-    pure_from_vector,
-    random_mixed,
-    random_pure,
+    family_batch,
+    from_spec,
+    pure_from_vectors,
+    random_mixed_batch,
+    random_pure_batch,
     validate,
 )
 
@@ -40,14 +39,14 @@ NN_H05 = 0.20662237539783593
 
 class TestNegativityExact:
     def test_bell(self):
-        assert negativity_exact(bell_state(0)) == pytest.approx(1.0, abs=1e-12)
+        assert pt_spectrum_batch(bell_state(0).mat[None])[0][0] == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed(self):
-        assert negativity_exact(validate(np.eye(4) / 4)) == 0.0
+        assert pt_spectrum_batch(validate(np.eye(4) / 4).mat[None])[0][0] == 0.0
 
     @pytest.mark.parametrize("m,expected", [(0.5, 1.0), (0.2, 0.8)])
     def test_pure_m_closed_form(self, m, expected):
-        assert negativity_exact(family_pure_m(m)) == pytest.approx(expected, abs=1e-12)
+        assert pt_spectrum_batch(family_batch("pure_m", [m]))[0][0] == pytest.approx(expected, abs=1e-12)
 
 
 class TestLowerBound:
@@ -62,55 +61,54 @@ class TestLowerBound:
 
 class TestNormalizedNegativity:
     def test_maximal(self):
-        assert negativity_normalized(1 / 6) == pytest.approx(1.0, abs=1e-15)
+        assert negativity_normalized_batch(1 / 6) == pytest.approx(1.0, abs=1e-15)
 
     def test_threshold(self):
-        assert negativity_normalized(2 / 9) == 0.0
+        assert negativity_normalized_batch(2 / 9) == 0.0
 
     def test_horodecki_half(self):
-        assert negativity_normalized(MU_H05) == pytest.approx(NN_H05, abs=1e-14)
+        assert negativity_normalized_batch(MU_H05) == pytest.approx(NN_H05, abs=1e-14)
 
     def test_strictly_decreasing(self):
-        grid = np.linspace(1 / 6, 2 / 9, 200)
-        vals = [negativity_normalized(float(mu)) for mu in grid]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
+        vals = negativity_normalized_batch(np.linspace(1 / 6, 2 / 9, 200))
+        assert (np.diff(vals) < 0).all()
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            negativity_normalized(0.3)
+            negativity_normalized_batch(0.3)
 
 
 class TestConcurrence:
     def test_bell(self):
-        assert concurrence_wootters(bell_state(0)) == pytest.approx(1.0, abs=1e-10)
+        assert concurrence_wootters_batch(bell_state(0).mat[None])[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_product_state(self):
         a = np.array([0.6, 0.8], dtype=complex)
         b = np.array([1 / np.sqrt(2), 1j / np.sqrt(2)])
-        rho = pure_from_vector(np.kron(a, b))
+        rhos = pure_from_vectors([np.kron(a, b)])
         # square roots amplify ~1e-16 eigenvalue noise to ~1e-10
-        assert concurrence_wootters(rho) == pytest.approx(0.0, abs=1e-9)
+        assert concurrence_wootters_batch(rhos)[0] == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize("c", [round(0.1 * k, 1) for k in range(1, 11)])
     def test_quasi_family(self, c):
-        assert concurrence_wootters(family_quasi(c)) == pytest.approx(c, abs=1e-10)
+        assert concurrence_wootters_batch(family_batch("quasi", [c]))[0] == pytest.approx(c, abs=1e-10)
 
     def test_matches_nonhermitian_product_oracle(self):
         # Same spectrum as rho (sy x sy) rho* (sy x sy) diagonalized directly.
         syy = np.kron(SIGMA_Y, SIGMA_Y)
-        rng = np.random.default_rng(31)
-        for _ in range(100):
-            rho = random_mixed(rng)
-            lam = np.sort(np.linalg.eigvals(rho.mat @ syy @ rho.mat.conj() @ syy).real)
+        rhos = random_mixed_batch(np.random.default_rng(31), 100)
+        for rho, conc in zip(rhos, concurrence_wootters_batch(rhos)):
+            lam = np.sort(np.linalg.eigvals(rho @ syy @ rho.conj() @ syy).real)
             l = np.sqrt(np.maximum(lam, 0.0))[::-1]
             oracle = max(0.0, l[0] - l[1] - l[2] - l[3])
-            assert concurrence_wootters(rho) == pytest.approx(oracle, abs=1e-9)
+            assert conc == pytest.approx(oracle, abs=1e-9)
 
     def test_pure_state_specialization(self):
-        mu = spa_pt_affine(family_pure_m(0.25)).mu_min
-        assert full_report(family_pure_m(0.25)).concurrence_pure_est == negativity_normalized(mu)
+        rho = from_spec("pure_m", 0.25)
+        mu = spa_pt_affine(rho).mu_min
+        assert full_report(rho).concurrence_pure_est == negativity_normalized_batch(mu)
         assert full_report(bell_state(0)).concurrence_pure_est == pytest.approx(1.0, abs=1e-12)
-        assert full_report(family_horodecki(0.5)).concurrence_pure_est is None
+        assert full_report(from_spec("horodecki", 0.5)).concurrence_pure_est is None
 
 
 class TestQuasiRelations:
@@ -159,10 +157,10 @@ class TestVerstraete:
         assert verstraete_rhs(c) == np.sqrt((1.0 - c) ** 2 + c**2) - (1.0 - c)
 
     def test_inequality_on_random_states(self):
-        rng = np.random.default_rng(32)
-        for _ in range(2000):
-            rho = random_mixed(rng)
-            assert negativity_exact(rho) >= verstraete_rhs(concurrence_wootters(rho)) - 1e-10
+        rhos = random_mixed_batch(np.random.default_rng(32), 2000)
+        nd = pt_spectrum_batch(rhos)[0]
+        for n, c in zip(nd.tolist(), concurrence_wootters_batch(rhos).tolist()):
+            assert n >= verstraete_rhs(c) - 1e-10
 
 
 class TestWitness:
@@ -182,7 +180,7 @@ class TestWitness:
         rng = np.random.default_rng(33)
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         pair = witness_pair(v / np.linalg.norm(v))
-        rho = random_mixed(rng).mat
+        rho = random_mixed_batch(rng, 1)[0]
         lhs = np.trace(pair.w_tilde @ rho).real
         rhs = 2 / 9 * np.trace(np.outer(pair.phi, pair.phi.conj()) @ rho).real + (7 / 36 - 4 / 81)
         assert abs(lhs - rhs) < 1e-12
@@ -207,6 +205,12 @@ class TestWitness:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             witness_pair([1, 1, 0, 0])
+
+    @pytest.mark.parametrize("first, shown", [(np.nan, "nan"), (np.inf, "inf"), (1.1, "1.100000000")])
+    def test_rejects_a_norm_off_one_or_non_finite(self, first, shown):
+        # A NaN norm fails every comparison; the check must still reject it.
+        with pytest.raises(ValueError, match=rf"^witness vector norm {shown} deviates from 1$"):
+            witness_pair([first, 0, 0, 0])
 
 
 class TestFidelityLink:
@@ -245,17 +249,17 @@ def reference_only_quasi_match(rho, tol=1e-9):
     c = 2.0 * float(rho.mat[0, 0].real)
     if not -tol <= c <= 1.0 + tol:
         return False
-    ref = family_quasi(min(max(c, 0.0), 1.0)).mat
+    ref = family_batch("quasi", [min(max(c, 0.0), 1.0)])[0]
     return bool(np.abs(rho.mat - ref).max() <= tol)
 
 
 def test_quasi_match_shortcut_keeps_the_verdict():
     rng = np.random.default_rng(31)
-    mats = [random_mixed(rng).mat for _ in range(20)]
-    mats += [family_horodecki(p).mat for p in np.linspace(0, 1, 13)]
-    mats += [family_pure_m(m).mat for m in np.linspace(0, 1, 13)]
+    mats = list(random_mixed_batch(rng, 20))
+    mats += list(family_batch("horodecki", np.linspace(0, 1, 13)))
+    mats += list(family_batch("pure_m", np.linspace(0, 1, 13)))
     for c in (0.0, 0.3, 1.0):
-        base = family_quasi(c).mat
+        base = family_batch("quasi", [c])[0]
         mats.append(base)
         # Off by less and by more than the tolerance, at (1, 1) and elsewhere;
         # c = 0 and 1 put 2 * rho[0, 0] just outside [0, 1].
@@ -292,29 +296,26 @@ class TestFullReport:
         assert rep.mu_min == pytest.approx(0.25, abs=1e-12)
 
     def test_horodecki_half(self):
-        rep = full_report(family_horodecki(0.5))
+        rep = full_report(from_spec("horodecki", 0.5))
         assert rep.nd == pytest.approx(ND_H05, abs=1e-12)
         assert rep.nn == pytest.approx(NN_H05, abs=1e-12)
         assert rep.mu_min == pytest.approx(MU_H05, abs=1e-12)
         assert rep.bias == pytest.approx(ND_H05 * (1 - ND_H05) / 339, abs=1e-15)
 
     def test_quasi_specialization(self):
-        rep = full_report(family_quasi(0.6))
+        rep = full_report(from_spec("quasi", 0.6))
         assert rep.concurrence_quasi_est == pytest.approx(0.6, abs=1e-10)
 
     def test_universal_relation_sample(self):
-        rng = np.random.default_rng(35)
-        for _ in range(500):
-            rep = full_report(random_mixed(rng))
+        for mat in random_mixed_batch(np.random.default_rng(35), 500):
+            rep = full_report(DensityMatrix(mat=mat))
             assert abs(rep.nn - rep.nd * (338 + rep.nd) / 339) <= 1e-10
             assert 0.0 <= rep.nd - rep.nn + 1e-12
             assert rep.nd - rep.nn <= 1 / 1356 + 1e-12
 
     def test_pure_equality(self):
-        rng = np.random.default_rng(36)
-        for _ in range(500):
-            rho = random_pure(rng)
-            assert concurrence_wootters(rho) == pytest.approx(negativity_exact(rho), abs=1e-9)
+        rhos = random_pure_batch(np.random.default_rng(36), 500)
+        assert np.abs(concurrence_wootters_batch(rhos) - pt_spectrum_batch(rhos)[0]).max() <= 1e-9
 
 
 def test_estimator_bias_formula():

@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spaneg.measures import favg_from_mu, mu_from_favg, negativity_normalized
+from spaneg.measures import favg_from_mu, mu_from_favg, negativity_normalized_batch
 from spaneg.shotsim import _pcg64_states, estimate_negativity, trial_counts
 from spaneg.spa import MU_MIN_HI, MU_MIN_LO, spa_pt_affine
-from spaneg.states import bell_state, family_horodecki, validate
+from spaneg.states import bell_state, from_spec, validate
 
 
 def test_determinism():
-    rho = family_horodecki(0.7)
+    rho = from_spec("horodecki", 0.7)
     a = estimate_negativity(rho, 1000, 20, 5)
     b = estimate_negativity(rho, 1000, 20, 5)
     assert a == b
@@ -33,7 +33,7 @@ def test_favg_concentration_at_large_shots():
 
 
 def test_unbiased_at_fidelity_level():
-    rho = family_horodecki(0.6)
+    rho = from_spec("horodecki", 0.6)
     f_true = favg_from_mu(spa_pt_affine(rho).mu_min)
     shots, trials = 10000, 300
     means = trial_counts(shots, f_true, trials, 0) / shots
@@ -57,30 +57,30 @@ def test_separable_stays_at_zero():
     for i in range(100):
         f_hat = estimate_negativity(rho, 10**5, 1, 9 + i).favg_hat
         mu_hat = min(max(15 / 8 * f_hat - 47 / 72, 1 / 6), 0.25)
-        zero_trials += negativity_normalized(mu_hat) == 0.0
+        zero_trials += negativity_normalized_batch(mu_hat) == 0.0
     assert zero_trials >= 99
 
 
 def test_estimate_fields_consistent():
-    est = estimate_negativity(family_horodecki(0.8), 10**4, 50, 2)
+    est = estimate_negativity(from_spec("horodecki", 0.8), 10**4, 50, 2)
     assert est.mu_hat == pytest.approx(
         min(max(15 / 8 * est.favg_hat - 47 / 72, 1 / 6), 0.25), abs=1e-15
     )
-    assert est.nn_hat == negativity_normalized(est.mu_hat)
+    assert est.nn_hat == negativity_normalized_batch(est.mu_hat)
     assert est.ci95[0] <= est.mean_nn <= est.ci95[1]
     assert est.std_nn >= 0.0
-    assert est.exact_nn == negativity_normalized(spa_pt_affine(family_horodecki(0.8)).mu_min)
+    assert est.exact_nn == negativity_normalized_batch(spa_pt_affine(from_spec("horodecki", 0.8)).mu_min)
 
 
 def test_clt_consistency_against_exact():
-    rho = family_horodecki(0.8)
-    exact = negativity_normalized(spa_pt_affine(rho).mu_min)
+    rho = from_spec("horodecki", 0.8)
+    exact = float(negativity_normalized_batch(spa_pt_affine(rho).mu_min))
     est = estimate_negativity(rho, 10**5, 200, 42)
     assert abs(est.mean_nn - exact) <= 3 * est.std_nn / np.sqrt(200)
 
 
 def test_variance_scaling():
-    rho = family_horodecki(0.8)
+    rho = from_spec("horodecki", 0.8)
     est1 = estimate_negativity(rho, 10**5, 200, 42)
     est4 = estimate_negativity(rho, 4 * 10**5, 200, 1042)
     ratio = est1.std_nn / est4.std_nn
@@ -91,10 +91,10 @@ def test_noise_free_passthrough_matches_pipeline():
     # The fidelity round trip mu -> F -> mu is exact up to float round-off,
     # amplified by |dN/dmu| ~ 18 in the negativity.
     for p in np.linspace(0, 1, 11):
-        rho = family_horodecki(float(p))
-        exact = negativity_normalized(spa_pt_affine(rho).mu_min)
+        rho = from_spec("horodecki", float(p))
+        exact = float(negativity_normalized_batch(spa_pt_affine(rho).mu_min))
         mu = mu_from_favg(favg_from_mu(spa_pt_affine(rho).mu_min))
-        passthrough = negativity_normalized(min(max(mu, MU_MIN_LO), MU_MIN_HI))
+        passthrough = float(negativity_normalized_batch(min(max(mu, MU_MIN_LO), MU_MIN_HI)))
         assert passthrough == pytest.approx(exact, abs=1e-12)
 
 

@@ -17,20 +17,23 @@ from spaneg.spa import (
     S_VECTORS,
     choi_matrix,
     depol_d,
+    mu_min_batch,
     spa_pt_affine,
-    spa_pt_compositional,
-    spa_pt_paper_entries,
+    spa_pt_affine_batch,
+    spa_pt_compositional_batch,
+    spa_pt_paper_entries_batch,
     spa_theta,
     spa_transpose_tilde,
     superoperator,
 )
 from spaneg.states import (
+    DensityMatrix,
     bell_state,
-    family_horodecki,
-    family_pure_m,
-    pure_from_vector,
-    random_mixed,
-    random_pure,
+    family_batch,
+    from_spec,
+    pure_from_vectors,
+    random_mixed_batch,
+    random_pure_batch,
     validate,
     validate_batch,
 )
@@ -136,16 +139,16 @@ class TestAffine:
         assert spa_pt_affine(bell_state(0)).mu_min == pytest.approx(1 / 6, abs=1e-12)
 
     def test_separable_pure(self):
-        rho = pure_from_vector([1, 0, 0, 0])
+        rho = validate(pure_from_vectors([[1, 0, 0, 0]])[0])
         assert spa_pt_affine(rho).mu_min == pytest.approx(2 / 9, abs=1e-12)
 
     def test_pure_m_closed_form(self):
         for m in np.linspace(0, 1, 21):
-            mu = spa_pt_affine(family_pure_m(float(m))).mu_min
+            mu = spa_pt_affine(from_spec("pure_m", float(m))).mu_min
             assert mu == pytest.approx(2 / 9 - np.sqrt(m * (1 - m)) / 9, abs=1e-12)
 
     def test_outcome_fields_consistent(self):
-        out = spa_pt_affine(family_horodecki(0.7))
+        out = spa_pt_affine(from_spec("horodecki", 0.7))
         w, vecs = herm_eigen_batch(out.rho_tilde.mat[None])
         assert out.mu_min == w[0, 0]
         v = vecs[0][:, 0]
@@ -154,17 +157,15 @@ class TestAffine:
         validate(out.rho_tilde.mat)
 
     def test_spectrum_mapping(self):
-        rng = np.random.default_rng(26)
-        for _ in range(100):
-            rho = random_mixed(rng)
+        for mat in random_mixed_batch(np.random.default_rng(26), 100):
+            rho = DensityMatrix(mat=mat)
             lam = np.linalg.eigvalsh(partial_transpose_b(rho.mat))
             mu = herm_eigen_batch(spa_pt_affine(rho).rho_tilde.mat[None])[0][0]
             assert np.abs(mu - (lam / 9 + 2 / 9)).max() <= 1e-10
 
     def test_mu_range_and_npt_equivalence(self):
-        rng = np.random.default_rng(27)
-        for _ in range(500):
-            rho = random_mixed(rng)
+        for mat in random_mixed_batch(np.random.default_rng(27), 500):
+            rho = DensityMatrix(mat=mat)
             mu = spa_pt_affine(rho).mu_min
             assert 1 / 6 - 1e-10 <= mu <= 0.25 + 1e-10
             npt = np.linalg.eigvalsh(partial_transpose_b(rho.mat))[0] < -1e-10
@@ -173,8 +174,8 @@ class TestAffine:
     def test_trace_relation(self):
         rng = np.random.default_rng(28)
         for _ in range(1000):
-            rho = random_mixed(rng)
-            p = random_pure(rng).mat
+            rho = DensityMatrix(mat=random_mixed_batch(rng, 1)[0])
+            p = random_pure_batch(rng, 1)[0]
             lhs = np.trace(p @ partial_transpose_b(rho.mat)).real
             rhs = 9 * np.trace(p @ spa_pt_affine(rho).rho_tilde.mat).real - 2
             assert abs(lhs - rhs) <= 1e-10
@@ -183,24 +184,28 @@ class TestAffine:
 class TestCompositional:
     def test_bell_matches_affine(self):
         a = spa_pt_affine(bell_state(0))
-        c = spa_pt_compositional(bell_state(0))
-        assert abs(a.mu_min - c.mu_min) < 1e-10
-        assert c.mu_min == pytest.approx(1 / 6, abs=1e-12)
+        c_mu = mu_min_batch(spa_pt_compositional_batch(bell_state(0).mat[None]))[0]
+        assert abs(a.mu_min - c_mu) < 1e-10
+        assert c_mu == pytest.approx(1 / 6, abs=1e-12)
 
     def test_horodecki_closed_form(self):
-        for p in np.linspace(0, 1, 11):
-            mu = spa_pt_compositional(family_horodecki(float(p))).mu_min
+        ps = np.linspace(0, 1, 11)
+        mus = mu_min_batch(spa_pt_compositional_batch(family_batch("horodecki", ps)))
+        for p, mu in zip(ps, mus):
             expected = 5 / 18 - p / 18 - np.sqrt(1 - 2 * p + 2 * p**2) / 18
             assert mu == pytest.approx(expected, abs=1e-12)
 
     def test_matches_affine_on_random_states(self):
-        rng = np.random.default_rng(29)
-        for _ in range(100):
-            rho = random_mixed(rng)
-            dev = np.abs(
-                spa_pt_compositional(rho).rho_tilde.mat - spa_pt_affine(rho).rho_tilde.mat
-            ).max()
-            assert dev <= 1e-10
+        rhos = random_mixed_batch(np.random.default_rng(29), 100)
+        dev = np.abs(spa_pt_compositional_batch(rhos) - spa_pt_affine_batch(rhos)).max()
+        assert dev <= 1e-10
+
+
+def literal_of(family, param):
+    """The paper-literal SPA-PT output of one family state, and the least
+    eigenvalue of its Hermitian part."""
+    e = spa_pt_paper_entries_batch(family_batch(family, [param]))
+    return e[0], mu_min_batch((e + e.conj().swapaxes(1, 2)) / 2)[0]
 
 
 class TestPaperLiteral:
@@ -215,9 +220,9 @@ class TestPaperLiteral:
                 [a, 0, 0, 2 / 9],
             ]
         )
-        out = spa_pt_paper_entries(family_pure_m(m))
-        assert np.abs(out.rho_tilde.mat - expected).max() < 1e-14
-        assert out.mu_min == pytest.approx(2 / 9 - a, abs=1e-12)
+        out, mu = literal_of("pure_m", m)
+        assert np.abs(out - expected).max() < 1e-14
+        assert mu == pytest.approx(2 / 9 - a, abs=1e-12)
 
     def test_horodecki_matrix(self):
         p = 0.5
@@ -229,20 +234,20 @@ class TestPaperLiteral:
                 [p / 18, 0, 0, 2 / 9],
             ]
         )
-        out = spa_pt_paper_entries(family_horodecki(p))
-        assert np.abs(out.rho_tilde.mat - expected).max() < 1e-14
+        out, mu = literal_of("horodecki", p)
+        assert np.abs(out - expected).max() < 1e-14
         mu_cf = 5 / 18 - p / 18 - np.sqrt(1 - 2 * p + 2 * p**2) / 18
-        assert out.mu_min == pytest.approx(mu_cf, abs=1e-12)
+        assert mu == pytest.approx(mu_cf, abs=1e-12)
 
     def test_diagonal_state_matches_affine(self):
         rho = validate(np.diag([0.4, 0.3, 0.2, 0.1]))
-        lit = spa_pt_paper_entries(rho)
+        lit = spa_pt_paper_entries_batch(rho.mat[None])[0]
         aff = spa_pt_affine(rho)
-        assert np.abs(lit.rho_tilde.mat - aff.rho_tilde.mat).max() < 1e-14
+        assert np.abs(lit - aff.rho_tilde.mat).max() < 1e-14
 
     def test_output_on_its_family_is_a_valid_state(self):
-        out = spa_pt_paper_entries(family_pure_m(0.5))
-        check = validate_batch(out.rho_tilde.mat[None])
+        out, _ = literal_of("pure_m", 0.5)
+        check = validate_batch(out[None])
         assert check.valid[0] and check.violations(0) == []
 
 

@@ -8,19 +8,24 @@ from hypothesis import strategies as st
 from spaneg import measures, spa, states
 from spaneg.linalg import PSD_CLAMP, VALIDATE_TOL
 from spaneg.states import (
+    FAMILIES,
     StateValidationError,
     bell_state,
-    family_horodecki,
-    family_pure_m,
-    family_quasi,
+    family_batch,
+    from_spec,
     load_state,
-    pure_from_vector,
-    random_mixed,
+    pure_from_vectors,
     random_mixed_batch,
-    random_pure,
+    random_pure_batch,
     save_state,
     validate,
+    validate_batch,
 )
+
+# The three parametric families, with test ids named after the per-family
+# constructors they replaced.
+KINDS = [kind for kind in FAMILIES if kind != "bell"]
+KIND_IDS = [f"family_{kind}" for kind in KINDS]
 
 
 class TestValidate:
@@ -97,7 +102,7 @@ class TestValidate:
             load_state(path)
 
     def test_file_round_trip(self, tmp_path):
-        rho = family_pure_m(0.3)
+        rho = from_spec("pure_m", 0.3)
         path = tmp_path / "state.json"
         save_state(rho, path)
         loaded = load_state(path)
@@ -190,78 +195,81 @@ def test_screen_keeps_the_eigvalsh_verdicts(matrices):
 
 class TestPureFromVector:
     def test_basis_state(self):
-        rho = pure_from_vector([1, 0, 0, 0])
+        mat = pure_from_vectors([[1, 0, 0, 0]])[0]
         expected = np.zeros((4, 4))
         expected[0, 0] = 1
-        assert np.array_equal(rho.mat, expected)
+        assert np.array_equal(mat, expected)
 
     def test_bell_entries(self):
-        rho = pure_from_vector(np.array([1, 0, 0, 1]) / np.sqrt(2))
-        assert np.isclose(rho.mat[0, 0], 0.5)
-        assert np.isclose(rho.mat[0, 3], 0.5)
-        assert np.isclose(rho.mat[3, 3], 0.5)
+        mat = pure_from_vectors([np.array([1, 0, 0, 1]) / np.sqrt(2)])[0]
+        assert np.isclose(mat[0, 0], 0.5)
+        assert np.isclose(mat[0, 3], 0.5)
+        assert np.isclose(mat[3, 3], 0.5)
 
     def test_schmidt_concurrence(self):
         # |v> = a|00> + b|11> has concurrence 2|ab|.
         a, b = 0.6, 0.8
-        rho = pure_from_vector([a, 0, 0, b])
-        assert abs(measures.concurrence_wootters(rho) - 2 * a * b) < 1e-12
+        conc = measures.concurrence_wootters_batch(pure_from_vectors([[a, 0, 0, b]]))[0]
+        assert abs(conc - 2 * a * b) < 1e-12
 
     def test_rejects_zero_and_unnormalized(self):
         with pytest.raises(ValueError):
-            pure_from_vector([0, 0, 0, 0])
+            pure_from_vectors([[0, 0, 0, 0]])
         with pytest.raises(ValueError):
-            pure_from_vector([1, 1, 0, 0])
+            pure_from_vectors([[1, 1, 0, 0]])
 
     def test_renormalizes_small_deviation(self):
         v = np.array([1 + 5e-7, 0, 0, 0])
-        rho = pure_from_vector(v)
-        assert abs(np.trace(rho.mat) - 1) < 1e-12
+        mat = pure_from_vectors([v])[0]
+        assert abs(np.trace(mat) - 1) < 1e-12
 
 
 class TestFamilies:
     def test_pure_m_endpoints(self):
-        assert np.isclose(family_pure_m(0).mat[2, 2], 1.0)
-        assert measures.negativity_exact(family_pure_m(0.5)) == pytest.approx(1.0, abs=1e-12)
+        assert np.isclose(from_spec("pure_m", 0).mat[2, 2], 1.0)
+        nd = measures.pt_spectrum_batch(family_batch("pure_m", [0.5]))[0][0]
+        assert nd == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_m_offdiagonal(self):
-        rho = family_pure_m(0.25)
+        rho = from_spec("pure_m", 0.25)
         assert rho.mat[1, 2] == pytest.approx(np.sqrt(0.1875), abs=1e-15)
 
     def test_horodecki_endpoints(self):
-        assert np.isclose(family_horodecki(0).mat[0, 0], 1.0)
-        assert measures.negativity_exact(family_horodecki(1)) == pytest.approx(1.0, abs=1e-12)
+        assert np.isclose(from_spec("horodecki", 0).mat[0, 0], 1.0)
+        nd = measures.pt_spectrum_batch(family_batch("horodecki", [1]))[0][0]
+        assert nd == pytest.approx(1.0, abs=1e-12)
 
     def test_horodecki_half(self):
-        nd = measures.negativity_exact(family_horodecki(0.5))
+        nd = measures.pt_spectrum_batch(family_batch("horodecki", [0.5]))[0][0]
         assert nd == pytest.approx(np.sqrt(0.5) - 0.5, abs=1e-12)
 
     def test_quasi_endpoints(self):
-        assert np.isclose(family_quasi(0).mat[1, 1], 1.0)
+        assert np.isclose(from_spec("quasi", 0).mat[1, 1], 1.0)
         bell = bell_state(0)
-        assert np.abs(family_quasi(1).mat - bell.mat).max() < 1e-15
+        assert np.abs(from_spec("quasi", 1).mat - bell.mat).max() < 1e-15
 
     def test_quasi_concurrence(self):
-        assert measures.concurrence_wootters(family_quasi(0.5)) == pytest.approx(0.5, abs=1e-10)
+        conc = measures.concurrence_wootters_batch(family_batch("quasi", [0.5]))[0]
+        assert conc == pytest.approx(0.5, abs=1e-10)
 
     def test_horodecki_one_is_maximally_entangled(self):
-        assert measures.concurrence_wootters(family_horodecki(1)) == pytest.approx(1.0, abs=1e-10)
+        conc = measures.concurrence_wootters_batch(family_batch("horodecki", [1]))[0]
+        assert conc == pytest.approx(1.0, abs=1e-10)
 
-    @pytest.mark.parametrize("family", [family_pure_m, family_horodecki, family_quasi])
-    def test_grid_all_valid(self, family):
+    @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
+    def test_grid_all_valid(self, kind):
         for value in np.linspace(0, 1, 101):
-            validate(family(float(value)).mat)
+            validate(from_spec(kind, float(value)).mat)
 
     def test_pure_m_is_rank_one(self):
-        for value in np.linspace(0, 1, 11):
-            lam = np.linalg.eigvalsh(family_pure_m(float(value)).mat)
-            assert lam[-2] <= 1e-10
+        lam = np.linalg.eigvalsh(family_batch("pure_m", np.linspace(0, 1, 11)))
+        assert lam[:, -2].max() <= 1e-10
 
-    @pytest.mark.parametrize("family", [family_pure_m, family_horodecki, family_quasi])
+    @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
     @pytest.mark.parametrize("bad", [-0.01, 1.01])
-    def test_out_of_range_rejected(self, family, bad):
+    def test_out_of_range_rejected(self, kind, bad):
         with pytest.raises(ValueError):
-            family(bad)
+            from_spec(kind, bad)
 
     def test_bell_index_range(self):
         for i in range(4):
@@ -308,12 +316,12 @@ class TestFamilyBatchRange:
         with pytest.raises(ValueError, match=rf"^param 2 of 4: {name} must lie in \[0, 1\], got nan$"):
             states.family_batch(family, [0.0, 0.5, np.nan, 2.0])
 
-    @pytest.mark.parametrize("family, name", [(family_pure_m, "M"), (family_horodecki, "p"),
-                                              (family_quasi, "C")])
+    @pytest.mark.parametrize("kind, name", [("pure_m", "M"), ("horodecki", "p"), ("quasi", "C")],
+                             ids=["family_pure_m-M", "family_horodecki-p", "family_quasi-C"])
     @pytest.mark.parametrize("bad", [-0.01, 1.01, 2, float("nan")])
-    def test_single_state_message_is_unchanged(self, family, name, bad):
+    def test_single_state_message_is_unchanged(self, kind, name, bad):
         with pytest.raises(ValueError) as exc:
-            family(bad)
+            from_spec(kind, bad)
         assert str(exc.value) == f"{name} must lie in [0, 1], got {bad}"
 
     def test_unsupported_family(self):
@@ -324,24 +332,23 @@ class TestFamilyBatchRange:
 class TestRandomStates:
     def test_outputs_valid(self):
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            validate(random_pure(rng).mat)
-            for rank in (1, 2, 3, 4):
-                validate(random_mixed(rng, rank=rank).mat)
+        assert validate_batch(random_pure_batch(rng, 50)).valid.all()
+        for rank in (1, 2, 3, 4):
+            assert validate_batch(random_mixed_batch(rng, 50, rank=rank)).valid.all()
 
     def test_determinism(self):
-        a = random_mixed(np.random.default_rng(123)).mat
-        b = random_mixed(np.random.default_rng(123)).mat
+        a = random_mixed_batch(np.random.default_rng(123), 3)
+        b = random_mixed_batch(np.random.default_rng(123), 3)
         assert np.array_equal(a, b)
-        c = random_pure(np.random.default_rng(123)).mat
-        d = random_pure(np.random.default_rng(123)).mat
+        c = random_pure_batch(np.random.default_rng(123), 3)
+        d = random_pure_batch(np.random.default_rng(123), 3)
         assert np.array_equal(c, d)
 
     def test_batch_matches_sequential(self):
         batch = random_mixed_batch(np.random.default_rng(7), 5)
         rng = np.random.default_rng(7)
         for i in range(5):
-            assert np.array_equal(batch[i], random_mixed(rng).mat)
+            assert np.array_equal(batch[i], random_mixed_batch(rng, 1)[0])
 
     def test_mean_eigenvalue_full_rank(self):
         batch = random_mixed_batch(np.random.default_rng(1), 10000)
@@ -350,12 +357,12 @@ class TestRandomStates:
 
     def test_rank_rejected(self):
         with pytest.raises(ValueError):
-            random_mixed(np.random.default_rng(0), rank=5)
+            random_mixed_batch(np.random.default_rng(0), 1, rank=5)
 
 
 def test_from_spec_dispatch():
     assert np.array_equal(states.from_spec("bell", 2).mat, bell_state(2).mat)
-    assert np.array_equal(states.from_spec("quasi", 0.4).mat, family_quasi(0.4).mat)
+    assert np.array_equal(states.from_spec("quasi", 0.4).mat, per_point_family("quasi", 0.4))
     with pytest.raises(ValueError):
         states.from_spec("pure_m")
     with pytest.raises(ValueError):
