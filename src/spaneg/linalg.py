@@ -19,13 +19,16 @@ VALIDATE_TOL = 1e-9
 RESIDUAL_TOL = 1e-10
 PSD_CLAMP = 1e-10
 
-# Items per stacked chunk wherever many states or shot trials are processed:
-# cli's random_study_rows, random_pair_residuals and sweep_rows, and the seed
-# hashing of shotsim.trial_counts.  Peak memory grows with the chunk faster
-# than speed does: for a 10 000-state study, peak RSS over the per-state loop
-# was +1-3 % at 256, +2-4 % at 1024 (for ~5 % more throughput) and +30 %
-# unchunked.
+# Items per stacked chunk wherever many states are processed: cli's
+# random_study_rows, random_pair_residuals and sweep_rows.  Peak memory grows
+# with the chunk faster than speed does: for a 10 000-state study, peak RSS
+# over the per-state loop was +1-3 % at 256, +2-4 % at 1024 (for ~5 % more
+# throughput) and +30 % unchunked.
 STUDY_CHUNK = 256
+# Shot trials per chunk of shotsim.trial_counts' seed hashing.  Its numpy
+# calls cost ~1 us per trial at 256 and ~0.25 us at 4096, where a chunk's
+# arrays stay under 0.5 MB.
+SEED_CHUNK = 4096
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)

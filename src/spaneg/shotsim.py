@@ -9,11 +9,12 @@ noise of the observable, not photon-level optics.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import STUDY_CHUNK
+from .linalg import SEED_CHUNK
 from .measures import favg_from_mu, fidelity_link, negativity_normalized_batch
 from .spa import MU_MIN_HI, MU_MIN_LO, spa_pt_affine
 from .states import DensityMatrix
@@ -50,7 +51,6 @@ class ShotEstimate:
 # steps take 16 hashmix calls; generate_state(4, np.uint64) makes 8 words.
 _MASK32 = 0xFFFF_FFFF
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
 
 
 def _const_chain(init: int, mult: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -101,44 +101,140 @@ def _seed_state_words(first: int, count: int) -> np.ndarray:
     return (out[0::2] | out[1::2] << np.uint64(32)).T
 
 
-def _pcg64_states(first: int, count: int) -> list[tuple[int, int]]:
-    """PCG64 (state, inc) of np.random.default_rng(first + j) for j < count.
+# 128-bit words as four 32-bit limbs, least significant first, each held in a
+# uint64 so that sums of limb products and carries do not overflow.
+_LIMB = np.uint64(32)
+_LIMB_MASK = np.uint64(_MASK32)
+_PCG_MULT_LIMBS = [np.uint64(_PCG_MULT >> 32 * k & _MASK32) for k in range(4)]
 
-    The words of seeds below 2**128 are hashed in one numpy pass; those of
-    larger seeds come from SeedSequence itself.  Each (state, inc) is
-    pcg_setseq_128_srandom_r seeded with the words' 128-bit halves.
+
+def _limbs(lo: np.ndarray, hi: np.ndarray) -> list[np.ndarray]:
+    """Limbs of the 128-bit words hi << 64 | lo."""
+    return [lo & _LIMB_MASK, lo >> _LIMB, hi & _LIMB_MASK, hi >> _LIMB]
+
+
+def _add(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
+    """Limbs of a + b mod 2**128."""
+    return _carry([x + y for x, y in zip(a, b)])
+
+
+def _carry(columns: list[np.ndarray]) -> list[np.ndarray]:
+    """Limbs of sum(columns[k] << 32k) mod 2**128; each column stays below 2**63."""
+    out, carry = [], np.uint64(0)
+    for column in columns:
+        column = column + carry
+        out.append(column & _LIMB_MASK)
+        carry = column >> _LIMB
+    return out
+
+
+def _mul_pcg(a: list[np.ndarray]) -> list[np.ndarray]:
+    """Limbs of a * _PCG_MULT mod 2**128.
+
+    Limb k of the product collects the low halves of the partial products
+    a[i] * mult[k - i] and the high halves of those of limb k - 1: at most 7
+    terms below 2**32 each.
+    """
+    columns = [np.zeros_like(a[0]) for _ in range(4)]
+    for i in range(4):
+        for j in range(4 - i):
+            prod = a[i] * _PCG_MULT_LIMBS[j]
+            columns[i + j] += prod & _LIMB_MASK
+            if i + j < 3:
+                columns[i + j + 1] += prod >> _LIMB
+    return _carry(columns)
+
+
+def _pcg64_words(first: int, count: int) -> np.ndarray:
+    """PCG64 state of np.random.default_rng(first + j) for j < count, as a (count, 4) uint64 array.
+
+    Row j holds state low, state high, inc low and inc high: the byte layout of
+    numpy's pcg64_random_t on a little-endian build with a native 128-bit
+    integer.  The SeedSequence words of seeds below 2**128 are hashed in one
+    numpy pass; those of larger seeds come from SeedSequence itself.  From the
+    words' 128-bit halves s and i, pcg_setseq_128_srandom_r gives
+    inc = 2 i + 1 and state = (s + inc) * _PCG_MULT + inc, mod 2**128.
     """
     below = min(count, max(0, 2**128 - first))
-    words = _seed_state_words(first, below).tolist() if below else []
-    words += [
-        np.random.SeedSequence(first + j).generate_state(4, np.uint64).tolist()
-        for j in range(below, count)
-    ]
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in words:
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        states.append(((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128, inc))
-    return states
+    seeded = np.empty((count, 4), dtype=np.uint64)  # s hi, s lo, i hi, i lo
+    if below:
+        seeded[:below] = _seed_state_words(first, below)
+    for j in range(below, count):
+        seeded[j] = np.random.SeedSequence(first + j).generate_state(4, np.uint64)
+    s_hi, s_lo, i_hi, i_lo = seeded.T
+    one = np.uint64(1)
+    inc = _limbs(i_lo << one | one, i_hi << one | i_lo >> np.uint64(63))
+    state = _add(_mul_pcg(_add(_limbs(s_lo, s_hi), inc)), inc)
+    words = np.empty((count, 4), dtype=np.uint64)
+    for col, (lo, hi) in enumerate([state[:2], state[2:], inc[:2], inc[2:]]):
+        words[:, col] = lo | hi << _LIMB
+    return words
+
+
+def _state_view(bit_gen: np.random.PCG64) -> memoryview:
+    """Writable bytes of bit_gen's pcg64_random_t, its 128-bit state then inc.
+
+    ctypes.state_address points to numpy's pcg64_state struct, whose first
+    field is the pcg64_random_t pointer.
+    """
+    address = ctypes.c_void_p.from_address(bit_gen.ctypes.state_address).value
+    return memoryview((ctypes.c_char * 32).from_address(address)).cast("B")
+
+
+def _dict_state(s_lo: int, s_hi: int, i_lo: int, i_hi: int) -> dict:
+    """The bit_generator.state dict of a PCG64 at the given words of _pcg64_words."""
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+# Four distinct words (inc odd), so that a swapped or shifted layout shows.
+_PROBE_WORDS = (0xFEDCBA9876543210, 0x0123456789ABCDEF, 0x99AABBCCDDEEFF01, 0x1122334455667788)
+
+
+def _view_sets_state(bit_gen: np.random.PCG64, view: memoryview) -> bool:
+    """True if writing a row of _pcg64_words through `view` sets bit_gen's whole
+    state as the dict setter does.
+
+    The layout is numpy's, not its API: a big-endian build, or one whose
+    pcg128_t is a {high, low} struct, fails this check.
+    """
+    view[:] = np.array(_PROBE_WORDS, dtype=np.uint64).tobytes()
+    reference = np.random.PCG64(0)
+    reference.state = _dict_state(*_PROBE_WORDS)
+    return bit_gen.state == reference.state
 
 
 def trial_counts(shots: int, p: float, trials: int, seed: int) -> np.ndarray:
     """Successes of `trials` runs of `shots` Bernoulli(p) draws, as an int64 array.
 
     Trial i is np.random.default_rng(seed + i).binomial(shots, p), bit for
-    bit: one PCG64 is reused, set to each trial's seeded state in turn, and
-    the seeding is computed STUDY_CHUNK trials at a time.
+    bit.  One PCG64 is reused: the seeded states are computed SEED_CHUNK
+    trials at a time, and each trial writes its 32 bytes of state straight
+    into the generator.  binomial draws only whole 64-bit outputs, so
+    has_uint32 and uinteger keep the 0 that the layout check saw.  If that
+    check fails, each trial sets the same words through the
+    bit_generator.state dict instead.
     """
     bit_gen = np.random.PCG64(0)  # its state is replaced before every draw
-    gen = np.random.Generator(bit_gen)
-    pcg = {"state": 0, "inc": 0}
-    full_state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    binomial = np.random.Generator(bit_gen).binomial
+    view = _state_view(bit_gen)
+    fast = _view_sets_state(bit_gen, view)
     counts = np.empty(trials, dtype=np.int64)
-    for start in range(0, trials, STUDY_CHUNK):
-        seeded = _pcg64_states(seed + start, min(STUDY_CHUNK, trials - start))
-        for i, (state, inc) in enumerate(seeded, start):
-            pcg["state"], pcg["inc"] = state, inc
-            bit_gen.state = full_state
-            counts[i] = gen.binomial(shots, p)
+    for start in range(0, trials, SEED_CHUNK):
+        words = _pcg64_words(seed + start, min(SEED_CHUNK, trials - start))
+        if fast:
+            data = memoryview(words).cast("B")
+            for i, off in enumerate(range(0, data.nbytes, 32), start):
+                view[:] = data[off:off + 32]
+                counts[i] = binomial(shots, p)
+        else:
+            for i, row in enumerate(words.tolist(), start):
+                bit_gen.state = _dict_state(*row)
+                counts[i] = binomial(shots, p)
     return counts
 
 

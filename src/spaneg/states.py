@@ -289,10 +289,33 @@ def save_state(state: DensityMatrix, path) -> None:
     Path(path).write_text(json.dumps(payload, indent=1) + "\n")
 
 
+# Bytes a state file may hold.  A valid one is under 2 KB (32 floats of at
+# most 17 digits), so a larger file is unreadable; reading it whole before
+# parsing would let a huge file or an endless one (a FIFO, a device) take any
+# amount of time and memory.
+MAX_STATE_BYTES = 1 << 20
+# One read of the whole cap would allocate 1 MB for every file: ~20 us more
+# per load_state than a 64 KB read.
+_READ_CHUNK = 1 << 16
+
+
+def _read_capped(path) -> bytes:
+    """The bytes of the file at `path`; ValueError if it holds more than
+    MAX_STATE_BYTES, found by reading at most one byte past them."""
+    chunks, left = [], MAX_STATE_BYTES + 1
+    with open(path, "rb") as f:
+        while left and (chunk := f.read(min(left, _READ_CHUNK))):
+            chunks.append(chunk)
+            left -= len(chunk)
+    if not left:
+        raise ValueError(f"larger than {MAX_STATE_BYTES} bytes")
+    return b"".join(chunks)
+
+
 def load_state(path) -> DensityMatrix:
     """Load and validate a state from the JSON file format of save_state."""
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(_read_capped(path).decode("utf-8"))
         re = np.asarray(payload["re"], dtype=float)
         im = np.asarray(payload["im"], dtype=float)
     # json.loads raises RecursionError on a deeply nested file.

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spaneg import cli, measures, shotsim
+from spaneg import cli, measures, shotsim, states
 from spaneg.states import DensityMatrix, from_spec, random_mixed_batch, save_state
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -76,6 +76,23 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and f"unreadable state file {path}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("extra, code", [(0, 0), (1, 2)])
+    def test_state_file_size_cap(self, tmp_path, capsys, extra, code):
+        # A valid state padded with trailing whitespace to the cap parses; one
+        # byte more is rejected before parsing.
+        path = tmp_path / "big.json"
+        save_state(from_spec("bell"), path)
+        text = path.read_text()
+        path.write_text(text + " " * (states.MAX_STATE_BYTES + extra - len(text)))
+        assert path.stat().st_size == states.MAX_STATE_BYTES + extra
+        assert cli.run(["analyze", "--state", str(path)]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert out == ""
+            assert f"unreadable state file {path}: larger than {states.MAX_STATE_BYTES} bytes" in err
+        else:
+            assert json.loads(out)["nn"] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("out", ["missing/x.json", "a_directory"])
     def test_unwritable_out_path_is_usage_error(self, tmp_path, capsys, out):
@@ -435,6 +452,25 @@ class TestSimulate:
         code, text = run_to_file(tmp_path, argv)
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN[case]
+
+    # SHA-256 of `simulate --shots 1000 --trials 5000 --seed 2**64 - 2000`, recorded
+    # while the seeding was hashed 256 trials at a time and each state was set
+    # through bit_generator.state.  The run spans more than one seed chunk
+    # (shotsim.SEED_CHUNK), and its seeds carry past 2**64.
+    GOLDEN_5000 = {
+        "bell": "237e240db918fe751df30323428a71ff98034acdd6ba63932536fe23e9590d6f",
+        "horodecki 0.8": "2bb5acc6e47cded69135bff0403eb62c713650e7e2ece80f99d8559eb4e2f291",
+    }
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_5000))
+    def test_golden_bytes_across_seed_chunks(self, tmp_path, case):
+        assert 5000 > shotsim.SEED_CHUNK
+        family, *param = case.split()
+        argv = ["simulate", "--family", family, *(["--param", *param] if param else []),
+                "--shots", "1000", "--trials", "5000", "--seed", str(2**64 - 2000)]
+        code, text = run_to_file(tmp_path, argv)
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN_5000[case]
 
 
 class _Reached(Exception):

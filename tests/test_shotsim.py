@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spaneg import shotsim
 from spaneg.measures import favg_from_mu, mu_from_favg, negativity_normalized_batch
-from spaneg.shotsim import _pcg64_states, estimate_negativity, trial_counts
+from spaneg.shotsim import SEED_CHUNK, _pcg64_words, estimate_negativity, trial_counts
 from spaneg.spa import MU_MIN_HI, MU_MIN_LO, spa_pt_affine
 from spaneg.states import bell_state, from_spec, validate
 
@@ -98,30 +99,65 @@ def test_noise_free_passthrough_matches_pipeline():
         assert passthrough == pytest.approx(exact, abs=1e-12)
 
 
+# The oracle tests hash in chunks of SMALL_CHUNK, so that a few hundred trials
+# cross many chunk edges at the cost of a few default_rng calls.
+SMALL_CHUNK = 48
 # Seeds where SeedSequence's entropy gains a uint32 word (2**32, 2**64), where
-# a 256-trial chunk carries into the high 64 bits (2**64 - 128), and where the
-# run crosses into seeds hashed by SeedSequence itself (2**128 - 3).
+# a chunk carries into the high 64 bits (2**64 - 128: the chunk from trial
+# 2 * SMALL_CHUNK = 96 holds seed 2**64), and where the run crosses into seeds
+# hashed by SeedSequence itself (2**128 - 3).
 SEED_EDGES = [0, 2**32 - 1, 2**32, 2**64 - 128, 2**64, 2**128 - 3]
-# 1 and 10 shots draw by inversion, 1000 and 100000 mostly by BTPE; 255-257
-# trials straddle one hashing chunk.
+# 1 and 10 shots draw by inversion, 1000 and 100000 mostly by BTPE; the trial
+# counts straddle one chunk edge or run over several.
 SHOTS = st.sampled_from([1, 10, 1000, 100000])
-TRIALS = st.sampled_from([1, 255, 256, 257])
+TRIALS = st.sampled_from([1, SMALL_CHUNK - 1, SMALL_CHUNK, SMALL_CHUNK + 1, 6 * SMALL_CHUNK + 1])
 
 
 def _default_rng_counts(shots, p, trials, base):
     return [np.random.default_rng(base + i).binomial(shots, p) for i in range(trials)]
 
 
+def _small_chunk_counts(shots, p, trials, base):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shotsim, "SEED_CHUNK", SMALL_CHUNK)
+        return trial_counts(shots, p, trials, base).tolist()
+
+
 @pytest.mark.parametrize("base", SEED_EDGES)
 @settings(max_examples=20)
 @given(shots=SHOTS, trials=TRIALS, p=st.floats(0.0, 1.0))
 def test_trial_counts_are_default_rng_per_trial_at_seed_edges(base, shots, trials, p):
-    assert trial_counts(shots, p, trials, base).tolist() == _default_rng_counts(shots, p, trials, base)
+    assert _small_chunk_counts(shots, p, trials, base) == _default_rng_counts(shots, p, trials, base)
 
 
 @given(base=st.integers(0, 2**130), shots=SHOTS, trials=TRIALS, p=st.floats(0.0, 1.0))
 def test_trial_counts_are_default_rng_per_trial(base, shots, trials, p):
-    assert trial_counts(shots, p, trials, base).tolist() == _default_rng_counts(shots, p, trials, base)
+    assert _small_chunk_counts(shots, p, trials, base) == _default_rng_counts(shots, p, trials, base)
+
+
+@pytest.mark.parametrize("trials", [SEED_CHUNK - 1, SEED_CHUNK + 1])
+def test_trial_counts_at_the_real_chunk(trials):
+    # The first chunk carries past 2**64 halfway; SEED_CHUNK + 1 adds a second chunk.
+    base = 2**64 - SEED_CHUNK // 2
+    assert trial_counts(1000, 0.3, trials, base).tolist() == _default_rng_counts(1000, 0.3, trials, base)
+
+
+def test_failed_layout_check_falls_back_to_the_state_dict(monkeypatch):
+    # Writes through a view of memory the generator does not read leave its
+    # state alone, so the layout check fails and every trial must go through
+    # bit_generator.state: the draws are still default_rng's.
+    spare = bytearray(32)
+    monkeypatch.setattr(shotsim, "_state_view", lambda bit_gen: memoryview(spare))
+    monkeypatch.setattr(shotsim, "SEED_CHUNK", SMALL_CHUNK)
+    assert not shotsim._view_sets_state(np.random.PCG64(0), memoryview(spare))
+    for base in (0, 2**64 - 128, 2**128 - 3):
+        trials = 2 * SMALL_CHUNK + 1
+        assert trial_counts(1000, 0.3, trials, base).tolist() == _default_rng_counts(1000, 0.3, trials, base)
+
+
+def test_layout_check_passes_on_this_build():
+    bit_gen = np.random.PCG64(0)
+    assert shotsim._view_sets_state(bit_gen, shotsim._state_view(bit_gen))
 
 
 def test_pcg64_seeding_is_pinned():
@@ -130,4 +166,5 @@ def test_pcg64_seeding_is_pinned():
     pinned = (48934169112922715694246890610800379348, 159503441853545908714793740543692941767)
     numpy_state = np.random.PCG64(2**32).state["state"]
     assert (numpy_state["state"], numpy_state["inc"]) == pinned, "numpy changed PCG64 seeding"
-    assert _pcg64_states(2**32, 1) == [pinned]
+    s_lo, s_hi, i_lo, i_hi = _pcg64_words(2**32, 1)[0].tolist()
+    assert (s_hi << 64 | s_lo, i_hi << 64 | i_lo) == pinned
