@@ -10,10 +10,14 @@ line endings, and is byte-stable across runs at a fixed seed.
 random-study and sweep write their CSV one chunk of rows at a time, so their
 memory does not grow with the run.  With --out PATH every command writes
 PATH.partial and renames it to PATH only on success: a failed run leaves no
-file, and an earlier PATH is untouched.  On stdout the rows of a failed run
-that were already written stay written; the run exits non-zero and
-random-study's closing '# summary' line is missing, so a random-study CSV
-without it is incomplete.
+file, and an earlier PATH is untouched.  A symlink PATH is followed: the
+partial file is written beside the link's resolved target and renamed onto
+that target, so the link stays.  An existing PATH that is not a regular file
+or a directory (a FIFO, a socket, a device) cannot be replaced by a rename,
+so it is written straight through, and a failed run leaves there what it
+wrote.  On stdout the rows of a failed run that were already written stay
+written; the run exits non-zero and random-study's closing '# summary' line
+is missing, so a random-study CSV without it is incomplete.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import dataclasses
 import functools
 import json
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -70,21 +75,45 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _out_target(out_path) -> tuple[str, bool]:
+    """(path, direct): the file --out writes, a symlink's resolved target or
+    out_path itself, and whether it exists but is neither a regular file nor
+    a directory, so that it is written straight through."""
+    target = out_path
+    try:
+        if stat.S_ISLNK(os.lstat(target).st_mode):
+            target = os.path.realpath(target)
+        mode = os.stat(target).st_mode
+    except OSError:  # missing, or unreachable: creating the partial file reports it
+        return target, False
+    return target, not (stat.S_ISREG(mode) or stat.S_ISDIR(mode))
+
+
 @contextlib.contextmanager
 def _output(out_path):
     """Yield the write function of a run's output: the file at out_path, or stdout.
 
-    A file is written as out_path + ".partial" and renamed onto out_path only
+    A file is written as target + ".partial" and renamed onto the target only
     when the block ends without an exception; otherwise the partial file is
-    deleted, so a failed run leaves no file and an earlier file at out_path
-    untouched.  Text already written to stdout stays written.  A partial file
-    that cannot be created, or a rename that fails, is a UsageError naming
-    --out.
+    deleted, so a failed run leaves no file and an earlier target untouched.
+    The target is out_path, or the resolved target of a symlink out_path.  A
+    FIFO, socket or device target is written straight through instead.  Text
+    already written to stdout stays written.  A partial file that cannot be
+    created, a rename that fails, or a straight-through target that cannot be
+    opened or written is a UsageError naming --out.
     """
     if not out_path:
         yield sys.stdout.write
         return
-    partial = Path(f"{out_path}.partial")
+    target, direct = _out_target(out_path)
+    if direct:
+        try:
+            with open(target, "w", newline="\n") as f:
+                yield f.write
+        except OSError as exc:
+            raise UsageError(f"--out {out_path}: cannot write {target}: {exc.strerror}") from exc
+        return
+    partial = Path(f"{target}.partial")
     try:
         f = open(partial, "w", newline="\n")
     except OSError as exc:
@@ -93,7 +122,7 @@ def _output(out_path):
         with f:
             yield f.write
         try:
-            os.replace(partial, out_path)
+            os.replace(partial, target)
         except OSError as exc:
             raise UsageError(f"--out {out_path}: cannot move {partial} onto it: {exc.strerror}") from exc
     except BaseException:
@@ -116,16 +145,33 @@ def _resolve_state(args) -> states.DensityMatrix:
     return states.from_spec(args.family, args.param)
 
 
-def _report_payload(report: measures.EntanglementReport) -> dict:
-    # A shallow read: every field is a float, a bool or None, so asdict's deep copy buys nothing.
-    fields = ((f.name, getattr(report, f.name)) for f in dataclasses.fields(report))
-    return {k: v for k, v in fields if v is not None}
+# The analyze report as json.dumps(payload, indent=1) prints it, where
+# payload holds every EntanglementReport field that is not None, in field
+# order: json writes a float as repr(float(x)) and a bool as true or false.
+_ANALYZE = (
+    '{\n "nd": %r,\n "nn": %r,\n "lower_bound": %r,\n "concurrence": %r,\n'
+    ' "ppt": %s,\n "mu_min": %r,\n "bias": %r'
+)
+_ANALYZE_PURE = ',\n "concurrence_pure_est": %r'
+_ANALYZE_QUASI = ',\n "concurrence_quasi_est": %r'
+
+
+def _analyze_text(report: measures.EntanglementReport) -> str:
+    text = _ANALYZE % (
+        float(report.nd), float(report.nn), float(report.lower_bound),
+        float(report.concurrence), "true" if report.ppt else "false",
+        float(report.mu_min), float(report.bias),
+    )
+    if report.concurrence_pure_est is not None:
+        text += _ANALYZE_PURE % float(report.concurrence_pure_est)
+    if report.concurrence_quasi_est is not None:
+        text += _ANALYZE_QUASI % float(report.concurrence_quasi_est)
+    return text + "\n}\n"
 
 
 def cmd_analyze(args) -> int:
     rho = _resolve_state(args)
-    report = measures.full_report(rho)
-    _write(json.dumps(_report_payload(report), indent=1) + "\n", args.out)
+    _write(_analyze_text(measures.full_report(rho)), args.out)
     return EXIT_OK
 
 

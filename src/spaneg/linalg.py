@@ -8,6 +8,11 @@ The partial transpose, the Hermitian eigensolve and the PSD root each have
 one implementation over (N, d, d) stacks (the *_batch functions); only the
 partial transpose keeps a per-matrix N = 1 wrapper.  A batch error names the
 index of the first offending matrix.
+
+Each Hermiticity check forms M^dag once: _hermitian_parts returns both the
+defect ||M - M^dag||_max and the Hermitian part (M + M^dag) / 2, and
+check_hermitian returns that part, so the eigensolve behind it and
+states.validate_batch reuse it instead of conjugating M again.
 """
 
 from __future__ import annotations
@@ -75,15 +80,22 @@ def first_index(bad: np.ndarray) -> int | None:
     return i if bad[i] else None
 
 
-def hermiticity_defect(m):
-    """Max-entry deviation from Hermitian symmetry, ||M - M^dag||_max, of a
-    matrix (a float) or of each matrix of an (N, d, d) stack (an array)."""
+def _hermitian_parts(m) -> tuple[np.ndarray, np.ndarray]:
+    """(||M - M^dag||_max, (M + M^dag) / 2) of each matrix of an (N, d, d)
+    stack, from one M^dag."""
     m = np.asarray(m, dtype=complex)
-    asym = np.abs(m - m.conj().swapaxes(-1, -2))
+    mh = m.conj().swapaxes(-1, -2)
+    asym = np.abs(m - mh)
     flat = asym.reshape(asym.shape[:-2] + (asym.shape[-1] ** 2,))
     # Reduce a contiguous (d*d, N) copy: at N = 256 this is ~3x faster than a
     # max over each matrix's trailing (d, d) axes, and it is on the eigh path.
-    return np.ascontiguousarray(flat.T).max(axis=0)
+    return np.ascontiguousarray(flat.T).max(axis=0), (m + mh) / 2
+
+
+def hermiticity_defect(m):
+    """Max-entry deviation from Hermitian symmetry, ||M - M^dag||_max, of a
+    matrix (a float) or of each matrix of an (N, d, d) stack (an array)."""
+    return _hermitian_parts(m)[0]
 
 
 def partial_transpose_batch(m) -> np.ndarray:
@@ -102,17 +114,21 @@ def partial_transpose_b(m) -> np.ndarray:
     return partial_transpose_batch(_as_square(m)[None])[0]
 
 
-def check_hermitian(m) -> None:
-    """Raise NotHermitianError naming the first matrix of an (N, d, d) stack
-    whose ||M - M^dag||_max exceeds VALIDATE_TOL."""
+def check_hermitian(m) -> np.ndarray:
+    """Hermitian part (M + M^dag) / 2 of each matrix of an (N, d, d) stack.
+
+    Raises NotHermitianError naming the first matrix whose ||M - M^dag||_max
+    exceeds VALIDATE_TOL.
+    """
     m = _as_stack(m)
-    defect = hermiticity_defect(m)
+    defect, h = _hermitian_parts(m)
     if defect.max(initial=0.0) > VALIDATE_TOL:
         i = first_index(defect > VALIDATE_TOL)
         raise NotHermitianError(
             f"matrix {i} of {len(m)} is not Hermitian: max asymmetry {defect[i]:.3e} "
             f"exceeds {VALIDATE_TOL:.0e}"
         )
+    return h
 
 
 def herm_eigen_batch(m) -> tuple[np.ndarray, np.ndarray]:
@@ -123,9 +139,7 @@ def herm_eigen_batch(m) -> tuple[np.ndarray, np.ndarray]:
     VALIDATE_TOL.  The strictly Hermitian part is diagonalized, so residuals
     stay at machine precision.
     """
-    m = _as_stack(m)
-    check_hermitian(m)
-    return np.linalg.eigh((m + m.conj().swapaxes(1, 2)) / 2)
+    return np.linalg.eigh(check_hermitian(m))
 
 
 def psd_sqrt_batch(m) -> np.ndarray:

@@ -16,6 +16,12 @@ Negativity, the estimator and Wootters concurrence are computed over
 (N, 4, 4) stacks of states (or (N,) arrays of mu_min) by the *_batch
 functions; full_report, the one per-state entry, calls them on a stack of
 one state.
+
+A report transposes each state once.  That partial transpose feeds two
+separate spectra: eigvalsh of rho^{T_B} gives N^D, and eigh of the SPA-PT
+output (1/9) rho^{T_B} + (2/9) I gives mu_min, so the tightness identity
+N^D = max(0, 4 - 18 mu_min) compares two eigensolves.  full_report takes
+the partial transpose from spa_pt_affine's outcome.
 """
 
 from __future__ import annotations
@@ -35,9 +41,9 @@ from .spa import (
     MU_MIN_HI,
     MU_MIN_LO,
     SEPARABILITY_THRESHOLD,
+    affine_from_pt,
     mu_min_batch,
     spa_pt_affine,
-    spa_pt_affine_batch,
 )
 from .states import DensityMatrix, family_batch
 
@@ -108,7 +114,12 @@ def pt_spectrum_batch(rhos) -> tuple[np.ndarray, np.ndarray]:
     N^D = 2 sum_i max(0, -lambda_i(rho^{T_B})) and the count of eigenvalues
     below -RESIDUAL_TOL, both from one partial-transpose spectrum.
     """
-    lam = np.linalg.eigvalsh(partial_transpose_batch(rhos))
+    return _pt_spectrum(partial_transpose_batch(rhos))
+
+
+def _pt_spectrum(pts) -> tuple[np.ndarray, np.ndarray]:
+    """(N^D, negative count) of each partial transpose of an (N, 4, 4) stack."""
+    lam = np.linalg.eigvalsh(pts)
     return 2.0 * np.maximum(0.0, -lam).sum(axis=1), (lam < -RESIDUAL_TOL).sum(axis=1)
 
 
@@ -231,8 +242,9 @@ def _matches_quasi(rho: DensityMatrix, tol: float = 1e-9) -> bool:
 
 def batch_report(rhos) -> BatchReport:
     """Quantifiers of each state of an (N, 4, 4) stack via the affine SPA pipeline."""
-    nd, neg_count = pt_spectrum_batch(rhos)
-    mu = mu_min_batch(spa_pt_affine_batch(rhos))
+    pts = partial_transpose_batch(rhos)
+    nd, neg_count = _pt_spectrum(pts)
+    mu = mu_min_batch(affine_from_pt(pts))
     return BatchReport(
         nd=nd,
         neg_count=neg_count,
@@ -251,7 +263,7 @@ def full_report(rho: DensityMatrix) -> EntanglementReport:
     """
     outcome = spa_pt_affine(rho)
     mu = outcome.mu_min
-    nd = float(pt_spectrum_batch(rho.mat[None])[0][0])
+    nd = float(_pt_spectrum(outcome.rho_pt[None])[0][0])
     nn = float(negativity_normalized_batch(mu))
     return EntanglementReport(
         nd=nd,

@@ -45,12 +45,13 @@ class ShotEstimate:
 
 # numpy's SeedSequence with its default pool of 4 uint32 words
 # (numpy/random/bit_generator.pyx, after O'Neill's seed_seq_fe).  Its hash
-# constants evolve the same way for every seed: the k-th hashmix XORs with
-# chain[k] and multiplies by chain[k + 1] of the _HASH_A chain, and
-# generate_state does the same along _HASH_B.  The 4 pool words and 12 mixing
-# steps take 16 hashmix calls; generate_state(4, np.uint64) makes 8 words.
+# constants evolve the same way for every seed: the k-th hashmix of the
+# entropy XORs with chain[k] and multiplies by chain[k + 1] of the chain that
+# starts at _INIT_A and steps by _MULT_A, and generate_state does the same
+# along _HASH_B.  The 4 pool words and 12 mixing steps take 16 hashmix calls,
+# and each entropy word past the fourth 4 more; generate_state(4, np.uint64)
+# makes 8 words.
 _MASK32 = 0xFFFF_FFFF
-_MASK64 = (1 << 64) - 1
 
 
 def _const_chain(init: int, mult: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -62,7 +63,7 @@ def _const_chain(init: int, mult: int, steps: int) -> tuple[np.ndarray, np.ndarr
     return chain[:-1], chain[1:]
 
 
-_HASH_A = _const_chain(0x43B0D7E5, 0x931E8875, 16)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_B = _const_chain(0x8B51F9DD, 0x58F38DED, 8)
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 # PCG64's 128-bit LCG multiplier (O'Neill's PCG_DEFAULT_MULTIPLIER_128).
@@ -78,24 +79,42 @@ def _hashmix(values: np.ndarray, chain, steps: slice) -> np.ndarray:
     return values ^ (values >> np.uint32(16))
 
 
+def _mix(pool: np.ndarray, hashed: np.ndarray) -> np.ndarray:
+    mixed = _MIX_L * pool - _MIX_R * hashed
+    return mixed ^ (mixed >> np.uint32(16))
+
+
+def _entropy_words(seed: int) -> int:
+    """uint32 words of a seed's SeedSequence entropy, counting fewer than 4 as 4."""
+    return max(4, -(-seed.bit_length() // 32))
+
+
 def _seed_state_words(first: int, count: int) -> np.ndarray:
     """SeedSequence(first + j).generate_state(4, np.uint64) for j < count, as a (count, 4) array.
 
-    Every seed must lie below 2**128: its entropy is then at most 4 uint32
-    words, and zero-padding them to the pool size gives the same pool.
+    Every seed must have first's _entropy_words.  Below 2**128 an entropy of
+    fewer words, zero-padded to the pool size, gives the same pool.
     """
-    lo0, hi0 = first & _MASK64, first >> 64
-    lo = np.uint64(lo0) + np.arange(count, dtype=np.uint64)
-    hi = np.uint64(hi0) + (lo < np.uint64(lo0))
-    entropy = np.stack([lo, lo >> np.uint64(32), hi, hi >> np.uint64(32)]).astype(np.uint32)
-    pool = _hashmix(entropy, _HASH_A, slice(0, 4))
+    n = _entropy_words(first)
+    chain = _const_chain(_INIT_A, _MULT_A, 4 * n)
+    # Word k of first + j, least significant first.
+    entropy = np.empty((n, count), dtype=np.uint32)
+    carry = np.arange(count, dtype=np.uint64)
+    for k in range(n):
+        word = np.uint64(first >> 32 * k & _MASK32) + carry
+        entropy[k] = word & np.uint64(_MASK32)
+        carry = word >> np.uint64(32)
+    pool = _hashmix(entropy[:4], chain, slice(0, 4))
     step = 4
     for src in range(4):
         # pool[src] is mixed into the other three words, each with its own hashmix call.
         dst = [d for d in range(4) if d != src]
-        mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], _HASH_A, slice(step, step + 3))
-        pool[dst] = mixed ^ (mixed >> np.uint32(16))
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], chain, slice(step, step + 3)))
         step += 3
+    for src in range(4, n):
+        # Each further entropy word is mixed into every pool word.
+        pool = _mix(pool, _hashmix(entropy[src], chain, slice(step, step + 4)))
+        step += 4
     out = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B, slice(0, 8)).astype(np.uint64)
     # Each uint64 word is a pair of uint32 words read little-endian.
     return (out[0::2] | out[1::2] << np.uint64(32)).T
@@ -150,17 +169,19 @@ def _pcg64_words(first: int, count: int) -> np.ndarray:
 
     Row j holds state low, state high, inc low and inc high: the byte layout of
     numpy's pcg64_random_t on a little-endian build with a native 128-bit
-    integer.  The SeedSequence words of seeds below 2**128 are hashed in one
-    numpy pass; those of larger seeds come from SeedSequence itself.  From the
-    words' 128-bit halves s and i, pcg_setseq_128_srandom_r gives
-    inc = 2 i + 1 and state = (s + inc) * _PCG_MULT + inc, mod 2**128.
+    integer.  The SeedSequence words are hashed in one numpy pass per run of
+    seeds with the same count of entropy words, so a run is split where that
+    count grows, at 2**(32 k) for k >= 4.  From the words' 128-bit halves s and
+    i, pcg_setseq_128_srandom_r gives inc = 2 i + 1 and
+    state = (s + inc) * _PCG_MULT + inc, mod 2**128.
     """
-    below = min(count, max(0, 2**128 - first))
     seeded = np.empty((count, 4), dtype=np.uint64)  # s hi, s lo, i hi, i lo
-    if below:
-        seeded[:below] = _seed_state_words(first, below)
-    for j in range(below, count):
-        seeded[j] = np.random.SeedSequence(first + j).generate_state(4, np.uint64)
+    done = 0
+    while done < count:
+        seed = first + done
+        n = min(count - done, 2 ** (32 * _entropy_words(seed)) - seed)
+        seeded[done:done + n] = _seed_state_words(seed, n)
+        done += n
     s_hi, s_lo, i_hi, i_lo = seeded.T
     one = np.uint64(1)
     inc = _limbs(i_lo << one | one, i_hi << one | i_lo >> np.uint64(63))

@@ -1,8 +1,11 @@
+import dataclasses
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +180,101 @@ class TestAnalyze:
         code, text = run_to_file(tmp_path, argv)
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN[case]
+
+    @staticmethod
+    def _template_cases():
+        rng = np.random.default_rng(1313)
+        for rank in (1, 2, 3, 4):
+            for rho in random_mixed_batch(rng, 25, rank=rank):
+                yield f"random rank {rank}", DensityMatrix(mat=rho)
+        for family in ("pure_m", "horodecki", "quasi"):
+            for param in (0.0, 1.0, 0.3, 0.5, 0.8, float(rng.uniform())):
+                yield f"{family} {param}", from_spec(family, param)
+        for index in range(4):
+            yield f"bell {index}", states.bell_state(index)
+
+    def test_template_matches_json_dumps(self):
+        # The analyze text is a fixed template; json.dumps of the report's
+        # non-None fields is its oracle.
+        optional = set()
+        for case, rho in self._template_cases():
+            report = measures.full_report(rho)
+            payload = {k: v for k, v in dataclasses.asdict(report).items() if v is not None}
+            assert cli._analyze_text(report) == json.dumps(payload, indent=1) + "\n", case
+            optional.add((report.concurrence_pure_est is None, report.concurrence_quasi_est is None))
+        # Every combination of the two optional fields was printed.
+        assert optional == {(a, b) for a in (True, False) for b in (True, False)}
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--family", "quasi", "--param", "0.4"],
+        ["analyze", "--family", "horodecki", "--param", "0.4"],
+    ])
+    def test_printed_text_matches_json_dumps(self, capsys, argv):
+        assert cli.run(argv) == 0
+        report = measures.full_report(from_spec(argv[2], float(argv[4])))
+        payload = {k: v for k, v in dataclasses.asdict(report).items() if v is not None}
+        assert capsys.readouterr().out == json.dumps(payload, indent=1) + "\n"
+
+
+class TestOutTargets:
+    # --out follows a symlink to its target and writes a FIFO straight through;
+    # a regular PATH is replaced by an atomic rename.
+    ARGV = ["analyze", "--family", "bell"]
+
+    @pytest.fixture
+    def expected(self, capsys):
+        assert cli.run(self.ARGV) == 0
+        return capsys.readouterr().out
+
+    def test_fifo_is_written_through(self, tmp_path, expected):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+
+        def read():
+            with open(fifo, "rb") as f:  # blocks until the CLI opens the FIFO
+                got.append(f.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        assert cli.run(self.ARGV + ["--out", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive(), "the CLI never opened the FIFO"
+        assert got == [expected.encode()]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["pipe"]
+
+    @pytest.mark.parametrize("relative", [False, True])
+    def test_symlink_is_followed_to_its_target(self, tmp_path, expected, relative):
+        (tmp_path / "real").mkdir()
+        target = tmp_path / "real" / "out.json"
+        target.write_text("earlier run\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(os.path.join("real", "out.json") if relative else target)
+        before = os.readlink(link)
+        assert cli.run(self.ARGV + ["--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == before
+        assert target.read_text() == expected
+        assert sorted(os.listdir(tmp_path)) == ["link.json", "real"]
+        assert os.listdir(tmp_path / "real") == ["out.json"]
+
+    def test_dangling_symlink_creates_its_target(self, tmp_path, expected):
+        link = tmp_path / "link.json"
+        link.symlink_to(tmp_path / "new.json")
+        assert cli.run(self.ARGV + ["--out", str(link)]) == 0
+        assert link.is_symlink() and (tmp_path / "new.json").read_text() == expected
+
+    def test_failed_run_leaves_symlink_target_as_it_was(self, tmp_path, monkeypatch, capsys):
+        target = tmp_path / "out.csv"
+        target.write_text("earlier run\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        _fail_on_call(monkeypatch, measures, "batch_report", 2)
+        argv = ["random-study", "--count", "600", "--out", str(link)]
+        assert cli.run(argv) == 2
+        assert "stubbed failure of batch_report" in capsys.readouterr().err
+        assert link.is_symlink() and target.read_text() == "earlier run\n"
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "out.csv"]
 
 
 class TestSharedParser:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spaneg import measures
+from spaneg import linalg, measures, spa, states
 from spaneg.linalg import SIGMA_Y
 from spaneg.measures import (
     concurrence_quasi,
@@ -316,6 +316,44 @@ class TestFullReport:
     def test_pure_equality(self):
         rhos = random_pure_batch(np.random.default_rng(36), 500)
         assert np.abs(concurrence_wootters_batch(rhos) - pt_spectrum_batch(rhos)[0]).max() <= 1e-9
+
+
+class TestEachIntermediateOnce:
+    # A report transposes its states once, and forms M^dag once for each
+    # eigh input, which is also each input of a Hermiticity check.
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"hermitian_parts": 0, "partial_transpose": 0, "eigh": 0}
+
+        def counted(key, f):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        parts = counted("hermitian_parts", linalg._hermitian_parts)
+        for module in (linalg, states):
+            monkeypatch.setattr(module, "_hermitian_parts", parts)
+        pt = counted("partial_transpose", linalg.partial_transpose_batch)
+        for module in (linalg, spa, measures):
+            monkeypatch.setattr(module, "partial_transpose_batch", pt)
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        return calls
+
+    def test_full_report(self, calls):
+        rho = DensityMatrix(mat=random_mixed_batch(np.random.default_rng(37), 1)[0])
+        full_report(rho)
+        # eigh of the SPA-PT output (mu_min) and of rho (its PSD root).
+        assert calls == {"hermitian_parts": 2, "partial_transpose": 1, "eigh": 2}
+
+    def test_batch_report(self, calls):
+        measures.batch_report(random_mixed_batch(np.random.default_rng(38), 5))
+        assert calls == {"hermitian_parts": 2, "partial_transpose": 1, "eigh": 2}
+
+    def test_validate(self, calls):
+        validate(random_mixed_batch(np.random.default_rng(39), 1)[0])
+        assert calls == {"hermitian_parts": 1, "partial_transpose": 0, "eigh": 0}
 
 
 def test_estimator_bias_formula():

@@ -104,9 +104,10 @@ def test_noise_free_passthrough_matches_pipeline():
 SMALL_CHUNK = 48
 # Seeds where SeedSequence's entropy gains a uint32 word (2**32, 2**64), where
 # a chunk carries into the high 64 bits (2**64 - 128: the chunk from trial
-# 2 * SMALL_CHUNK = 96 holds seed 2**64), and where the run crosses into seeds
-# hashed by SeedSequence itself (2**128 - 3).
-SEED_EDGES = [0, 2**32 - 1, 2**32, 2**64 - 128, 2**64, 2**128 - 3]
+# 2 * SMALL_CHUNK = 96 holds seed 2**64), and where a chunk is split because
+# the entropy outgrows the 4-word pool (2**128 - 3) or gains a sixth word
+# (2**160 - 3).  3**190 is a 302-bit seed of 10 words.
+SEED_EDGES = [0, 2**32 - 1, 2**32, 2**64 - 128, 2**64, 2**128 - 3, 2**160 - 3, 3**190]
 # 1 and 10 shots draw by inversion, 1000 and 100000 mostly by BTPE; the trial
 # counts straddle one chunk edge or run over several.
 SHOTS = st.sampled_from([1, 10, 1000, 100000])
@@ -140,6 +141,13 @@ def test_trial_counts_at_the_real_chunk(trials):
     # The first chunk carries past 2**64 halfway; SEED_CHUNK + 1 adds a second chunk.
     base = 2**64 - SEED_CHUNK // 2
     assert trial_counts(1000, 0.3, trials, base).tolist() == _default_rng_counts(1000, 0.3, trials, base)
+
+
+@pytest.mark.parametrize("edge", [2**128, 2**160])
+def test_trial_counts_at_the_real_chunk_across_an_entropy_word(edge):
+    # The one chunk is hashed in two parts, split where the seeds gain a word.
+    base = edge - SEED_CHUNK // 2
+    assert trial_counts(1000, 0.3, SEED_CHUNK, base).tolist() == _default_rng_counts(1000, 0.3, SEED_CHUNK, base)
 
 
 def test_failed_layout_check_falls_back_to_the_state_dict(monkeypatch):
