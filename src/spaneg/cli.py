@@ -48,8 +48,9 @@ EXIT_INVARIANT = 3
 MAX_COUNT = 1_000_000
 # sweep: ~20 s (horodecki, the slowest family).
 MAX_POINTS = 1_000_000
-# simulate writes each trial's seeded state into one reused generator: ~2 s and
-# ~85 MB at --shots 100000, measured at the cap itself.
+# simulate counts about 3 in 4 trials by BTPE's first step in numpy and draws
+# the rest from one reused generator: ~1.4 s and ~83 MB at --shots 100000,
+# measured at the cap itself.
 MAX_TRIALS = 1_000_000
 # A trial's F_avg is k / shots, which float64 holds exactly for shots <= 2**53.
 MAX_SHOTS = 2**53

@@ -10,6 +10,7 @@ noise of the observable, not photon-level optics.
 from __future__ import annotations
 
 import ctypes
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,33 +230,147 @@ def _view_sets_state(bit_gen: np.random.PCG64, view: memoryview) -> bool:
     return bit_gen.state == reference.state
 
 
+# numpy's Generator.binomial (random_binomial, numpy/random/src/distributions)
+# draws by BTPE, the sampler of Kachitvichyanukul & Schmeiser (1988), when
+# r * n > 30 with r = min(p, 1 - p); it draws for r and flips the count to
+# n - count when p > 0.5.  BTPE's first step takes two uniforms u, v of the
+# generator, scales u by p4, and accepts floor(xm - p1 * v + u) unless u > p1:
+# about 3 draws in 4 at n = 100000.  The setup and the step are scalar SSE2
+# arithmetic without FMA in numpy's build, so Python floats and float64 ufuncs
+# taken in the same order give the same bits.
+_BTPE_MIN_MEAN = 30.0
+# Accepted trials of each call that are also drawn by the generator, as a check.
+_SELF_CHECKS = 8
+
+
+def _btpe_setup(shots: int, p: float) -> tuple[float, float, float] | None:
+    """(p1, xm, p4) of random_binomial_btpe's setup for binomial(shots, p).
+
+    None where numpy does not draw by BTPE.  The test is written so that a
+    NaN p, a p outside [0, 1] or a negative shots also gives None, and such a
+    call is left to the generator, which raises.  The constants are computed
+    in the order of numpy's setup; those the first step does not use are kept
+    because p4 depends on them.
+    """
+    r = min(p, 1.0 - p)
+    if not r * shots > _BTPE_MIN_MEAN:
+        return None
+    q = 1.0 - r
+    fm = shots * r + r
+    m = math.floor(fm)
+    p1 = math.floor(2.195 * math.sqrt(shots * r * q) - 4.6 * q) + 0.5
+    xm = m + 0.5
+    xl = xm - p1
+    xr = xm + p1
+    c = 0.134 + 20.5 / (15.3 + m)
+    a = (fm - xl) / (fm - xl * r)
+    laml = a * (1.0 + a / 2.0)
+    a = (xr - fm) / (xr * q)
+    lamr = a * (1.0 + a / 2.0)
+    p2 = p1 * (1.0 + 2.0 * c)
+    p3 = p2 + c / laml
+    p4 = p3 + c / lamr
+    return p1, xm, p4
+
+
+_ROT_SHIFT, _ROT_MASK, _DOUBLE_SHIFT = np.uint64(58), np.uint64(63), np.uint64(11)
+
+
+def _next_doubles(state: list[np.ndarray], inc: list[np.ndarray], count: int) -> list[np.ndarray]:
+    """The first `count` next_double outputs of the PCG64s at limbs `state` and `inc`.
+
+    Each step advances the state by the LCG and takes its XSL-RR output: the
+    state's two 64-bit halves XORed, rotated right by the top 6 bits; the
+    double is the output's top 53 bits times 2**-53.
+    """
+    out = []
+    for _ in range(count):
+        state = _add(_mul_pcg(state), inc)
+        lo = state[0] | state[1] << _LIMB
+        hi = state[2] | state[3] << _LIMB
+        rot = hi >> _ROT_SHIFT
+        x = hi ^ lo
+        x = x >> rot | x << (np.uint64(64) - rot & _ROT_MASK)
+        out.append((x >> _DOUBLE_SHIFT) * 2.0**-53)
+    return out
+
+
+def _btpe_first_step(
+    words: np.ndarray, shots: int, p: float, setup: tuple[float, float, float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(accepted, counts) of BTPE's first step for the generator at each row of _pcg64_words.
+
+    counts holds binomial(shots, p) where accepted is True and is meaningless
+    elsewhere.
+    """
+    p1, xm, p4 = setup
+    u, v = _next_doubles(_limbs(words[:, 0], words[:, 1]), _limbs(words[:, 2], words[:, 3]), 2)
+    u *= p4
+    counts = np.floor(xm - p1 * v + u).astype(np.int64)
+    if p > 0.5:
+        counts = shots - counts
+    return ~(u > p1), counts
+
+
 def trial_counts(shots: int, p: float, trials: int, seed: int) -> np.ndarray:
     """Successes of `trials` runs of `shots` Bernoulli(p) draws, as an int64 array.
 
     Trial i is np.random.default_rng(seed + i).binomial(shots, p), bit for
-    bit.  One PCG64 is reused: the seeded states are computed SEED_CHUNK
-    trials at a time, and each trial writes its 32 bytes of state straight
-    into the generator.  binomial draws only whole 64-bit outputs, so
-    has_uint32 and uinteger keep the 0 that the layout check saw.  If that
-    check fails, each trial sets the same words through the
-    bit_generator.state dict instead.
+    bit.  The seeded states are computed SEED_CHUNK trials at a time.  Where
+    numpy draws by BTPE, its first step is taken for the whole chunk in
+    numpy, and the trials it accepts are counted without the generator.  The
+    trials it rejects, and every trial when numpy does not use BTPE, are drawn
+    by one reused PCG64: each writes its 32 bytes of state straight into the
+    generator.  binomial draws only whole 64-bit outputs, so has_uint32 and
+    uinteger keep the 0 that the layout check saw.  If that check fails, each
+    trial sets the same words through the bit_generator.state dict instead.
+
+    Both shortcuts copy numpy's internals, not its API, so each is checked
+    on every call: the layout by _view_sets_state, the step by drawing the
+    first _SELF_CHECKS accepted trials through the generator as well.  On a
+    mismatch, every trial not yet checked is drawn by the generator.
     """
     bit_gen = np.random.PCG64(0)  # its state is replaced before every draw
     binomial = np.random.Generator(bit_gen).binomial
     view = _state_view(bit_gen)
     fast = _view_sets_state(bit_gen, view)
+    # 0-d arrays pass numpy's argument conversion faster than Python scalars.
+    n_arr, p_arr = np.array(shots, dtype=np.int64), np.array(p, dtype=np.float64)
+    shots, p = int(n_arr), float(p_arr)
+
+    def draw(words: np.ndarray) -> list[int]:
+        """binomial(shots, p) of the generator at each row of `words`."""
+        out = []
+        if not fast:
+            for row in words.tolist():
+                bit_gen.state = _dict_state(*row)
+                out.append(binomial(n_arr, p_arr))
+        elif len(words):  # memoryview cannot cast an empty array
+            data = memoryview(words).cast("B")
+            for off in range(0, data.nbytes, 32):
+                view[:] = data[off:off + 32]
+                out.append(binomial(n_arr, p_arr))
+        return out
+
+    setup = _btpe_setup(shots, p)
+    checks = _SELF_CHECKS
     counts = np.empty(trials, dtype=np.int64)
     for start in range(0, trials, SEED_CHUNK):
         words = _pcg64_words(seed + start, min(SEED_CHUNK, trials - start))
-        if fast:
-            data = memoryview(words).cast("B")
-            for i, off in enumerate(range(0, data.nbytes, 32), start):
-                view[:] = data[off:off + 32]
-                counts[i] = binomial(shots, p)
-        else:
-            for i, row in enumerate(words.tolist(), start):
-                bit_gen.state = _dict_state(*row)
-                counts[i] = binomial(shots, p)
+        chunk = counts[start:start + len(words)]
+        if setup is None:
+            chunk[:] = draw(words)
+            continue
+        accepted, chunk[:] = _btpe_first_step(words, shots, p, setup)
+        if checks:
+            checked = np.flatnonzero(accepted)[:checks]
+            if draw(words[checked]) != chunk[checked].tolist():
+                setup = None
+                chunk[:] = draw(words)
+                continue
+            checks -= len(checked)
+        rejected = np.flatnonzero(~accepted)
+        chunk[rejected] = draw(words[rejected])
     return counts
 
 

@@ -109,9 +109,13 @@ def depol_d(x) -> np.ndarray:
     return out / 4.0
 
 
+_AFFINE_SHIFT = (2.0 / 9.0) * np.eye(4)
+_AFFINE_SHIFT.flags.writeable = False
+
+
 def affine_from_pt(pts) -> np.ndarray:
     """Canonical SPA-PT (1/9) rho^{T_B} + (2/9) I from a stack of partial transposes."""
-    return pts / 9.0 + (2.0 / 9.0) * np.eye(4)
+    return pts / 9.0 + _AFFINE_SHIFT
 
 
 def spa_pt_affine_batch(rhos) -> np.ndarray:

@@ -1,6 +1,8 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spaneg import shotsim
@@ -176,3 +178,155 @@ def test_pcg64_seeding_is_pinned():
     assert (numpy_state["state"], numpy_state["inc"]) == pinned, "numpy changed PCG64 seeding"
     s_lo, s_hi, i_lo, i_hi = _pcg64_words(2**32, 1)[0].tolist()
     assert (s_hi << 64 | s_lo, i_hi << 64 | i_lo) == pinned
+
+
+def test_binomial_sampler_is_pinned():
+    # default_rng(2**32).binomial(100000, 0.47) under numpy 2.4, which draws
+    # by BTPE there.  If a numpy release changes the sampler, this fails by
+    # name, besides trial_counts' own check against the generator.
+    pinned = [47115, 46945, 46770, 47118, 46965, 46798]
+    rng = np.random.default_rng(2**32)
+    assert [int(rng.binomial(100000, 0.47)) for _ in pinned] == pinned, "numpy changed binomial"
+    per_seed = [47115, 46941, 46762, 46975, 47404, 47036]
+    assert _default_rng_counts(100000, 0.47, 6, 2**32) == per_seed
+    assert trial_counts(100000, 0.47, 6, 2**32).tolist() == per_seed
+
+
+_MASK64 = 2**64 - 1
+_PCG_MULT_INV = pow(shotsim._PCG_MULT, -1, 2**128)
+
+
+def _row_before(state: int, inc: int) -> list[int]:
+    """The _pcg64_words row of a PCG64 whose next step lands on `state`."""
+    before = (state - inc) * _PCG_MULT_INV % 2**128
+    return [before & _MASK64, before >> 64, inc & _MASK64, inc >> 64]
+
+
+def _generator_draw(row: list[int], shots: int, p: float) -> int:
+    bit_gen = np.random.PCG64(0)
+    bit_gen.state = shotsim._dict_state(*row)
+    return int(np.random.Generator(bit_gen).binomial(shots, p))
+
+
+@given(
+    state=st.integers(0, 2**128 - 1),
+    inc=st.integers(0, 2**127 - 1),
+    shots=st.integers(31, 2**53),
+    p=st.floats(0.0, 1.0),
+)
+def test_btpe_first_step_is_the_generators_where_it_accepts(state, inc, shots, p):
+    setup = shotsim._btpe_setup(shots, p)
+    assume(setup is not None)
+    # 32 generators on states spread over all 128 bits, so that every
+    # rotation and both halves of the output are reached.
+    rows = [_row_before((state + j * 0x9E3779B97F4A7C15F39CC0605CEDC835) % 2**128, 2 * inc + 1) for j in range(32)]
+    words = np.array(rows, dtype=np.uint64)
+    accepted, counts = shotsim._btpe_first_step(words, shots, p, setup)
+    for row, count in zip(words[accepted].tolist(), counts[accepted].tolist()):
+        assert count == _generator_draw(row, shots, p)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.7])
+def test_btpe_first_step_accepts_u_equal_to_p1(p):
+    # numpy rejects only u > p1.  At 1000 shots p1 = 28.5, and the first
+    # double k * 2**-53 of this k makes u = d1 * p4 exactly p1.  The state
+    # after the first step has a zero high half: no rotation, output hi ^ lo = lo.
+    shots, k = 1000, 5998927691899537
+    setup = shotsim._btpe_setup(shots, p)
+    p1, _, p4 = setup
+    assert p1 == 28.5 and (k * 2.0**-53) * p4 == p1
+    for d in (0, 1):
+        row = _row_before((k + d) << 11, 0x0123456789ABCDEF0123456789ABCDEF)
+        accepted, counts = shotsim._btpe_first_step(np.array([row], dtype=np.uint64), shots, p, setup)
+        assert accepted[0] == (d == 0)
+        if d == 0:
+            assert counts[0] == _generator_draw(row, shots, p)
+
+
+def _count_draws(monkeypatch) -> list[int]:
+    """A one-item list counting the generator's binomial calls from now on."""
+    draws = [0]
+    generator = np.random.Generator
+
+    def counting(bit_gen):
+        binomial = generator(bit_gen).binomial
+
+        def counted(n, p):
+            draws[0] += 1
+            return binomial(n, p)
+
+        return SimpleNamespace(binomial=counted)
+
+    monkeypatch.setattr(np.random, "Generator", counting)
+    return draws
+
+
+# (shots, p, whether numpy draws by BTPE): it does where min(p, 1 - p) * shots
+# > 30.  0.3 * 100 is 30.0, but 1 - 0.7 is 0.30000000000000004, so 100 shots
+# draw by inversion at p = 0.3 and by BTPE at p = 0.7.  p > 0.5 draws for
+# 1 - p and flips the count.
+BTPE_EDGES = [
+    (60, 0.5, False),
+    (61, 0.5, True),
+    (100, 0.3, False),
+    (100, 0.7, True),
+    (1000, 0.7, True),
+    (1000, 0.5, True),
+    (2**53, 0.47, True),
+]
+
+
+@pytest.mark.parametrize("shots, p, btpe", BTPE_EDGES)
+def test_trial_counts_at_the_real_chunk_around_btpe(monkeypatch, shots, p, btpe):
+    trials, base = SEED_CHUNK + 1, 2**64 - SEED_CHUNK // 2
+    expected = _default_rng_counts(shots, p, trials, base)
+    draws = _count_draws(monkeypatch)
+    assert trial_counts(shots, p, trials, base).tolist() == expected
+    assert (shotsim._btpe_setup(shots, p) is not None) == btpe
+    if btpe:
+        # The step accepted its share (p1 / p4 >= 0.38 here): no fallback.
+        assert draws[0] < 0.7 * trials
+    else:
+        assert draws[0] == trials
+
+
+@pytest.mark.parametrize("p", [float("nan"), 1.5, -0.5])
+def test_invalid_p_still_raises(p):
+    with pytest.raises(ValueError):
+        trial_counts(100000, p, 3, 0)
+
+
+def test_the_step_draws_three_in_four_workload_trials(monkeypatch):
+    # The shots benchmark: Horodecki p = 0.8 at 100000 shots.  numpy's first
+    # step rejects 1 - p1 / p4 = 0.2456 of its draws there; only those, and
+    # the self-check, call the generator.
+    f = favg_from_mu(spa_pt_affine(from_spec("horodecki", 0.8)).mu_min)
+    trials = 2 * SEED_CHUNK
+    draws = _count_draws(monkeypatch)
+    trial_counts(100000, f, trials, 1401)
+    assert draws[0] / trials == pytest.approx(0.2456, abs=0.02)
+
+
+@pytest.mark.parametrize("chunk, trials", [(SEED_CHUNK, SEED_CHUNK + 1), (4, 25)])
+@pytest.mark.parametrize("wrong", ["every", "last checked"])
+def test_a_failed_self_check_leaves_the_draws_to_the_generator(monkeypatch, chunk, trials, wrong):
+    # A step that miscounts every accepted trial, or only the last one the
+    # self-check draws (in the third chunk or later when chunks are 4
+    # trials), must not reach the output.
+    step = shotsim._btpe_first_step
+    seen = [0]
+
+    def wrong_step(words, shots, p, setup):
+        accepted, counts = step(words, shots, p, setup)
+        for j in np.flatnonzero(accepted):
+            seen[0] += 1
+            if wrong == "every" or seen[0] == shotsim._SELF_CHECKS:
+                counts[j] += 1
+        return accepted, counts
+
+    base = 2**64 - chunk
+    expected = _default_rng_counts(1000, 0.3, trials, base)
+    monkeypatch.setattr(shotsim, "_btpe_first_step", wrong_step)
+    monkeypatch.setattr(shotsim, "SEED_CHUNK", chunk)
+    assert trial_counts(1000, 0.3, trials, base).tolist() == expected
+    assert seen[0] >= (shotsim._SELF_CHECKS if wrong == "last checked" else 1)
