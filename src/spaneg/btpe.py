@@ -1,0 +1,181 @@
+"""numpy's BTPE binomial sampler, one pass at a time, on given uniforms.
+
+numpy's Generator.binomial (random_binomial, numpy/random/src/distributions)
+draws by BTPE, the sampler of Kachitvichyanukul & Schmeiser (1988), when
+r * n > 30 with r = min(p, 1 - p); it draws for r and flips the count to
+n - count when p > 0.5.  Each pass of BTPE from its Step 10 takes two
+uniforms u, v of the generator and scales u by p4.  Step 10 accepts
+floor(xm - p1 * v + u) unless u > p1: about 3 draws in 4 at n = 100000.
+Steps 20, 30 and 40 place the other draws on a parallelogram or one of two
+exponential tails, and Step 52's squeeze accepts them, sends them back to
+Step 10 for two fresh uniforms, or leaves them to a full Stirling test.
+
+The setup and the steps are scalar SSE2 arithmetic without FMA in numpy's
+build, so Python floats and float64 ufuncs taken in the same order give the
+same bits.  Only the C library's log, which numpy calls, differs from np.log
+(see _LOG_SLACK).  What this module cannot decide, it leaves to the
+generator: shotsim draws the uniforms from each trial's PCG64 and draws the
+rest through numpy itself.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import NamedTuple
+
+import numpy as np
+
+_MIN_MEAN = 30.0
+# Outcomes of a pass: accepted by Step 10, accepted by Step 52's squeeze, sent
+# back to Step 10, or left to the generator.
+STEP10, SQUEEZE, LOOP, DEFER = 0, 1, 2, 3
+# The later steps compare counts with n and m in float64, which holds every
+# integer up to 2**53 exactly; past it they leave each trial to the generator.
+_EXACT_INT = 2**53
+# np.log is numpy's SIMD log, which differs by 1 ulp from the C library's log
+# on a few doubles in a thousand.  A decision that reads a log is taken only
+# when it comes out the same for every value within a relative _LOG_SLACK of
+# np.log's.  +, -, *, / and floor round monotonically, so that bracket holds
+# the C log's decision too.
+_LOG_SLACK = 2.0**-40
+# The later steps take their rows in whole blocks of this many, the last block
+# filled up by repeating rows whose results are dropped.  Their temporaries
+# then come in a few sizes that the allocator reuses.  Subsets of every size
+# grew the resident memory of a long run of simulate calls by ~1 MB over
+# 2000 calls; blocks hold it within ~0.1 MB of the Step 10 pass alone.
+_BLOCK = 256
+
+
+class Setup(NamedTuple):
+    """Constants of random_binomial_btpe's setup for binomial(n, p)."""
+
+    n: int
+    flip: bool  # p > 0.5: BTPE draws for 1 - p and the count is n - draw
+    m: int
+    nrq: float
+    p1: float
+    p2: float
+    p3: float
+    p4: float
+    xm: float
+    xl: float
+    xr: float
+    c: float
+    laml: float
+    lamr: float
+
+
+def setup(shots: int, p: float) -> Setup | None:
+    """The constants of random_binomial_btpe's setup for binomial(shots, p).
+
+    None where numpy does not draw by BTPE.  The test is written so that a
+    NaN p, a p outside [0, 1] or a negative shots also gives None, and such a
+    call is left to the generator, which raises.  The constants are computed
+    in the order of numpy's setup.
+    """
+    r = min(p, 1.0 - p)
+    if not r * shots > _MIN_MEAN:
+        return None
+    q = 1.0 - r
+    fm = shots * r + r
+    m = math.floor(fm)
+    p1 = math.floor(2.195 * math.sqrt(shots * r * q) - 4.6 * q) + 0.5
+    xm = m + 0.5
+    xl = xm - p1
+    xr = xm + p1
+    c = 0.134 + 20.5 / (15.3 + m)
+    a = (fm - xl) / (fm - xl * r)
+    laml = a * (1.0 + a / 2.0)
+    a = (xr - fm) / (xr * q)
+    lamr = a * (1.0 + a / 2.0)
+    p2 = p1 * (1.0 + 2.0 * c)
+    p3 = p2 + c / laml
+    p4 = p3 + c / lamr
+    return Setup(shots, p > 0.5, m, shots * r * q, p1, p2, p3, p4, xm, xl, xr, c, laml, lamr)
+
+
+def _log_bracket(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) around log(v) for v <= 1: np.log(v) widened by _LOG_SLACK.
+
+    log(0) is -inf at both ends; a negative v gives NaN, which passes no
+    comparison, so its decision is left to the generator.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.log(v)
+    return a * (1.0 + _LOG_SLACK), a * (1.0 - _LOG_SLACK)
+
+
+def _first_step(u: np.ndarray, v: np.ndarray, s: Setup) -> tuple[np.ndarray, np.ndarray]:
+    """(accepted, y) of BTPE's Step 10 at uniforms u (scaled by p4) and v.
+
+    y = floor(xm - p1 * v + u), unflipped, is the count where accepted, which
+    is where not u > p1.
+    """
+    return ~(u > s.p1), np.floor(s.xm - s.p1 * v + u).astype(np.int64)
+
+
+def _later_steps(u: np.ndarray, v: np.ndarray, s: Setup) -> tuple[np.ndarray, np.ndarray]:
+    """(outcome, y) of BTPE's Steps 20 to 52 at uniforms u > p1 (scaled) and v.
+
+    y is the unflipped count where outcome is SQUEEZE, and 0 elsewhere.
+    Step 50 (a count within 20 of the mode, or far in the tail) and the full
+    Stirling test are left to the generator, as is a log decision that the
+    bracket does not settle.
+    """
+    if s.n > _EXACT_INT:
+        return np.full(len(u), DEFER, dtype=np.int8), np.zeros(len(u), dtype=np.int64)
+    # Steps 30 (p2 < u <= p3) and 40 (p3 < u): the tails, y = floor(xl + log(v)
+    # / laml) and floor(xr - log(v) / lamr), the same bits as xr + log(v) /
+    # -lamr.  They take v on to v (u - p2) laml and v (u - p3) lamr.
+    left = u <= s.p3
+    base = np.where(left, s.xl, s.xr)
+    lam = np.where(left, s.laml, -s.lamr)
+    lo, hi = _log_bracket(v)
+    y = np.floor(base + lo / lam)
+    known = y == np.floor(base + hi / lam)
+    w = v * (u - np.where(left, s.p2, s.p3)) * np.abs(lam)
+    # Step 30 loops on y < 0 and Step 40 on y > n; neither y can leave [0, n]
+    # on the other side (log(v) <= 0).  v == 0 gives an infinite y, which
+    # loops, as numpy's v == 0.0 test does.
+    loop = (y < 0) | (y > s.n)
+    # Step 20 (u <= p2): the parallelogram, y = floor(x) with no log.
+    mid = u <= s.p2
+    x = s.xl + (u - s.p1) / s.c
+    w20 = v * s.c + 1.0 - np.abs(s.m - x + 0.5) / s.p1
+    y = np.where(mid, np.floor(x), y)
+    w = np.where(mid, w20, w)
+    known |= mid
+    loop = known & np.where(mid, w20 > 1.0, loop)
+    # Step 50 takes k = |y - m| <= 20 or k >= nrq / 2 - 1; Step 52 the rest.
+    # t = -k*k / (2 nrq) keeps numpy's int64 product.  w <= 1 on these rows, so
+    # its log is <= 0 and the bracket is ordered.
+    go = known & ~loop
+    k = np.abs(np.where(go, y, s.m) - s.m)
+    squeeze = go & (k > 20) & (k < s.nrq / 2.0 - 1)
+    rho = (k / s.nrq) * ((k * (k / 3.0 + 0.625) + 0.16666666666666666) / s.nrq + 0.5)
+    k = k.astype(np.int64)
+    t = -(k * k) / (2 * s.nrq)
+    lo, hi = _log_bracket(w)
+    accept = squeeze & (hi < t - rho)
+    loop |= squeeze & (lo > t + rho)
+    outcome = np.where(accept, SQUEEZE, np.where(loop, LOOP, DEFER)).astype(np.int8)
+    return outcome, np.where(accept, y, 0.0).astype(np.int64)
+
+
+def one_pass(d1: np.ndarray, v: np.ndarray, s: Setup) -> tuple[np.ndarray, np.ndarray]:
+    """(outcome, counts) of one pass of BTPE from its Step 10 at each pair of
+    uniforms d1, v of the generator.
+
+    counts holds binomial(n, p) where outcome is STEP10 or SQUEEZE and is
+    meaningless elsewhere.
+    """
+    u = d1 * s.p4
+    accepted, counts = _first_step(u, v, s)
+    outcome = np.full(len(u), STEP10, dtype=np.int8)
+    later = np.flatnonzero(~accepted)
+    rows = np.resize(later, -(-len(later) // _BLOCK) * _BLOCK)
+    later_outcome, later_counts = _later_steps(u[rows], v[rows], s)
+    outcome[later], counts[later] = later_outcome[:len(later)], later_counts[:len(later)]
+    if s.flip:
+        counts = s.n - counts
+    return outcome, counts

@@ -125,7 +125,12 @@ def _pt_spectrum(pts) -> tuple[np.ndarray, np.ndarray]:
 
 def negativity_lower_bound(mu_min: float) -> float:
     """Lower bound 4 - 18 mu_min; negative values quantify separability margin."""
-    return 4.0 - 18.0 * float(_check_mu(mu_min))
+    return _lower_bound(float(_check_mu(mu_min)))
+
+
+def _lower_bound(mu: float) -> float:
+    """negativity_lower_bound of a mu_min that is already checked."""
+    return 4.0 - 18.0 * mu
 
 
 def negativity_normalized_batch(mu_min) -> np.ndarray:
@@ -264,11 +269,12 @@ def full_report(rho: DensityMatrix) -> EntanglementReport:
     outcome = spa_pt_affine(rho)
     mu = outcome.mu_min
     nd = float(_pt_spectrum(outcome.rho_pt[None])[0][0])
+    # This checks mu, once for the report.
     nn = float(negativity_normalized_batch(mu))
     return EntanglementReport(
         nd=nd,
         nn=nn,
-        lower_bound=negativity_lower_bound(mu),
+        lower_bound=_lower_bound(mu),
         concurrence=float(concurrence_wootters_batch(rho.mat[None])[0]),
         ppt=nd <= PPT_TOL,
         mu_min=mu,

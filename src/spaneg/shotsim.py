@@ -10,11 +10,11 @@ noise of the observable, not photon-level optics.
 from __future__ import annotations
 
 import ctypes
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import btpe
 from .linalg import SEED_CHUNK
 from .measures import favg_from_mu, fidelity_link, negativity_normalized_batch
 from .spa import MU_MIN_HI, MU_MIN_LO, spa_pt_affine
@@ -138,14 +138,19 @@ def _add(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
     return _carry([x + y for x, y in zip(a, b)])
 
 
-def _carry(columns: list[np.ndarray]) -> list[np.ndarray]:
-    """Limbs of sum(columns[k] << 32k) mod 2**128; each column stays below 2**63."""
-    out, carry = [], np.uint64(0)
-    for column in columns:
-        column = column + carry
-        out.append(column & _LIMB_MASK)
-        carry = column >> _LIMB
-    return out
+def _carry(columns) -> list[np.ndarray]:
+    """Limbs of sum(columns[k] << 32k) mod 2**128, in place of the columns.
+
+    Each column stays below 2**63.
+    """
+    for k in range(4):
+        column = columns[k]
+        if k:
+            column += carry
+        if k < 3:
+            carry = column >> _LIMB
+        column &= _LIMB_MASK
+    return list(columns)
 
 
 def _mul_pcg(a: list[np.ndarray]) -> list[np.ndarray]:
@@ -153,15 +158,17 @@ def _mul_pcg(a: list[np.ndarray]) -> list[np.ndarray]:
 
     Limb k of the product collects the low halves of the partial products
     a[i] * mult[k - i] and the high halves of those of limb k - 1: at most 7
-    terms below 2**32 each.
+    terms below 2**32 each.  Each product and half is written into one of two
+    scratch rows and added into its column in place.
     """
-    columns = [np.zeros_like(a[0]) for _ in range(4)]
+    columns = np.zeros((4, len(a[0])), dtype=np.uint64)
+    prod, half = np.empty((2, len(a[0])), dtype=np.uint64)
     for i in range(4):
         for j in range(4 - i):
-            prod = a[i] * _PCG_MULT_LIMBS[j]
-            columns[i + j] += prod & _LIMB_MASK
+            np.multiply(a[i], _PCG_MULT_LIMBS[j], out=prod)
+            np.add(columns[i + j], np.bitwise_and(prod, _LIMB_MASK, out=half), out=columns[i + j])
             if i + j < 3:
-                columns[i + j + 1] += prod >> _LIMB
+                np.add(columns[i + j + 1], np.right_shift(prod, _LIMB, out=half), out=columns[i + j + 1])
     return _carry(columns)
 
 
@@ -230,59 +237,30 @@ def _view_sets_state(bit_gen: np.random.PCG64, view: memoryview) -> bool:
     return bit_gen.state == reference.state
 
 
-# numpy's Generator.binomial (random_binomial, numpy/random/src/distributions)
-# draws by BTPE, the sampler of Kachitvichyanukul & Schmeiser (1988), when
-# r * n > 30 with r = min(p, 1 - p); it draws for r and flips the count to
-# n - count when p > 0.5.  BTPE's first step takes two uniforms u, v of the
-# generator, scales u by p4, and accepts floor(xm - p1 * v + u) unless u > p1:
-# about 3 draws in 4 at n = 100000.  The setup and the step are scalar SSE2
-# arithmetic without FMA in numpy's build, so Python floats and float64 ufuncs
-# taken in the same order give the same bits.
-_BTPE_MIN_MEAN = 30.0
-# Accepted trials of each call that are also drawn by the generator, as a check.
+# Accepted trials of each call that are also drawn by the generator, as a
+# check: this many of those Step 10 accepts in a trial's first pass, and this
+# many of all the others.
 _SELF_CHECKS = 8
-
-
-def _btpe_setup(shots: int, p: float) -> tuple[float, float, float] | None:
-    """(p1, xm, p4) of random_binomial_btpe's setup for binomial(shots, p).
-
-    None where numpy does not draw by BTPE.  The test is written so that a
-    NaN p, a p outside [0, 1] or a negative shots also gives None, and such a
-    call is left to the generator, which raises.  The constants are computed
-    in the order of numpy's setup; those the first step does not use are kept
-    because p4 depends on them.
-    """
-    r = min(p, 1.0 - p)
-    if not r * shots > _BTPE_MIN_MEAN:
-        return None
-    q = 1.0 - r
-    fm = shots * r + r
-    m = math.floor(fm)
-    p1 = math.floor(2.195 * math.sqrt(shots * r * q) - 4.6 * q) + 0.5
-    xm = m + 0.5
-    xl = xm - p1
-    xr = xm + p1
-    c = 0.134 + 20.5 / (15.3 + m)
-    a = (fm - xl) / (fm - xl * r)
-    laml = a * (1.0 + a / 2.0)
-    a = (xr - fm) / (xr * q)
-    lamr = a * (1.0 + a / 2.0)
-    p2 = p1 * (1.0 + 2.0 * c)
-    p3 = p2 + c / laml
-    p4 = p3 + c / lamr
-    return p1, xm, p4
-
+# The trials sent back to Step 10 are pooled across chunks.  The pool takes at
+# most _POOL_PASSES passes in numpy, each only while it holds _POOL_MIN trials
+# or more, and the generator draws what is left.  A pass has a fixed cost of
+# ~0.45 ms on a 2-core Xeon, a generator draw ~1.2 us: a few hundred trials
+# pay for a pass.
+_POOL_PASSES = 2
+_POOL_MIN = 256
 
 _ROT_SHIFT, _ROT_MASK, _DOUBLE_SHIFT = np.uint64(58), np.uint64(63), np.uint64(11)
 
 
-def _next_doubles(state: list[np.ndarray], inc: list[np.ndarray], count: int) -> list[np.ndarray]:
-    """The first `count` next_double outputs of the PCG64s at limbs `state` and `inc`.
+def _next_doubles(words: np.ndarray, count: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """The first `count` next_double outputs of the PCG64 at each row of
+    _pcg64_words, and the rows of those PCG64s after them.
 
     Each step advances the state by the LCG and takes its XSL-RR output: the
     state's two 64-bit halves XORed, rotated right by the top 6 bits; the
     double is the output's top 53 bits times 2**-53.
     """
+    state, inc = _limbs(words[:, 0], words[:, 1]), _limbs(words[:, 2], words[:, 3])
     out = []
     for _ in range(count):
         state = _add(_mul_pcg(state), inc)
@@ -292,24 +270,100 @@ def _next_doubles(state: list[np.ndarray], inc: list[np.ndarray], count: int) ->
         x = hi ^ lo
         x = x >> rot | x << (np.uint64(64) - rot & _ROT_MASK)
         out.append((x >> _DOUBLE_SHIFT) * 2.0**-53)
-    return out
+    after = words.copy()
+    after[:, 0], after[:, 1] = lo, hi
+    return out, after
 
 
-def _btpe_first_step(
-    words: np.ndarray, shots: int, p: float, setup: tuple[float, float, float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(accepted, counts) of BTPE's first step for the generator at each row of _pcg64_words.
+def _btpe_pass(words: np.ndarray, s: btpe.Setup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(outcome, counts, after) of btpe.one_pass for the generator at each row
+    of _pcg64_words, with the rows past the pass's two outputs, where a LOOP
+    trial takes its next pass."""
+    (d1, v), after = _next_doubles(words, 2)
+    return (*btpe.one_pass(d1, v, s), after)
 
-    counts holds binomial(shots, p) where accepted is True and is meaningless
-    elsewhere.
-    """
-    p1, xm, p4 = setup
-    u, v = _next_doubles(_limbs(words[:, 0], words[:, 1]), _limbs(words[:, 2], words[:, 3]), 2)
-    u *= p4
-    counts = np.floor(xm - p1 * v + u).astype(np.int64)
-    if p > 0.5:
-        counts = shots - counts
-    return ~(u > p1), counts
+
+class _TrialCounts:
+    """The counts of one trial_counts call, filled chunk by chunk."""
+
+    def __init__(self, shots: int, p: float, trials: int):
+        self.bit_gen = np.random.PCG64(0)  # its state is replaced before every draw
+        self.binomial = np.random.Generator(self.bit_gen).binomial
+        self.view = _state_view(self.bit_gen)
+        self.fast = _view_sets_state(self.bit_gen, self.view)
+        # 0-d arrays pass numpy's argument conversion faster than Python scalars.
+        self.n_arr, self.p_arr = np.array(shots, dtype=np.int64), np.array(p, dtype=np.float64)
+        self.setup = btpe.setup(int(self.n_arr), float(self.p_arr))
+        self.counts = np.empty(trials, dtype=np.int64)
+        # Self-checks left: Step 10 in a trial's first pass, every other acceptance.
+        self.checks = [_SELF_CHECKS, _SELF_CHECKS]
+        # (index, seeded rows, current rows) of the trials sent back to Step 10.
+        self.pool: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.pooled = 0
+
+    def draw(self, words: np.ndarray) -> list[int]:
+        """binomial(shots, p) of the generator at each row of `words`."""
+        out = []
+        binomial, n_arr, p_arr = self.binomial, self.n_arr, self.p_arr
+        if not self.fast:
+            for row in words.tolist():
+                self.bit_gen.state = _dict_state(*row)
+                out.append(binomial(n_arr, p_arr))
+        elif len(words):  # memoryview cannot cast an empty array
+            view, data = self.view, memoryview(words).cast("B")
+            for off in range(0, data.nbytes, 32):
+                view[:] = data[off:off + 32]
+                out.append(binomial(n_arr, p_arr))
+        return out
+
+    def add(self, start: int, seeds: np.ndarray) -> None:
+        """Count the trials from `start` on, at the seeded rows `seeds`."""
+        index = np.arange(start, start + len(seeds))
+        if self.setup is None:
+            self.counts[index] = self.draw(seeds)
+            return
+        self._take_pass(index, seeds, seeds, first=True)
+        if self.pooled >= SEED_CHUNK:
+            self.flush()
+
+    def flush(self) -> None:
+        """Take the pool's passes, then draw what is left by the generator."""
+        for _ in range(_POOL_PASSES):
+            if self.pooled < _POOL_MIN:
+                break
+            index, seeds, words = (np.concatenate(parts) for parts in zip(*self.pool))
+            self.pool, self.pooled = [], 0
+            self._take_pass(index, seeds, words, first=False)
+        self._draw_pool()
+
+    def _draw_pool(self) -> None:
+        for index, seeds, _ in self.pool:
+            self.counts[index] = self.draw(seeds)
+        self.pool, self.pooled = [], 0
+
+    def _take_pass(self, index: np.ndarray, seeds: np.ndarray, words: np.ndarray, first: bool) -> None:
+        """One BTPE pass of the trials at rows `words`, seeded at `seeds`."""
+        outcome, counts, after = _btpe_pass(words, self.setup)
+        accepted = outcome <= btpe.SQUEEZE
+        step10 = outcome == btpe.STEP10 if first else np.zeros_like(accepted)
+        for group, mask in enumerate((step10, accepted & ~step10)):
+            if not self.checks[group]:
+                continue
+            checked = np.flatnonzero(mask)[:self.checks[group]]
+            if self.draw(seeds[checked]) != counts[checked].tolist():
+                # Every trial not yet checked goes to the generator.
+                self.setup = None
+                self.counts[index] = self.draw(seeds)
+                self._draw_pool()
+                return
+            self.checks[group] -= len(checked)
+        self.counts[index[accepted]] = counts[accepted]
+        deferred = outcome == btpe.DEFER
+        self.counts[index[deferred]] = self.draw(seeds[deferred])
+        looped = np.flatnonzero(outcome == btpe.LOOP)
+        if len(looped):
+            self.pool.append((index[looped], seeds[looped], after[looped]))
+            self.pooled += len(looped)
 
 
 def trial_counts(shots: int, p: float, trials: int, seed: int) -> np.ndarray:
@@ -317,61 +371,38 @@ def trial_counts(shots: int, p: float, trials: int, seed: int) -> np.ndarray:
 
     Trial i is np.random.default_rng(seed + i).binomial(shots, p), bit for
     bit.  The seeded states are computed SEED_CHUNK trials at a time.  Where
-    numpy draws by BTPE, its first step is taken for the whole chunk in
-    numpy, and the trials it accepts are counted without the generator.  The
-    trials it rejects, and every trial when numpy does not use BTPE, are drawn
-    by one reused PCG64: each writes its 32 bytes of state straight into the
-    generator.  binomial draws only whole 64-bit outputs, so has_uint32 and
-    uinteger keep the 0 that the layout check saw.  If that check fails, each
-    trial sets the same words through the bit_generator.state dict instead.
+    numpy draws by BTPE, each chunk takes one pass of BTPE in numpy
+    (btpe.one_pass): two PCG64 outputs per trial, Step 10, and for the trials
+    Step 10 rejects, Steps 20, 30 and 40 and Step 52's squeeze.  A decision
+    that reads a log is taken only when np.log's value, widened by a relative
+    2**-40 each way, settles it.  Trials sent back to Step 10 join a pool of
+    their PCG64 rows after the pass.  Whenever the pool holds SEED_CHUNK
+    trials, and at the end, it takes up to _POOL_PASSES passes of its own,
+    each while it holds at least _POOL_MIN trials.
 
-    Both shortcuts copy numpy's internals, not its API, so each is checked
-    on every call: the layout by _view_sets_state, the step by drawing the
-    first _SELF_CHECKS accepted trials through the generator as well.  On a
-    mismatch, every trial not yet checked is drawn by the generator.
+    The generator draws the rest: the trials a pass leaves to it (Step 50,
+    the full Stirling test, a log decision that the bracket does not settle),
+    those the pool still holds after its passes, and every trial where numpy
+    does not use BTPE.  At the shots benchmark's inputs (100000 shots, 20000
+    trials) that is about 1 trial in 60.  Each is drawn from its seeded state
+    by one reused PCG64, whose 32 bytes of state are written straight
+    into the generator.  binomial draws only whole 64-bit outputs, so
+    has_uint32 and uinteger keep the 0 that the layout check saw.  If that
+    check fails, each trial sets the same words through the
+    bit_generator.state dict instead.
+
+    Both shortcuts copy numpy's internals, not its API, so each is checked on
+    every call: the layout by _view_sets_state, the steps by drawing through
+    the generator as well the first _SELF_CHECKS trials that Step 10 accepts
+    in their first pass, and the first _SELF_CHECKS that any other step or
+    pass accepts.  On a mismatch, every trial not yet checked is drawn by the
+    generator.
     """
-    bit_gen = np.random.PCG64(0)  # its state is replaced before every draw
-    binomial = np.random.Generator(bit_gen).binomial
-    view = _state_view(bit_gen)
-    fast = _view_sets_state(bit_gen, view)
-    # 0-d arrays pass numpy's argument conversion faster than Python scalars.
-    n_arr, p_arr = np.array(shots, dtype=np.int64), np.array(p, dtype=np.float64)
-    shots, p = int(n_arr), float(p_arr)
-
-    def draw(words: np.ndarray) -> list[int]:
-        """binomial(shots, p) of the generator at each row of `words`."""
-        out = []
-        if not fast:
-            for row in words.tolist():
-                bit_gen.state = _dict_state(*row)
-                out.append(binomial(n_arr, p_arr))
-        elif len(words):  # memoryview cannot cast an empty array
-            data = memoryview(words).cast("B")
-            for off in range(0, data.nbytes, 32):
-                view[:] = data[off:off + 32]
-                out.append(binomial(n_arr, p_arr))
-        return out
-
-    setup = _btpe_setup(shots, p)
-    checks = _SELF_CHECKS
-    counts = np.empty(trials, dtype=np.int64)
+    run = _TrialCounts(shots, p, trials)
     for start in range(0, trials, SEED_CHUNK):
-        words = _pcg64_words(seed + start, min(SEED_CHUNK, trials - start))
-        chunk = counts[start:start + len(words)]
-        if setup is None:
-            chunk[:] = draw(words)
-            continue
-        accepted, chunk[:] = _btpe_first_step(words, shots, p, setup)
-        if checks:
-            checked = np.flatnonzero(accepted)[:checks]
-            if draw(words[checked]) != chunk[checked].tolist():
-                setup = None
-                chunk[:] = draw(words)
-                continue
-            checks -= len(checked)
-        rejected = np.flatnonzero(~accepted)
-        chunk[rejected] = draw(words[rejected])
-    return counts
+        run.add(start, _pcg64_words(seed + start, min(SEED_CHUNK, trials - start)))
+    run.flush()
+    return run.counts
 
 
 def estimate_negativity(

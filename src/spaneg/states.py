@@ -317,14 +317,19 @@ def load_state(path) -> DensityMatrix:
         payload = json.loads(_read_capped(path).decode("utf-8"))
         re = np.asarray(payload["re"], dtype=float)
         im = np.asarray(payload["im"], dtype=float)
-    # json.loads raises RecursionError on a deeply nested file.
-    except (OSError, json.JSONDecodeError, RecursionError, KeyError, TypeError, ValueError) as exc:
+    # json.loads raises RecursionError on a deeply nested file, and float()
+    # OverflowError on an integer literal past float64's range.
+    except (OSError, json.JSONDecodeError, RecursionError, OverflowError, KeyError, TypeError, ValueError) as exc:
         raise StateValidationError([f"unreadable state file {path}: {exc}"]) from exc
     if re.shape != (4, 4) or im.shape != (4, 4):
         raise StateValidationError(
             [f"state file arrays must be 4x4, got re {re.shape}, im {im.shape}"]
         )
-    return validate(re + 1j * im)
+    # An infinite imaginary entry makes 1j * im NaN with a RuntimeWarning;
+    # validate rejects the state as non-finite either way.
+    with np.errstate(invalid="ignore"):
+        mat = re + 1j * im
+    return validate(mat)
 
 
 def from_spec(kind: str, param: float | None = None) -> DensityMatrix:

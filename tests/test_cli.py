@@ -2,14 +2,18 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spaneg import cli, measures, shotsim, states
 from spaneg.states import DensityMatrix, from_spec, random_mixed_batch, save_state
@@ -79,6 +83,26 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and f"unreadable state file {path}" in err
         assert "Traceback" not in err
+
+    def test_integer_literal_past_float_range_is_input_error(self, tmp_path, capsys):
+        # A 400-digit integer parses as a Python int; float() of it raises
+        # OverflowError, not ValueError.
+        path = tmp_path / "big_int.json"
+        re = json.dumps((np.eye(4) / 4).tolist()).replace("0.25", "1" * 400, 1)
+        path.write_text('{"re": %s, "im": %s}' % (re, json.dumps(np.zeros((4, 4)).tolist())))
+        assert cli.run(["analyze", "--state", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"unreadable state file {path}" in err
+
+    def test_infinite_imaginary_entry_is_input_error(self, tmp_path, capsys):
+        # 1j * inf is NaN; the RuntimeWarning it raises must not reach the
+        # caller (here it would be an error) before validate rejects the state.
+        path = tmp_path / "inf.json"
+        im = np.zeros((4, 4)).tolist()
+        im[0][1] = float("inf")
+        path.write_text(json.dumps({"re": (np.eye(4) / 4).tolist(), "im": im}))
+        assert cli.run(["analyze", "--state", str(path)]) == 2
+        assert "non-finite entries" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra, code", [(0, 0), (1, 2)])
     def test_state_file_size_cap(self, tmp_path, capsys, extra, code):
@@ -686,3 +710,101 @@ class TestSpaVerify:
             code, text = run_to_file(tmp_path, ["spa-verify", "--seed", seed], f"v{seed}.txt")
             assert code == 0
             assert "affine invariants: PASS" in text
+
+
+# A property over the whole boundary: state-file texts made by mutating a
+# valid file, and argv drawn from each subcommand's flags with values at and
+# beyond each _LIMITS edge.  Whatever is drawn, cli.run returns an exit code
+# of the contract and raises nothing, leaves no .partial file, and writes
+# --out only on exit 0.
+_RE = json.dumps((np.eye(4) / 4).tolist()).encode()
+_IM = json.dumps(np.zeros((4, 4)).tolist()).encode()
+_STATE = b'{"re": ' + _RE + b', "im": ' + _IM + b"}"
+_NUMBERS = [m.span() for m in re.finditer(rb"-?[0-9.]+", _STATE)]
+# Each a JSON value of a type a state file does not hold where it stands.
+_WRONG = [b'"abc"', b"1", b"-2.5", b"{}", b'{"re": 1}', b"null", b"true", b"[]", b'["a"]', b"[[1, 2], [3]]"]
+
+
+def _with_number(at: int, literal: bytes) -> bytes:
+    start, end = _NUMBERS[at % len(_NUMBERS)]
+    return _STATE[:start] + literal + _STATE[end:]
+
+
+_STATE_TEXTS = st.one_of(
+    st.just(_STATE),
+    st.integers(0, len(_STATE) - 1).map(lambda k: _STATE[:k]),
+    st.integers(1, 5000).map(lambda depth: b'{"re": ' + b"[" * depth + b"]" * depth + b', "im": []}'),
+    st.builds(_with_number, st.integers(0, 31), st.sampled_from([b"NaN", b"Infinity", b"-Infinity", b"1e400"])),
+    st.builds(_with_number, st.integers(0, 31), st.integers(300, 5000).map(lambda digits: b"9" * digits)),
+    st.builds(lambda value, key: _STATE.replace(key, value, 1), st.sampled_from(_WRONG), st.sampled_from([_RE, _IM])),
+    st.sampled_from(_WRONG),
+    st.builds(
+        lambda at, junk: _STATE[:at] + junk + _STATE[at:],
+        st.integers(0, len(_STATE)),
+        st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x00"]),
+    ),
+)
+_JUNK = ["", "x", "1.5", "1e3", "\u0663", "0x10", " 7 ", "1_0", "-", "--"]
+
+
+def _int_values(flag: str):
+    least, greatest = cli._LIMITS[flag]
+    edges = [least - 1, least] + ([greatest, greatest + 1] if greatest is not None else [2**64, 10**400])
+    inside = st.integers(least, least + 5)
+    return st.one_of(st.sampled_from(edges), inside, inside).map(str) | st.sampled_from(_JUNK)
+
+
+# Placeholders the test replaces with paths in its directory.
+_VALUES = {
+    "--family": st.sampled_from(sorted(states.FAMILIES) + ["nope", ""]),
+    "--param": st.floats().map(repr) | st.sampled_from(["x", "", "-0", "2.0", "1e300"]),
+    "--state": st.sampled_from(["STATE", "STATE", "MISSING", "DIR"]),
+    "--out": st.just("OUT"),
+    **{f"--{name}": _int_values(name) for name in cli._LIMITS},
+}
+_FLAGS = {
+    "analyze": ["--family", "--param", "--state", "--out"],
+    "sweep": ["--family", "--points", "--out"],
+    "random-study": ["--count", "--seed", "--out"],
+    "simulate": ["--family", "--param", "--state", "--seed", "--shots", "--trials", "--out"],
+    "spa-verify": ["--seed", "--out"],
+}
+
+
+@st.composite
+def _argvs(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    # Most runs that take a state read the drawn file, so that its mutations
+    # reach the parser; a later --state or --family flag may override it.
+    if "--state" in _FLAGS[command] and draw(st.integers(0, 3)):
+        argv += ["--state", "STATE"]
+    for flag in draw(st.lists(st.sampled_from(_FLAGS[command]), unique=True)):
+        argv += [flag, draw(_VALUES[flag])]
+    return argv + draw(st.sampled_from([[]] * 5 + [["--bogus"], ["--help"], ["extra"]]))
+
+
+def _shrink_workers(mp) -> None:
+    """Run each size-bound worker on at most 3 items, so that an argv at a size
+    cap takes milliseconds; the flags are still parsed and checked in full."""
+    study, sweep, estimate = cli.random_study_rows, cli.sweep_rows, shotsim.estimate_negativity
+    mp.setattr(cli, "random_study_rows", lambda count, seed: study(min(count, 3), seed))
+    mp.setattr(cli, "sweep_rows", lambda family, points: sweep(family, min(points, 3)))
+    mp.setattr(shotsim, "estimate_negativity", lambda rho, shots, trials, seed: estimate(rho, shots, min(trials, 3), seed))
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argvs(), state=_STATE_TEXTS)
+def test_any_input_exits_with_a_contract_code(tmp_path, argv, state):
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    (work / "state.json").write_bytes(state)
+    out = work / "out.txt"
+    paths = {"STATE": work / "state.json", "MISSING": work / "missing.json", "DIR": work, "OUT": out}
+    argv = [str(paths.get(arg, arg)) for arg in argv]
+    with pytest.MonkeyPatch.context() as mp:
+        _shrink_workers(mp)
+        code = cli.run(argv)
+    assert code in (0, 1, 2, 3)
+    assert not [name for name in os.listdir(work) if name.endswith(".partial")]
+    assert code == 0 or not out.exists()
+

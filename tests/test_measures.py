@@ -355,6 +355,14 @@ class TestEachIntermediateOnce:
         validate(random_mixed_batch(np.random.default_rng(39), 1)[0])
         assert calls == {"hermitian_parts": 1, "partial_transpose": 0, "eigh": 0}
 
+    def test_full_report_checks_mu_min_once(self, monkeypatch):
+        checked = []
+        check = measures._check_mu
+        monkeypatch.setattr(measures, "_check_mu", lambda mu: checked.append(mu) or check(mu))
+        rep = full_report(from_spec("horodecki", 0.5))
+        assert checked == [rep.mu_min]
+        assert rep.lower_bound == measures.negativity_lower_bound(rep.mu_min)
+
 
 def test_estimator_bias_formula():
     assert estimator_bias(0.5) == pytest.approx(1 / 1356, abs=1e-15)

@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spaneg import shotsim
+from spaneg import btpe, shotsim
 from spaneg.measures import favg_from_mu, mu_from_favg, negativity_normalized_batch
 from spaneg.shotsim import SEED_CHUNK, _pcg64_words, estimate_negativity, trial_counts
 from spaneg.spa import MU_MIN_HI, MU_MIN_LO, spa_pt_affine
@@ -123,6 +124,8 @@ def _default_rng_counts(shots, p, trials, base):
 def _small_chunk_counts(shots, p, trials, base):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(shotsim, "SEED_CHUNK", SMALL_CHUNK)
+        # Any pool takes its passes, so that they too cross the chunk edges.
+        mp.setattr(shotsim, "_POOL_MIN", 1)
         return trial_counts(shots, p, trials, base).tolist()
 
 
@@ -215,13 +218,14 @@ def _generator_draw(row: list[int], shots: int, p: float) -> int:
     p=st.floats(0.0, 1.0),
 )
 def test_btpe_first_step_is_the_generators_where_it_accepts(state, inc, shots, p):
-    setup = shotsim._btpe_setup(shots, p)
+    setup = btpe.setup(shots, p)
     assume(setup is not None)
     # 32 generators on states spread over all 128 bits, so that every
     # rotation and both halves of the output are reached.
     rows = [_row_before((state + j * 0x9E3779B97F4A7C15F39CC0605CEDC835) % 2**128, 2 * inc + 1) for j in range(32)]
     words = np.array(rows, dtype=np.uint64)
-    accepted, counts = shotsim._btpe_first_step(words, shots, p, setup)
+    outcome, counts, _ = shotsim._btpe_pass(words, setup)
+    accepted = outcome == btpe.STEP10
     for row, count in zip(words[accepted].tolist(), counts[accepted].tolist()):
         assert count == _generator_draw(row, shots, p)
 
@@ -232,13 +236,12 @@ def test_btpe_first_step_accepts_u_equal_to_p1(p):
     # double k * 2**-53 of this k makes u = d1 * p4 exactly p1.  The state
     # after the first step has a zero high half: no rotation, output hi ^ lo = lo.
     shots, k = 1000, 5998927691899537
-    setup = shotsim._btpe_setup(shots, p)
-    p1, _, p4 = setup
-    assert p1 == 28.5 and (k * 2.0**-53) * p4 == p1
+    setup = btpe.setup(shots, p)
+    assert setup.p1 == 28.5 and (k * 2.0**-53) * setup.p4 == setup.p1
     for d in (0, 1):
         row = _row_before((k + d) << 11, 0x0123456789ABCDEF0123456789ABCDEF)
-        accepted, counts = shotsim._btpe_first_step(np.array([row], dtype=np.uint64), shots, p, setup)
-        assert accepted[0] == (d == 0)
+        outcome, counts, _ = shotsim._btpe_pass(np.array([row], dtype=np.uint64), setup)
+        assert (outcome[0] == btpe.STEP10) == (d == 0)
         if d == 0:
             assert counts[0] == _generator_draw(row, shots, p)
 
@@ -264,7 +267,8 @@ def _count_draws(monkeypatch) -> list[int]:
 # (shots, p, whether numpy draws by BTPE): it does where min(p, 1 - p) * shots
 # > 30.  0.3 * 100 is 30.0, but 1 - 0.7 is 0.30000000000000004, so 100 shots
 # draw by inversion at p = 0.3 and by BTPE at p = 0.7.  p > 0.5 draws for
-# 1 - p and flips the count.
+# 1 - p and flips the count.  Past 2**53 shots the later steps leave every
+# trial that Step 10 rejects to the generator.
 BTPE_EDGES = [
     (60, 0.5, False),
     (61, 0.5, True),
@@ -273,17 +277,18 @@ BTPE_EDGES = [
     (1000, 0.7, True),
     (1000, 0.5, True),
     (2**53, 0.47, True),
+    (2**62, 0.47, True),
 ]
 
 
-@pytest.mark.parametrize("shots, p, btpe", BTPE_EDGES)
-def test_trial_counts_at_the_real_chunk_around_btpe(monkeypatch, shots, p, btpe):
+@pytest.mark.parametrize("shots, p, by_btpe", BTPE_EDGES)
+def test_trial_counts_at_the_real_chunk_around_btpe(monkeypatch, shots, p, by_btpe):
     trials, base = SEED_CHUNK + 1, 2**64 - SEED_CHUNK // 2
     expected = _default_rng_counts(shots, p, trials, base)
     draws = _count_draws(monkeypatch)
     assert trial_counts(shots, p, trials, base).tolist() == expected
-    assert (shotsim._btpe_setup(shots, p) is not None) == btpe
-    if btpe:
+    assert (btpe.setup(shots, p) is not None) == by_btpe
+    if by_btpe:
         # The step accepted its share (p1 / p4 >= 0.38 here): no fallback.
         assert draws[0] < 0.7 * trials
     else:
@@ -297,14 +302,18 @@ def test_invalid_p_still_raises(p):
 
 
 def test_the_step_draws_three_in_four_workload_trials(monkeypatch):
-    # The shots benchmark: Horodecki p = 0.8 at 100000 shots.  numpy's first
-    # step rejects 1 - p1 / p4 = 0.2456 of its draws there; only those, and
-    # the self-check, call the generator.
+    # The shots benchmark: Horodecki p = 0.8, 100000 shots, 20000 trials.
+    # Step 10 accepts p1 / p4 = 0.7544 of the passes there.  The later steps
+    # and the pool's passes count most of the rest, so at most 3 % of the
+    # trials call the generator (about 1 in 60, with the 16 self-checks).
     f = favg_from_mu(spa_pt_affine(from_spec("horodecki", 0.8)).mu_min)
-    trials = 2 * SEED_CHUNK
+    setup = btpe.setup(100000, f)
+    assert setup.p1 / setup.p4 == pytest.approx(0.7544, abs=1e-4)
+    trials = 20000
     draws = _count_draws(monkeypatch)
     trial_counts(100000, f, trials, 1401)
-    assert draws[0] / trials == pytest.approx(0.2456, abs=0.02)
+    assert draws[0] / trials <= 0.03
+    assert draws[0] / trials == pytest.approx(0.0166, abs=0.003)
 
 
 @pytest.mark.parametrize("chunk, trials", [(SEED_CHUNK, SEED_CHUNK + 1), (4, 25)])
@@ -313,11 +322,11 @@ def test_a_failed_self_check_leaves_the_draws_to_the_generator(monkeypatch, chun
     # A step that miscounts every accepted trial, or only the last one the
     # self-check draws (in the third chunk or later when chunks are 4
     # trials), must not reach the output.
-    step = shotsim._btpe_first_step
+    step = btpe._first_step
     seen = [0]
 
-    def wrong_step(words, shots, p, setup):
-        accepted, counts = step(words, shots, p, setup)
+    def wrong_step(u, v, setup):
+        accepted, counts = step(u, v, setup)
         for j in np.flatnonzero(accepted):
             seen[0] += 1
             if wrong == "every" or seen[0] == shotsim._SELF_CHECKS:
@@ -326,7 +335,253 @@ def test_a_failed_self_check_leaves_the_draws_to_the_generator(monkeypatch, chun
 
     base = 2**64 - chunk
     expected = _default_rng_counts(1000, 0.3, trials, base)
-    monkeypatch.setattr(shotsim, "_btpe_first_step", wrong_step)
+    monkeypatch.setattr(btpe, "_first_step", wrong_step)
     monkeypatch.setattr(shotsim, "SEED_CHUNK", chunk)
     assert trial_counts(1000, 0.3, trials, base).tolist() == expected
     assert seen[0] >= (shotsim._SELF_CHECKS if wrong == "last checked" else 1)
+
+
+def _row_with_doubles(k1: int, k2: int) -> list[int]:
+    """A _pcg64_words row whose first two doubles are k1 * 2**-53 and k2 * 2**-53.
+
+    Both states have a zero high half, so XSL-RR outputs their low half
+    unrotated.  The increment is whatever takes the first state to the
+    second, and it is odd because the second state's low bit is set.
+    """
+    first, second = k1 << 11, k2 << 11 | 1
+    return _row_before(first, (second - first * shotsim._PCG_MULT) % 2**128)
+
+
+def _btpe_path(row: list[int], shots: int, p: float) -> list[str]:
+    """The steps numpy's BTPE takes for the generator at `row`, one per pass.
+
+    A scalar transcription of random_binomial_btpe with math.log, the C
+    library's log that numpy calls.  It only names the path a trial takes;
+    the generator gives the count.  A pass ends in its count, in Step 50 or
+    the full Stirling test, or in a loop back to Step 10.
+    """
+    bit_gen = np.random.PCG64(0)
+    bit_gen.state = shotsim._dict_state(*row)
+    s = btpe.setup(shots, p)
+
+    def double():
+        return (int(bit_gen.random_raw()) >> 11) * 2.0**-53
+
+    path = []
+    while True:
+        u, v = double() * s.p4, double()
+        if not u > s.p1:
+            return path + ["10"]
+        if not u > s.p2:
+            x = s.xl + (u - s.p1) / s.c
+            v = v * s.c + 1.0 - abs(s.m - x + 0.5) / s.p1
+            if v > 1.0:
+                path.append("20 loops")
+                continue
+            y, step = math.floor(x), "20"
+        elif v == 0.0:
+            path.append("30 v = 0" if not u > s.p3 else "40 v = 0")
+            continue
+        elif not u > s.p3:
+            y, step = math.floor(s.xl + math.log(v) / s.laml), "30"
+            if y < 0:
+                path.append("30 y < 0")
+                continue
+            v = v * (u - s.p2) * s.laml
+        else:
+            y, step = math.floor(s.xr - math.log(v) / s.lamr), "40"
+            if y > shots:
+                path.append("40 y > n")
+                continue
+            v = v * (u - s.p3) * s.lamr
+        k = abs(y - s.m)
+        if not (k > 20 and k < s.nrq / 2.0 - 1):
+            return path + [step + " 50"]
+        rho = (k / s.nrq) * ((k * (k / 3.0 + 0.625) + 0.16666666666666666) / s.nrq + 0.5)
+        t = -k * k / (2 * s.nrq)
+        a = math.log(v) if v > 0.0 else -math.inf
+        if a < t - rho:
+            return path + [step + " 52 accepts"]
+        if a > t + rho:
+            path.append(step + " 52 loops")
+            continue
+        return path + [step + " stirling"]
+
+
+# Seeds whose default_rng(seed).binomial(shots, p) takes each path through
+# BTPE's later steps, as _btpe_path names it, found by a search over the first
+# seeds.  A tail's y leaves [0, n] only at small n.  p = 0.552 draws for
+# 1 - p = 0.448 and flips the count.
+LATER_PATHS = [
+    (100000, 0.448, 9, ["20 52 accepts"]),
+    (100000, 0.552, 9, ["20 52 accepts"]),
+    (100000, 0.448, 13, ["20 loops", "20 52 accepts"]),
+    (100000, 0.448, 108, ["20 loops", "10"]),
+    (100000, 0.448, 5, ["20 52 loops", "10"]),
+    (100000, 0.448, 134, ["30 52 accepts"]),
+    (100000, 0.448, 93, ["40 52 accepts"]),
+    (100000, 0.448, 133, ["30 52 loops", "10"]),
+    (100000, 0.552, 316, ["40 52 loops", "30 52 accepts"]),
+    (62, 0.5, 64649, ["30 y < 0", "10"]),
+    (62, 0.5, 409060, ["40 y > n", "10"]),
+    (100000, 0.448, 120, ["20 50"]),
+    (100000, 0.448, 206, ["20 stirling"]),
+    (100000, 0.448, 439, ["30 stirling"]),
+    (100000, 0.552, 1602, ["40 stirling"]),
+]
+
+
+@pytest.mark.parametrize("shots, p, seed, path", LATER_PATHS)
+def test_each_later_step_path_is_default_rngs(monkeypatch, shots, p, seed, path):
+    assert _btpe_path(_pcg64_words(seed, 1)[0].tolist(), shots, p) == path
+    expected = _default_rng_counts(shots, p, 1, seed)
+    # A pool of one trial takes its passes, and no self-check draws.
+    monkeypatch.setattr(shotsim, "_POOL_MIN", 1)
+    monkeypatch.setattr(shotsim, "_SELF_CHECKS", 0)
+    draws = _count_draws(monkeypatch)
+    assert trial_counts(shots, p, 1, seed).tolist() == expected
+    # Only Step 50 and the full Stirling test are left to the generator.
+    assert draws[0] == path[-1].endswith(("50", "stirling"))
+
+
+@pytest.mark.parametrize("tail", ["30", "40"])
+def test_v_zero_in_a_tail_loops_back(tail):
+    # numpy loops on v == 0.0 in Steps 30 and 40, where log(v) is -inf; the
+    # numpy steps must too, without a RuntimeWarning (which fails the test).
+    shots, p = 100000, 0.448
+    s = btpe.setup(shots, p)
+    u = (s.p2 + s.p3) / 2 if tail == "30" else (s.p3 + s.p4) / 2
+    row = _row_with_doubles(int(u / s.p4 * 2**53), 0)
+    assert _btpe_path(row, shots, p)[0] == f"{tail} v = 0"
+    outcome, _, after = shotsim._btpe_pass(np.array([row], dtype=np.uint64), s)
+    assert outcome[0] == btpe.LOOP
+    assert _generator_draw(after[0].tolist(), shots, p) == _generator_draw(row, shots, p)
+
+
+def test_step_20_goes_on_at_v_equal_to_one():
+    # numpy loops on v > 1.0 only.  This u puts x at the mode, so that with
+    # v == 0 the new v is exactly 1.0: numpy goes on to Step 50, whose product
+    # test accepts m, and the numpy steps must leave the trial to it.
+    shots, p = 100000, 0.448
+    s = btpe.setup(shots, p)
+    row = _row_with_doubles(7708371503708794, 0)
+    assert _btpe_path(row, shots, p) == ["20 50"]
+    outcome, _, _ = shotsim._btpe_pass(np.array([row], dtype=np.uint64), s)
+    assert outcome[0] == btpe.DEFER
+    assert _generator_draw(row, shots, p) == s.m
+
+
+@given(
+    shots=st.integers(31, 2**53),
+    p=st.floats(0.0, 1.0),
+    doubles=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 2**53 - 1)), min_size=1, max_size=8),
+)
+def test_btpe_later_steps_are_the_generators_where_they_decide(shots, p, doubles):
+    # Crafted first doubles put u past p1, at a share `at` of the way to p4:
+    # each count the later steps accept is the generator's, and a trial they
+    # send back to Step 10 draws the same from its next pass's state.
+    s = btpe.setup(shots, p)
+    assume(s is not None)
+    least = math.floor(s.p1 / s.p4 * 2**53) + 1
+    rows = [_row_with_doubles(min(least + int(at * (2**53 - least)), 2**53 - 1), k2) for at, k2 in doubles]
+    outcome, counts, after = shotsim._btpe_pass(np.array(rows, dtype=np.uint64), s)
+    for row, o, count, next_row in zip(rows, outcome.tolist(), counts.tolist(), after.tolist()):
+        if o in (btpe.STEP10, btpe.SQUEEZE):
+            assert count == _generator_draw(row, shots, p)
+        elif o == btpe.LOOP:
+            assert _generator_draw(next_row, shots, p) == _generator_draw(row, shots, p)
+
+
+def test_a_wide_log_bracket_leaves_every_log_decision_to_the_generator(monkeypatch):
+    # A bracket of (-inf, inf) settles no tail's y and no squeeze test: numpy
+    # then counts only what Step 10 accepts and loops only on Step 20's v > 1.
+    shots, p, base = 100000, 0.448, 2**64 - 300
+    monkeypatch.setattr(btpe, "_log_bracket", lambda v: (np.full_like(v, -np.inf), np.full_like(v, np.inf)))
+    s = btpe.setup(shots, p)
+    words = _pcg64_words(base, 600)
+    outcome, _, _ = shotsim._btpe_pass(words, s)
+    (u, _), _ = shotsim._next_doubles(words, 2)
+    u *= s.p4
+    assert not np.any(outcome == btpe.SQUEEZE)
+    for row in words[outcome == btpe.LOOP].tolist():
+        assert _btpe_path(row, shots, p)[0] == "20 loops"
+    assert np.count_nonzero(outcome == btpe.DEFER) > 100
+    monkeypatch.setattr(shotsim, "_POOL_MIN", 1)
+    assert trial_counts(shots, p, 600, base).tolist() == _default_rng_counts(shots, p, 600, base)
+
+
+@pytest.mark.parametrize("chunk, trials", [(SEED_CHUNK, SEED_CHUNK + 1), (16, 161)])
+@pytest.mark.parametrize("wrong", ["every", "last checked", "loops"])
+def test_a_failed_later_step_self_check_leaves_the_draws_to_the_generator(monkeypatch, chunk, trials, wrong):
+    # Later steps that miscount every squeeze acceptance, or only the last one
+    # the self-check draws, must not reach the output.  Nor may steps that send
+    # back to Step 10 what numpy accepts: the pool's passes then count what the
+    # generator would not, and the self-check of their acceptances draws each
+    # trial from its seeded state.
+    steps = btpe._later_steps
+    seen = [0]
+
+    def wrong_steps(u, v, setup):
+        outcome, counts = steps(u, v, setup)
+        for j in np.flatnonzero(outcome == btpe.SQUEEZE):
+            seen[0] += 1
+            if wrong == "loops":
+                outcome[j] = btpe.LOOP
+            elif wrong == "every" or seen[0] == shotsim._SELF_CHECKS:
+                counts[j] += 1
+        return outcome, counts
+
+    base = 2**64 - chunk
+    expected = _default_rng_counts(100000, 0.448, trials, base)
+    monkeypatch.setattr(btpe, "_later_steps", wrong_steps)
+    # Blocks of one row, so that the wrong steps see each trial once.
+    monkeypatch.setattr(btpe, "_BLOCK", 1)
+    monkeypatch.setattr(shotsim, "SEED_CHUNK", chunk)
+    monkeypatch.setattr(shotsim, "_POOL_MIN", 1)
+    assert trial_counts(100000, 0.448, trials, base).tolist() == expected
+    assert seen[0] >= (shotsim._SELF_CHECKS if wrong == "last checked" else 1)
+
+
+def test_np_log_stays_far_inside_the_log_bracket():
+    # The later steps take a decision that reads a log only when it holds
+    # across a relative _LOG_SLACK of np.log's value, because np.log is
+    # within an ulp of the C library's log, which numpy's BTPE calls and
+    # math.log calls too.  If a numpy release's log drifts further from it,
+    # this fails by name.
+    x = np.random.default_rng(2**32).random(100_000)
+    x = x[x > 0.0]
+    c_log = np.array([math.log(t) for t in x.tolist()])
+    gap = np.abs(np.log(x) - c_log) / -c_log
+    assert gap.max() <= btpe._LOG_SLACK * 2.0**-8, "numpy's log drifted from the C library's"
+
+
+# (shots, p) where the later steps meet each of their cases often: the tails'
+# y leaves [0, n] at 62 shots, Step 50 takes most trials at 1000 shots and few
+# at 10**9, and p > 0.5 flips the count.
+ROUND_CASES = [(62, 0.5), (1000, 0.3), (100000, 0.448), (100000, 0.552), (10**9, 0.999), (2**53, 0.47)]
+
+
+@pytest.mark.parametrize("shots, p", ROUND_CASES)
+def test_btpe_pass_is_the_generators_on_a_chunk(shots, p):
+    # Every count a pass accepts is the generator's, and every trial it sends
+    # back to Step 10 draws the same from its next pass's state.  The tails
+    # are ~1 trial in 10, so 2000 trials reach rare cases that the hypothesis
+    # tests' few rows per example seldom do.
+    s = btpe.setup(shots, p)
+    words = _pcg64_words(2**64 - 1000, 2000)
+    outcome, counts, after = shotsim._btpe_pass(words, s)
+    assert np.count_nonzero(outcome == btpe.SQUEEZE) + np.count_nonzero(outcome == btpe.LOOP) > 0
+    for row, o, count, next_row in zip(words.tolist(), outcome.tolist(), counts.tolist(), after.tolist()):
+        if o in (btpe.STEP10, btpe.SQUEEZE):
+            assert count == _generator_draw(row, shots, p)
+        elif o == btpe.LOOP:
+            assert _generator_draw(next_row, shots, p) == _generator_draw(row, shots, p)
+
+
+def test_later_steps_leave_shots_past_2_53_to_the_generator():
+    # Past 2**53 a float64 no longer holds every count, so the steps after
+    # Step 10 decide nothing there.
+    s = btpe.setup(2**62, 0.47)
+    outcome, _, _ = shotsim._btpe_pass(_pcg64_words(7, 400), s)
+    assert set(np.unique(outcome).tolist()) == {btpe.STEP10, btpe.DEFER}
+
