@@ -121,27 +121,33 @@ def _seed_state_words(first: int, count: int) -> np.ndarray:
     return (out[0::2] | out[1::2] << np.uint64(32)).T
 
 
-# 128-bit words as four 32-bit limbs, least significant first, each held in a
-# uint64 so that sums of limb products and carries do not overflow.
+# 128-bit words as four 32-bit limbs, least significant first: the rows of a
+# (4, n) uint64 array, so that sums of limb products and carries do not
+# overflow.
 _LIMB = np.uint64(32)
 _LIMB_MASK = np.uint64(_MASK32)
 _PCG_MULT_LIMBS = [np.uint64(_PCG_MULT >> 32 * k & _MASK32) for k in range(4)]
 
 
-def _limbs(lo: np.ndarray, hi: np.ndarray) -> list[np.ndarray]:
+def _limbs(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Limbs of the 128-bit words hi << 64 | lo."""
-    return [lo & _LIMB_MASK, lo >> _LIMB, hi & _LIMB_MASK, hi >> _LIMB]
+    out = np.empty((4, len(lo)), dtype=np.uint64)
+    np.bitwise_and(lo, _LIMB_MASK, out=out[0])
+    np.right_shift(lo, _LIMB, out=out[1])
+    np.bitwise_and(hi, _LIMB_MASK, out=out[2])
+    np.right_shift(hi, _LIMB, out=out[3])
+    return out
 
 
-def _add(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
+def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Limbs of a + b mod 2**128."""
-    return _carry([x + y for x, y in zip(a, b)])
+    return _carry(a + b)
 
 
-def _carry(columns) -> list[np.ndarray]:
+def _carry(columns: np.ndarray) -> np.ndarray:
     """Limbs of sum(columns[k] << 32k) mod 2**128, in place of the columns.
 
-    Each column stays below 2**63.
+    Columns 0 to 2 stay below 2**63; column 3 counts mod 2**32 only.
     """
     for k in range(4):
         column = columns[k]
@@ -150,25 +156,29 @@ def _carry(columns) -> list[np.ndarray]:
         if k < 3:
             carry = column >> _LIMB
         column &= _LIMB_MASK
-    return list(columns)
+    return columns
 
 
-def _mul_pcg(a: list[np.ndarray]) -> list[np.ndarray]:
-    """Limbs of a * _PCG_MULT mod 2**128.
+def _mul_pcg(a: np.ndarray, inc: np.ndarray) -> np.ndarray:
+    """Limbs of a * _PCG_MULT + inc mod 2**128, PCG64's LCG step.
 
-    Limb k of the product collects the low halves of the partial products
-    a[i] * mult[k - i] and the high halves of those of limb k - 1: at most 7
-    terms below 2**32 each.  Each product and half is written into one of two
-    scratch rows and added into its column in place.
+    Limb k collects inc's limb k, the low halves of the partial products
+    a[i] * mult[k - i] and the high halves of those of limb k - 1: at most 8
+    terms below 2**32 each.  Limb 3 is kept mod 2**32 only, so its partial
+    products are added whole and its column may wrap.  Each product and half
+    is written into one of two scratch rows and added into its column in
+    place.
     """
-    columns = np.zeros((4, len(a[0])), dtype=np.uint64)
+    columns = inc.copy()
     prod, half = np.empty((2, len(a[0])), dtype=np.uint64)
     for i in range(4):
         for j in range(4 - i):
             np.multiply(a[i], _PCG_MULT_LIMBS[j], out=prod)
+            if i + j == 3:
+                np.add(columns[3], prod, out=columns[3])
+                continue
             np.add(columns[i + j], np.bitwise_and(prod, _LIMB_MASK, out=half), out=columns[i + j])
-            if i + j < 3:
-                np.add(columns[i + j + 1], np.right_shift(prod, _LIMB, out=half), out=columns[i + j + 1])
+            np.add(columns[i + j + 1], np.right_shift(prod, _LIMB, out=half), out=columns[i + j + 1])
     return _carry(columns)
 
 
@@ -193,7 +203,7 @@ def _pcg64_words(first: int, count: int) -> np.ndarray:
     s_hi, s_lo, i_hi, i_lo = seeded.T
     one = np.uint64(1)
     inc = _limbs(i_lo << one | one, i_hi << one | i_lo >> np.uint64(63))
-    state = _add(_mul_pcg(_add(_limbs(s_lo, s_hi), inc)), inc)
+    state = _mul_pcg(_add(_limbs(s_lo, s_hi), inc), inc)
     words = np.empty((count, 4), dtype=np.uint64)
     for col, (lo, hi) in enumerate([state[:2], state[2:], inc[:2], inc[2:]]):
         words[:, col] = lo | hi << _LIMB
@@ -263,7 +273,7 @@ def _next_doubles(words: np.ndarray, count: int) -> tuple[list[np.ndarray], np.n
     state, inc = _limbs(words[:, 0], words[:, 1]), _limbs(words[:, 2], words[:, 3])
     out = []
     for _ in range(count):
-        state = _add(_mul_pcg(state), inc)
+        state = _mul_pcg(state, inc)
         lo = state[0] | state[1] << _LIMB
         hi = state[2] | state[3] << _LIMB
         rot = hi >> _ROT_SHIFT
