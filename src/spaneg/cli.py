@@ -49,7 +49,7 @@ MAX_COUNT = 1_000_000
 # sweep: ~20 s (horodecki, the slowest family).
 MAX_POINTS = 1_000_000
 # simulate takes BTPE's steps in numpy for all but about 1 trial in 60, and
-# draws those from one reused generator: ~0.7 s and ~84 MB at --shots 100000,
+# draws those from one reused generator: ~0.8 s and ~84 MB at --shots 100000,
 # measured at the cap itself.
 MAX_TRIALS = 1_000_000
 # A trial's F_avg is k / shots, which float64 holds exactly for shots <= 2**53.

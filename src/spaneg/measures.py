@@ -269,7 +269,7 @@ def full_report(rho: DensityMatrix) -> EntanglementReport:
     outcome = spa_pt_affine(rho)
     mu = outcome.mu_min
     nd = float(_pt_spectrum(outcome.rho_pt[None])[0][0])
-    # This checks mu, once for the report.
+    # negativity_normalized_batch checks mu; the lower bound reuses that check.
     nn = float(negativity_normalized_batch(mu))
     return EntanglementReport(
         nd=nd,
