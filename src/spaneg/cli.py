@@ -49,7 +49,7 @@ MAX_COUNT = 1_000_000
 # sweep: ~20 s (horodecki, the slowest family).
 MAX_POINTS = 1_000_000
 # simulate takes BTPE's steps in numpy for all but about 1 trial in 60, and
-# draws those from one reused generator: ~0.8 s and ~84 MB at --shots 100000,
+# draws those from one reused generator: ~0.5 s and ~84 MB at --shots 100000,
 # measured at the cap itself.
 MAX_TRIALS = 1_000_000
 # A trial's F_avg is k / shots, which float64 holds exactly for shots <= 2**53.
@@ -79,7 +79,8 @@ class _Parser(argparse.ArgumentParser):
 def _out_target(out_path) -> tuple[str, bool]:
     """(path, direct): the file --out writes, a symlink's resolved target or
     out_path itself, and whether it exists but is neither a regular file nor
-    a directory, so that it is written straight through."""
+    a directory, so that it is written straight through.  A path that no
+    file can have, such as one with a NUL byte, is a UsageError naming --out."""
     target = out_path
     try:
         if stat.S_ISLNK(os.lstat(target).st_mode):
@@ -87,6 +88,8 @@ def _out_target(out_path) -> tuple[str, bool]:
         mode = os.stat(target).st_mode
     except OSError:  # missing, or unreachable: creating the partial file reports it
         return target, False
+    except ValueError as exc:  # lstat raises it first, so _output's open() never does
+        raise UsageError(f"--out {out_path}: {exc}") from exc
     return target, not (stat.S_ISREG(mode) or stat.S_ISDIR(mode))
 
 

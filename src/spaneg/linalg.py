@@ -30,10 +30,6 @@ PSD_CLAMP = 1e-10
 # over the per-state loop was +1-3 % at 256, +2-4 % at 1024 (for ~5 % more
 # throughput) and +30 % unchunked.
 STUDY_CHUNK = 256
-# Shot trials per chunk of shotsim.trial_counts' seed hashing.  Its numpy
-# calls cost ~1 us per trial at 256 and ~0.25 us at 4096, where a chunk's
-# arrays stay under 0.5 MB.
-SEED_CHUNK = 4096
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import btpe
-from .linalg import SEED_CHUNK
 from .measures import favg_from_mu, fidelity_link, negativity_normalized_batch
 from .spa import MU_MIN_HI, MU_MIN_LO, spa_pt_affine
 from .states import DensityMatrix
@@ -121,65 +120,28 @@ def _seed_state_words(first: int, count: int) -> np.ndarray:
     return (out[0::2] | out[1::2] << np.uint64(32)).T
 
 
-# 128-bit words as four 32-bit limbs, least significant first: the rows of a
-# (4, n) uint64 array, so that sums of limb products and carries do not
-# overflow.
-_LIMB = np.uint64(32)
-_LIMB_MASK = np.uint64(_MASK32)
-_PCG_MULT_LIMBS = [np.uint64(_PCG_MULT >> 32 * k & _MASK32) for k in range(4)]
+# A 128-bit word is held as its two uint64 halves (lo, hi), the layout of
+# numpy's pcg128_t, and PCG64's LCG step runs on them with native wrapping.
+# Only the high half of lo * _MULT_LO needs 32-bit pieces.
+_MULT_LO, _MULT_HI = np.uint64(_PCG_MULT & 2**64 - 1), np.uint64(_PCG_MULT >> 64)
+_MULT_LO_0, _MULT_LO_1 = np.uint64(_PCG_MULT & _MASK32), np.uint64(_PCG_MULT >> 32 & _MASK32)
+_HALF, _HALF_MASK = np.uint64(32), np.uint64(_MASK32)
 
 
-def _limbs(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Limbs of the 128-bit words hi << 64 | lo."""
-    out = np.empty((4, len(lo)), dtype=np.uint64)
-    np.bitwise_and(lo, _LIMB_MASK, out=out[0])
-    np.right_shift(lo, _LIMB, out=out[1])
-    np.bitwise_and(hi, _LIMB_MASK, out=out[2])
-    np.right_shift(hi, _LIMB, out=out[3])
-    return out
+def _lcg(lo: np.ndarray, hi: np.ndarray, i_lo: np.ndarray, i_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Halves of (hi << 64 | lo) * _PCG_MULT + (i_hi << 64 | i_lo) mod 2**128, PCG64's LCG step.
 
-
-def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Limbs of a + b mod 2**128."""
-    return _carry(a + b)
-
-
-def _carry(columns: np.ndarray) -> np.ndarray:
-    """Limbs of sum(columns[k] << 32k) mod 2**128, in place of the columns.
-
-    Columns 0 to 2 stay below 2**63; column 3 counts mod 2**32 only.
+    mulhi, the high half of lo * _MULT_LO, is built from four 32x32-bit
+    products; each of its sums stays below 2**64, as
+    (2**32 - 1)**2 + 2 (2**32 - 1) = 2**64 - 1.  The low add carried if its
+    sum wrapped below the addend.
     """
-    for k in range(4):
-        column = columns[k]
-        if k:
-            column += carry
-        if k < 3:
-            carry = column >> _LIMB
-        column &= _LIMB_MASK
-    return columns
-
-
-def _mul_pcg(a: np.ndarray, inc: np.ndarray) -> np.ndarray:
-    """Limbs of a * _PCG_MULT + inc mod 2**128, PCG64's LCG step.
-
-    Limb k collects inc's limb k, the low halves of the partial products
-    a[i] * mult[k - i] and the high halves of those of limb k - 1: at most 8
-    terms below 2**32 each.  Limb 3 is kept mod 2**32 only, so its partial
-    products are added whole and its column may wrap.  Each product and half
-    is written into one of two scratch rows and added into its column in
-    place.
-    """
-    columns = inc.copy()
-    prod, half = np.empty((2, len(a[0])), dtype=np.uint64)
-    for i in range(4):
-        for j in range(4 - i):
-            np.multiply(a[i], _PCG_MULT_LIMBS[j], out=prod)
-            if i + j == 3:
-                np.add(columns[3], prod, out=columns[3])
-                continue
-            np.add(columns[i + j], np.bitwise_and(prod, _LIMB_MASK, out=half), out=columns[i + j])
-            np.add(columns[i + j + 1], np.right_shift(prod, _LIMB, out=half), out=columns[i + j + 1])
-    return _carry(columns)
+    lo_0, lo_1 = lo & _HALF_MASK, lo >> _HALF
+    mid = lo_1 * _MULT_LO_0 + (lo_0 * _MULT_LO_0 >> _HALF)
+    cross = lo_0 * _MULT_LO_1 + (mid & _HALF_MASK)
+    mulhi = lo_1 * _MULT_LO_1 + (mid >> _HALF) + (cross >> _HALF)
+    new_lo = lo * _MULT_LO + i_lo
+    return new_lo, mulhi + lo * _MULT_HI + hi * _MULT_LO + i_hi + (new_lo < i_lo)
 
 
 def _pcg64_words(first: int, count: int) -> np.ndarray:
@@ -191,7 +153,8 @@ def _pcg64_words(first: int, count: int) -> np.ndarray:
     seeds with the same count of entropy words, so a run is split where that
     count grows, at 2**(32 k) for k >= 4.  From the words' 128-bit halves s and
     i, pcg_setseq_128_srandom_r gives inc = 2 i + 1 and
-    state = (s + inc) * _PCG_MULT + inc, mod 2**128.
+    state = (s + inc) * _PCG_MULT + inc, mod 2**128; both are computed on
+    uint64 halves and written straight into the rows.
     """
     seeded = np.empty((count, 4), dtype=np.uint64)  # s hi, s lo, i hi, i lo
     done = 0
@@ -202,11 +165,11 @@ def _pcg64_words(first: int, count: int) -> np.ndarray:
         done += n
     s_hi, s_lo, i_hi, i_lo = seeded.T
     one = np.uint64(1)
-    inc = _limbs(i_lo << one | one, i_hi << one | i_lo >> np.uint64(63))
-    state = _mul_pcg(_add(_limbs(s_lo, s_hi), inc), inc)
     words = np.empty((count, 4), dtype=np.uint64)
-    for col, (lo, hi) in enumerate([state[:2], state[2:], inc[:2], inc[2:]]):
-        words[:, col] = lo | hi << _LIMB
+    inc_lo, inc_hi = i_lo << one | one, i_hi << one | i_lo >> np.uint64(63)
+    words[:, 2], words[:, 3] = inc_lo, inc_hi
+    lo = s_lo + inc_lo
+    words[:, 0], words[:, 1] = _lcg(lo, s_hi + inc_hi + (lo < inc_lo), inc_lo, inc_hi)
     return words
 
 
@@ -247,6 +210,11 @@ def _view_sets_state(bit_gen: np.random.PCG64, view: memoryview) -> bool:
     return bit_gen.state == reference.state
 
 
+# Shot trials per chunk of trial_counts' seed hashing.  Its numpy calls cost
+# ~1 us per trial at 256 and ~0.25 us at 4096, where a chunk's arrays stay
+# under 0.5 MB.
+SEED_CHUNK = 4096
+
 # Accepted trials of each call that are also drawn by the generator, as a
 # check: this many of those Step 10 accepts in a trial's first pass, and this
 # many of all the others.
@@ -266,16 +234,14 @@ def _next_doubles(words: np.ndarray, count: int) -> tuple[list[np.ndarray], np.n
     """The first `count` next_double outputs of the PCG64 at each row of
     _pcg64_words, and the rows of those PCG64s after them.
 
-    Each step advances the state by the LCG and takes its XSL-RR output: the
-    state's two 64-bit halves XORed, rotated right by the top 6 bits; the
-    double is the output's top 53 bits times 2**-53.
+    Each step advances the state's uint64 halves by _lcg and takes its XSL-RR
+    output: the two halves XORed, rotated right by the top 6 bits of the
+    high half; the double is the output's top 53 bits times 2**-53.
     """
-    state, inc = _limbs(words[:, 0], words[:, 1]), _limbs(words[:, 2], words[:, 3])
+    lo, hi, i_lo, i_hi = words.T.copy()
     out = []
     for _ in range(count):
-        state = _mul_pcg(state, inc)
-        lo = state[0] | state[1] << _LIMB
-        hi = state[2] | state[3] << _LIMB
+        lo, hi = _lcg(lo, hi, i_lo, i_hi)
         rot = hi >> _ROT_SHIFT
         x = hi ^ lo
         x = x >> rot | x << (np.uint64(64) - rot & _ROT_MASK)

@@ -121,10 +121,11 @@ class TestExitCodes:
         else:
             assert json.loads(out)["nn"] == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("out", ["missing/x.json", "a_directory"])
+    @pytest.mark.parametrize("out", ["missing/x.json", "a_directory", "a\0b"])
     def test_unwritable_out_path_is_usage_error(self, tmp_path, capsys, out):
         # A parent directory that does not exist cannot hold the partial
-        # file; a directory cannot be replaced by the finished one.
+        # file; a directory cannot be replaced by the finished one; no file
+        # name holds a NUL byte.
         (tmp_path / "a_directory").mkdir()
         path = tmp_path / out
         assert cli.run(["analyze", "--family", "bell", "--out", str(path)]) == 1

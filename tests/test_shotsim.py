@@ -1,3 +1,4 @@
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -203,6 +204,35 @@ def _row_before(state: int, inc: int) -> list[int]:
     """The _pcg64_words row of a PCG64 whose next step lands on `state`."""
     before = (state - inc) * _PCG_MULT_INV % 2**128
     return [before & _MASK64, before >> 64, inc & _MASK64, inc >> 64]
+
+
+def _lcg_by_int(rows: list[list[int]]) -> list[list[int]]:
+    """_lcg's halves of each (lo, hi, i_lo, i_hi) row, by Python-int arithmetic mod 2**128."""
+    out = []
+    for lo, hi, i_lo, i_hi in rows:
+        word = ((hi << 64 | lo) * shotsim._PCG_MULT + (i_hi << 64 | i_lo)) % 2**128
+        out.append([word & _MASK64, word >> 64])
+    return out
+
+
+def _lcg_rows(rows: list[list[int]]) -> list[list[int]]:
+    lo, hi = shotsim._lcg(*np.array(rows, dtype=np.uint64).T)
+    return np.stack([lo, hi], axis=1).tolist()
+
+
+@given(state=st.integers(0, 2**128 - 1), inc=st.integers(0, 2**127 - 1))
+def test_lcg_step_is_128_bit_arithmetic(state, inc):
+    inc = 2 * inc + 1
+    rows = [[state & _MASK64, state >> 64, inc & _MASK64, inc >> 64]]
+    assert _lcg_rows(rows) == _lcg_by_int(rows)
+
+
+def test_lcg_step_reaches_every_carry():
+    # Each half at 0, 1, 2**32 - 1, 2**32, 2**63 and 2**64 - 1 reaches every
+    # carry into and out of the 32-bit pieces of mulhi and of the low add.
+    edges = [0, 1, 2**32 - 1, 2**32, 2**63, _MASK64]
+    rows = [list(row) for row in itertools.product(edges, repeat=4)]
+    assert _lcg_rows(rows) == _lcg_by_int(rows)
 
 
 def _generator_draw(row: list[int], shots: int, p: float) -> int:
