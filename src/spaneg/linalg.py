@@ -13,11 +13,28 @@ Each Hermiticity check forms M^dag once: _hermitian_parts returns both the
 defect ||M - M^dag||_max and the Hermitian part (M + M^dag) / 2, and
 check_hermitian returns that part, so the eigensolve behind it and
 states.validate_batch reuse it instead of conjugating M again.
+
+Every eigensolve and SVD of the package goes through `lapack`
+(lapack.eigh, lapack.eigvalsh, lapack.svdvals).  It calls numpy's LAPACK
+gufuncs in numpy.linalg._umath_linalg (eigh_lo, eigvalsh_lo and the
+values-only svd) with numpy's complex128 signatures, D->dD and D->d, under
+the error state np.linalg sets, so a run that does not converge raises
+LinAlgError with numpy's message.  At N = 1, np.linalg's Python wrappers
+cost about as much as LAPACK itself.  The module is private, so the first
+call in a process (not the import) checks the gufuncs bitwise against
+np.linalg on a fixed stack.  On a mismatch or a missing module or name, and
+for any input that is not a complex128 ndarray stack of square matrices,
+`lapack` calls np.linalg instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+try:
+    from numpy.linalg import _umath_linalg
+except ImportError:  # a numpy that moved its gufuncs: np.linalg throughout
+    _umath_linalg = None
 
 # Centralized tolerance constants.
 VALIDATE_TOL = 1e-9
@@ -127,6 +144,92 @@ def check_hermitian(m) -> np.ndarray:
     return h
 
 
+def _eig_nonconvergence(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _svd_nonconvergence(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+# np.linalg's error state around these gufuncs.  As a decorator, errstate
+# costs about half of what entering a new errstate on each call does.
+@np.errstate(call=_eig_nonconvergence, invalid="call", over="ignore", divide="ignore",
+             under="ignore")
+def _eig_call(gufunc, a, signature):
+    return gufunc(a, signature=signature)
+
+
+@np.errstate(call=_svd_nonconvergence, invalid="call", over="ignore", divide="ignore",
+             under="ignore")
+def _svd_call(gufunc, a):
+    return gufunc(a, signature="D->d")
+
+
+class _Lapack:
+    """np.linalg.eigh, eigvalsh and values-only svd through numpy's gufuncs.
+
+    Each call returns np.linalg's bits.  The first call checks the gufuncs
+    against np.linalg; if that check fails, and for input other than a
+    complex128 ndarray stack of square matrices, the calls go to np.linalg.
+    """
+
+    def __init__(self, module):
+        self.module = module
+        self.verified = None  # the check's verdict; None until the first call
+
+    def _fast(self, a) -> bool:
+        if self.verified is None:
+            self.verified = self._matches_numpy()
+        return (
+            self.verified
+            and type(a) is np.ndarray
+            and a.dtype == np.complex128
+            and a.ndim >= 2
+            and a.shape[-1] == a.shape[-2]
+        )
+
+    def _matches_numpy(self) -> bool:
+        """True iff each gufunc gives np.linalg's bits on a fixed stack."""
+        # Fixed, generic entries; np.random is not imported for the check.
+        z = np.sin(np.arange(1.0, 257.0) ** 2).reshape(8, 4, 4, 2) @ [1, 1j]
+        h = z @ z.conj().swapaxes(1, 2)
+        try:
+            ours = [
+                *_eig_call(self.module.eigh_lo, h, "D->dD"),
+                _eig_call(self.module.eigvalsh_lo, h, "D->d"),
+                _svd_call(self.module.svd, z),
+            ]
+        except (AttributeError, TypeError, ValueError):  # no such name, or a refused call
+            return False
+        theirs = [*np.linalg.eigh(h), np.linalg.eigvalsh(h), np.linalg.svd(z, compute_uv=False)]
+        return all(
+            x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+            for x, y in zip(ours, theirs)
+        )
+
+    def eigh(self, a):
+        """np.linalg.eigh(a): ascending eigenvalues w and eigenvectors v."""
+        if self._fast(a):
+            return _eig_call(self.module.eigh_lo, a, "D->dD")
+        return np.linalg.eigh(a)
+
+    def eigvalsh(self, a):
+        """np.linalg.eigvalsh(a): ascending eigenvalues."""
+        if self._fast(a):
+            return _eig_call(self.module.eigvalsh_lo, a, "D->d")
+        return np.linalg.eigvalsh(a)
+
+    def svdvals(self, a):
+        """np.linalg.svd(a, compute_uv=False): descending singular values."""
+        if self._fast(a):
+            return _svd_call(self.module.svd, a)
+        return np.linalg.svd(a, compute_uv=False)
+
+
+lapack = _Lapack(_umath_linalg)
+
+
 def herm_eigen_batch(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition (w, v) of each matrix in a Hermitian (N, d, d) stack.
 
@@ -135,7 +238,7 @@ def herm_eigen_batch(m) -> tuple[np.ndarray, np.ndarray]:
     VALIDATE_TOL.  The strictly Hermitian part is diagonalized, so residuals
     stay at machine precision.
     """
-    return np.linalg.eigh(check_hermitian(m))
+    return lapack.eigh(check_hermitian(m))
 
 
 def psd_sqrt_batch(m) -> np.ndarray:

@@ -34,6 +34,7 @@ from .linalg import (
     RESIDUAL_TOL,
     SIGMA_Y,
     first_index,
+    lapack,
     partial_transpose_batch,
     psd_sqrt_batch,
 )
@@ -119,8 +120,13 @@ def pt_spectrum_batch(rhos) -> tuple[np.ndarray, np.ndarray]:
 
 def _pt_spectrum(pts) -> tuple[np.ndarray, np.ndarray]:
     """(N^D, negative count) of each partial transpose of an (N, 4, 4) stack."""
-    lam = np.linalg.eigvalsh(pts)
-    return 2.0 * np.maximum(0.0, -lam).sum(axis=1), (lam < -RESIDUAL_TOL).sum(axis=1)
+    lam = lapack.eigvalsh(pts)
+    return _negativity(lam), (lam < -RESIDUAL_TOL).sum(axis=1)
+
+
+def _negativity(lam) -> np.ndarray:
+    """N^D = 2 sum_i max(0, -lambda_i) of each row of partial-transpose spectra."""
+    return 2.0 * np.maximum(0.0, -lam).sum(axis=1)
 
 
 def negativity_lower_bound(mu_min: float) -> float:
@@ -162,7 +168,7 @@ def concurrence_wootters_batch(rhos) -> np.ndarray:
     """
     root = psd_sqrt_batch(rhos)
     a = root @ SIGMA_YY @ root.conj()
-    l = np.linalg.svd(a, compute_uv=False)
+    l = lapack.svdvals(a)
     return np.maximum(0.0, l[:, 0] - l[:, 1] - l[:, 2] - l[:, 3])
 
 
@@ -268,7 +274,7 @@ def full_report(rho: DensityMatrix) -> EntanglementReport:
     """
     outcome = spa_pt_affine(rho)
     mu = outcome.mu_min
-    nd = float(_pt_spectrum(outcome.rho_pt[None])[0][0])
+    nd = float(_negativity(lapack.eigvalsh(outcome.rho_pt[None]))[0])
     # negativity_normalized_batch checks mu; the lower bound reuses that check.
     nn = float(negativity_normalized_batch(mu))
     return EntanglementReport(

@@ -30,6 +30,7 @@ from .linalg import (
     _as_stack,
     first_index,
     herm_eigen_batch,
+    lapack,
     partial_transpose_b,
     partial_transpose_batch,
 )
@@ -195,7 +196,7 @@ def spa_pt_compositional_batch(rhos) -> np.ndarray:
         raise ConstructionInconsistencyError(
             f"compositional SPA output {i} of {len(out)} is not a valid state "
             f"({StateValidationError(check.violations(i))})",
-            np.linalg.eigvalsh((bad + bad.conj().T) / 2),
+            lapack.eigvalsh((bad + bad.conj().T) / 2),
         )
     return out
 
@@ -238,5 +239,5 @@ def choi_matrix(method: str) -> tuple[np.ndarray, bool, float]:
     """
     choi = superoperator(method).reshape(4, 4, 4, 4).transpose(2, 0, 3, 1).reshape(16, 16)
     choi.flags.writeable = False
-    min_eig = float(np.linalg.eigvalsh((choi + choi.conj().T) / 2)[0])
+    min_eig = float(lapack.eigvalsh((choi + choi.conj().T) / 2)[0])
     return choi, min_eig >= -RESIDUAL_TOL, min_eig

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import PSD_CLAMP, VALIDATE_TOL, _hermitian_parts, first_index
+from .linalg import PSD_CLAMP, VALIDATE_TOL, _hermitian_parts, first_index, lapack
 
 FAMILIES = ("pure_m", "horodecki", "quasi", "bell")
 
@@ -130,9 +130,9 @@ def validate_batch(raw) -> StackValidity:
     min_eig = np.where(cleared, edge, np.nan)
     todo = finite & ~cleared
     if todo.all():
-        min_eig = np.linalg.eigvalsh(h)[:, 0]
+        min_eig = lapack.eigvalsh(h)[:, 0]
     elif todo.any():
-        min_eig[todo] = np.linalg.eigvalsh(h[todo])[:, 0]
+        min_eig[todo] = lapack.eigvalsh(h[todo])[:, 0]
     return StackValidity(
         nonfinite=nonfinite,
         hermiticity_defect=defect,

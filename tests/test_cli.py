@@ -9,13 +9,14 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spaneg import cli, measures, shotsim, states
+from spaneg import cli, linalg, measures, shotsim, states
 from spaneg.states import DensityMatrix, from_spec, random_mixed_batch, save_state
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -134,6 +135,16 @@ class TestExitCodes:
         assert os.listdir(tmp_path) == ["a_directory"]
         assert os.listdir(tmp_path / "a_directory") == []
 
+    def test_eigensolve_that_does_not_converge_is_input_error(self, monkeypatch, capsys):
+        # A LAPACK run that does not converge sets the invalid flag; the
+        # helper's error state turns that into numpy's LinAlgError, exit 2.
+        u = np.linalg._umath_linalg
+        stub = SimpleNamespace(eigh_lo=lambda a, signature: u.eigh_lo(a * np.nan, signature=signature))
+        monkeypatch.setattr(linalg.lapack, "module", stub)
+        monkeypatch.setattr(linalg.lapack, "verified", True)
+        assert cli.run(["analyze", "--family", "bell"]) == 2
+        assert capsys.readouterr() == ("", "input error: Eigenvalues did not converge\n")
+
     def test_format_flag_is_gone(self, capsys):
         assert cli.run(["spa-verify", "--format", "json"]) == 1
 
@@ -205,6 +216,31 @@ class TestAnalyze:
         code, text = run_to_file(tmp_path, argv)
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN[case]
+
+    @staticmethod
+    def _gufuncs_without_svd():
+        # numpy 1.x names the values-only SVD gufunc svd_n.
+        u = np.linalg._umath_linalg
+        return SimpleNamespace(eigh_lo=u.eigh_lo, eigvalsh_lo=u.eigvalsh_lo, svd_n=u.svd)
+
+    @staticmethod
+    def _gufuncs_one_ulp_off():
+        # An eigh_lo whose eigenvalues are one ulp above np.linalg's: the check
+        # must catch it, and its bits must reach no output.
+        u = np.linalg._umath_linalg
+
+        def eigh_lo(a, signature):
+            w, v = u.eigh_lo(a, signature=signature)
+            return np.nextafter(w, np.inf), v
+        return SimpleNamespace(eigh_lo=eigh_lo, eigvalsh_lo=u.eigvalsh_lo, svd=u.svd)
+
+    @pytest.mark.parametrize("gufuncs", ["_gufuncs_without_svd", "_gufuncs_one_ulp_off"])
+    def test_golden_bytes_through_the_numpy_fallback(self, tmp_path, monkeypatch, gufuncs):
+        monkeypatch.setattr(linalg.lapack, "module", getattr(self, gufuncs)())
+        monkeypatch.setattr(linalg.lapack, "verified", None)
+        for case in sorted(self.GOLDEN):
+            self.test_golden_bytes(tmp_path, case)
+        assert linalg.lapack.verified is False
 
     @staticmethod
     def _template_cases():

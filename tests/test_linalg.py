@@ -1,15 +1,26 @@
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from spaneg import linalg
+from spaneg import linalg, spa
 from spaneg.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     herm_eigen_batch,
+    lapack,
     partial_transpose_b,
     psd_sqrt_batch,
 )
+from spaneg.states import random_mixed_batch
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def random_hermitian(rng, dim=4):
@@ -156,3 +167,148 @@ def test_trace_product_eigenvalue_inequality():
         upper = float(np.dot(l1, l2))
         assert lower <= tr + 1e-10
         assert tr <= upper + 1e-10
+
+
+def same_bits(ours, theirs):
+    """True iff two results (an array or a tuple of arrays) match bit for bit."""
+    if isinstance(ours, tuple) or isinstance(theirs, tuple):
+        return (isinstance(ours, tuple) and isinstance(theirs, tuple)
+                and len(ours) == len(theirs) and all(map(same_bits, ours, theirs)))
+    return ours.dtype == theirs.dtype and ours.shape == theirs.shape and (
+        ours.tobytes() == theirs.tobytes()
+    )
+
+
+def numpy_calls(h, m):
+    """(ours, np.linalg's) result of each helper call: eigh and eigvalsh of the
+    Hermitian stack h, singular values of the stack m."""
+    return [
+        (lapack.eigh(h), tuple(np.linalg.eigh(h))),
+        (lapack.eigvalsh(h), np.linalg.eigvalsh(h)),
+        (lapack.svdvals(m), np.linalg.svd(m, compute_uv=False)),
+    ]
+
+
+class TestLapack:
+    # linalg.lapack calls numpy's LAPACK gufuncs without np.linalg's wrappers;
+    # every result must be np.linalg's, bit for bit.
+
+    def test_takes_the_gufuncs_here(self):
+        # On this numpy the check passes, so the tests below compare the gufunc
+        # path itself, not the fallback.
+        lapack.eigh(np.eye(4, dtype=complex)[None])
+        assert lapack.verified is True
+
+    @pytest.mark.parametrize("n", [1, 256])
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_matches_numpy_on_ginibre_states(self, n, rank):
+        rhos = random_mixed_batch(np.random.default_rng(1700 + rank), n, rank=rank)
+        pts = linalg.partial_transpose_batch(rhos)
+        root = psd_sqrt_batch(rhos)
+        wootters = root @ np.kron(SIGMA_Y, SIGMA_Y) @ root.conj()
+        for h, m in [(rhos, rhos), (pts, wootters)]:
+            for ours, theirs in numpy_calls(h, m):
+                assert same_bits(ours, theirs)
+
+    @pytest.mark.parametrize("method", spa.CHOI_METHODS)
+    def test_matches_numpy_on_choi_matrices(self, method):
+        choi = spa.choi_matrix(method)[0]
+        for ours, theirs in numpy_calls((choi + choi.conj().T) / 2, choi):
+            assert same_bits(ours, theirs)
+
+    @pytest.mark.parametrize("m", [np.eye(4), np.eye(4, dtype=np.complex64)[None],
+                                   np.eye(4, dtype=complex)[0], np.ones((1, 4, 3), complex)])
+    def test_other_input_goes_to_numpy(self, m):
+        # Real, single-precision, 1-D or non-square input: np.linalg's result
+        # or np.linalg's error.
+        for call, reference in [(lapack.eigvalsh, np.linalg.eigvalsh),
+                                (lapack.svdvals, lambda a: np.linalg.svd(a, compute_uv=False))]:
+            try:
+                expected = reference(m)
+            except np.linalg.LinAlgError as exc:
+                with pytest.raises(np.linalg.LinAlgError, match=re.escape(str(exc))):
+                    call(m)
+            else:
+                assert same_bits(call(m), expected)
+
+    @pytest.mark.parametrize("call", ["eigh", "eigvalsh", "svdvals"])
+    def test_nan_raises_numpy_error(self, call):
+        m = np.full((2, 4, 4), np.nan, dtype=complex)
+        reference = {"eigh": np.linalg.eigh, "eigvalsh": np.linalg.eigvalsh,
+                     "svdvals": lambda a: np.linalg.svd(a, compute_uv=False)}[call]
+        with pytest.raises(np.linalg.LinAlgError) as expected:
+            reference(m)
+        with pytest.raises(np.linalg.LinAlgError) as raised:
+            getattr(lapack, call)(m)
+        assert str(raised.value) == str(expected.value)
+        assert str(raised.value) in ("Eigenvalues did not converge", "SVD did not converge")
+
+    def test_check_runs_once_per_process(self, monkeypatch):
+        checks = []
+        check = linalg._Lapack._matches_numpy
+        monkeypatch.setattr(linalg._Lapack, "_matches_numpy",
+                            lambda self: checks.append(1) or check(self))
+        monkeypatch.setattr(lapack, "verified", None)
+        h = random_mixed_batch(np.random.default_rng(1710), 3)
+        for call in [lapack.eigh, lapack.eigvalsh, lapack.svdvals] * 3:
+            call(h)
+        assert checks == [1] and lapack.verified is True
+
+    def test_check_waits_for_the_first_call(self):
+        # Importing the CLI runs no check, so import time stays flat; the first
+        # request runs it.
+        code = (
+            "from spaneg import cli, linalg\n"
+            "before = linalg.lapack.verified\n"
+            "cli.run(['analyze', '--family', 'bell', '--param', '0', '--out', __import__('os').devnull])\n"
+            "print(before, linalg.lapack.verified)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.split() == ["None", "True"]
+
+
+DIRECT_CALL = re.compile(r"(np|numpy)\.linalg\.(eigh|eigvalsh|svd)")
+
+
+def direct_linalg_calls(path):
+    """(line, call) of each np.linalg eigh, eigvalsh or svd call in a source
+    file, and each import of those names, outside linalg._Lapack."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    helper = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "_Lapack":
+            helper.update(map(id, ast.walk(node)))
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in helper:
+            continue
+        if isinstance(node, ast.Call) and DIRECT_CALL.fullmatch(ast.unparse(node.func)):
+            found.append((node.lineno, ast.unparse(node.func)))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.linalg"):
+            found += [(node.lineno, a.name) for a in node.names if a.name in ("eigh", "eigvalsh", "svd")]
+    return found
+
+
+def test_eigensolves_go_through_the_helper():
+    # A direct np.linalg call would quietly take the slow N = 1 path again.
+    sources = sorted((ROOT / "src" / "spaneg").glob("*.py"))
+    assert len(sources) > 5
+    found = {p.name: direct_linalg_calls(p) for p in sources}
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def test_direct_call_scan_sees_calls(tmp_path):
+    # The scan finds what the helper guards against, and np.linalg.norm stays allowed.
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "import numpy as np\n"
+        "from numpy.linalg import eigvalsh\n"
+        "class _Lapack:\n"
+        "    def eigh(self, a):\n"
+        "        return np.linalg.eigh(a)\n"
+        "def f(a):\n"
+        "    return np.linalg.svd(a, compute_uv=False), numpy.linalg.eigh(a), np.linalg.norm(a)\n"
+    )
+    assert direct_linalg_calls(path) == [(2, "eigvalsh"), (7, "np.linalg.svd"), (7, "numpy.linalg.eigh")]

@@ -338,7 +338,7 @@ class TestEachIntermediateOnce:
         pt = counted("partial_transpose", linalg.partial_transpose_batch)
         for module in (linalg, spa, measures):
             monkeypatch.setattr(module, "partial_transpose_batch", pt)
-        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        monkeypatch.setattr(linalg._Lapack, "eigh", counted("eigh", linalg._Lapack.eigh))
         return calls
 
     def test_full_report(self, calls):
@@ -354,6 +354,14 @@ class TestEachIntermediateOnce:
     def test_validate(self, calls):
         validate(random_mixed_batch(np.random.default_rng(39), 1)[0])
         assert calls == {"hermitian_parts": 1, "partial_transpose": 0, "eigh": 0}
+
+    def test_full_report_counts_no_negative_eigenvalues(self, monkeypatch):
+        # The count is batch_report's; full_report takes N^D alone.
+        def refuse(pts):
+            raise AssertionError("full_report counted negative PT eigenvalues")
+
+        monkeypatch.setattr(measures, "_pt_spectrum", refuse)
+        assert full_report(from_spec("horodecki", 0.5)).nd == pytest.approx(ND_H05, abs=1e-12)
 
     def test_full_report_checks_mu_min_once(self, monkeypatch):
         checked = []
