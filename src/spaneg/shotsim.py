@@ -89,8 +89,8 @@ def _entropy_words(seed: int) -> int:
     return max(4, -(-seed.bit_length() // 32))
 
 
-def _seed_state_words(first: int, count: int) -> np.ndarray:
-    """SeedSequence(first + j).generate_state(4, np.uint64) for j < count, as a (count, 4) array.
+def _seed_state_words(first: int, count: int) -> tuple[np.ndarray, ...]:
+    """SeedSequence(first + j).generate_state(4, np.uint64) for j < count, as four uint64 columns.
 
     Every seed must have first's _entropy_words.  Below 2**128 an entropy of
     fewer words, zero-padded to the pool size, gives the same pool.
@@ -115,9 +115,9 @@ def _seed_state_words(first: int, count: int) -> np.ndarray:
         # Each further entropy word is mixed into every pool word.
         pool = _mix(pool, _hashmix(entropy[src], chain, slice(step, step + 4)))
         step += 4
-    out = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B, slice(0, 8)).astype(np.uint64)
-    # Each uint64 word is a pair of uint32 words read little-endian.
-    return (out[0::2] | out[1::2] << np.uint64(32)).T
+    # Word k hashes pool[k % 4] by call k; a uint64 is two words read little-endian.
+    hashed = [_hashmix(pool, _HASH_B, calls) for calls in (slice(0, 4), slice(4, 8))]
+    return tuple(h[k] | h[k + 1].astype(np.uint64) << np.uint64(32) for h in hashed for k in (0, 2))
 
 
 # A 128-bit word is held as its two uint64 halves (lo, hi), the layout of
@@ -144,33 +144,31 @@ def _lcg(lo: np.ndarray, hi: np.ndarray, i_lo: np.ndarray, i_hi: np.ndarray) -> 
     return new_lo, mulhi + lo * _MULT_HI + hi * _MULT_LO + i_hi + (new_lo < i_lo)
 
 
-def _pcg64_words(first: int, count: int) -> np.ndarray:
-    """PCG64 state of np.random.default_rng(first + j) for j < count, as a (count, 4) uint64 array.
+def _pcg64_words(first: int, count: int) -> tuple[np.ndarray, ...]:
+    """PCG64 state of np.random.default_rng(first + j) for j < count, as four uint64 columns.
 
-    Row j holds state low, state high, inc low and inc high: the byte layout of
-    numpy's pcg64_random_t on a little-endian build with a native 128-bit
-    integer.  The SeedSequence words are hashed in one numpy pass per run of
-    seeds with the same count of entropy words, so a run is split where that
-    count grows, at 2**(32 k) for k >= 4.  From the words' 128-bit halves s and
-    i, pcg_setseq_128_srandom_r gives inc = 2 i + 1 and
-    state = (s + inc) * _PCG_MULT + inc, mod 2**128; both are computed on
-    uint64 halves and written straight into the rows.
+    The columns are state low, state high, inc low and inc high, each 1-D and
+    C-contiguous; trial j's row of the four is the byte layout of numpy's
+    pcg64_random_t on a little-endian build with a native 128-bit integer.
+    The SeedSequence words are hashed in one numpy pass per run of seeds with
+    the same count of entropy words, so a run is split where that count
+    grows, at 2**(32 k) for k >= 4, and only then are its columns
+    concatenated.  From the words' 128-bit halves s and i,
+    pcg_setseq_128_srandom_r gives inc = 2 i + 1 and
+    state = (s + inc) * _PCG_MULT + inc, mod 2**128, on uint64 halves.
     """
-    seeded = np.empty((count, 4), dtype=np.uint64)  # s hi, s lo, i hi, i lo
+    parts = []
     done = 0
     while done < count:
         seed = first + done
         n = min(count - done, 2 ** (32 * _entropy_words(seed)) - seed)
-        seeded[done:done + n] = _seed_state_words(seed, n)
+        parts.append(_seed_state_words(seed, n))
         done += n
-    s_hi, s_lo, i_hi, i_lo = seeded.T
+    s_hi, s_lo, i_hi, i_lo = parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
     one = np.uint64(1)
-    words = np.empty((count, 4), dtype=np.uint64)
     inc_lo, inc_hi = i_lo << one | one, i_hi << one | i_lo >> np.uint64(63)
-    words[:, 2], words[:, 3] = inc_lo, inc_hi
     lo = s_lo + inc_lo
-    words[:, 0], words[:, 1] = _lcg(lo, s_hi + inc_hi + (lo < inc_lo), inc_lo, inc_hi)
-    return words
+    return (*_lcg(lo, s_hi + inc_hi + (lo < inc_lo), inc_lo, inc_hi), inc_lo, inc_hi)
 
 
 def _state_view(bit_gen: np.random.PCG64) -> memoryview:
@@ -198,8 +196,8 @@ _PROBE_WORDS = (0xFEDCBA9876543210, 0x0123456789ABCDEF, 0x99AABBCCDDEEFF01, 0x11
 
 
 def _view_sets_state(bit_gen: np.random.PCG64, view: memoryview) -> bool:
-    """True if writing a row of _pcg64_words through `view` sets bit_gen's whole
-    state as the dict setter does.
+    """True if writing a row that draw stacks from _pcg64_words through `view`
+    sets bit_gen's whole state as the dict setter does.
 
     The layout is numpy's, not its API: a big-endian build, or one whose
     pcg128_t is a {high, low} struct, fails this check.
@@ -211,8 +209,13 @@ def _view_sets_state(bit_gen: np.random.PCG64, view: memoryview) -> bool:
 
 
 # Shot trials per chunk of trial_counts' seed hashing.  Its numpy calls cost
-# ~1 us per trial at 256 and ~0.25 us at 4096, where a chunk's arrays stay
-# under 0.5 MB.
+# ~1 us per trial at 256 and ~0.25 us at 4096.  At 4096 each array of a
+# chunk's numpy work stays below glibc's default mmap threshold of 128 KiB:
+# the largest are the hash pool's 64 KiB uint32 rows, and a uint64 column is
+# 32 KiB.  Arrays at the threshold get fresh pages from the kernel chunk after
+# chunk: (count, 4) uint64 rows, exactly 128 KiB, would cost a 20000-trial run
+# ~550 more minor page faults.  Only a chunk that the generator draws whole,
+# at ~1 us a trial, stacks 128 KiB of rows.
 SEED_CHUNK = 4096
 
 # Accepted trials of each call that are also drawn by the generator, as a
@@ -230,15 +233,16 @@ _POOL_MIN = 256
 _ROT_SHIFT, _ROT_MASK, _DOUBLE_SHIFT = np.uint64(58), np.uint64(63), np.uint64(11)
 
 
-def _next_doubles(words: np.ndarray, count: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """The first `count` next_double outputs of the PCG64 at each row of
-    _pcg64_words, and the rows of those PCG64s after them.
+def _next_doubles(words: tuple, count: int) -> tuple[list[np.ndarray], tuple]:
+    """The first `count` next_double outputs of the PCG64s at the columns
+    `words` of _pcg64_words, and the columns of those PCG64s after them.
 
     Each step advances the state's uint64 halves by _lcg and takes its XSL-RR
     output: the two halves XORed, rotated right by the top 6 bits of the
-    high half; the double is the output's top 53 bits times 2**-53.
+    high half; the double is the output's top 53 bits times 2**-53.  The
+    steps make new arrays, so `words` is left as it was.
     """
-    lo, hi, i_lo, i_hi = words.T.copy()
+    lo, hi, i_lo, i_hi = words
     out = []
     for _ in range(count):
         lo, hi = _lcg(lo, hi, i_lo, i_hi)
@@ -246,15 +250,13 @@ def _next_doubles(words: np.ndarray, count: int) -> tuple[list[np.ndarray], np.n
         x = hi ^ lo
         x = x >> rot | x << (np.uint64(64) - rot & _ROT_MASK)
         out.append((x >> _DOUBLE_SHIFT) * 2.0**-53)
-    after = words.copy()
-    after[:, 0], after[:, 1] = lo, hi
-    return out, after
+    return out, (lo, hi, i_lo, i_hi)
 
 
-def _btpe_pass(words: np.ndarray, s: btpe.Setup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(outcome, counts, after) of btpe.one_pass for the generator at each row
-    of _pcg64_words, with the rows past the pass's two outputs, where a LOOP
-    trial takes its next pass."""
+def _btpe_pass(words: tuple, s: btpe.Setup) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(outcome, counts, after) of btpe.one_pass for the generators at the
+    columns `words` of _pcg64_words, with their columns past the pass's two
+    outputs, where a LOOP trial takes its next pass."""
     (d1, v), after = _next_doubles(words, 2)
     return (*btpe.one_pass(d1, v, s), after)
 
@@ -273,28 +275,30 @@ class _TrialCounts:
         self.counts = np.empty(trials, dtype=np.int64)
         # Self-checks left: Step 10 in a trial's first pass, every other acceptance.
         self.checks = [_SELF_CHECKS, _SELF_CHECKS]
-        # (index, seeded rows, current rows) of the trials sent back to Step 10.
-        self.pool: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        # (index, seeded columns, current columns) of the trials sent back to Step 10.
+        self.pool: list[tuple[np.ndarray, tuple, tuple]] = []
         self.pooled = 0
 
-    def draw(self, words: np.ndarray) -> list[int]:
-        """binomial(shots, p) of the generator at each row of `words`."""
+    def draw(self, words: tuple, index=slice(None)) -> list[int]:
+        """binomial(shots, p) of the generator at each trial `index` of the
+        columns `words`, whose 32-byte rows are stacked for these trials only."""
+        rows = np.stack([column[index] for column in words], axis=1)
         out = []
         binomial, n_arr, p_arr = self.binomial, self.n_arr, self.p_arr
         if not self.fast:
-            for row in words.tolist():
+            for row in rows.tolist():
                 self.bit_gen.state = _dict_state(*row)
                 out.append(binomial(n_arr, p_arr))
-        elif len(words):  # memoryview cannot cast an empty array
-            view, data = self.view, memoryview(words).cast("B")
+        elif len(rows):  # memoryview cannot cast an empty array
+            view, data = self.view, memoryview(rows).cast("B")
             for off in range(0, data.nbytes, 32):
                 view[:] = data[off:off + 32]
                 out.append(binomial(n_arr, p_arr))
         return out
 
-    def add(self, start: int, seeds: np.ndarray) -> None:
-        """Count the trials from `start` on, at the seeded rows `seeds`."""
-        index = np.arange(start, start + len(seeds))
+    def add(self, start: int, seeds: tuple) -> None:
+        """Count the trials from `start` on, at the seeded columns `seeds`."""
+        index = np.arange(start, start + len(seeds[0]))
         if self.setup is None:
             self.counts[index] = self.draw(seeds)
             return
@@ -307,9 +311,10 @@ class _TrialCounts:
         for _ in range(_POOL_PASSES):
             if self.pooled < _POOL_MIN:
                 break
-            index, seeds, words = (np.concatenate(parts) for parts in zip(*self.pool))
+            index, seeds, words = zip(*self.pool)
             self.pool, self.pooled = [], 0
-            self._take_pass(index, seeds, words, first=False)
+            seeds, words = (tuple(np.concatenate(c) for c in zip(*parts)) for parts in (seeds, words))
+            self._take_pass(np.concatenate(index), seeds, words, first=False)
         self._draw_pool()
 
     def _draw_pool(self) -> None:
@@ -317,8 +322,8 @@ class _TrialCounts:
             self.counts[index] = self.draw(seeds)
         self.pool, self.pooled = [], 0
 
-    def _take_pass(self, index: np.ndarray, seeds: np.ndarray, words: np.ndarray, first: bool) -> None:
-        """One BTPE pass of the trials at rows `words`, seeded at `seeds`."""
+    def _take_pass(self, index: np.ndarray, seeds: tuple, words: tuple, first: bool) -> None:
+        """One BTPE pass of the trials at columns `words`, seeded at `seeds`."""
         outcome, counts, after = _btpe_pass(words, self.setup)
         accepted = outcome <= btpe.SQUEEZE
         step10 = outcome == btpe.STEP10 if first else np.zeros_like(accepted)
@@ -326,7 +331,7 @@ class _TrialCounts:
             if not self.checks[group]:
                 continue
             checked = np.flatnonzero(mask)[:self.checks[group]]
-            if self.draw(seeds[checked]) != counts[checked].tolist():
+            if self.draw(seeds, checked) != counts[checked].tolist():
                 # Every trial not yet checked goes to the generator.
                 self.setup = None
                 self.counts[index] = self.draw(seeds)
@@ -335,10 +340,11 @@ class _TrialCounts:
             self.checks[group] -= len(checked)
         self.counts[index[accepted]] = counts[accepted]
         deferred = outcome == btpe.DEFER
-        self.counts[index[deferred]] = self.draw(seeds[deferred])
+        self.counts[index[deferred]] = self.draw(seeds, deferred)
         looped = np.flatnonzero(outcome == btpe.LOOP)
         if len(looped):
-            self.pool.append((index[looped], seeds[looped], after[looped]))
+            seeds, after = (tuple(c[looped] for c in columns) for columns in (seeds, after))
+            self.pool.append((index[looped], seeds, after))
             self.pooled += len(looped)
 
 
@@ -352,7 +358,7 @@ def trial_counts(shots: int, p: float, trials: int, seed: int) -> np.ndarray:
     Step 10 rejects, Steps 20, 30 and 40 and Step 52's squeeze.  A decision
     that reads a log is taken only when np.log's value, widened by a relative
     2**-40 each way, settles it.  Trials sent back to Step 10 join a pool of
-    their PCG64 rows after the pass.  Whenever the pool holds SEED_CHUNK
+    their PCG64 columns after the pass.  Whenever the pool holds SEED_CHUNK
     trials, and at the end, it takes up to _POOL_PASSES passes of its own,
     each while it holds at least _POOL_MIN trials.
 

@@ -180,7 +180,7 @@ def test_pcg64_seeding_is_pinned():
     pinned = (48934169112922715694246890610800379348, 159503441853545908714793740543692941767)
     numpy_state = np.random.PCG64(2**32).state["state"]
     assert (numpy_state["state"], numpy_state["inc"]) == pinned, "numpy changed PCG64 seeding"
-    s_lo, s_hi, i_lo, i_hi = _pcg64_words(2**32, 1)[0].tolist()
+    s_lo, s_hi, i_lo, i_hi = _rows(_pcg64_words(2**32, 1))[0].tolist()
     assert (s_hi << 64 | s_lo, i_hi << 64 | i_lo) == pinned
 
 
@@ -198,6 +198,11 @@ def test_binomial_sampler_is_pinned():
 
 _MASK64 = 2**64 - 1
 _PCG_MULT_INV = pow(shotsim._PCG_MULT, -1, 2**128)
+
+
+def _rows(columns) -> np.ndarray:
+    """The (n, 4) rows of PCG64 columns (lo, hi, inc lo, inc hi), one per generator."""
+    return np.stack(columns, axis=1)
 
 
 def _row_before(state: int, inc: int) -> list[int]:
@@ -254,7 +259,7 @@ def test_btpe_first_step_is_the_generators_where_it_accepts(state, inc, shots, p
     # rotation and both halves of the output are reached.
     rows = [_row_before((state + j * 0x9E3779B97F4A7C15F39CC0605CEDC835) % 2**128, 2 * inc + 1) for j in range(32)]
     words = np.array(rows, dtype=np.uint64)
-    outcome, counts, _ = shotsim._btpe_pass(words, setup)
+    outcome, counts, _ = shotsim._btpe_pass(words.T, setup)
     accepted = outcome == btpe.STEP10
     for row, count in zip(words[accepted].tolist(), counts[accepted].tolist()):
         assert count == _generator_draw(row, shots, p)
@@ -270,7 +275,7 @@ def test_btpe_first_step_accepts_u_equal_to_p1(p):
     assert setup.p1 == 28.5 and (k * 2.0**-53) * setup.p4 == setup.p1
     for d in (0, 1):
         row = _row_before((k + d) << 11, 0x0123456789ABCDEF0123456789ABCDEF)
-        outcome, counts, _ = shotsim._btpe_pass(np.array([row], dtype=np.uint64), setup)
+        outcome, counts, _ = shotsim._btpe_pass(np.array([row], dtype=np.uint64).T, setup)
         assert (outcome[0] == btpe.STEP10) == (d == 0)
         if d == 0:
             assert counts[0] == _generator_draw(row, shots, p)
@@ -344,6 +349,60 @@ def test_the_step_draws_three_in_four_workload_trials(monkeypatch):
     trial_counts(100000, f, trials, 1401)
     assert draws[0] / trials <= 0.03
     assert draws[0] / trials == pytest.approx(0.0166, abs=0.003)
+
+
+def _record_stacks(monkeypatch) -> list[np.ndarray]:
+    """A list of every array np.stack returns from now on."""
+    stacked = []
+    stack = np.stack
+
+    def recording(*args, **kwargs):
+        stacked.append(stack(*args, **kwargs))
+        return stacked[-1]
+
+    monkeypatch.setattr(np, "stack", recording)
+    return stacked
+
+
+@pytest.mark.parametrize("edge", [2**32, 2**64, 2**128])
+def test_pcg64_words_are_columns_that_draw_stacks_into_numpys_states(monkeypatch, edge):
+    # One chunk across the edge where the seeds gain an entropy word, carry
+    # into the high 64 bits, or outgrow the pool (hashed in two parts there).
+    first = edge - SEED_CHUNK // 2
+    words = _pcg64_words(first, SEED_CHUNK)
+    assert len(words) == 4
+    for column in words:
+        assert column.dtype == np.uint64 and column.shape == (SEED_CHUNK,) and column.flags.c_contiguous
+    expected = []
+    for j in range(SEED_CHUNK):
+        state = np.random.default_rng(first + j).bit_generator.state["state"]
+        expected.append([state["state"] & _MASK64, state["state"] >> 64, state["inc"] & _MASK64, state["inc"] >> 64])
+    stacked = _record_stacks(monkeypatch)
+    shotsim._TrialCounts(1000, 0.3, SEED_CHUNK).draw(words)
+    assert [rows.tolist() for rows in stacked] == [expected]
+
+
+@pytest.mark.parametrize("index", [np.array([3, 17, 39]), np.arange(40) % 7 == 2, np.array([], dtype=np.intp)])
+def test_draw_stacks_only_the_indices_it_is_given(monkeypatch, index):
+    base = 5
+    words = _pcg64_words(base, 40)
+    chosen = np.arange(40)[index].tolist()
+    expected = _rows(words)[chosen].tolist()
+    stacked = _record_stacks(monkeypatch)
+    drawn = shotsim._TrialCounts(1000, 0.3, 40).draw(words, index)
+    assert [rows.tolist() for rows in stacked] == [expected]
+    assert drawn == [np.random.default_rng(base + j).binomial(1000, 0.3) for j in chosen]
+
+
+def test_a_run_stacks_rows_only_for_the_trials_the_generator_draws(monkeypatch):
+    # The self-checks, the deferred trials and what the pool leaves: about
+    # 1 trial in 60 at the shots benchmark's inputs.
+    trials = 20000
+    draws = _count_draws(monkeypatch)
+    stacked = _record_stacks(monkeypatch)
+    trial_counts(100000, 0.448, trials, 1401)
+    assert sum(len(rows) for rows in stacked) == draws[0]
+    assert 0 < draws[0] <= 0.03 * trials
 
 
 @pytest.mark.parametrize("chunk, trials", [(SEED_CHUNK, SEED_CHUNK + 1), (4, 25)])
@@ -463,7 +522,7 @@ LATER_PATHS = [
 
 @pytest.mark.parametrize("shots, p, seed, path", LATER_PATHS)
 def test_each_later_step_path_is_default_rngs(monkeypatch, shots, p, seed, path):
-    assert _btpe_path(_pcg64_words(seed, 1)[0].tolist(), shots, p) == path
+    assert _btpe_path(_rows(_pcg64_words(seed, 1))[0].tolist(), shots, p) == path
     expected = _default_rng_counts(shots, p, 1, seed)
     # A pool of one trial takes its passes, and no self-check draws.
     monkeypatch.setattr(shotsim, "_POOL_MIN", 1)
@@ -483,9 +542,9 @@ def test_v_zero_in_a_tail_loops_back(tail):
     u = (s.p2 + s.p3) / 2 if tail == "30" else (s.p3 + s.p4) / 2
     row = _row_with_doubles(int(u / s.p4 * 2**53), 0)
     assert _btpe_path(row, shots, p)[0] == f"{tail} v = 0"
-    outcome, _, after = shotsim._btpe_pass(np.array([row], dtype=np.uint64), s)
+    outcome, _, after = shotsim._btpe_pass(np.array([row], dtype=np.uint64).T, s)
     assert outcome[0] == btpe.LOOP
-    assert _generator_draw(after[0].tolist(), shots, p) == _generator_draw(row, shots, p)
+    assert _generator_draw(_rows(after)[0].tolist(), shots, p) == _generator_draw(row, shots, p)
 
 
 def test_step_20_goes_on_at_v_equal_to_one():
@@ -496,7 +555,7 @@ def test_step_20_goes_on_at_v_equal_to_one():
     s = btpe.setup(shots, p)
     row = _row_with_doubles(7708371503708794, 0)
     assert _btpe_path(row, shots, p) == ["20 50"]
-    outcome, _, _ = shotsim._btpe_pass(np.array([row], dtype=np.uint64), s)
+    outcome, _, _ = shotsim._btpe_pass(np.array([row], dtype=np.uint64).T, s)
     assert outcome[0] == btpe.DEFER
     assert _generator_draw(row, shots, p) == s.m
 
@@ -514,8 +573,8 @@ def test_btpe_later_steps_are_the_generators_where_they_decide(shots, p, doubles
     assume(s is not None)
     least = math.floor(s.p1 / s.p4 * 2**53) + 1
     rows = [_row_with_doubles(min(least + int(at * (2**53 - least)), 2**53 - 1), k2) for at, k2 in doubles]
-    outcome, counts, after = shotsim._btpe_pass(np.array(rows, dtype=np.uint64), s)
-    for row, o, count, next_row in zip(rows, outcome.tolist(), counts.tolist(), after.tolist()):
+    outcome, counts, after = shotsim._btpe_pass(np.array(rows, dtype=np.uint64).T, s)
+    for row, o, count, next_row in zip(rows, outcome.tolist(), counts.tolist(), _rows(after).tolist()):
         if o in (btpe.STEP10, btpe.SQUEEZE):
             assert count == _generator_draw(row, shots, p)
         elif o == btpe.LOOP:
@@ -533,7 +592,7 @@ def test_a_wide_log_bracket_leaves_every_log_decision_to_the_generator(monkeypat
     (u, _), _ = shotsim._next_doubles(words, 2)
     u *= s.p4
     assert not np.any(outcome == btpe.SQUEEZE)
-    for row in words[outcome == btpe.LOOP].tolist():
+    for row in _rows(words)[outcome == btpe.LOOP].tolist():
         assert _btpe_path(row, shots, p)[0] == "20 loops"
     assert np.count_nonzero(outcome == btpe.DEFER) > 100
     monkeypatch.setattr(shotsim, "_POOL_MIN", 1)
@@ -601,7 +660,7 @@ def test_btpe_pass_is_the_generators_on_a_chunk(shots, p):
     words = _pcg64_words(2**64 - 1000, 2000)
     outcome, counts, after = shotsim._btpe_pass(words, s)
     assert np.count_nonzero(outcome == btpe.SQUEEZE) + np.count_nonzero(outcome == btpe.LOOP) > 0
-    for row, o, count, next_row in zip(words.tolist(), outcome.tolist(), counts.tolist(), after.tolist()):
+    for row, o, count, next_row in zip(_rows(words).tolist(), outcome.tolist(), counts.tolist(), _rows(after).tolist()):
         if o in (btpe.STEP10, btpe.SQUEEZE):
             assert count == _generator_draw(row, shots, p)
         elif o == btpe.LOOP:
