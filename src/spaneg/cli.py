@@ -36,6 +36,7 @@ import numpy as np
 
 from . import curves, linalg, measures, shotsim, spa, states
 from .linalg import STUDY_CHUNK
+from .states import path_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -89,7 +90,7 @@ def _out_target(out_path) -> tuple[str, bool]:
     except OSError:  # missing, or unreachable: creating the partial file reports it
         return target, False
     except ValueError as exc:  # lstat raises it first, so _output's open() never does
-        raise UsageError(f"--out {out_path}: {exc}") from exc
+        raise UsageError(f"--out {path_text(out_path)}: {exc}") from exc
     return target, not (stat.S_ISREG(mode) or stat.S_ISDIR(mode))
 
 
@@ -110,25 +111,26 @@ def _output(out_path):
         yield sys.stdout.write
         return
     target, direct = _out_target(out_path)
+    shown = path_text(out_path)
     if direct:
         try:
             with open(target, "w", newline="\n") as f:
                 yield f.write
         except OSError as exc:
-            raise UsageError(f"--out {out_path}: cannot write {target}: {exc.strerror}") from exc
+            raise UsageError(f"--out {shown}: cannot write {path_text(target)}: {exc.strerror}") from exc
         return
     partial = Path(f"{target}.partial")
     try:
         f = open(partial, "w", newline="\n")
     except OSError as exc:
-        raise UsageError(f"--out {out_path}: cannot create {partial}: {exc.strerror}") from exc
+        raise UsageError(f"--out {shown}: cannot create {path_text(partial)}: {exc.strerror}") from exc
     try:
         with f:
             yield f.write
         try:
             os.replace(partial, target)
         except OSError as exc:
-            raise UsageError(f"--out {out_path}: cannot move {partial} onto it: {exc.strerror}") from exc
+            raise UsageError(f"--out {shown}: cannot move {path_text(partial)} onto it: {exc.strerror}") from exc
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
@@ -400,6 +402,7 @@ def build_parser() -> _Parser:
     """
     parser = _Parser(prog="spaneg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each subcommand's name -> its own parser, for run()
 
     def add_common(p, state=False, seed=False, sweep=False, rand=False, sim=False):
         if state:
@@ -451,11 +454,23 @@ _DISPATCH = {
 
 
 def run(argv=None) -> int:
+    """Run one request, argv or sys.argv[1:]; return its exit code.
+
+    A subcommand named first is parsed by its own parser alone: the top-level
+    parser would pass it the same tokens, "--" included, and word its errors
+    the same.  Any other argv goes to the top-level parser.
+    """
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        command = argv[0] if argv else None
+        if command in parser.commands:
+            args = parser.commands[command].parse_args(argv[1:])
+        else:
+            args = parser.parse_args(argv)
+            command = args.command
         _check_limits(args)
-        return _DISPATCH[args.command](args)
+        return _DISPATCH[command](args)
     except SystemExit as exc:
         # --help prints its text and then exits through argparse's SystemExit.
         return exc.code

@@ -311,6 +311,12 @@ def _read_capped(path) -> bytes:
     return b"".join(chunks)
 
 
+def path_text(path) -> str:
+    """str(path) for a message; its repr if any character of it does not print."""
+    text = str(path)
+    return text if text.isprintable() else repr(text)
+
+
 def load_state(path) -> DensityMatrix:
     """Load and validate a state from the JSON file format of save_state."""
     try:
@@ -320,7 +326,7 @@ def load_state(path) -> DensityMatrix:
     # json.loads raises RecursionError on a deeply nested file, and float()
     # OverflowError on an integer literal past float64's range.
     except (OSError, json.JSONDecodeError, RecursionError, OverflowError, KeyError, TypeError, ValueError) as exc:
-        raise StateValidationError([f"unreadable state file {path}: {exc}"]) from exc
+        raise StateValidationError([f"unreadable state file {path_text(path)}: {exc}"]) from exc
     if re.shape != (4, 4) or im.shape != (4, 4):
         raise StateValidationError(
             [f"state file arrays must be 4x4, got re {re.shape}, im {im.shape}"]

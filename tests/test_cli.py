@@ -129,11 +129,32 @@ class TestExitCodes:
         # name holds a NUL byte.
         (tmp_path / "a_directory").mkdir()
         path = tmp_path / out
+        # A NUL byte does not print, so the message shows the path's repr.
+        shown = repr(str(path)) if "\0" in out else str(path)
         assert cli.run(["analyze", "--family", "bell", "--out", str(path)]) == 1
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith(f"usage error: --out {path}: ")
+        assert out == "" and err.startswith(f"usage error: --out {shown}: ")
         assert os.listdir(tmp_path) == ["a_directory"]
         assert os.listdir(tmp_path / "a_directory") == []
+
+    @pytest.mark.parametrize("name", ["a\0b", "a\x01b", "a\ud800b"])
+    def test_unprintable_state_path_is_shown_as_its_repr(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        assert cli.run(["analyze", "--state", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"unreadable state file {str(path)!r}: " in err
+        assert err.endswith("\n") and err[:-1].isprintable()
+
+    # The \x01 path lies in a directory that does not exist, so that its
+    # partial file cannot be created.
+    @pytest.mark.parametrize("name", ["a\0b", "a\x01b/out.json", "a\ud800b"])
+    def test_unprintable_out_path_is_shown_as_its_repr(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        assert cli.run(["analyze", "--family", "bell", "--out", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"usage error: --out {str(path)!r}: ")
+        assert err.endswith("\n") and err[:-1].isprintable()
+        assert os.listdir(tmp_path) == []
 
     def test_eigensolve_that_does_not_converge_is_input_error(self, monkeypatch, capsys):
         # A LAPACK run that does not converge sets the invalid flag; the
@@ -377,6 +398,87 @@ class TestSharedParser:
         _, digest, _ = bench.run_repetition(cli, rep, ledger)
         assert ledger.failed == 0, ledger.reasons
         assert digest == reference["digests"]["single"]
+
+
+# An argv of each subcommand that runs.
+_VALID = {
+    "analyze": ["--family", "bell"],
+    "sweep": ["--family", "pure_m", "--points", "3"],
+    "random-study": ["--count", "3"],
+    "simulate": ["--family", "bell", "--shots", "100", "--trials", "3"],
+    "spa-verify": ["--seed", "1"],
+}
+
+
+def _routing_argvs():
+    """For each subcommand: a valid run, help, an unknown flag, a missing flag,
+    bad values, an abbreviated and an ambiguous flag, "--" before a token, a
+    repeated flag, and each integer flag at and past the edges of its range."""
+    for command, valid in _VALID.items():
+        argvs = [valid, ["--help"], valid + ["--bogus"], [], ["--", *valid], valid + ["--", "x"],
+                 valid + valid[:2], [valid[0][:5], *valid[1:]], ["--s", "1"]]
+        if "--family" in valid:
+            argvs += [["--param", "0.5"], ["--family", "horodecki", "--param", "x"]]
+        for name in [a.dest for a in cli.build_parser().commands[command]._actions if a.type is int]:
+            least, greatest = cli._LIMITS[name]
+            edges = [least - 1, least] + ([greatest, greatest + 1] if greatest else [2**64])
+            argvs += [valid + [f"--{name}", value] for value in ["1.5", "x", *map(str, edges)]]
+        yield from ([command, *argv] for argv in argvs)
+
+
+class TestRouting:
+    # cli.run hands an argv that starts with a subcommand's name to that
+    # subcommand's parser alone; every outcome must be the top-level parser's.
+    @staticmethod
+    def outcome(capsys, argv):
+        code = cli.run(argv)
+        return (code, *capsys.readouterr())
+
+    @pytest.mark.parametrize("argv", list(_routing_argvs()), ids=" ".join)
+    def test_same_outcome_as_through_the_top_level_parser(self, monkeypatch, capsys, argv):
+        _shrink_workers(monkeypatch)
+        routed = self.outcome(capsys, argv)
+        monkeypatch.setattr(cli.build_parser(), "commands", {})
+        assert self.outcome(capsys, argv) == routed
+
+    @pytest.mark.parametrize("argv, code, text", [
+        ([], 1, "the following arguments are required: command"),
+        (["-h"], 0, "usage: spaneg [-h] {analyze,sweep,random-study,simulate,spa-verify}"),
+        (["bogus"], 1, "argument command: invalid choice: 'bogus'"),
+        (["--fam"], 1, "the following arguments are required: command"),
+    ])
+    def test_other_argv_reaches_the_top_level_parser(self, monkeypatch, capsys, argv, code, text):
+        parser = cli.build_parser()
+        calls = []
+        parse = parser.parse_known_args
+        monkeypatch.setattr(parser, "parse_known_args", lambda *args: calls.append(args) or parse(*args))
+        outcome = self.outcome(capsys, argv)
+        assert len(calls) == 1
+        assert outcome[0] == code and text in outcome[1] + outcome[2]
+
+    def test_a_named_command_is_parsed_once(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("the top-level parser ran")
+
+        monkeypatch.setattr(cli.build_parser(), "parse_known_args", refuse)
+        assert cli.run(["analyze", "--family", "bell"]) == 0
+
+    @staticmethod
+    def main(*argv):
+        # main() reads sys.argv, which no in-process test sets.
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-c", "from spaneg.cli import main; main()", *argv],
+                              env=env, capture_output=True)
+
+    def test_console_entry_point(self):
+        proc = self.main("analyze", "--family", "bell")
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert hashlib.sha256(proc.stdout).hexdigest() == (
+            "0ce2cbb6c8016ab7e5ff17e0dd580d2d1d521088e6261bb7e7c1d1933360f351")
+        proc = self.main()
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr == b"usage error: the following arguments are required: command\n"
 
 
 class TestSweep:
