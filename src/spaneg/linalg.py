@@ -9,10 +9,13 @@ one implementation over (N, d, d) stacks (the *_batch functions); only the
 partial transpose keeps a per-matrix N = 1 wrapper.  A batch error names the
 index of the first offending matrix.
 
-Each Hermiticity check forms M^dag once: _hermitian_parts returns both the
-defect ||M - M^dag||_max and the Hermitian part (M + M^dag) / 2, and
-check_hermitian returns that part, so the eigensolve behind it and
-states.validate_batch reuse it instead of conjugating M again.
+Each Hermiticity check forms M^dag once: _hermitian_parts returns the
+entrywise asymmetry |M - M^dag| with the M^dag it came from, and the
+Hermitian part (M + M^dag) / 2 reuses that M^dag.  check_hermitian decides a
+whole stack with one reduce, the largest entry of |M - M^dag|, and forms the
+Hermitian part only once the check passes; per-matrix defects are reduced
+only to name the first bad matrix.  A non-finite entry fails the check (its
+asymmetry is NaN or inf), so the eigensolve behind a check never sees one.
 
 Every eigensolve and SVD of the package goes through `lapack`
 (lapack.eigh, lapack.eigvalsh, lapack.svdvals).  It calls numpy's LAPACK
@@ -94,21 +97,27 @@ def first_index(bad: np.ndarray) -> int | None:
 
 
 def _hermitian_parts(m) -> tuple[np.ndarray, np.ndarray]:
-    """(||M - M^dag||_max, (M + M^dag) / 2) of each matrix of an (N, d, d)
-    stack, from one M^dag."""
+    """(|M - M^dag|, M^dag) of a matrix or an (N, d, d) stack: the entrywise
+    asymmetry and the one M^dag it came from.  An infinite entry gives a NaN
+    or infinite asymmetry; a caller that takes such input ignores the
+    invalid-value warning of inf - inf."""
     m = np.asarray(m, dtype=complex)
     mh = m.conj().swapaxes(-1, -2)
-    asym = np.abs(m - mh)
-    flat = asym.reshape(asym.shape[:-2] + (asym.shape[-1] ** 2,))
+    return np.abs(m - mh), mh
+
+
+def _matrix_max(a) -> np.ndarray:
+    """Largest entry of each matrix of an (N, d, d) stack (of a matrix: a float)."""
+    flat = a.reshape(a.shape[:-2] + (a.shape[-1] ** 2,))
     # Reduce a contiguous (d*d, N) copy: at N = 256 this is ~3x faster than a
-    # max over each matrix's trailing (d, d) axes, and it is on the eigh path.
-    return np.ascontiguousarray(flat.T).max(axis=0), (m + mh) / 2
+    # max over each matrix's trailing (d, d) axes.
+    return np.ascontiguousarray(flat.T).max(axis=0)
 
 
 def hermiticity_defect(m):
     """Max-entry deviation from Hermitian symmetry, ||M - M^dag||_max, of a
     matrix (a float) or of each matrix of an (N, d, d) stack (an array)."""
-    return _hermitian_parts(m)[0]
+    return _matrix_max(_hermitian_parts(m)[0])
 
 
 def partial_transpose_batch(m) -> np.ndarray:
@@ -127,21 +136,24 @@ def partial_transpose_b(m) -> np.ndarray:
     return partial_transpose_batch(_as_square(m)[None])[0]
 
 
+@np.errstate(invalid="ignore")  # inf - inf; as a decorator, see _eig_call
 def check_hermitian(m) -> np.ndarray:
     """Hermitian part (M + M^dag) / 2 of each matrix of an (N, d, d) stack.
 
     Raises NotHermitianError naming the first matrix whose ||M - M^dag||_max
-    exceeds VALIDATE_TOL.
+    exceeds VALIDATE_TOL or is NaN, as it is for a matrix with a non-finite
+    entry.
     """
     m = _as_stack(m)
-    defect, h = _hermitian_parts(m)
-    if defect.max(initial=0.0) > VALIDATE_TOL:
-        i = first_index(defect > VALIDATE_TOL)
+    asym, mh = _hermitian_parts(m)
+    if not asym.max(initial=0.0) <= VALIDATE_TOL:  # true for NaN
+        defect = _matrix_max(asym)
+        i = first_index(~(defect <= VALIDATE_TOL))
         raise NotHermitianError(
             f"matrix {i} of {len(m)} is not Hermitian: max asymmetry {defect[i]:.3e} "
             f"exceeds {VALIDATE_TOL:.0e}"
         )
-    return h
+    return (m + mh) / 2
 
 
 def _eig_nonconvergence(err, flag):
@@ -248,8 +260,8 @@ def psd_sqrt_batch(m) -> np.ndarray:
     NotPsdError naming the first such matrix.
     """
     w, v = herm_eigen_batch(m)
-    i = first_index(w[:, 0] < -PSD_CLAMP)
-    if i is not None:
+    if w[:, 0].min(initial=0.0) < -PSD_CLAMP:
+        i = first_index(w[:, 0] < -PSD_CLAMP)
         raise NotPsdError(
             f"matrix {i} of {len(w)} is not PSD: minimum eigenvalue {w[i, 0]:.3e} "
             f"below -{PSD_CLAMP:.0e}"

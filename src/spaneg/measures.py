@@ -253,6 +253,9 @@ def _matches_quasi(rho: DensityMatrix, tol: float = 1e-9) -> bool:
 
 def batch_report(rhos) -> BatchReport:
     """Quantifiers of each state of an (N, 4, 4) stack via the affine SPA pipeline."""
+    # Wootters first: the Hermiticity check of its PSD root names a state
+    # with a non-finite entry before any other kernel meets one.
+    concurrence = concurrence_wootters_batch(rhos)
     pts = partial_transpose_batch(rhos)
     nd, neg_count = _pt_spectrum(pts)
     mu = mu_min_batch(affine_from_pt(pts))
@@ -261,7 +264,7 @@ def batch_report(rhos) -> BatchReport:
         neg_count=neg_count,
         mu_min=mu,
         nn=negativity_normalized_batch(mu),
-        concurrence=concurrence_wootters_batch(rhos),
+        concurrence=concurrence,
         ppt=nd <= PPT_TOL,
     )
 

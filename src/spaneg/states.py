@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import PSD_CLAMP, VALIDATE_TOL, _hermitian_parts, first_index, lapack
+from .linalg import PSD_CLAMP, VALIDATE_TOL, _hermitian_parts, _matrix_max, first_index, lapack
 
 FAMILIES = ("pure_m", "horodecki", "quasi", "bell")
 
@@ -56,10 +56,11 @@ class StackValidity:
     """Per-matrix validity measures of an (N, 4, 4) stack; see validate_batch.
 
     min_eigenvalue is a lower bound on the least eigenvalue of each matrix's
-    Hermitian part, exact where an eigensolve ran.  For a matrix its
-    Gershgorin discs clear, it is the least disc edge, which equals the least
-    eigenvalue for a diagonal matrix; for any other finite matrix it is the
-    least eigenvalue from eigvalsh.  It is NaN for a matrix with non-finite
+    Hermitian part, exact where an eigensolve ran.  In a stack of more than
+    one, for a matrix its Gershgorin discs clear, it is the least disc edge,
+    which equals the least eigenvalue for a diagonal matrix; for any other
+    finite matrix, and always for a single finite matrix, it is the least
+    eigenvalue from eigvalsh.  It is NaN for a matrix with non-finite
     entries, which is flagged by its count alone, without an eigensolve.
     """
 
@@ -79,17 +80,50 @@ class StackValidity:
         )
 
     def violations(self, i: int) -> list[str]:
-        """Every violated invariant of matrix i, each with its magnitude."""
+        """Every violated invariant of matrix i, each with its magnitude; the
+        list is empty exactly when valid[i] is true (a NaN measure is a
+        violation, as it is in valid)."""
         if self.nonfinite[i]:
             return [f"non-finite entries: {self.nonfinite[i]} of 16"]
         out = []
-        if self.hermiticity_defect[i] > VALIDATE_TOL:
+        if not self.hermiticity_defect[i] <= VALIDATE_TOL:
             out.append(f"not Hermitian: max asymmetry {self.hermiticity_defect[i]:.3e}")
-        if self.trace_deviation[i] > VALIDATE_TOL:
+        if not self.trace_deviation[i] <= VALIDATE_TOL:
             out.append(f"trace deviates from 1 by {self.trace_deviation[i]:.3e}")
-        if self.min_eigenvalue[i] < -PSD_CLAMP:
+        if not self.min_eigenvalue[i] >= -PSD_CLAMP:
             out.append(f"not PSD: minimum eigenvalue {self.min_eigenvalue[i]:.3e}")
         return out
+
+
+@np.errstate(invalid="ignore")  # inf - inf in a non-finite matrix
+def validate_batch(raw) -> StackValidity:
+    """Check Hermiticity, unit trace and positivity of each matrix of an
+    (N, 4, 4) stack, with the tolerances of validate; nothing is raised.
+
+    A single finite matrix is diagonalized by eigvalsh: at N = 1 the screen
+    would cost more than the eigvalsh it can skip, and it clears few single
+    states.  A stack of more than one is screened first (_gershgorin_min),
+    and eigvalsh decides the matrices the screen does not clear.  Either way
+    the flags and violation texts are those of an eigensolve of every finite
+    matrix.
+    """
+    m = np.asarray(raw, dtype=complex)
+    if m.ndim != 3 or m.shape[1:] != (4, 4):
+        raise StateValidationError([f"shape {m.shape} is not (N, 4, 4)"])
+    nonfinite = 16 - np.isfinite(m).sum(axis=(1, 2))
+    finite = nonfinite == 0
+    asym, mh = _hermitian_parts(m)
+    h = (m + mh) / 2
+    if len(m) == 1:
+        min_eig = lapack.eigvalsh(h)[:, 0] if finite[0] else np.full(1, np.nan)
+    else:
+        min_eig = _gershgorin_min(h, finite)
+    return StackValidity(
+        nonfinite=nonfinite,
+        hermiticity_defect=_matrix_max(asym),
+        trace_deviation=np.abs(m.trace(axis1=1, axis2=2) - 1.0),
+        min_eigenvalue=min_eig,
+    )
 
 
 # Rounding margin of the Gershgorin screen, relative to a matrix's largest
@@ -100,45 +134,30 @@ class StackValidity:
 _DISC_MARGIN = 64 * np.finfo(float).eps
 
 
-def validate_batch(raw) -> StackValidity:
-    """Check Hermiticity, unit trace and positivity of each matrix of an
-    (N, 4, 4) stack, with the tolerances of validate; nothing is raised.
+def _gershgorin_min(h, finite) -> np.ndarray:
+    """validate_batch's min_eigenvalue of a stack of Hermitian parts h.
 
-    Positivity is screened first.  Every eigenvalue of the Hermitian part h
-    lies in a Gershgorin disc, so min_i (h_ii - sum_{j != i} |h_ij|) bounds
-    the least one from below.  A matrix whose bound is >= -PSD_CLAMP plus a
-    rounding margin is PSD as validate counts it, and is not diagonalized;
-    every SPA-PT output is cleared, its bound being >= 1/18.  eigvalsh
-    decides the rest, so the flags and violation texts are those of an
-    eigensolve of every matrix.
+    Every eigenvalue of h lies in a Gershgorin disc, so
+    min_i (h_ii - sum_{j != i} |h_ij|) bounds the least one from below.  A
+    finite matrix whose bound is >= -PSD_CLAMP plus a rounding margin is PSD
+    as validate counts it, and gets that bound; an SPA-PT output's bound is
+    >= 1/18.  eigvalsh gives the other finite matrices their least
+    eigenvalue, and the non-finite ones get NaN.
     """
-    m = np.asarray(raw, dtype=complex)
-    if m.ndim != 3 or m.shape[1:] != (4, 4):
-        raise StateValidationError([f"shape {m.shape} is not (N, 4, 4)"])
-    nonfinite = 16 - np.isfinite(m).sum(axis=(1, 2))
-    finite = nonfinite == 0
-    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite matrix
-        defect, h = _hermitian_parts(m)
-        trace_dev = np.abs(np.trace(m, axis1=1, axis2=2) - 1.0)
-        rows = np.einsum("nij->ni", np.abs(h))
-        d = h.diagonal(axis1=1, axis2=2).real
-        # Reduce contiguous (4, N) copies: at N = 256 that is ~3x faster than
-        # reducing each row's trailing axis, as in linalg._hermitian_parts.
-        edge = np.ascontiguousarray((d - (rows - np.abs(d))).T).min(axis=0)
-        margin = _DISC_MARGIN * np.ascontiguousarray(rows.T).max(axis=0)
-        cleared = finite & (edge >= margin - PSD_CLAMP)
+    rows = np.einsum("nij->ni", np.abs(h))
+    d = h.diagonal(axis1=1, axis2=2).real
+    # Reduce contiguous (4, N) copies: at N = 256 that is ~3x faster than
+    # reducing each row's trailing axis, as in linalg._matrix_max.
+    edge = np.ascontiguousarray((d - (rows - np.abs(d))).T).min(axis=0)
+    margin = _DISC_MARGIN * np.ascontiguousarray(rows.T).max(axis=0)
+    cleared = finite & (edge >= margin - PSD_CLAMP)
     min_eig = np.where(cleared, edge, np.nan)
     todo = finite & ~cleared
     if todo.all():
         min_eig = lapack.eigvalsh(h)[:, 0]
     elif todo.any():
         min_eig[todo] = lapack.eigvalsh(h[todo])[:, 0]
-    return StackValidity(
-        nonfinite=nonfinite,
-        hermiticity_defect=defect,
-        trace_deviation=trace_dev,
-        min_eigenvalue=min_eig,
-    )
+    return min_eig
 
 
 def validate(raw) -> DensityMatrix:
@@ -149,9 +168,9 @@ def validate(raw) -> DensityMatrix:
     m = np.asarray(raw, dtype=complex)
     if m.shape != (4, 4):
         raise StateValidationError([f"shape {m.shape} is not (4, 4)"])
-    check = validate_batch(m[None])
-    if not check.valid[0]:
-        raise StateValidationError(check.violations(0))
+    violations = validate_batch(m[None]).violations(0)
+    if violations:
+        raise StateValidationError(violations)
     return DensityMatrix(mat=m)
 
 
@@ -191,11 +210,16 @@ def pure_from_vectors(v) -> np.ndarray:
     return v[:, :, None] * v.conj()[:, None, :]
 
 
+# The four Bell projectors, built once; read-only, so every state shares them.
+_BELL_PROJECTORS = pure_from_vectors(np.stack(_BELL_VECTORS))
+_BELL_PROJECTORS.flags.writeable = False
+
+
 def bell_state(index: int) -> DensityMatrix:
     """One of the four Bell-state projectors; index 0..3 is phi+, phi-, psi+, psi-."""
     if index not in (0, 1, 2, 3):
         raise ValueError(f"bell index must be 0..3, got {index}")
-    return DensityMatrix(mat=pure_from_vectors(_BELL_VECTORS[index][None])[0])
+    return DensityMatrix(mat=_BELL_PROJECTORS[index])
 
 
 # Each family's parameter name, as its range errors print it.

@@ -232,6 +232,33 @@ class TestBoundary:
         with pytest.raises(NotHermitianError, match="matrix 2 of 6"):
             linalg.herm_eigen_batch(stack)
 
+    # A non-finite entry fails the Hermiticity check (its asymmetry is NaN or
+    # inf), so no eigensolve sees it; pyproject turns any warning into an error.
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)],
+                             ids=["nan", "inf", "-inf", "nan_imag"])
+    @pytest.mark.parametrize("where", [(1, 1), (0, 2), (3, 0)], ids=["diag", "upper", "lower"])
+    def test_non_finite_entry_is_named(self, value, where):
+        stack = ginibre(5, 4)
+        stack[2][where] = value
+        for check in (linalg.check_hermitian, linalg.herm_eigen_batch, linalg.psd_sqrt_batch,
+                      spa.mu_min_batch, measures.concurrence_wootters_batch,
+                      measures.batch_report):
+            with pytest.raises(NotHermitianError,
+                               match=r"^matrix 2 of 4 is not Hermitian: max asymmetry (nan|inf) "):
+                check(stack)
+
+    def test_non_finite_entry_after_a_bad_matrix(self):
+        # The first failing matrix is named, whether its defect is large or NaN.
+        stack = ginibre(6, 4)
+        stack[1, 0, 1] += 1e-3
+        stack[3, 2, 2] = np.nan
+        with pytest.raises(NotHermitianError, match="matrix 1 of 4 is not Hermitian: max asymmetry 1.000e-03"):
+            linalg.check_hermitian(stack)
+        stack[1, 0, 1] -= 1e-3
+        stack[0, 3, 3] = np.inf
+        with pytest.raises(NotHermitianError, match="matrix 0 of 4 is not Hermitian: max asymmetry nan"):
+            linalg.check_hermitian(stack)
+
     def test_non_psd_matrix_is_named(self):
         stack = ginibre(3, 5)
         stack[2] = np.diag([0.5, 0.3, 0.2 + 1e-6, -1e-6])

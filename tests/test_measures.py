@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spaneg import linalg, measures, spa, states
+from spaneg import cli, linalg, measures, spa, states
 from spaneg.linalg import SIGMA_Y
 from spaneg.measures import (
     concurrence_quasi,
@@ -320,11 +320,14 @@ class TestFullReport:
 
 class TestEachIntermediateOnce:
     # A report transposes its states once, and forms M^dag once for each
-    # eigh input, which is also each input of a Hermiticity check.
+    # eigh input, which is also each input of a Hermiticity check.  A single
+    # state is validated by one eigvalsh, without the Gershgorin screen.
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = {"hermitian_parts": 0, "partial_transpose": 0, "eigh": 0}
+        calls = dict.fromkeys(
+            ["hermitian_parts", "partial_transpose", "eigh", "eigvalsh", "svdvals", "screen"], 0
+        )
 
         def counted(key, f):
             def wrapper(*args, **kwargs):
@@ -338,22 +341,47 @@ class TestEachIntermediateOnce:
         pt = counted("partial_transpose", linalg.partial_transpose_batch)
         for module in (linalg, spa, measures):
             monkeypatch.setattr(module, "partial_transpose_batch", pt)
-        monkeypatch.setattr(linalg._Lapack, "eigh", counted("eigh", linalg._Lapack.eigh))
+        for key in ("eigh", "eigvalsh", "svdvals"):
+            monkeypatch.setattr(linalg._Lapack, key, counted(key, getattr(linalg._Lapack, key)))
+        monkeypatch.setattr(states, "_gershgorin_min", counted("screen", states._gershgorin_min))
         return calls
+
+    # eigh of the SPA-PT output (mu_min) and of rho (its PSD root), eigvalsh
+    # of the partial transpose (N^D), svd behind Wootters' concurrence.
+    REPORT = {"hermitian_parts": 2, "partial_transpose": 1, "eigh": 2, "eigvalsh": 1,
+              "svdvals": 1, "screen": 0}
+    VALIDATE = {"hermitian_parts": 1, "partial_transpose": 0, "eigh": 0, "eigvalsh": 1,
+                "svdvals": 0, "screen": 0}
 
     def test_full_report(self, calls):
         rho = DensityMatrix(mat=random_mixed_batch(np.random.default_rng(37), 1)[0])
         full_report(rho)
-        # eigh of the SPA-PT output (mu_min) and of rho (its PSD root).
-        assert calls == {"hermitian_parts": 2, "partial_transpose": 1, "eigh": 2}
+        assert calls == self.REPORT
 
     def test_batch_report(self, calls):
         measures.batch_report(random_mixed_batch(np.random.default_rng(38), 5))
-        assert calls == {"hermitian_parts": 2, "partial_transpose": 1, "eigh": 2}
+        assert calls == self.REPORT
 
     def test_validate(self, calls):
         validate(random_mixed_batch(np.random.default_rng(39), 1)[0])
-        assert calls == {"hermitian_parts": 1, "partial_transpose": 0, "eigh": 0}
+        assert calls == self.VALIDATE
+
+    @pytest.mark.parametrize("source", ["state", "family"])
+    def test_one_analyze_request(self, calls, monkeypatch, tmp_path, capsys, source):
+        # The work of one request through cli.run, split where the report starts.
+        at_report = []
+        report = measures.full_report
+        monkeypatch.setattr(measures, "full_report", lambda rho: at_report.append(dict(calls)) or report(rho))
+        if source == "state":
+            path = tmp_path / "state.json"
+            states.save_state(DensityMatrix(mat=random_mixed_batch(np.random.default_rng(40), 1)[0]), path)
+            argv, before = ["analyze", "--state", str(path)], self.VALIDATE
+        else:
+            argv, before = ["analyze", "--family", "horodecki", "--param", "0.5"], dict.fromkeys(calls, 0)
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out
+        assert at_report == [before]
+        assert {key: calls[key] - before[key] for key in calls} == self.REPORT
 
     def test_full_report_counts_no_negative_eigenvalues(self, monkeypatch):
         # The count is batch_report's; full_report takes N^D alone.

@@ -90,6 +90,41 @@ class TestValidate:
         assert np.isnan(check.min_eigenvalue[2])
         assert np.abs(check.min_eigenvalue[:2]).max() <= 1e-15
 
+    def test_single_matrix_gets_its_eigvalsh_value(self, monkeypatch):
+        # One matrix is diagonalized, not screened; in a stack, I/4 is cleared
+        # by its discs.  The verdict, the texts and the 0.25 agree.
+        solved = []
+        real = linalg._Lapack.eigvalsh
+        monkeypatch.setattr(
+            linalg._Lapack, "eigvalsh", lambda self, m: solved.append(len(m)) or real(self, m)
+        )
+        quarter = np.eye(4, dtype=complex) / 4
+        alone = states.validate_batch(quarter[None])
+        assert solved == [1]
+        stacked = states.validate_batch(np.stack([quarter, 2 * quarter, quarter]))
+        assert solved == [1]
+        for i, check in [(0, alone), (0, stacked), (2, stacked)]:
+            assert check.valid[i] and check.violations(i) == []
+            assert check.min_eigenvalue[i] == 0.25
+        assert stacked.violations(1) == ["trace deviates from 1 by 1.000e+00"]
+        # A single non-finite matrix is flagged by its count, without an eigensolve.
+        quarter[0, 0] = np.nan
+        check = states.validate_batch(quarter[None])
+        assert solved == [1]
+        assert np.isnan(check.min_eigenvalue[0]) and not check.valid[0]
+        assert check.violations(0) == ["non-finite entries: 1 of 16"]
+
+    def test_violations_are_empty_exactly_when_valid(self):
+        # A NaN measure is a violation, as it is in valid.
+        nan = np.array([np.nan])
+        zero = np.zeros(1, dtype=int)
+        for field in ("hermiticity_defect", "trace_deviation", "min_eigenvalue"):
+            values = {"hermiticity_defect": np.zeros(1), "trace_deviation": np.zeros(1),
+                      "min_eigenvalue": np.full(1, 0.25), field: nan}
+            check = states.StackValidity(nonfinite=zero, **values)
+            assert not check.valid[0]
+            assert len(check.violations(0)) == 1 and "nan" in check.violations(0)[0]
+
     def test_batch_rejects_wrong_shape(self):
         with pytest.raises(StateValidationError, match=r"shape \(4, 4\) is not \(N, 4, 4\)"):
             states.validate_batch(np.eye(4))
@@ -272,6 +307,16 @@ class TestFamilies:
     def test_out_of_range_rejected(self, kind, bad):
         with pytest.raises(ValueError):
             from_spec(kind, bad)
+
+    def test_bell_projectors_are_built_once(self):
+        for i in range(4):
+            mat = bell_state(i).mat
+            expected = pure_from_vectors(states._BELL_VECTORS[i][None])[0]
+            assert mat.tobytes() == expected.tobytes() and mat.dtype == expected.dtype
+            assert np.shares_memory(mat, states._BELL_PROJECTORS)
+            assert not mat.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                mat[0, 0] = 0.0
 
     def test_bell_index_range(self):
         for i in range(4):
