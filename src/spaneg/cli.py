@@ -302,8 +302,8 @@ def _pair_residuals(x) -> tuple[float, float]:
     affine = spa.affine_from_pt(pts)
     dev = float(np.abs(affine - comp).max())
     phis = states.pure_from_normals(x[:, 32:].reshape(k, 2, 4))
-    lhs = np.trace(phis @ pts, axis1=1, axis2=2).real
-    rhs = 9.0 * np.trace(phis @ affine, axis1=1, axis2=2).real - 2.0
+    lhs = linalg.trace_batch(phis @ pts).real
+    rhs = 9.0 * linalg.trace_batch(phis @ affine).real - 2.0
     return dev, float(np.abs(lhs - rhs).max())
 
 

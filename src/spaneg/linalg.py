@@ -28,6 +28,16 @@ call in a process (not the import) checks the gufuncs bitwise against
 np.linalg on a fixed stack.  On a mismatch or a missing module or name, and
 for any input that is not a complex128 ndarray stack of square matrices,
 `lapack` calls np.linalg instead.
+
+Every trace of an (N, 4, 4) stack goes through `trace_batch`, bitwise
+np.trace(m, axis1=1, axis2=2): numpy sums each diagonal of a C-contiguous
+complex128 stack pairwise, as 0 + ((d0 + d1) + (d2 + d3)), and trace_batch
+does the same with four elementwise adds.  Right after a BLAS matmul,
+np.trace of a 256-stack costs several times the adds.  The order is a numpy
+internal, so trace_batch keeps the guarantees of `lapack`: the first call
+that may take the adds checks them bitwise against np.trace on a fixed
+stack, and on a mismatch, for a stack of fewer than 8 matrices and for any
+other input, trace_batch calls np.trace.
 """
 
 from __future__ import annotations
@@ -100,18 +110,32 @@ def _hermitian_parts(m) -> tuple[np.ndarray, np.ndarray]:
     """(|M - M^dag|, M^dag) of a matrix or an (N, d, d) stack: the entrywise
     asymmetry and the one M^dag it came from.  An infinite entry gives a NaN
     or infinite asymmetry; a caller that takes such input ignores the
-    invalid-value warning of inf - inf."""
+    invalid-value warning of inf - inf (and, for entries past ~9e307, the
+    overflow warning)."""
     m = np.asarray(m, dtype=complex)
     mh = m.conj().swapaxes(-1, -2)
     return np.abs(m - mh), mh
 
 
+def _by_entry(a) -> np.ndarray:
+    """Contiguous (d*d, N) copy of an (N, d, d) stack (of a matrix: (d*d,)).
+
+    A reduce over its axis 0 is a per-matrix reduce: at N = 256 it is ~3x
+    faster than one over each matrix's trailing (d, d) axes.
+    """
+    flat = a.reshape(a.shape[:-2] + (a.shape[-1] ** 2,))
+    return np.ascontiguousarray(flat.T)
+
+
 def _matrix_max(a) -> np.ndarray:
     """Largest entry of each matrix of an (N, d, d) stack (of a matrix: a float)."""
-    flat = a.reshape(a.shape[:-2] + (a.shape[-1] ** 2,))
-    # Reduce a contiguous (d*d, N) copy: at N = 256 this is ~3x faster than a
-    # max over each matrix's trailing (d, d) axes.
-    return np.ascontiguousarray(flat.T).max(axis=0)
+    return _by_entry(a).max(axis=0)
+
+
+def _matrix_count(b) -> np.ndarray:
+    """Number of true entries of each matrix of a bool (N, 4, 4) stack, as uint8."""
+    # A uint8 sum of the bool bytes adds rows without a cast; 16 fits.
+    return np.add.reduce(_by_entry(b).view(np.uint8), axis=0, dtype=np.uint8)
 
 
 def hermiticity_defect(m):
@@ -240,6 +264,68 @@ class _Lapack:
 
 
 lapack = _Lapack(_umath_linalg)
+
+
+# Stacks of fewer matrices are summed by np.trace's one reduce.  Alone, that
+# reduce costs ~1.6 us at N = 1 against ~3.5 us for the four adds; right
+# after a BLAS matmul the adds are cheaper from N = 8 on (timeit, 1 thread).
+_ADDS_MIN = 8
+
+
+class _Trace:
+    """np.trace(m, axis1=1, axis2=2) of an (N, 4, 4) stack, bit for bit.
+
+    numpy 2.4.6 sums the 8 doubles of a complex diagonal pairwise and adds
+    the result to the sum's +0 start, so each trace is 0 + ((d0 + d1) +
+    (d2 + d3)): +0, not -0, for a diagonal of signed zeros.  That holds when
+    the diagonal is the inner loop of the reduce, as it is for a C-contiguous
+    stack; on a Fortran-ordered one numpy sums in sequence.  The first call
+    checks the adds against np.trace on a fixed stack; if that check fails,
+    and for input other than a C-contiguous complex128 (N, 4, 4) ndarray of
+    at least _ADDS_MIN matrices, the call goes to np.trace.
+    """
+
+    def __init__(self):
+        self.verified = None  # the check's verdict; None until the first call
+
+    def __call__(self, m) -> np.ndarray:
+        if type(m) is not np.ndarray:
+            return np.trace(m, axis1=1, axis2=2)
+        if m.ndim == 3 and len(m) >= _ADDS_MIN and self._fast(m):
+            return self._adds(m)
+        return m.trace(axis1=1, axis2=2)  # np.trace's own call on an ndarray
+
+    def _fast(self, m) -> bool:
+        if self.verified is None:
+            self.verified = self._matches_numpy()
+        return (
+            self.verified
+            and m.dtype == np.complex128
+            and m.shape[1:] == (4, 4)
+            and m.flags.c_contiguous
+        )
+
+    @staticmethod
+    def _adds(m) -> np.ndarray:
+        d = m.reshape(len(m), 16)  # diagonal entries at columns 0, 5, 10, 15
+        t = (d[:, 0] + d[:, 5]) + (d[:, 10] + d[:, 15])
+        t += 0.0
+        return t
+
+    def _matches_numpy(self) -> bool:
+        """True iff the adds give np.trace's bits on a fixed stack."""
+        # Fixed entries whose magnitudes span 1e-8..1e8, so that another order
+        # rounds differently; np.random is not imported for the check.  The
+        # last matrix is all -0, where the +0 start shows.
+        k = np.arange(1.0, 1025.0)
+        z = (np.sin(k ** 2) * 10.0 ** (8 * np.sin(k))).reshape(32, 4, 4, 2) @ [1, 1j]
+        z[-1] = complex(-0.0, -0.0)
+        ours = self._adds(z)
+        theirs = np.trace(z, axis1=1, axis2=2)
+        return ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+
+
+trace_batch = _Trace()
 
 
 def herm_eigen_batch(m) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import PSD_CLAMP, VALIDATE_TOL, _hermitian_parts, _matrix_max, first_index, lapack
+from .linalg import (
+    PSD_CLAMP, VALIDATE_TOL, _hermitian_parts, _matrix_count, _matrix_max, first_index, lapack,
+    trace_batch,
+)
 
 FAMILIES = ("pure_m", "horodecki", "quasi", "bell")
 
@@ -61,10 +64,14 @@ class StackValidity:
     which equals the least eigenvalue for a diagonal matrix; for any other
     finite matrix, and always for a single finite matrix, it is the least
     eigenvalue from eigvalsh.  It is NaN for a matrix with non-finite
-    entries, which is flagged by its count alone, without an eigensolve.
+    entries, and for a finite one whose Hermitian part (M + M^dag) / 2
+    overflows; each is flagged by its count alone (nonfinite, overflow),
+    without an eigensolve.  overflow counts the non-finite entries of that
+    part, and is 0 for a matrix with non-finite entries of its own.
     """
 
     nonfinite: np.ndarray
+    overflow: np.ndarray
     hermiticity_defect: np.ndarray
     trace_deviation: np.ndarray
     min_eigenvalue: np.ndarray
@@ -74,6 +81,7 @@ class StackValidity:
         # NaN comparisons are false, so a non-finite matrix fails here too.
         return (
             (self.nonfinite == 0)
+            & (self.overflow == 0)
             & (self.hermiticity_defect <= VALIDATE_TOL)
             & (self.trace_deviation <= VALIDATE_TOL)
             & (self.min_eigenvalue >= -PSD_CLAMP)
@@ -85,6 +93,8 @@ class StackValidity:
         violation, as it is in valid)."""
         if self.nonfinite[i]:
             return [f"non-finite entries: {self.nonfinite[i]} of 16"]
+        if self.overflow[i]:
+            return [f"entries too large: (M + M^dag) / 2 overflows in {self.overflow[i]} of 16"]
         out = []
         if not self.hermiticity_defect[i] <= VALIDATE_TOL:
             out.append(f"not Hermitian: max asymmetry {self.hermiticity_defect[i]:.3e}")
@@ -95,7 +105,7 @@ class StackValidity:
         return out
 
 
-@np.errstate(invalid="ignore")  # inf - inf in a non-finite matrix
+@np.errstate(invalid="ignore", over="ignore")  # inf - inf, and entries past ~9e307
 def validate_batch(raw) -> StackValidity:
     """Check Hermiticity, unit trace and positivity of each matrix of an
     (N, 4, 4) stack, with the tolerances of validate; nothing is raised.
@@ -105,23 +115,35 @@ def validate_batch(raw) -> StackValidity:
     states.  A stack of more than one is screened first (_gershgorin_min),
     and eigvalsh decides the matrices the screen does not clear.  Either way
     the flags and violation texts are those of an eigensolve of every finite
-    matrix.
+    matrix.  A finite matrix whose Hermitian part overflows (an entry past
+    ~9e307) gets no eigensolve and is named by its overflow count; no
+    warning is emitted.
     """
     m = np.asarray(raw, dtype=complex)
     if m.ndim != 3 or m.shape[1:] != (4, 4):
         raise StateValidationError([f"shape {m.shape} is not (N, 4, 4)"])
-    nonfinite = 16 - np.isfinite(m).sum(axis=(1, 2))
-    finite = nonfinite == 0
     asym, mh = _hermitian_parts(m)
     h = (m + mh) / 2
+    finite_h = np.isfinite(h)
+    if finite_h.all():  # the common case: nothing to count
+        nonfinite = overflow = np.zeros(len(m), dtype=np.uint8)
+        finite = overflow == 0
+    else:
+        # A non-finite entry of M leaves its entry of h non-finite, so the
+        # matrices with a finite h are the finite ones that do not overflow.
+        bad_h = 16 - _matrix_count(finite_h)
+        finite = bad_h == 0
+        nonfinite = 16 - _matrix_count(np.isfinite(m))
+        overflow = np.where(nonfinite == 0, bad_h, 0)
     if len(m) == 1:
         min_eig = lapack.eigvalsh(h)[:, 0] if finite[0] else np.full(1, np.nan)
     else:
         min_eig = _gershgorin_min(h, finite)
     return StackValidity(
         nonfinite=nonfinite,
+        overflow=overflow,
         hermiticity_defect=_matrix_max(asym),
-        trace_deviation=np.abs(m.trace(axis1=1, axis2=2) - 1.0),
+        trace_deviation=np.abs(trace_batch(m) - 1.0),
         min_eigenvalue=min_eig,
     )
 
@@ -303,7 +325,7 @@ def ginibre_from_normals(x) -> np.ndarray:
     """G G^dag / Tr(G G^dag) for each G = x[n, 0] + i x[n, 1], x of shape (N, 2, 4, rank)."""
     g = x[:, 0] + 1j * x[:, 1]
     m = g @ g.conj().swapaxes(1, 2)
-    return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+    return m / trace_batch(m).real[:, None, None]
 
 
 def save_state(state: DensityMatrix, path) -> None:

@@ -67,6 +67,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "non-finite entries" in err and "mu_min" not in err
 
+    @pytest.mark.parametrize("entries", [
+        {(0, 0): 1.5e308, (1, 1): -1.5e308, (2, 2): 0.5, (3, 3): 0.5},
+        {(0, 0): 0.25, (1, 1): 0.25, (2, 2): 0.25, (3, 3): 0.25, (0, 1): 1.5e308, (1, 0): 1.5e308},
+    ], ids=["diagonal", "hermitian-pair"])
+    def test_overflowing_state_file_is_input_error(self, tmp_path, capsys, entries):
+        # Finite entries whose Hermitian part (M + M^dag) / 2 overflows are a
+        # named violation, with no eigensolve and no warning (a RuntimeWarning
+        # would fail this test).
+        re = np.zeros((4, 4))
+        for at, value in entries.items():
+            re[at] = value
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"re": re.tolist(), "im": np.zeros((4, 4)).tolist()}))
+        assert cli.run(["analyze", "--state", str(path)]) == 2
+        assert capsys.readouterr() == ("", (
+            "input error: invalid density matrix: "
+            "entries too large: (M + M^dag) / 2 overflows in 2 of 16\n"
+        ))
+
     @pytest.mark.parametrize("state", ["missing.json", "a_directory"])
     def test_unreadable_state_path_is_input_error(self, tmp_path, capsys, state):
         (tmp_path / "a_directory").mkdir()
@@ -849,6 +868,18 @@ class TestSpaVerify:
             code, text = run_to_file(tmp_path, ["spa-verify", "--seed", seed], f"v{seed}.txt")
             assert code == 0
             assert "affine invariants: PASS" in text
+
+
+def test_golden_bytes_through_the_trace_fallback(tmp_path, monkeypatch):
+    # Adds in the order np.trace takes on a Fortran-ordered stack, which rounds
+    # differently: the check must catch it, and its bits must reach no output.
+    monkeypatch.setattr(linalg._Trace, "_adds",
+                        staticmethod(lambda m: np.trace(np.asfortranarray(m), axis1=1, axis2=2)))
+    monkeypatch.setattr(linalg.trace_batch, "verified", None)
+    for seed in sorted(TestSpaVerify.GOLDEN):
+        TestSpaVerify().test_golden_bytes(tmp_path, seed)
+    TestRandomStudy().test_golden_bytes(tmp_path)
+    assert linalg.trace_batch.verified is False
 
 
 # A property over the whole boundary: state-file texts made by mutating a

@@ -7,6 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spaneg import linalg, spa
 from spaneg.linalg import (
@@ -17,6 +20,7 @@ from spaneg.linalg import (
     lapack,
     partial_transpose_b,
     psd_sqrt_batch,
+    trace_batch,
 )
 from spaneg.states import random_mixed_batch
 
@@ -312,3 +316,174 @@ def test_direct_call_scan_sees_calls(tmp_path):
         "    return np.linalg.svd(a, compute_uv=False), numpy.linalg.eigh(a), np.linalg.norm(a)\n"
     )
     assert direct_linalg_calls(path) == [(2, "eigvalsh"), (7, "np.linalg.svd"), (7, "numpy.linalg.eigh")]
+
+
+def np_trace(m):
+    return np.trace(m, axis1=1, axis2=2)
+
+
+def sequential_adds(m):
+    """A stack's traces summed in sequence: np.trace's order on a Fortran-ordered stack."""
+    d = m.reshape(len(m), 16)
+    t = ((d[:, 0] + d[:, 5]) + d[:, 10]) + d[:, 15]
+    t += 0.0
+    return t
+
+
+def without_plus_zero(m):
+    """numpy's pairwise order without the +0 start: a diagonal of -0 sums to -0."""
+    d = m.reshape(len(m), 16)
+    return (d[:, 0] + d[:, 5]) + (d[:, 10] + d[:, 15])
+
+
+# Entries of either sign from 1e-8 to 1e8 in magnitude, and signed zeros.
+TRACE_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.tuples(st.sampled_from([1.0, -1.0]), st.floats(1.0, 10.0), st.integers(-8, 7)).map(
+        lambda t: t[0] * t[1] * 10.0 ** t[2]
+    ),
+)
+
+
+@st.composite
+def c_stacks(draw):
+    """A C-contiguous complex128 (N, 4, 4) stack, N from 1 to 24.  Only the
+    diagonals are drawn; the other entries, which no trace reads, are fixed."""
+    n = draw(st.integers(1, 24))
+    diagonals = draw(arrays(np.float64, (n, 4, 2), elements=TRACE_ENTRIES))
+    m = np.sin(np.arange(1.0, 32 * n + 1.0)).reshape(n, 4, 4, 2) @ [1, 1j]
+    m[:, range(4), range(4)] = diagonals.view(complex)[..., 0]  # keeps signed zeros
+    return m
+
+
+class TestTraceBatch:
+    # linalg.trace_batch sums each diagonal with four elementwise adds in
+    # numpy's own order; every result must be np.trace's, bit for bit.
+
+    def test_takes_the_adds_here(self):
+        m = random_mixed_batch(np.random.default_rng(1720), 16)
+        assert same_bits(trace_batch(m), np_trace(m))
+        assert trace_batch.verified is True
+
+    @given(m=c_stacks())
+    def test_adds_match_numpy(self, m):
+        assert m.flags.c_contiguous and m.dtype == np.complex128
+        assert same_bits(trace_batch(m), np_trace(m))
+        assert same_bits(linalg._Trace._adds(m), np_trace(m))
+
+    def test_signed_zero_diagonal_sums_to_plus_zero(self):
+        m = np.full((8, 4, 4), complex(-0.0, -0.0))
+        assert np.signbit(np_trace(m).view(float)).sum() == 0
+        assert same_bits(trace_batch(m), np_trace(m))
+
+    def test_fortran_order_would_round_differently(self):
+        # numpy sums a Fortran-ordered stack's diagonals in sequence, so the
+        # adds must not take it.
+        x = np.random.default_rng(1722).standard_normal((64, 4, 4, 2))
+        f = np.asfortranarray(x @ [1, 1j])
+        assert not same_bits(linalg._Trace._adds(np.ascontiguousarray(f)), np_trace(f))
+        assert same_bits(sequential_adds(np.ascontiguousarray(f)), np_trace(f))
+
+    @pytest.mark.parametrize("make", [
+        lambda m: np.asfortranarray(m),
+        lambda m: m.real.copy(),
+        lambda m: m.astype(np.complex64),
+        lambda m: m[::2],
+        lambda m: m.tolist(),
+        lambda m: m[:7],
+        lambda m: m[:1],
+    ], ids=["fortran", "float64", "complex64", "strided", "list", "seven", "one"])
+    def test_other_input_goes_to_numpy(self, monkeypatch, make):
+        # Other layouts, dtypes, containers and stacks of fewer than 8 take
+        # np.trace and give its result, though the check has passed.
+        def refuse(m):
+            raise AssertionError("the adds were taken")
+        m = make(random_mixed_batch(np.random.default_rng(1723), 32))
+        expected = np_trace(np.asarray(m))
+        monkeypatch.setattr(trace_batch, "verified", True)
+        monkeypatch.setattr(linalg._Trace, "_adds", staticmethod(refuse))
+        assert same_bits(trace_batch(m), expected)
+
+    @pytest.mark.parametrize("adds, verdict", [
+        (linalg._Trace._adds, True),
+        (sequential_adds, False),
+        (without_plus_zero, False),
+    ], ids=["numpy-order", "sequential", "without-plus-zero"])
+    def test_check_sees_the_order(self, adds, verdict):
+        ours = linalg._Trace()
+        ours._adds = adds
+        assert ours._matches_numpy() is verdict
+
+    def test_failed_check_falls_back(self, monkeypatch):
+        monkeypatch.setattr(linalg._Trace, "_adds", staticmethod(sequential_adds))
+        monkeypatch.setattr(trace_batch, "verified", None)
+        m = random_mixed_batch(np.random.default_rng(1724), 256)
+        m = m @ m
+        assert not same_bits(sequential_adds(m), np_trace(m))
+        assert same_bits(trace_batch(m), np_trace(m))
+        assert trace_batch.verified is False
+
+    def test_check_runs_once_per_process(self, monkeypatch):
+        checks = []
+        check = linalg._Trace._matches_numpy
+        monkeypatch.setattr(linalg._Trace, "_matches_numpy",
+                            lambda self: checks.append(1) or check(self))
+        monkeypatch.setattr(trace_batch, "verified", None)
+        m = random_mixed_batch(np.random.default_rng(1725), 16)
+        for _ in range(3):
+            trace_batch(m)
+        assert checks == [1] and trace_batch.verified is True
+
+
+def stacked_traces(path):
+    """(line, call) of each trace call over axes 1 and 2 in a source file,
+    outside linalg._Trace: np.trace(m, axis1=1, axis2=2), m.trace(axis1=1,
+    axis2=2), or the same axes passed by position."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    helper = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "_Trace":
+            helper.update(map(id, ast.walk(node)))
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in helper or not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if not (isinstance(func, ast.Attribute) and func.attr == "trace"):
+            continue
+        # np.trace(a, offset, axis1, axis2) against a.trace(offset, axis1, axis2).
+        module_call = ast.unparse(func.value) in ("np", "numpy")
+        axes_by_position = len(node.args) >= (3 if module_call else 2)
+        if axes_by_position or {k.arg for k in node.keywords} & {"axis1", "axis2"}:
+            found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+def test_stacked_traces_go_through_the_helper():
+    # A direct stacked np.trace would quietly take the slow reduce again.
+    sources = sorted((ROOT / "src" / "spaneg").glob("*.py"))
+    assert len(sources) > 5
+    found = {p.name: stacked_traces(p) for p in sources}
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def test_stacked_trace_scan_sees_calls(tmp_path):
+    # The scan finds each form of a stacked trace; a single matrix's
+    # np.trace(m) and the helper's own calls stay allowed.
+    path = tmp_path / "probe.py"
+    path.write_text(
+        "import numpy as np\n"
+        "class _Trace:\n"
+        "    def __call__(self, m):\n"
+        "        return np.trace(m, axis1=1, axis2=2)\n"
+        "def f(m, x):\n"
+        "    a = np.trace(m, axis1=1, axis2=2) + m.trace(axis1=1, axis2=2)\n"
+        "    b = numpy.trace(m, 0, 1, 2) + m.trace(0, 1, 2) + np.trace(x) + x.trace()\n"
+        "    return a, b\n"
+    )
+    assert stacked_traces(path) == [
+        (6, "np.trace(m, axis1=1, axis2=2)"),
+        (6, "m.trace(axis1=1, axis2=2)"),
+        (7, "numpy.trace(m, 0, 1, 2)"),
+        (7, "m.trace(0, 1, 2)"),
+    ]

@@ -114,6 +114,45 @@ class TestValidate:
         assert np.isnan(check.min_eigenvalue[0]) and not check.valid[0]
         assert check.violations(0) == ["non-finite entries: 1 of 16"]
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_hermitian_part_is_named(self, monkeypatch):
+        # Finite entries past ~9e307 overflow (M + M^dag) / 2; such a matrix
+        # gets no eigensolve, and no warning is raised.
+        solved = []
+        real = linalg._Lapack.eigvalsh
+        monkeypatch.setattr(
+            linalg._Lapack, "eigvalsh", lambda self, m: solved.append(len(m)) or real(self, m)
+        )
+        diagonal = np.diag([1.5e308, -1.5e308, 0.5, 0.5]).astype(complex)
+        pair = np.eye(4, dtype=complex) / 4
+        pair[0, 1] = pair[1, 0] = 1.5e308
+        imaginary = np.eye(4, dtype=complex) / 4
+        imaginary[2, 2] = complex(0.25, 5e307)
+        text = "entries too large: (M + M^dag) / 2 overflows in {} of 16"
+        for mat, count in [(diagonal, 2), (pair, 2)]:
+            check = states.validate_batch(mat[None])
+            assert check.violations(0) == [text.format(count)] and not check.valid[0]
+            assert check.nonfinite[0] == 0 and np.isnan(check.min_eigenvalue[0])
+            with pytest.raises(StateValidationError) as exc:
+                validate(mat)
+            assert exc.value.violations == [text.format(count)]
+        # In a stack, beside a valid and a non-finite matrix; an imaginary
+        # diagonal entry of 5e307 is not Hermitian but does not overflow.
+        nan = np.eye(4, dtype=complex) / 4
+        nan[3, 0] = np.nan
+        stack = np.stack([np.eye(4) / 4, diagonal, nan, pair, imaginary]).astype(complex)
+        check = states.validate_batch(stack)
+        assert check.valid.tolist() == [True, False, False, False, False]
+        assert check.overflow.tolist() == [0, 2, 0, 2, 0]
+        assert check.nonfinite.tolist() == [0, 0, 1, 0, 0]
+        assert check.violations(1) == check.violations(3) == [text.format(2)]
+        assert check.violations(2) == ["non-finite entries: 1 of 16"]
+        assert check.violations(4) == [
+            "not Hermitian: max asymmetry 1.000e+308", "trace deviates from 1 by 5.000e+307",
+        ]
+        # The two finite Hermitian parts, I/4 each, are cleared by their discs.
+        assert solved == []
+
     def test_violations_are_empty_exactly_when_valid(self):
         # A NaN measure is a violation, as it is in valid.
         nan = np.array([np.nan])
@@ -121,7 +160,7 @@ class TestValidate:
         for field in ("hermiticity_defect", "trace_deviation", "min_eigenvalue"):
             values = {"hermiticity_defect": np.zeros(1), "trace_deviation": np.zeros(1),
                       "min_eigenvalue": np.full(1, 0.25), field: nan}
-            check = states.StackValidity(nonfinite=zero, **values)
+            check = states.StackValidity(nonfinite=zero, overflow=zero, **values)
             assert not check.valid[0]
             assert len(check.violations(0)) == 1 and "nan" in check.violations(0)[0]
 
@@ -154,15 +193,17 @@ class TestValidate:
 
 def eigvalsh_only_verdicts(stack):
     """(valid, violations) of each matrix by the rule validate_batch applied
-    before its Gershgorin screen: an eigvalsh of every finite matrix."""
+    before its Gershgorin screen: an eigvalsh of every finite matrix whose
+    Hermitian part does not overflow."""
     m = np.asarray(stack, dtype=complex)
     nonfinite = 16 - np.isfinite(m).sum(axis=(1, 2))
-    finite = nonfinite == 0
     min_eig = np.full(len(m), np.nan)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         defect = np.abs(m - m.conj().swapaxes(1, 2)).max(axis=(1, 2))
         trace_dev = np.abs(np.trace(m, axis1=1, axis2=2) - 1.0)
         h = (m + m.conj().swapaxes(1, 2)) / 2
+    overflow = np.where(nonfinite == 0, 16 - np.isfinite(h).sum(axis=(1, 2)), 0)
+    finite = (nonfinite == 0) & (overflow == 0)
     min_eig[finite] = np.linalg.eigvalsh(h[finite])[:, 0]
     valid = finite & (defect <= VALIDATE_TOL) & (trace_dev <= VALIDATE_TOL) & (min_eig >= -PSD_CLAMP)
     texts = []
@@ -170,6 +211,8 @@ def eigvalsh_only_verdicts(stack):
         out = []
         if nonfinite[i]:
             out.append(f"non-finite entries: {nonfinite[i]} of 16")
+        elif overflow[i]:
+            out.append(f"entries too large: (M + M^dag) / 2 overflows in {overflow[i]} of 16")
         else:
             if defect[i] > VALIDATE_TOL:
                 out.append(f"not Hermitian: max asymmetry {defect[i]:.3e}")
@@ -217,7 +260,8 @@ SCREEN_MATRICES = st.tuples(
     st.integers(0, 2**32 - 1),
     st.one_of(st.integers(-200, 200), st.integers(-5, 5)),
     st.one_of(st.just(1.0), st.floats(0.0, 6.0).map(lambda e: 10.0**e)),
-    st.sampled_from([None, None, None, np.nan, np.inf, -np.inf, complex(0.0, np.nan)]),
+    st.sampled_from([None, None, None, np.nan, np.inf, -np.inf, complex(0.0, np.nan),
+                     1.5e308, complex(0.0, -1.7e308)]),
 )
 
 
