@@ -94,14 +94,15 @@ def setup(shots: int, p: float) -> Setup | None:
     return Setup(shots, p > 0.5, m, shots * r * q, p1, p2, p3, p4, xm, xl, xr, c, laml, lamr)
 
 
+# As a decorator, errstate costs about half of what entering one on each call does.
+@np.errstate(divide="ignore", invalid="ignore")
 def _log_bracket(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi) around log(v) for v <= 1: np.log(v) widened by _LOG_SLACK.
 
     log(0) is -inf at both ends; a negative v gives NaN, which passes no
     comparison, so its decision is left to the generator.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.log(v)
+    a = np.log(v)
     return a * (1.0 + _LOG_SLACK), a * (1.0 - _LOG_SLACK)
 
 
@@ -128,54 +129,91 @@ def _later_steps(u: np.ndarray, v: np.ndarray, s: Setup) -> tuple[np.ndarray, np
     # / laml) and floor(xr - log(v) / lamr), the same bits as xr + log(v) /
     # -lamr.  They take v on to v (u - p2) laml and v (u - p3) lamr.
     left = u <= s.p3
-    base = np.where(left, s.xl, s.xr)
     lam = np.where(left, s.laml, -s.lamr)
     lo, hi = _log_bracket(v)
-    y = np.floor(base + lo / lam)
-    known = y == np.floor(base + hi / lam)
-    w = v * (u - np.where(left, s.p2, s.p3)) * np.abs(lam)
+    lo /= lam
+    hi /= lam
+    base = np.where(left, s.xl, s.xr)
+    y = np.floor(np.add(base, lo, out=lo), out=lo)
+    known = y == np.floor(np.add(base, hi, out=hi), out=hi)
+    w = np.subtract(u, np.where(left, s.p2, s.p3), out=base)
+    w *= v
+    w *= np.abs(lam, out=lam)
     # Step 30 loops on y < 0 and Step 40 on y > n; neither y can leave [0, n]
     # on the other side (log(v) <= 0).  v == 0 gives an infinite y, which
     # loops, as numpy's v == 0.0 test does.
-    loop = (y < 0) | (y > s.n)
+    loop = y < 0
+    loop |= y > s.n
     # Step 20 (u <= p2): the parallelogram, y = floor(x) with no log.
     mid = u <= s.p2
-    x = s.xl + (u - s.p1) / s.c
-    w20 = v * s.c + 1.0 - np.abs(s.m - x + 0.5) / s.p1
-    y = np.where(mid, np.floor(x), y)
-    w = np.where(mid, w20, w)
+    x = np.subtract(u, s.p1, out=hi)
+    x /= s.c
+    x += s.xl
+    w20 = np.subtract(s.m, x)
+    w20 += 0.5
+    np.abs(w20, out=w20)
+    w20 /= s.p1
+    w20 = np.subtract(v * s.c + 1.0, w20, out=w20)
+    np.copyto(y, np.floor(x, out=x), where=mid)
+    np.copyto(w, w20, where=mid)
     known |= mid
-    loop = known & np.where(mid, w20 > 1.0, loop)
+    np.copyto(loop, w20 > 1.0, where=mid)
+    loop &= known
+    del lam, hi, x, w20  # their memory serves the squeeze's arrays
     # Step 50 takes k = |y - m| <= 20 or k >= nrq / 2 - 1; Step 52 the rest.
     # t = -k*k / (2 nrq) keeps numpy's int64 product.  w <= 1 on these rows, so
     # its log is <= 0 and the bracket is ordered.
-    go = known & ~loop
-    k = np.abs(np.where(go, y, s.m) - s.m)
-    squeeze = go & (k > 20) & (k < s.nrq / 2.0 - 1)
-    rho = (k / s.nrq) * ((k * (k / 3.0 + 0.625) + 0.16666666666666666) / s.nrq + 0.5)
+    go = ~loop
+    go &= known
+    k = np.where(go, y, s.m)
+    k -= s.m
+    np.abs(k, out=k)
+    squeeze = k > 20
+    squeeze &= go
+    squeeze &= k < s.nrq / 2.0 - 1
+    rho = k / 3.0
+    rho += 0.625
+    rho *= k
+    rho += 0.16666666666666666
+    rho /= s.nrq
+    rho += 0.5
+    rho *= k / s.nrq
     k = k.astype(np.int64)
-    t = -(k * k) / (2 * s.nrq)
+    k *= k
+    t = np.negative(k, out=k) / (2 * s.nrq)
     lo, hi = _log_bracket(w)
-    accept = squeeze & (hi < t - rho)
-    loop |= squeeze & (lo > t + rho)
+    accept = hi < t - rho
+    accept &= squeeze
+    t += rho
+    squeeze &= lo > t
+    loop |= squeeze
     outcome = np.where(accept, SQUEEZE, np.where(loop, LOOP, DEFER)).astype(np.int8)
     return outcome, np.where(accept, y, 0.0).astype(np.int64)
 
 
-def one_pass(d1: np.ndarray, v: np.ndarray, s: Setup) -> tuple[np.ndarray, np.ndarray]:
-    """(outcome, counts) of one pass of BTPE from its Step 10 at each pair of
-    uniforms d1, v of the generator.
-
-    counts holds binomial(n, p) where outcome is STEP10 or SQUEEZE and is
-    meaningless elsewhere.
-    """
+def step_10(d1: np.ndarray, v: np.ndarray, s: Setup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, accepted, counts) of Step 10 of a pass at each pair of uniforms d1, v
+    of the generator: u = d1 * p4, and binomial(n, p) where accepted."""
     u = d1 * s.p4
     accepted, counts = _first_step(u, v, s)
-    outcome = np.full(len(u), STEP10, dtype=np.int8)
-    later = np.flatnonzero(~accepted)
-    rows = np.resize(later, -(-len(later) // _BLOCK) * _BLOCK)
-    later_outcome, later_counts = _later_steps(u[rows], v[rows], s)
-    outcome[later], counts[later] = later_outcome[:len(later)], later_counts[:len(later)]
     if s.flip:
-        counts = s.n - counts
+        np.subtract(s.n, counts, out=counts)
+    return u, accepted, counts
+
+
+def steps_20_to_52(u: np.ndarray, v: np.ndarray, s: Setup) -> tuple[np.ndarray, np.ndarray]:
+    """(outcome, counts) of the passes that Step 10 rejected, at their u and v.
+
+    outcome is SQUEEZE, LOOP or DEFER, and counts holds binomial(n, p) where
+    it is SQUEEZE.  The rows are taken in whole blocks of _BLOCK, the last
+    filled up with copies of the first row.
+    """
+    count = len(u)
+    if count % _BLOCK:
+        size = count + _BLOCK - count % _BLOCK
+        u, v = (np.concatenate((a, np.full(size - count, a[0]))) for a in (u, v))
+    outcome, counts = _later_steps(u, v, s)
+    outcome, counts = outcome[:count], counts[:count]
+    if s.flip:
+        np.subtract(s.n, counts, out=counts)
     return outcome, counts

@@ -15,7 +15,9 @@ Hermitian part (M + M^dag) / 2 reuses that M^dag.  check_hermitian decides a
 whole stack with one reduce, the largest entry of |M - M^dag|, and forms the
 Hermitian part only once the check passes; per-matrix defects are reduced
 only to name the first bad matrix.  A non-finite entry fails the check (its
-asymmetry is NaN or inf), so the eigensolve behind a check never sees one.
+asymmetry is NaN or inf), and a Hermitian part that overflows, from finite
+entries near float64's maximum, raises HermitianOverflowError, so the
+eigensolve behind a check never sees a non-finite entry.
 
 Every eigensolve and SVD of the package goes through `lapack`
 (lapack.eigh, lapack.eigvalsh, lapack.svdvals).  It calls numpy's LAPACK
@@ -78,6 +80,10 @@ class NotHermitianError(ValueError):
 
 class NotPsdError(ValueError):
     """Input matrix has an eigenvalue below the PSD clamp tolerance."""
+
+
+class HermitianOverflowError(ValueError):
+    """Input matrix is Hermitian, but its Hermitian part (M + M^dag) / 2 overflows."""
 
 
 def _as_square(m) -> np.ndarray:
@@ -160,16 +166,24 @@ def partial_transpose_b(m) -> np.ndarray:
     return partial_transpose_batch(_as_square(m)[None])[0]
 
 
-@np.errstate(invalid="ignore")  # inf - inf; as a decorator, see _eig_call
+# inf - inf is ignored.  Overflow raises, so that a Hermitian part past
+# float64's maximum is named at no cost to a stack that does not overflow.  As
+# a decorator, see _eig_call.
+@np.errstate(invalid="ignore", over="raise")
 def check_hermitian(m) -> np.ndarray:
     """Hermitian part (M + M^dag) / 2 of each matrix of an (N, d, d) stack.
 
     Raises NotHermitianError naming the first matrix whose ||M - M^dag||_max
     exceeds VALIDATE_TOL or is NaN, as it is for a matrix with a non-finite
-    entry.
+    entry, and HermitianOverflowError naming the first Hermitian matrix with
+    an entry near float64's maximum that makes its Hermitian part overflow.
     """
     m = _as_stack(m)
-    asym, mh = _hermitian_parts(m)
+    try:
+        asym, mh = _hermitian_parts(m)
+    except FloatingPointError:  # an asymmetry past float64's maximum
+        with np.errstate(over="ignore"):
+            asym, mh = _hermitian_parts(m)
     if not asym.max(initial=0.0) <= VALIDATE_TOL:  # true for NaN
         defect = _matrix_max(asym)
         i = first_index(~(defect <= VALIDATE_TOL))
@@ -177,7 +191,16 @@ def check_hermitian(m) -> np.ndarray:
             f"matrix {i} of {len(m)} is not Hermitian: max asymmetry {defect[i]:.3e} "
             f"exceeds {VALIDATE_TOL:.0e}"
         )
-    return (m + mh) / 2
+    try:
+        return (m + mh) / 2
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            bad = _matrix_count(~np.isfinite(m + mh))
+        i = first_index(bad > 0)
+        raise HermitianOverflowError(
+            f"matrix {i} of {len(m)}: entries too large: (M + M^dag) / 2 overflows in "
+            f"{bad[i]} of {m.shape[-1] ** 2}"
+        ) from None
 
 
 def _eig_nonconvergence(err, flag):

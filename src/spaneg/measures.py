@@ -223,14 +223,21 @@ def mu_from_favg(f: float) -> float:
 
 
 def ls_upper_bound(lam: float, mu_min_of_pure_part: float) -> float:
-    """Concurrence upper bound (1 - lambda) * N^N(mu) from a given
-    separable-plus-pure decomposition weight lambda."""
+    """Concurrence upper bound (1 - lambda) * max(0, 4 - 18 mu) of
+    rho = lambda sigma + (1 - lambda) |psi><psi|, sigma separable, from the
+    weight lambda and mu = mu_min of psi's SPA-PT output.
+
+    By convexity C(rho) <= (1 - lambda) C(psi), and for a pure psi C(psi) =
+    N^D(psi) = 4 - 18 mu by tightness, so the bound holds, with equality at
+    lambda = 0.  (1 - lambda) N^N(mu) would sit up to (1 - lambda) / 1356
+    below it, N^N's bias, and is not a bound.
+    """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda {lam} outside [0, 1]")
     mu = float(mu_min_of_pure_part)
     if not MU_MIN_LO - _RANGE_SLACK <= mu <= SEPARABILITY_THRESHOLD + _RANGE_SLACK:
         raise ValueError(f"mu_min {mu} outside [1/6, 2/9]")
-    return (1.0 - lam) * float(negativity_normalized_batch(min(mu, MU_MIN_HI)))
+    return (1.0 - lam) * max(0.0, _lower_bound(mu))
 
 
 def _is_pure(rho: DensityMatrix, tol: float = 1e-9) -> bool:

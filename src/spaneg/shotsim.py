@@ -10,6 +10,7 @@ noise of the observable, not photon-level optics.
 from __future__ import annotations
 
 import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,40 +49,78 @@ class ShotEstimate:
 # constants evolve the same way for every seed: the k-th hashmix of the
 # entropy XORs with chain[k] and multiplies by chain[k + 1] of the chain that
 # starts at _INIT_A and steps by _MULT_A, and generate_state does the same
-# along _HASH_B.  The 4 pool words and 12 mixing steps take 16 hashmix calls,
-# and each entropy word past the fourth 4 more; generate_state(4, np.uint64)
-# makes 8 words.
+# along the chain from _INIT_B.  The 4 pool words and 12 mixing steps take 16
+# hashmix calls, and each entropy word past the fourth 4 more;
+# generate_state(4, np.uint64) makes 8 words.
 _MASK32 = 0xFFFF_FFFF
-
-
-def _const_chain(init: int, mult: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """(XOR, multiplier) constants of `steps` hashmix calls, each an (steps, 1) uint32 column."""
-    chain = [init]
-    for _ in range(steps):
-        chain.append(chain[-1] * mult & _MASK32)
-    chain = np.array(chain, dtype=np.uint32)[:, None]
-    return chain[:-1], chain[1:]
-
-
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_HASH_B = _const_chain(0x8B51F9DD, 0x58F38DED, 8)
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 # PCG64's 128-bit LCG multiplier (O'Neill's PCG_DEFAULT_MULTIPLIER_128).
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _hashmix(values: np.ndarray, chain, steps: slice) -> np.ndarray:
-    """hashmix of `values` by the calls in `steps`: row r of the result uses call steps.start + r.
+def _chain(init: int, mult: int, calls: int) -> list[tuple[int, int]]:
+    """(XOR, multiplier) of each of `calls` hashmix calls along the chain from init by mult."""
+    chain = [init]
+    for _ in range(calls):
+        chain.append(chain[-1] * mult & _MASK32)
+    return list(zip(chain[:-1], chain[1:]))
 
-    `values` is one row per call, or a single row that every call hashes.
+
+def _column(calls: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The XORs and the multipliers of `calls`, each a (len(calls), 1) uint32 column."""
+    columns = tuple(np.array(c, dtype=np.uint32)[:, None] for c in zip(*calls))
+    for column in columns:
+        column.flags.writeable = False  # _hash_calls hands the same arrays to every call
+    return columns
+
+
+def _hashmix(value: int, call: tuple[int, int]) -> int:
+    x, m = call
+    value = (value ^ x) * m & _MASK32
+    return value ^ value >> 16
+
+
+@functools.lru_cache(maxsize=8)
+def _hash_calls(n: int) -> tuple:
+    """The hashmix calls of a SeedSequence of n entropy words, n >= 4, laid out
+    for _seed_state_words: the 4 calls that fill the pool, the 4 mixing rounds
+    and the calls of each entropy word past the fourth as columns, and the two
+    halves of generate_state's 8 calls as columns.
+
+    Round src hashes pool word src into the other three, by the calls
+    4 + 3 src on in ascending order of the word mixed into.  Its three words
+    are taken in the order src + 1, src + 2, src + 3 (mod 4), the rows of the
+    pool that _seed_state_words mixes, so its calls are permuted to that order.
     """
-    values = (values ^ chain[0][steps]) * chain[1][steps]
-    return values ^ (values >> np.uint32(16))
+    calls = _chain(_INIT_A, _MULT_A, 4 * n)
+    rounds = []
+    for src in range(4):
+        others = [d for d in range(4) if d != src]
+        rounds.append(_column([calls[4 + 3 * src + others.index((src + k) % 4)] for k in (1, 2, 3)]))
+    extra = [_column(calls[4 * src:4 * src + 4]) for src in range(4, n)]
+    state = _chain(_INIT_B, _MULT_B, 8)
+    return calls[:4], rounds, extra, [_column(state[:4]), _column(state[4:])]
 
 
-def _mix(pool: np.ndarray, hashed: np.ndarray) -> np.ndarray:
-    mixed = _MIX_L * pool - _MIX_R * hashed
-    return mixed ^ (mixed >> np.uint32(16))
+def _mix_into(rows: np.ndarray, src, calls: tuple, scratch: tuple) -> None:
+    """Mix hashmix(src) by the (XOR, multiplier) columns `calls` into `rows`, in place.
+
+    Row r of `rows` takes the hash by call r of the columns.  `src` is a row
+    or a scalar; `scratch` is two arrays of rows' shape.
+    """
+    h, t = scratch
+    np.bitwise_xor(src, calls[0], out=h)
+    np.multiply(h, calls[1], out=h)
+    np.right_shift(h, 16, out=t)
+    np.bitwise_xor(h, t, out=h)
+    # mix: L pool - R hash, then the same xorshift.
+    np.multiply(h, _MIX_R, out=h)
+    np.multiply(rows, _MIX_L, out=rows)
+    np.subtract(rows, h, out=rows)
+    np.right_shift(rows, 16, out=t)
+    np.bitwise_xor(rows, t, out=rows)
 
 
 def _entropy_words(seed: int) -> int:
@@ -89,35 +128,50 @@ def _entropy_words(seed: int) -> int:
     return max(4, -(-seed.bit_length() // 32))
 
 
-def _seed_state_words(first: int, count: int) -> tuple[np.ndarray, ...]:
-    """SeedSequence(first + j).generate_state(4, np.uint64) for j < count, as four uint64 columns.
+def _seed_state_words(first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """SeedSequence(first + j).generate_state(4, np.uint64) for j < count, as
+    two (2, count) uint64 arrays: words 0 and 1, then words 2 and 3.
 
-    Every seed must have first's _entropy_words.  Below 2**128 an entropy of
-    fewer words, zero-padded to the pool size, gives the same pool.
+    The seeds must differ only in their lowest 32 bits, so that every entropy
+    word but the lowest is one constant, hashed once.  Below 2**128 an entropy
+    of fewer words, zero-padded to the pool size, gives the same pool.
     """
     n = _entropy_words(first)
-    chain = _const_chain(_INIT_A, _MULT_A, 4 * n)
-    # Word k of first + j, least significant first.
-    entropy = np.empty((n, count), dtype=np.uint32)
-    carry = np.arange(count, dtype=np.uint64)
-    for k in range(n):
-        word = np.uint64(first >> 32 * k & _MASK32) + carry
-        entropy[k] = word & np.uint64(_MASK32)
-        carry = word >> np.uint64(32)
-    pool = _hashmix(entropy[:4], chain, slice(0, 4))
-    step = 4
+    fill, rounds, extra, generate = _hash_calls(n)
+    words = [first >> 32 * k & _MASK32 for k in range(n)]
+    # Row r - 1 holds pool word r % 4 for r = 1..7, so that each round's three
+    # words, src + 1 .. src + 3 (mod 4), are the contiguous rows src .. src + 2.
+    # Row src + 4 holds the same word as row src, which round src has just
+    # mixed: copying it there keeps that word current for the later rounds
+    # that read it at src + 4.  The pool ends in rows 3..6, in order.
+    pool = np.empty((7, count), dtype=np.uint32)
+    scratch = np.empty((4, count), dtype=np.uint32), np.empty((4, count), dtype=np.uint32)
+    three = tuple(a[:3] for a in scratch)
+    lowest = pool[3]
+    np.bitwise_xor(np.arange(words[0], words[0] + count, dtype=np.uint32), fill[0][0], out=lowest)
+    np.multiply(lowest, fill[0][1], out=lowest)
+    np.right_shift(lowest, 16, out=scratch[0][0])
+    np.bitwise_xor(lowest, scratch[0][0], out=lowest)
+    pool[:3] = np.array([[_hashmix(words[d], fill[d])] for d in (1, 2, 3)], dtype=np.uint32)
     for src in range(4):
-        # pool[src] is mixed into the other three words, each with its own hashmix call.
-        dst = [d for d in range(4) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], chain, slice(step, step + 3)))
-        step += 3
-    for src in range(4, n):
+        _mix_into(pool[src:src + 3], pool[(src + 3) % 4], rounds[src], three)
+        if src < 3:
+            pool[src + 4] = pool[src]
+    for k, calls in enumerate(extra, start=4):
         # Each further entropy word is mixed into every pool word.
-        pool = _mix(pool, _hashmix(entropy[src], chain, slice(step, step + 4)))
-        step += 4
-    # Word k hashes pool[k % 4] by call k; a uint64 is two words read little-endian.
-    hashed = [_hashmix(pool, _HASH_B, calls) for calls in (slice(0, 4), slice(4, 8))]
-    return tuple(h[k] | h[k + 1].astype(np.uint64) << np.uint64(32) for h in hashed for k in (0, 2))
+        _mix_into(pool[3:], words[k], calls, scratch)
+    # Output word w hashes pool word w % 4 by call w; a uint64 is two words read
+    # little-endian, so each half's hashes go to alternate uint32s of its words.
+    out = []
+    for calls in generate:
+        h, t = scratch
+        np.bitwise_xor(pool[3:], calls[0], out=h)
+        np.multiply(h, calls[1], out=h)
+        np.right_shift(h, 16, out=t)
+        halves = np.empty((2, count, 2), dtype=np.uint32)
+        np.bitwise_xor(h.reshape(2, 2, count), t.reshape(2, 2, count), out=halves.transpose(0, 2, 1))
+        out.append(halves.view(np.uint64).reshape(2, count))
+    return out[0], out[1]
 
 
 # A 128-bit word is held as its two uint64 halves (lo, hi), the layout of
@@ -128,20 +182,37 @@ _MULT_LO_0, _MULT_LO_1 = np.uint64(_PCG_MULT & _MASK32), np.uint64(_PCG_MULT >> 
 _HALF, _HALF_MASK = np.uint64(32), np.uint64(_MASK32)
 
 
-def _lcg(lo: np.ndarray, hi: np.ndarray, i_lo: np.ndarray, i_hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lcg(lo: np.ndarray, hi: np.ndarray, i_lo: np.ndarray, i_hi: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Halves of (hi << 64 | lo) * _PCG_MULT + (i_hi << 64 | i_lo) mod 2**128, PCG64's LCG step.
 
-    mulhi, the high half of lo * _MULT_LO, is built from four 32x32-bit
-    products; each of its sums stays below 2**64, as
+    The halves go to `out`, a pair of arrays that may be lo and hi themselves,
+    or to new arrays.  mulhi, the high half of lo * _MULT_LO, is built from
+    four 32x32-bit products; each of its sums stays below 2**64, as
     (2**32 - 1)**2 + 2 (2**32 - 1) = 2**64 - 1.  The low add carried if its
     sum wrapped below the addend.
     """
-    lo_0, lo_1 = lo & _HALF_MASK, lo >> _HALF
-    mid = lo_1 * _MULT_LO_0 + (lo_0 * _MULT_LO_0 >> _HALF)
-    cross = lo_0 * _MULT_LO_1 + (mid & _HALF_MASK)
-    mulhi = lo_1 * _MULT_LO_1 + (mid >> _HALF) + (cross >> _HALF)
-    new_lo = lo * _MULT_LO + i_lo
-    return new_lo, mulhi + lo * _MULT_HI + hi * _MULT_LO + i_hi + (new_lo < i_lo)
+    new_lo, new_hi = out if out is not None else (np.empty_like(lo), np.empty_like(hi))
+    t = lo * _MULT_HI
+    np.multiply(hi, _MULT_LO, out=new_hi)  # hi is read for the last time
+    new_hi += t
+    new_hi += i_hi
+    lo_0 = np.bitwise_and(lo, _HALF_MASK, out=t)
+    lo_1 = lo >> _HALF
+    mid = lo_0 * _MULT_LO_0
+    mid >>= _HALF
+    mid += lo_1 * _MULT_LO_0
+    lo_0 *= _MULT_LO_1
+    lo_0 += mid & _HALF_MASK  # cross
+    lo_0 >>= _HALF
+    mid >>= _HALF
+    lo_1 *= _MULT_LO_1
+    new_hi += lo_1
+    new_hi += mid
+    new_hi += lo_0  # mulhi added
+    np.multiply(lo, _MULT_LO, out=new_lo)  # lo is read for the last time
+    new_lo += i_lo
+    np.add(new_hi, new_lo < i_lo, out=new_hi)
+    return new_lo, new_hi
 
 
 def _pcg64_words(first: int, count: int) -> tuple[np.ndarray, ...]:
@@ -150,25 +221,33 @@ def _pcg64_words(first: int, count: int) -> tuple[np.ndarray, ...]:
     The columns are state low, state high, inc low and inc high, each 1-D and
     C-contiguous; trial j's row of the four is the byte layout of numpy's
     pcg64_random_t on a little-endian build with a native 128-bit integer.
-    The SeedSequence words are hashed in one numpy pass per run of seeds with
-    the same count of entropy words, so a run is split where that count
-    grows, at 2**(32 k) for k >= 4, and only then are its columns
-    concatenated.  From the words' 128-bit halves s and i,
-    pcg_setseq_128_srandom_r gives inc = 2 i + 1 and
+    The SeedSequence words are hashed in one numpy pass per run of seeds
+    that differ only in their lowest 32 bits, so a run is split at each
+    multiple of 2**32 (where the count of entropy words grows, too), and only
+    then are its columns concatenated.  From the words' 128-bit halves s
+    and i, pcg_setseq_128_srandom_r gives inc = 2 i + 1 and
     state = (s + inc) * _PCG_MULT + inc, mod 2**128, on uint64 halves.
     """
     parts = []
     done = 0
     while done < count:
         seed = first + done
-        n = min(count - done, 2 ** (32 * _entropy_words(seed)) - seed)
+        n = min(count - done, (seed | _MASK32) + 1 - seed)
         parts.append(_seed_state_words(seed, n))
         done += n
-    s_hi, s_lo, i_hi, i_lo = parts[0] if len(parts) == 1 else [np.concatenate(c) for c in zip(*parts)]
-    one = np.uint64(1)
-    inc_lo, inc_hi = i_lo << one | one, i_hi << one | i_lo >> np.uint64(63)
-    lo = s_lo + inc_lo
-    return (*_lcg(lo, s_hi + inc_hi + (lo < inc_lo), inc_lo, inc_hi), inc_lo, inc_hi)
+    if len(parts) > 1:
+        parts = [[np.concatenate(half, axis=1) for half in zip(*parts)]]
+    (s_hi, s_lo), (i_hi, i_lo) = parts[0]
+    top = i_lo >> np.uint64(63)
+    i_hi <<= np.uint64(1)
+    i_hi |= top
+    i_lo <<= np.uint64(1)
+    i_lo |= np.uint64(1)
+    s_lo += i_lo
+    s_hi += i_hi
+    np.add(s_hi, s_lo < i_lo, out=s_hi)
+    _lcg(s_lo, s_hi, i_lo, i_hi, out=(s_lo, s_hi))
+    return s_lo, s_hi, i_lo, i_hi
 
 
 def _state_view(bit_gen: np.random.PCG64) -> memoryview:
@@ -208,14 +287,28 @@ def _view_sets_state(bit_gen: np.random.PCG64, view: memoryview) -> bool:
     return bit_gen.state == reference.state
 
 
-# Shot trials per chunk of trial_counts' seed hashing.  Its numpy calls cost
-# ~1 us per trial at 256 and ~0.25 us at 4096.  At 4096 each array of a
-# chunk's numpy work stays below glibc's default mmap threshold of 128 KiB:
-# the largest are the hash pool's 64 KiB uint32 rows, and a uint64 column is
-# 32 KiB.  Arrays at the threshold get fresh pages from the kernel chunk after
-# chunk: (count, 4) uint64 rows, exactly 128 KiB, would cost a 20000-trial run
-# ~550 more minor page faults.  Only a chunk that the generator draws whole,
-# at ~1 us a trial, stacks 128 KiB of rows.
+# _view_sets_state's verdict, taken by the first trial_counts call of the
+# process that draws through the generator; None until then.
+_layout_verdict: bool | None = None
+
+
+def _layout_holds(bit_gen: np.random.PCG64, view: memoryview) -> bool:
+    global _layout_verdict
+    if _layout_verdict is None:
+        _layout_verdict = _view_sets_state(bit_gen, view)
+    return _layout_verdict
+
+
+# Shot trials per chunk of trial_counts' seed hashing, and the most trials
+# queued for the later steps, or pooled, before their pass.  At 4096 each
+# array of a chunk's numpy work stays below glibc's default mmap threshold of
+# 128 KiB: the largest is the hash pool's (7, 4096) uint32 rows, 112 KiB, and
+# a uint64 column is 32 KiB.  Arrays at the threshold get fresh pages from the
+# kernel chunk after chunk.  At the shots benchmark's inputs, timed on the
+# host of _BTPE_FROM's table, 2048 was ~30 % slower in-process; 8192 was
+# ~10 % faster in-process but not in six benchmark pairs (-1.1 %, 2 of 6),
+# with 0.3 MB more peak RSS and ~5x the minor faults; 16384 and 20000 were
+# slower.
 SEED_CHUNK = 4096
 
 # Accepted trials of each call that are also drawn by the generator, as a
@@ -224,59 +317,104 @@ SEED_CHUNK = 4096
 _SELF_CHECKS = 8
 # The trials sent back to Step 10 are pooled across chunks.  The pool takes at
 # most _POOL_PASSES passes in numpy, each only while it holds _POOL_MIN trials
-# or more, and the generator draws what is left.  A pass has a fixed cost of
-# ~0.45 ms on a 2-core Xeon, a generator draw ~1.2 us: a few hundred trials
-# pay for a pass.
+# or more, and the generator draws what is left.  A pass costs about what the
+# generator takes for ~300 pooled trials: at the shots benchmark's inputs, a
+# _POOL_MIN anywhere from 64 to 1024 timed the same, and no pool passes were
+# 30-45 % slower.
 _POOL_PASSES = 2
 _POOL_MIN = 256
+# trial_counts takes one of three ways by its trial count.  Below
+# _PUBLIC_BELOW it calls default_rng(seed + i).binomial for each trial; below
+# _BTPE_FROM the generator draws every trial from its seeded columns; from
+# _BTPE_FROM on, BTPE's steps run in numpy.  Each bound is where the cheaper
+# way changes in two tables of trial_counts(100000, 0.448, n), each the
+# minimum of 15 interleaved rounds on a 2-core Xeon (numpy 2.4.6, 1 BLAS
+# thread): the public loop took ~11 us a trial, the generator
+# ~120 us plus ~0.85 us a trial, and BTPE ~300 us plus ~0.3 us a trial, so
+# the generator and BTPE cost the same between ~340 and ~380 trials.
+_PUBLIC_BELOW = 13
+_BTPE_FROM = 350
 
 _ROT_SHIFT, _ROT_MASK, _DOUBLE_SHIFT = np.uint64(58), np.uint64(63), np.uint64(11)
 
 
-def _next_doubles(words: tuple, count: int) -> tuple[list[np.ndarray], tuple]:
+def _next_doubles(words: tuple, count: int) -> tuple[np.ndarray, tuple]:
     """The first `count` next_double outputs of the PCG64s at the columns
-    `words` of _pcg64_words, and the columns of those PCG64s after them.
+    `words` of _pcg64_words, as a (count, trials) array, and the columns of
+    those PCG64s after them.
 
     Each step advances the state's uint64 halves by _lcg and takes its XSL-RR
     output: the two halves XORed, rotated right by the top 6 bits of the
-    high half; the double is the output's top 53 bits times 2**-53.  The
-    steps make new arrays, so `words` is left as it was.
+    high half; the double is the output's top 53 bits times 2**-53.  `words`
+    is left as it was; the later steps work in place in the first step's
+    arrays, so that a pass holds few chunk-long temporaries at once.
     """
     lo, hi, i_lo, i_hi = words
-    out = []
-    for _ in range(count):
-        lo, hi = _lcg(lo, hi, i_lo, i_hi)
-        rot = hi >> _ROT_SHIFT
-        x = hi ^ lo
-        x = x >> rot | x << (np.uint64(64) - rot & _ROT_MASK)
-        out.append((x >> _DOUBLE_SHIFT) * 2.0**-53)
-    return out, (lo, hi, i_lo, i_hi)
+    doubles = np.empty((count, len(lo)))
+    rot, x, t = (np.empty_like(lo) for _ in range(3))
+    for k in range(count):
+        lo, hi = _lcg(lo, hi, i_lo, i_hi, out=(lo, hi) if k else None)
+        np.right_shift(hi, _ROT_SHIFT, out=rot)
+        np.bitwise_xor(hi, lo, out=x)
+        np.right_shift(x, rot, out=t)
+        np.negative(rot, out=rot)
+        rot &= _ROT_MASK  # (64 - rot) mod 64
+        x <<= rot
+        t |= x
+        t >>= _DOUBLE_SHIFT
+        np.multiply(t, 2.0**-53, out=doubles[k])
+    return doubles, (lo, hi, i_lo, i_hi)
 
 
-def _btpe_pass(words: tuple, s: btpe.Setup) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """(outcome, counts, after) of btpe.one_pass for the generators at the
-    columns `words` of _pcg64_words, with their columns past the pass's two
-    outputs, where a LOOP trial takes its next pass."""
-    (d1, v), after = _next_doubles(words, 2)
-    return (*btpe.one_pass(d1, v, s), after)
+def _rows_at(columns: tuple, index) -> tuple:
+    return tuple(c[index] for c in columns)
+
+
+def _joined(parts: list) -> tuple:
+    """The columns of a list of column tuples, each joined across the list."""
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(c) for c in zip(*parts))
+
+
+def _seeds(batch: tuple) -> tuple:
+    """The seeded columns of a batch, in _pcg64_words' order."""
+    return batch[1:5]
+
+
+def _words(batch: tuple) -> tuple:
+    """The current columns of a batch, in _pcg64_words' order."""
+    return batch[5], batch[6], batch[3], batch[4]
 
 
 class _TrialCounts:
-    """The counts of one trial_counts call, filled chunk by chunk."""
+    """The counts of one trial_counts call, filled chunk by chunk.
 
-    def __init__(self, shots: int, p: float, trials: int):
+    The trials of a pass are a batch of columns: trial index; seeded state
+    low and high; inc low and high; current state low and high.  That is,
+    the PCG64 each trial was seeded with, and the same PCG64 after the
+    passes taken so far.  A count in self.counts is final once its trial is
+    neither queued nor pooled.
+    """
+
+    def __init__(self, shots: int, p: float, trials: int, by_btpe: bool = True):
         self.bit_gen = np.random.PCG64(0)  # its state is replaced before every draw
         self.binomial = np.random.Generator(self.bit_gen).binomial
         self.view = _state_view(self.bit_gen)
-        self.fast = _view_sets_state(self.bit_gen, self.view)
+        self.fast = _layout_holds(self.bit_gen, self.view)
         # 0-d arrays pass numpy's argument conversion faster than Python scalars.
         self.n_arr, self.p_arr = np.array(shots, dtype=np.int64), np.array(p, dtype=np.float64)
-        self.setup = btpe.setup(int(self.n_arr), float(self.p_arr))
+        # None where the generator draws every trial.
+        self.setup = btpe.setup(int(self.n_arr), float(self.p_arr)) if by_btpe else None
         self.counts = np.empty(trials, dtype=np.int64)
         # Self-checks left: Step 10 in a trial's first pass, every other acceptance.
         self.checks = [_SELF_CHECKS, _SELF_CHECKS]
-        # (index, seeded columns, current columns) of the trials sent back to Step 10.
-        self.pool: list[tuple[np.ndarray, tuple, tuple]] = []
+        # Batches of the trials Step 10 rejected, each with its uniforms u
+        # and v as two more columns, queued for Steps 20 to 52.
+        self.queue: list[tuple] = []
+        self.queued = 0
+        # Batches of the trials sent back to Step 10.
+        self.pool: list[tuple] = []
         self.pooled = 0
 
     def draw(self, words: tuple, index=slice(None)) -> list[int]:
@@ -296,55 +434,87 @@ class _TrialCounts:
                 out.append(binomial(n_arr, p_arr))
         return out
 
-    def add(self, start: int, seeds: tuple) -> None:
-        """Count the trials from `start` on, at the seeded columns `seeds`."""
-        index = np.arange(start, start + len(seeds[0]))
+    def add(self, seed: int, start: int, count: int) -> None:
+        """Count the `count` trials from `start` on, trial i seeded with seed + i."""
+        seeds = _pcg64_words(seed + start, count)
+        index = np.arange(start, start + count)
         if self.setup is None:
             self.counts[index] = self.draw(seeds)
             return
-        self._take_pass(index, seeds, seeds, first=True)
+        self._step_10((index, *seeds, *seeds[:2]), first=True)
+        del seeds, index  # the queue keeps the rows it needs
+        if self.queued >= SEED_CHUNK:
+            self._later_steps()
         if self.pooled >= SEED_CHUNK:
             self.flush()
 
     def flush(self) -> None:
-        """Take the pool's passes, then draw what is left by the generator."""
+        """Take the queued trials' later steps and the pool's passes, then draw
+        what is left by the generator."""
+        self._later_steps()
         for _ in range(_POOL_PASSES):
             if self.pooled < _POOL_MIN:
                 break
-            index, seeds, words = zip(*self.pool)
+            batch = _joined(self.pool)
             self.pool, self.pooled = [], 0
-            seeds, words = (tuple(np.concatenate(c) for c in zip(*parts)) for parts in (seeds, words))
-            self._take_pass(np.concatenate(index), seeds, words, first=False)
-        self._draw_pool()
+            self._step_10(batch, first=False)
+            self._later_steps()
+        self._draw_left()
 
-    def _draw_pool(self) -> None:
-        for index, seeds, _ in self.pool:
-            self.counts[index] = self.draw(seeds)
-        self.pool, self.pooled = [], 0
+    def _draw_left(self) -> None:
+        """Draw every queued and pooled trial by the generator."""
+        for batch in self.queue + self.pool:
+            self.counts[batch[0]] = self.draw(_seeds(batch))
+        self.queue, self.queued, self.pool, self.pooled = [], 0, [], 0
 
-    def _take_pass(self, index: np.ndarray, seeds: tuple, words: tuple, first: bool) -> None:
-        """One BTPE pass of the trials at columns `words`, seeded at `seeds`."""
-        outcome, counts, after = _btpe_pass(words, self.setup)
-        accepted = outcome <= btpe.SQUEEZE
-        step10 = outcome == btpe.STEP10 if first else np.zeros_like(accepted)
-        for group, mask in enumerate((step10, accepted & ~step10)):
-            if not self.checks[group]:
-                continue
-            checked = np.flatnonzero(mask)[:self.checks[group]]
-            if self.draw(seeds, checked) != counts[checked].tolist():
-                # Every trial not yet checked goes to the generator.
-                self.setup = None
-                self.counts[index] = self.draw(seeds)
-                self._draw_pool()
-                return
-            self.checks[group] -= len(checked)
-        self.counts[index[accepted]] = counts[accepted]
+    def _checked(self, group: int, mask: np.ndarray, seeds: tuple, counts: np.ndarray) -> bool:
+        """Draw the first trials at `mask` that self-check `group` has left
+        through the generator too; False on a mismatch."""
+        if not self.checks[group]:
+            return True
+        checked = np.flatnonzero(mask)[:self.checks[group]]
+        if self.draw(seeds, checked) != counts[checked].tolist():
+            return False
+        self.checks[group] -= len(checked)
+        return True
+
+    def _give_up(self, batch: tuple) -> None:
+        """After a failed self-check: every trial not yet counted goes to the generator."""
+        self.setup = None
+        self.counts[batch[0]] = self.draw(_seeds(batch))
+        self._draw_left()
+
+    def _step_10(self, batch: tuple, first: bool) -> None:
+        """Step 10 of one pass of a batch; the trials it rejects are queued
+        for the later steps."""
+        (d1, v), after = _next_doubles(_words(batch), 2)
+        u, accepted, counts = btpe.step_10(d1, v, self.setup)
+        if not self._checked(0 if first else 1, accepted, _seeds(batch), counts):
+            self._give_up(batch)
+            return
+        self.counts[batch[0]] = counts  # final where accepted, rewritten elsewhere once decided
+        rejected = np.flatnonzero(~accepted)
+        if len(rejected):
+            self.queue.append(_rows_at((*batch[:5], *after[:2], u, v), rejected))
+            self.queued += len(rejected)
+
+    def _later_steps(self) -> None:
+        """Steps 20 to 52 of every queued trial, in one numpy pass."""
+        if not self.queued:
+            return
+        *batch, u, v = _joined(self.queue)
+        self.queue, self.queued = [], 0
+        outcome, counts = btpe.steps_20_to_52(u, v, self.setup)
+        if not self._checked(1, outcome == btpe.SQUEEZE, _seeds(batch), counts):
+            self._give_up(batch)
+            return
+        index = batch[0]
+        self.counts[index] = counts
         deferred = outcome == btpe.DEFER
-        self.counts[index[deferred]] = self.draw(seeds, deferred)
+        self.counts[index[deferred]] = self.draw(_seeds(batch), deferred)
         looped = np.flatnonzero(outcome == btpe.LOOP)
         if len(looped):
-            seeds, after = (tuple(c[looped] for c in columns) for columns in (seeds, after))
-            self.pool.append((index[looped], seeds, after))
+            self.pool.append(_rows_at(batch, looped))
             self.pooled += len(looped)
 
 
@@ -352,15 +522,20 @@ def trial_counts(shots: int, p: float, trials: int, seed: int) -> np.ndarray:
     """Successes of `trials` runs of `shots` Bernoulli(p) draws, as an int64 array.
 
     Trial i is np.random.default_rng(seed + i).binomial(shots, p), bit for
-    bit.  The seeded states are computed SEED_CHUNK trials at a time.  Where
-    numpy draws by BTPE, each chunk takes one pass of BTPE in numpy
-    (btpe.one_pass): two PCG64 outputs per trial, Step 10, and for the trials
-    Step 10 rejects, Steps 20, 30 and 40 and Step 52's squeeze.  A decision
-    that reads a log is taken only when np.log's value, widened by a relative
-    2**-40 each way, settles it.  Trials sent back to Step 10 join a pool of
-    their PCG64 columns after the pass.  Whenever the pool holds SEED_CHUNK
-    trials, and at the end, it takes up to _POOL_PASSES passes of its own,
-    each while it holds at least _POOL_MIN trials.
+    bit.  Fewer than _PUBLIC_BELOW trials are drawn so; otherwise the seeded
+    states are computed SEED_CHUNK trials at a time, and fewer than
+    _BTPE_FROM trials are each drawn from its seeded state by the generator.
+
+    From _BTPE_FROM trials on, where numpy draws by BTPE, each chunk takes
+    Step 10 of a BTPE pass in numpy: two PCG64 outputs per trial.  The
+    trials Step 10 rejects are queued across chunks, and whenever the queue
+    holds SEED_CHUNK trials, and at the end, they take Steps 20, 30 and 40
+    and Step 52's squeeze in one numpy pass (btpe.steps_20_to_52).  A
+    decision that reads a log is taken only when np.log's value, widened by a
+    relative 2**-40 each way, settles it.  Trials sent back to Step 10 join a
+    pool of their PCG64 columns after the pass.  Whenever the pool holds
+    SEED_CHUNK trials, and at the end, it takes up to _POOL_PASSES passes of
+    its own, each while it holds at least _POOL_MIN trials.
 
     The generator draws the rest: the trials a pass leaves to it (Step 50,
     the full Stirling test, a log decision that the bracket does not settle),
@@ -373,16 +548,19 @@ def trial_counts(shots: int, p: float, trials: int, seed: int) -> np.ndarray:
     check fails, each trial sets the same words through the
     bit_generator.state dict instead.
 
-    Both shortcuts copy numpy's internals, not its API, so each is checked on
-    every call: the layout by _view_sets_state, the steps by drawing through
-    the generator as well the first _SELF_CHECKS trials that Step 10 accepts
-    in their first pass, and the first _SELF_CHECKS that any other step or
-    pass accepts.  On a mismatch, every trial not yet checked is drawn by the
-    generator.
+    Both shortcuts copy numpy's internals, not its API, so each is checked:
+    the layout by _view_sets_state, once per process (the first call that
+    draws through the generator), and the steps on every call, by drawing
+    through the generator as well the first _SELF_CHECKS trials that Step 10
+    accepts in their first pass, and the first _SELF_CHECKS that any other
+    step or pass accepts.  On a mismatch, every trial not yet checked is
+    drawn by the generator.
     """
-    run = _TrialCounts(shots, p, trials)
+    if trials < _PUBLIC_BELOW:
+        return np.array([np.random.default_rng(seed + i).binomial(shots, p) for i in range(trials)], dtype=np.int64)
+    run = _TrialCounts(shots, p, trials, by_btpe=trials >= _BTPE_FROM)
     for start in range(0, trials, SEED_CHUNK):
-        run.add(start, _pcg64_words(seed + start, min(SEED_CHUNK, trials - start)))
+        run.add(seed, start, min(SEED_CHUNK, trials - start))
     run.flush()
     return run.counts
 
@@ -401,18 +579,27 @@ def estimate_negativity(
         raise ValueError(f"shots and trials must be >= 1, got {shots}, {trials}")
     mu_true = spa_pt_affine(rho).mu_min
     f_true = favg_from_mu(mu_true)
-    favg_hat = trial_counts(shots, f_true, trials, rng_seed) / shots
-    # F_avg range maps to mu in [1/6, 1/4]; noisy estimates can land outside.
-    mu_raw = fidelity_link(favg_hat)
-    mu_hat = np.minimum(np.maximum(mu_raw, MU_MIN_LO), MU_MIN_HI)
-    clamp_count = int(np.count_nonzero(mu_hat != mu_raw))
-    nn_values = negativity_normalized_batch(mu_hat)
+    counts = trial_counts(shots, f_true, trials, rng_seed)
+    # Each trial's estimate takes the place of its count, SEED_CHUNK trials at
+    # a time, so that no temporary array outgrows a chunk.
+    nn_values = counts.view(np.float64)
+    clamp_count = 0
+    for start in range(0, trials, SEED_CHUNK):
+        part = slice(start, start + SEED_CHUNK)
+        favg_hat = counts[part] / shots
+        # F_avg range maps to mu in [1/6, 1/4]; noisy estimates can land outside.
+        mu_raw = fidelity_link(favg_hat)
+        mu_hat = np.minimum(np.maximum(mu_raw, MU_MIN_LO), MU_MIN_HI)
+        clamp_count += int(np.count_nonzero(mu_hat != mu_raw))
+        if not start:
+            first = float(favg_hat[0]), float(mu_hat[0])
+        nn_values[part] = negativity_normalized_batch(mu_hat)
     mean_nn = float(nn_values.mean())
     std_nn = float(nn_values.std(ddof=1)) if trials > 1 else 0.0
     half = 1.959963984540054 * std_nn / np.sqrt(trials)
     return ShotEstimate(
-        favg_hat=float(favg_hat[0]),
-        mu_hat=float(mu_hat[0]),
+        favg_hat=first[0],
+        mu_hat=first[1],
         nn_hat=float(nn_values[0]),
         shots=shots,
         trials=trials,

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import re
@@ -900,12 +902,30 @@ def _with_number(at: int, literal: bytes) -> bytes:
     return _STATE[:start] + literal + _STATE[end:]
 
 
+def _with_pair(at: int, literal: bytes) -> bytes:
+    """The state with entry `at` of its real part and its transpose both set to
+    `literal`: still Hermitian where the literal parses to a finite float."""
+    row, col = divmod(at % 16, 4)
+    text = _STATE
+    for k in sorted({4 * row + col, 4 * col + row}, reverse=True):
+        start, end = _NUMBERS[k]
+        text = text[:start] + literal + text[end:]
+    return text
+
+
+# Entries near float64's maximum: finite ones whose Hermitian part overflows,
+# and 1.8e308, which parses to infinity.
+_HUGE = [b"1.7976931348623157e308", b"-1.7976931348623157e308", b"1.5e308", b"-1.5e308", b"1.8e308", b"-1.8e308"]
+
+
 _STATE_TEXTS = st.one_of(
     st.just(_STATE),
     st.integers(0, len(_STATE) - 1).map(lambda k: _STATE[:k]),
     st.integers(1, 5000).map(lambda depth: b'{"re": ' + b"[" * depth + b"]" * depth + b', "im": []}'),
     st.builds(_with_number, st.integers(0, 31), st.sampled_from([b"NaN", b"Infinity", b"-Infinity", b"1e400"])),
     st.builds(_with_number, st.integers(0, 31), st.integers(300, 5000).map(lambda digits: b"9" * digits)),
+    st.builds(_with_number, st.integers(0, 31), st.sampled_from(_HUGE)),
+    st.builds(_with_pair, st.integers(0, 15), st.sampled_from(_HUGE)),
     st.builds(lambda value, key: _STATE.replace(key, value, 1), st.sampled_from(_WRONG), st.sampled_from([_RE, _IM])),
     st.sampled_from(_WRONG),
     st.builds(
@@ -929,7 +949,7 @@ _VALUES = {
     "--family": st.sampled_from(sorted(states.FAMILIES) + ["nope", ""]),
     "--param": st.floats().map(repr) | st.sampled_from(["x", "", "-0", "2.0", "1e300"]),
     "--state": st.sampled_from(["STATE", "STATE", "MISSING", "DIR"]),
-    "--out": st.just("OUT"),
+    "--out": st.sampled_from(["OUT", "OUT", "OUT_NUL", "OUT_LONG", "DIR"]),
     **{f"--{name}": _int_values(name) for name in cli._LIMITS},
 }
 _FLAGS = {
@@ -969,12 +989,23 @@ def test_any_input_exits_with_a_contract_code(tmp_path, argv, state):
     work = Path(tempfile.mkdtemp(dir=tmp_path))
     (work / "state.json").write_bytes(state)
     out = work / "out.txt"
-    paths = {"STATE": work / "state.json", "MISSING": work / "missing.json", "DIR": work, "OUT": out}
+    paths = {
+        "STATE": work / "state.json",
+        "MISSING": work / "missing.json",
+        "DIR": work,
+        "OUT": out,
+        "OUT_NUL": work / "out\x00.txt",
+        "OUT_LONG": work / ("o" * 300),
+    }
     argv = [str(paths.get(arg, arg)) for arg in argv]
-    with pytest.MonkeyPatch.context() as mp:
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
         _shrink_workers(mp)
         code = cli.run(argv)
     assert code in (0, 1, 2, 3)
-    assert not [name for name in os.listdir(work) if name.endswith(".partial")]
+    for folder in (work, tmp_path):
+        assert not [name for name in os.listdir(folder) if name.endswith(".partial")]
     assert code == 0 or not out.exists()
+    # A rejected input is named at the boundary, never by LAPACK.
+    assert code != 2 or "did not converge" not in err.getvalue()
 

@@ -135,6 +135,39 @@ class TestHermEigen:
             assert np.abs(gram - np.eye(4)).max() <= 1e-10
 
 
+def _overflowing(kind: str) -> np.ndarray:
+    """I/4 with a Hermitian pair or diagonal of entries whose sum overflows float64."""
+    m = np.eye(4, dtype=complex) / 4
+    if kind == "diagonal":
+        m[0, 0], m[1, 1] = 1.5e308, -1.5e308
+    elif kind == "real pair":
+        m[0, 1] = m[1, 0] = 1.5e308
+    else:
+        m[0, 1], m[1, 0] = 1.5e308j, -1.5e308j
+    return m
+
+
+@pytest.mark.parametrize("kernel", [herm_eigen_batch, psd_sqrt_batch, spa.mu_min_batch, linalg.check_hermitian])
+@pytest.mark.parametrize("kind", ["diagonal", "real pair", "imaginary pair"])
+def test_an_overflowing_hermitian_part_is_named(kernel, kind):
+    # A Hermitian matrix with finite entries near float64's maximum: its
+    # Hermitian part overflows.  The kernel names it by index, with no
+    # warning (which fails the test) and no eigensolve message.
+    stack = np.stack([np.eye(4) / 4, _overflowing(kind), np.eye(4) / 4])
+    with pytest.raises(linalg.HermitianOverflowError, match=r"^matrix 1 of 3: entries too large: "
+                       r"\(M \+ M\^dag\) / 2 overflows in 2 of 16$"):
+        kernel(stack)
+
+
+def test_an_overflowing_asymmetry_is_still_not_hermitian():
+    # Entries near float64's maximum of opposite sign: M - M^dag overflows,
+    # and the matrix is rejected as not Hermitian, as before, with no warning.
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 1], m[1, 0] = 1.5e308, -1.5e308
+    with pytest.raises(linalg.NotHermitianError, match="max asymmetry inf"):
+        herm_eigen_batch(m[None])
+
+
 class TestPsdSqrt:
     def test_identity(self):
         assert np.abs(psd_sqrt_batch(np.eye(4)[None])[0] - np.eye(4)).max() < 1e-14

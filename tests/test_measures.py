@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spaneg import cli, linalg, measures, spa, states
 from spaneg.linalg import SIGMA_Y
@@ -242,6 +244,30 @@ class TestLsUpperBound:
             ls_upper_bound(-0.1, 1 / 6)
         with pytest.raises(ValueError):
             ls_upper_bound(0.5, 0.24)
+
+    @given(
+        lam=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        products=st.integers(1, 4),
+    )
+    def test_bounds_the_concurrence_of_separable_plus_pure(self, lam, seed, products):
+        # rho = lam sigma + (1 - lam) |psi><psi|, sigma a mixture of product
+        # states and psi a Haar pure state: Wootters' C(rho) never exceeds the
+        # bound read from psi's mu_min, and meets it at lam = 0.
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((products, 2, 2, 2))
+        qubits = x[..., 0] + 1j * x[..., 1]  # (product, factor, amplitude)
+        qubits /= np.linalg.norm(qubits, axis=-1, keepdims=True)
+        ab = np.einsum("ki,kj->kij", qubits[:, 0], qubits[:, 1]).reshape(products, 4)
+        sigma = np.einsum("k,ki,kj->ij", rng.dirichlet(np.ones(products)), ab, ab.conj())
+        psi = random_pure_batch(rng, 1)
+        mu = float(spa.mu_min_batch(spa.spa_pt_affine_batch(psi))[0])
+        rho = lam * sigma + (1.0 - lam) * psi[0]
+        concurrence = float(concurrence_wootters_batch(rho[None])[0])
+        bound = ls_upper_bound(lam, mu)
+        assert concurrence <= bound + 1e-12
+        if lam == 0.0:
+            assert concurrence == pytest.approx(bound, abs=1e-9)
 
 
 def reference_only_quasi_match(rho, tol=1e-9):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spaneg import btpe, shotsim
-from spaneg.measures import favg_from_mu, mu_from_favg, negativity_normalized_batch
+from spaneg.measures import favg_from_mu, fidelity_link, mu_from_favg, negativity_normalized_batch
 from spaneg.shotsim import SEED_CHUNK, _pcg64_words, estimate_negativity, trial_counts
 from spaneg.spa import MU_MIN_HI, MU_MIN_LO, spa_pt_affine
 from spaneg.states import bell_state, from_spec, validate
@@ -92,6 +92,26 @@ def test_variance_scaling():
     assert 1.5 <= ratio <= 2.5
 
 
+@pytest.mark.parametrize("trials", [1, 2, SEED_CHUNK - 1, SEED_CHUNK + 1, 2 * SEED_CHUNK + 7])
+def test_estimate_is_the_whole_array_formulas(trials):
+    # estimate_negativity takes its trials SEED_CHUNK at a time, in the
+    # buffer of their counts: every field is that of the formulas applied to
+    # whole arrays.  The maximally mixed state's mu is the top of its range,
+    # so at 100 shots about half the trials clamp.
+    rho = validate(np.eye(4) / 4)
+    est = estimate_negativity(rho, 100, trials, 3)
+    mu_true = spa_pt_affine(rho).mu_min
+    favg = trial_counts(100, favg_from_mu(mu_true), trials, 3) / 100
+    mu_raw = fidelity_link(favg)
+    mu_hat = np.minimum(np.maximum(mu_raw, MU_MIN_LO), MU_MIN_HI)
+    nn = negativity_normalized_batch(mu_hat)
+    assert est.clamp_count == np.count_nonzero(mu_hat != mu_raw)
+    assert trials < 100 or est.clamp_count > trials // 4
+    assert (est.favg_hat, est.mu_hat, est.nn_hat) == (favg[0], mu_hat[0], nn[0])
+    assert est.mean_nn == float(nn.mean())
+    assert est.std_nn == (float(nn.std(ddof=1)) if trials > 1 else 0.0)
+
+
 def test_noise_free_passthrough_matches_pipeline():
     # The fidelity round trip mu -> F -> mu is exact up to float round-off,
     # amplified by |dN/dmu| ~ 18 in the negativity.
@@ -122,8 +142,15 @@ def _default_rng_counts(shots, p, trials, base):
     return [np.random.default_rng(base + i).binomial(shots, p) for i in range(trials)]
 
 
+def _by_btpe(mp) -> None:
+    """Take BTPE's steps in numpy at every trial count, as larger runs do."""
+    mp.setattr(shotsim, "_PUBLIC_BELOW", 0)
+    mp.setattr(shotsim, "_BTPE_FROM", 0)
+
+
 def _small_chunk_counts(shots, p, trials, base):
     with pytest.MonkeyPatch.context() as mp:
+        _by_btpe(mp)
         mp.setattr(shotsim, "SEED_CHUNK", SMALL_CHUNK)
         # Any pool takes its passes, so that they too cross the chunk edges.
         mp.setattr(shotsim, "_POOL_MIN", 1)
@@ -159,9 +186,11 @@ def test_trial_counts_at_the_real_chunk_across_an_entropy_word(edge):
 def test_failed_layout_check_falls_back_to_the_state_dict(monkeypatch):
     # Writes through a view of memory the generator does not read leave its
     # state alone, so the layout check fails and every trial must go through
-    # bit_generator.state: the draws are still default_rng's.
+    # bit_generator.state: the draws are still default_rng's.  The verdict is
+    # cleared, so that this process takes the check again.
     spare = bytearray(32)
     monkeypatch.setattr(shotsim, "_state_view", lambda bit_gen: memoryview(spare))
+    monkeypatch.setattr(shotsim, "_layout_verdict", None)
     monkeypatch.setattr(shotsim, "SEED_CHUNK", SMALL_CHUNK)
     assert not shotsim._view_sets_state(np.random.PCG64(0), memoryview(spare))
     for base in (0, 2**64 - 128, 2**128 - 3):
@@ -174,6 +203,16 @@ def test_layout_check_passes_on_this_build():
     assert shotsim._view_sets_state(bit_gen, shotsim._state_view(bit_gen))
 
 
+def test_layout_check_runs_once_per_process(monkeypatch):
+    checks = []
+    check = shotsim._view_sets_state
+    monkeypatch.setattr(shotsim, "_view_sets_state", lambda *args: checks.append(1) or check(*args))
+    monkeypatch.setattr(shotsim, "_layout_verdict", None)
+    for trials in (1, 100, 5000):
+        assert trial_counts(1000, 0.3, trials, 11).tolist() == _default_rng_counts(1000, 0.3, trials, 11)
+    assert checks == [1] and shotsim._layout_verdict is True
+
+
 def test_pcg64_seeding_is_pinned():
     # PCG64(2**32)'s state under numpy 2.4.  If a numpy release seeds PCG64
     # differently, the first assert fails and the bulk seeding must be redone.
@@ -184,7 +223,7 @@ def test_pcg64_seeding_is_pinned():
     assert (s_hi << 64 | s_lo, i_hi << 64 | i_lo) == pinned
 
 
-def test_binomial_sampler_is_pinned():
+def test_binomial_sampler_is_pinned(monkeypatch):
     # default_rng(2**32).binomial(100000, 0.47) under numpy 2.4, which draws
     # by BTPE there.  If a numpy release changes the sampler, this fails by
     # name, besides trial_counts' own check against the generator.
@@ -194,9 +233,25 @@ def test_binomial_sampler_is_pinned():
     per_seed = [47115, 46941, 46762, 46975, 47404, 47036]
     assert _default_rng_counts(100000, 0.47, 6, 2**32) == per_seed
     assert trial_counts(100000, 0.47, 6, 2**32).tolist() == per_seed
+    _by_btpe(monkeypatch)
+    assert trial_counts(100000, 0.47, 6, 2**32).tolist() == per_seed
 
 
 _MASK64 = 2**64 - 1
+
+
+def _btpe_pass(words, s):
+    """(outcome, counts, after) of one BTPE pass from Step 10 for the generators
+    at the columns `words`, with their columns past the pass's two outputs:
+    Step 10 on every trial, then the later steps on those it rejects, as
+    trial_counts takes them."""
+    (d1, v), after = shotsim._next_doubles(words, 2)
+    u, accepted, counts = btpe.step_10(d1, v, s)
+    outcome = np.full(len(u), btpe.STEP10, dtype=np.int8)
+    later = np.flatnonzero(~accepted)
+    if len(later):
+        outcome[later], counts[later] = btpe.steps_20_to_52(u[later], v[later], s)
+    return outcome, counts, after
 _PCG_MULT_INV = pow(shotsim._PCG_MULT, -1, 2**128)
 
 
@@ -259,7 +314,7 @@ def test_btpe_first_step_is_the_generators_where_it_accepts(state, inc, shots, p
     # rotation and both halves of the output are reached.
     rows = [_row_before((state + j * 0x9E3779B97F4A7C15F39CC0605CEDC835) % 2**128, 2 * inc + 1) for j in range(32)]
     words = np.array(rows, dtype=np.uint64)
-    outcome, counts, _ = shotsim._btpe_pass(words.T, setup)
+    outcome, counts, _ = _btpe_pass(words.T, setup)
     accepted = outcome == btpe.STEP10
     for row, count in zip(words[accepted].tolist(), counts[accepted].tolist()):
         assert count == _generator_draw(row, shots, p)
@@ -275,7 +330,7 @@ def test_btpe_first_step_accepts_u_equal_to_p1(p):
     assert setup.p1 == 28.5 and (k * 2.0**-53) * setup.p4 == setup.p1
     for d in (0, 1):
         row = _row_before((k + d) << 11, 0x0123456789ABCDEF0123456789ABCDEF)
-        outcome, counts, _ = shotsim._btpe_pass(np.array([row], dtype=np.uint64).T, setup)
+        outcome, counts, _ = _btpe_pass(np.array([row], dtype=np.uint64).T, setup)
         assert (outcome[0] == btpe.STEP10) == (d == 0)
         if d == 0:
             assert counts[0] == _generator_draw(row, shots, p)
@@ -328,6 +383,31 @@ def test_trial_counts_at_the_real_chunk_around_btpe(monkeypatch, shots, p, by_bt
         assert draws[0] < 0.7 * trials
     else:
         assert draws[0] == trials
+
+
+# Both sides of each bound between trial_counts' three ways, and of a chunk.
+WAY_EDGES = sorted({
+    1, 2,
+    shotsim._PUBLIC_BELOW - 1, shotsim._PUBLIC_BELOW, shotsim._PUBLIC_BELOW + 1,
+    shotsim._BTPE_FROM - 1, shotsim._BTPE_FROM, shotsim._BTPE_FROM + 1,
+    SEED_CHUNK - 1, SEED_CHUNK + 1,
+})
+
+
+@pytest.mark.parametrize("trials", WAY_EDGES)
+@pytest.mark.parametrize("base", [0, 2**64 - 300])
+def test_each_way_draws_default_rngs_counts(monkeypatch, trials, base):
+    # The public loop draws through default_rng, which the counter does not
+    # see; the generator draws every trial from its seeded columns; BTPE in
+    # numpy leaves it a few.
+    draws = _count_draws(monkeypatch)
+    assert trial_counts(100000, 0.448, trials, base).tolist() == _default_rng_counts(100000, 0.448, trials, base)
+    if trials < shotsim._PUBLIC_BELOW:
+        assert draws[0] == 0
+    elif trials < shotsim._BTPE_FROM:
+        assert draws[0] == trials
+    else:
+        assert 0 < draws[0] < trials / 2
 
 
 @pytest.mark.parametrize("p", [float("nan"), 1.5, -0.5])
@@ -424,6 +504,7 @@ def test_a_failed_self_check_leaves_the_draws_to_the_generator(monkeypatch, chun
 
     base = 2**64 - chunk
     expected = _default_rng_counts(1000, 0.3, trials, base)
+    _by_btpe(monkeypatch)
     monkeypatch.setattr(btpe, "_first_step", wrong_step)
     monkeypatch.setattr(shotsim, "SEED_CHUNK", chunk)
     assert trial_counts(1000, 0.3, trials, base).tolist() == expected
@@ -525,6 +606,7 @@ def test_each_later_step_path_is_default_rngs(monkeypatch, shots, p, seed, path)
     assert _btpe_path(_rows(_pcg64_words(seed, 1))[0].tolist(), shots, p) == path
     expected = _default_rng_counts(shots, p, 1, seed)
     # A pool of one trial takes its passes, and no self-check draws.
+    _by_btpe(monkeypatch)
     monkeypatch.setattr(shotsim, "_POOL_MIN", 1)
     monkeypatch.setattr(shotsim, "_SELF_CHECKS", 0)
     draws = _count_draws(monkeypatch)
@@ -542,7 +624,7 @@ def test_v_zero_in_a_tail_loops_back(tail):
     u = (s.p2 + s.p3) / 2 if tail == "30" else (s.p3 + s.p4) / 2
     row = _row_with_doubles(int(u / s.p4 * 2**53), 0)
     assert _btpe_path(row, shots, p)[0] == f"{tail} v = 0"
-    outcome, _, after = shotsim._btpe_pass(np.array([row], dtype=np.uint64).T, s)
+    outcome, _, after = _btpe_pass(np.array([row], dtype=np.uint64).T, s)
     assert outcome[0] == btpe.LOOP
     assert _generator_draw(_rows(after)[0].tolist(), shots, p) == _generator_draw(row, shots, p)
 
@@ -555,7 +637,7 @@ def test_step_20_goes_on_at_v_equal_to_one():
     s = btpe.setup(shots, p)
     row = _row_with_doubles(7708371503708794, 0)
     assert _btpe_path(row, shots, p) == ["20 50"]
-    outcome, _, _ = shotsim._btpe_pass(np.array([row], dtype=np.uint64).T, s)
+    outcome, _, _ = _btpe_pass(np.array([row], dtype=np.uint64).T, s)
     assert outcome[0] == btpe.DEFER
     assert _generator_draw(row, shots, p) == s.m
 
@@ -573,7 +655,7 @@ def test_btpe_later_steps_are_the_generators_where_they_decide(shots, p, doubles
     assume(s is not None)
     least = math.floor(s.p1 / s.p4 * 2**53) + 1
     rows = [_row_with_doubles(min(least + int(at * (2**53 - least)), 2**53 - 1), k2) for at, k2 in doubles]
-    outcome, counts, after = shotsim._btpe_pass(np.array(rows, dtype=np.uint64).T, s)
+    outcome, counts, after = _btpe_pass(np.array(rows, dtype=np.uint64).T, s)
     for row, o, count, next_row in zip(rows, outcome.tolist(), counts.tolist(), _rows(after).tolist()):
         if o in (btpe.STEP10, btpe.SQUEEZE):
             assert count == _generator_draw(row, shots, p)
@@ -588,7 +670,7 @@ def test_a_wide_log_bracket_leaves_every_log_decision_to_the_generator(monkeypat
     monkeypatch.setattr(btpe, "_log_bracket", lambda v: (np.full_like(v, -np.inf), np.full_like(v, np.inf)))
     s = btpe.setup(shots, p)
     words = _pcg64_words(base, 600)
-    outcome, _, _ = shotsim._btpe_pass(words, s)
+    outcome, _, _ = _btpe_pass(words, s)
     (u, _), _ = shotsim._next_doubles(words, 2)
     u *= s.p4
     assert not np.any(outcome == btpe.SQUEEZE)
@@ -622,6 +704,7 @@ def test_a_failed_later_step_self_check_leaves_the_draws_to_the_generator(monkey
 
     base = 2**64 - chunk
     expected = _default_rng_counts(100000, 0.448, trials, base)
+    _by_btpe(monkeypatch)
     monkeypatch.setattr(btpe, "_later_steps", wrong_steps)
     # Blocks of one row, so that the wrong steps see each trial once.
     monkeypatch.setattr(btpe, "_BLOCK", 1)
@@ -658,7 +741,7 @@ def test_btpe_pass_is_the_generators_on_a_chunk(shots, p):
     # tests' few rows per example seldom do.
     s = btpe.setup(shots, p)
     words = _pcg64_words(2**64 - 1000, 2000)
-    outcome, counts, after = shotsim._btpe_pass(words, s)
+    outcome, counts, after = _btpe_pass(words, s)
     assert np.count_nonzero(outcome == btpe.SQUEEZE) + np.count_nonzero(outcome == btpe.LOOP) > 0
     for row, o, count, next_row in zip(_rows(words).tolist(), outcome.tolist(), counts.tolist(), _rows(after).tolist()):
         if o in (btpe.STEP10, btpe.SQUEEZE):
@@ -671,6 +754,6 @@ def test_later_steps_leave_shots_past_2_53_to_the_generator():
     # Past 2**53 a float64 no longer holds every count, so the steps after
     # Step 10 decide nothing there.
     s = btpe.setup(2**62, 0.47)
-    outcome, _, _ = shotsim._btpe_pass(_pcg64_words(7, 400), s)
+    outcome, _, _ = _btpe_pass(_pcg64_words(7, 400), s)
     assert set(np.unique(outcome).tolist()) == {btpe.STEP10, btpe.DEFER}
 
