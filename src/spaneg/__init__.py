@@ -5,7 +5,6 @@ from .linalg import (
     RESIDUAL_TOL,
     VALIDATE_TOL,
     herm_eigen_batch,
-    partial_transpose_b,
     partial_transpose_batch,
     psd_sqrt_batch,
 )
@@ -20,8 +19,6 @@ from .measures import (
     favg_from_mu,
     full_report,
     ls_upper_bound,
-    mu_from_favg,
-    negativity_lower_bound,
     negativity_normalized_batch,
     pt_spectrum_batch,
     verstraete_rhs,

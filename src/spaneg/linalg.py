@@ -1,13 +1,13 @@
-"""Dense complex linear algebra helpers for 2x2 and 4x4 operators.
+"""Dense complex linear algebra helpers for stacks of 4x4 two-qubit operators.
 
 Everything here is a pure function of its arguments.  Matrices are plain
 complex numpy arrays; the basis order for 4x4 operators is
 |00>, |01>, |10>, |11>.
 
 The partial transpose, the Hermitian eigensolve and the PSD root each have
-one implementation over (N, d, d) stacks (the *_batch functions); only the
-partial transpose keeps a per-matrix N = 1 wrapper.  A batch error names the
-index of the first offending matrix.
+one implementation over (N, 4, 4) stacks (the *_batch functions), and no
+per-matrix wrapper.  A batch error names the index of the first offending
+matrix.
 
 Each Hermiticity check forms M^dag once: _hermitian_parts returns the
 entrywise asymmetry |M - M^dag| with the M^dag it came from, and the
@@ -56,13 +56,6 @@ VALIDATE_TOL = 1e-9
 RESIDUAL_TOL = 1e-10
 PSD_CLAMP = 1e-10
 
-# Items per stacked chunk wherever many states are processed: cli's
-# random_study_rows, random_pair_residuals and sweep_rows.  Peak memory grows
-# with the chunk faster than speed does: for a 10 000-state study, peak RSS
-# over the per-state loop was +1-3 % at 256, +2-4 % at 1024 (for ~5 % more
-# throughput) and +30 % unchunked.
-STUDY_CHUNK = 256
-
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -86,23 +79,15 @@ class HermitianOverflowError(ValueError):
     """Input matrix is Hermitian, but its Hermitian part (M + M^dag) / 2 overflows."""
 
 
-def _as_square(m) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] != 4:
-        raise DimensionError(f"expected dimension in (4,), got {m.shape[0]}")
-    return m
-
-
-def _as_stack(m, dims=(2, 4)) -> np.ndarray:
+def _as_stack(m) -> np.ndarray:
+    """m as a complex (N, 4, 4) stack; DimensionError for any other shape."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise DimensionError(
             f"expected a stack of square matrices (N, d, d), got shape {m.shape}"
         )
-    if m.shape[1] not in dims:
-        raise DimensionError(f"expected dimension in {dims}, got {m.shape[1]}")
+    if m.shape[1] != 4:
+        raise DimensionError(f"expected dimension in (4,), got {m.shape[1]}")
     return m
 
 
@@ -113,7 +98,7 @@ def first_index(bad: np.ndarray) -> int | None:
 
 
 def _hermitian_parts(m) -> tuple[np.ndarray, np.ndarray]:
-    """(|M - M^dag|, M^dag) of a matrix or an (N, d, d) stack: the entrywise
+    """(|M - M^dag|, M^dag) of an (N, 4, 4) stack: the entrywise
     asymmetry and the one M^dag it came from.  An infinite entry gives a NaN
     or infinite asymmetry; a caller that takes such input ignores the
     invalid-value warning of inf - inf (and, for entries past ~9e307, the
@@ -124,17 +109,16 @@ def _hermitian_parts(m) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _by_entry(a) -> np.ndarray:
-    """Contiguous (d*d, N) copy of an (N, d, d) stack (of a matrix: (d*d,)).
+    """Contiguous (16, N) copy of an (N, 4, 4) stack.
 
     A reduce over its axis 0 is a per-matrix reduce: at N = 256 it is ~3x
-    faster than one over each matrix's trailing (d, d) axes.
+    faster than one over each matrix's trailing (4, 4) axes.
     """
-    flat = a.reshape(a.shape[:-2] + (a.shape[-1] ** 2,))
-    return np.ascontiguousarray(flat.T)
+    return np.ascontiguousarray(a.reshape(len(a), 16).T)
 
 
 def _matrix_max(a) -> np.ndarray:
-    """Largest entry of each matrix of an (N, d, d) stack (of a matrix: a float)."""
+    """Largest entry of each matrix of an (N, 4, 4) stack."""
     return _by_entry(a).max(axis=0)
 
 
@@ -144,26 +128,14 @@ def _matrix_count(b) -> np.ndarray:
     return np.add.reduce(_by_entry(b).view(np.uint8), axis=0, dtype=np.uint8)
 
 
-def hermiticity_defect(m):
-    """Max-entry deviation from Hermitian symmetry, ||M - M^dag||_max, of a
-    matrix (a float) or of each matrix of an (N, d, d) stack (an array)."""
-    return _matrix_max(_hermitian_parts(m)[0])
-
-
 def partial_transpose_batch(m) -> np.ndarray:
-    """Transpose the B-subsystem indices of each operator in an (N, 4, 4) stack."""
-    m = _as_stack(m, dims=(4,))
-    return m.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
+    """Transpose the B-subsystem indices of each operator in an (N, 4, 4) stack.
 
-
-def partial_transpose_b(m) -> np.ndarray:
-    """Transpose the B-subsystem indices of a 4x4 bipartite operator.
-
-    Involutive and trace-preserving; maps Hermitian to Hermitian.  Positive
-    but not completely positive as a map, hence the need for its structural
-    physical approximation downstream.
+    Involutive and trace-preserving, but not completely positive: hence its
+    structural physical approximation downstream.
     """
-    return partial_transpose_batch(_as_square(m)[None])[0]
+    m = _as_stack(m)
+    return m.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
 
 
 # inf - inf is ignored.  Overflow raises, so that a Hermitian part past
@@ -171,7 +143,7 @@ def partial_transpose_b(m) -> np.ndarray:
 # a decorator, see _eig_call.
 @np.errstate(invalid="ignore", over="raise")
 def check_hermitian(m) -> np.ndarray:
-    """Hermitian part (M + M^dag) / 2 of each matrix of an (N, d, d) stack.
+    """Hermitian part (M + M^dag) / 2 of each matrix of an (N, 4, 4) stack.
 
     Raises NotHermitianError naming the first matrix whose ||M - M^dag||_max
     exceeds VALIDATE_TOL or is NaN, as it is for a matrix with a non-finite
@@ -199,7 +171,7 @@ def check_hermitian(m) -> np.ndarray:
         i = first_index(bad > 0)
         raise HermitianOverflowError(
             f"matrix {i} of {len(m)}: entries too large: (M + M^dag) / 2 overflows in "
-            f"{bad[i]} of {m.shape[-1] ** 2}"
+            f"{bad[i]} of 16"
         ) from None
 
 
@@ -352,7 +324,7 @@ trace_batch = _Trace()
 
 
 def herm_eigen_batch(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition (w, v) of each matrix in a Hermitian (N, d, d) stack.
+    """Eigendecomposition (w, v) of each matrix in a Hermitian (N, 4, 4) stack.
 
     w[n] is ascending and v[n][:, i] pairs with w[n, i].  Raises
     NotHermitianError naming the first matrix whose ||M - M^dag||_max exceeds
@@ -363,7 +335,7 @@ def herm_eigen_batch(m) -> tuple[np.ndarray, np.ndarray]:
 
 
 def psd_sqrt_batch(m) -> np.ndarray:
-    """Hermitian PSD square root of each matrix in an (N, d, d) stack.
+    """Hermitian PSD square root of each matrix in an (N, 4, 4) stack.
 
     Eigenvalues in [-PSD_CLAMP, 0) are clamped to zero; a lower one raises
     NotPsdError naming the first such matrix.

@@ -50,9 +50,6 @@ from .states import DensityMatrix, family_batch
 
 PPT_TOL = 1e-10
 
-FAVG_LO = 59.0 / 135.0
-FAVG_HI = 65.0 / 135.0
-
 SIGMA_YY = np.kron(SIGMA_Y, SIGMA_Y)
 
 _RANGE_SLACK = 1e-9
@@ -129,13 +126,8 @@ def _negativity(lam) -> np.ndarray:
     return 2.0 * np.maximum(0.0, -lam).sum(axis=1)
 
 
-def negativity_lower_bound(mu_min: float) -> float:
-    """Lower bound 4 - 18 mu_min; negative values quantify separability margin."""
-    return _lower_bound(float(_check_mu(mu_min)))
-
-
 def _lower_bound(mu: float) -> float:
-    """negativity_lower_bound of a mu_min that is already checked."""
+    """Negativity lower bound 4 - 18 mu_min of a checked mu_min (< 0: separable margin)."""
     return 4.0 - 18.0 * mu
 
 
@@ -209,17 +201,10 @@ def favg_from_mu(mu: float) -> float:
 def fidelity_link(f):
     """mu_min = (15/8) F_avg - 47/72 of a float or an array, with no range check.
 
-    Noisy shot estimates of F_avg fall outside [FAVG_LO, FAVG_HI]; their
-    callers clamp the result instead.
+    Noisy shot estimates of F_avg fall outside [59/135, 65/135], the image of
+    mu_min's range; their callers clamp the result instead.
     """
     return 15.0 * f / 8.0 - 47.0 / 72.0
-
-
-def mu_from_favg(f: float) -> float:
-    """Invert the fidelity link: mu_min = (15/8) F_avg - 47/72."""
-    if not FAVG_LO - _RANGE_SLACK <= f <= FAVG_HI + _RANGE_SLACK:
-        raise ValueError(f"F_avg {f} outside [{FAVG_LO:.6f}, {FAVG_HI:.6f}]")
-    return fidelity_link(float(f))
 
 
 def ls_upper_bound(lam: float, mu_min_of_pure_part: float) -> float:

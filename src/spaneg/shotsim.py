@@ -17,7 +17,7 @@ import numpy as np
 
 from . import btpe
 from .measures import favg_from_mu, fidelity_link, negativity_normalized_batch
-from .spa import MU_MIN_HI, MU_MIN_LO, spa_pt_affine
+from .spa import MU_MIN_HI, MU_MIN_LO, mu_min_batch, spa_pt_affine_batch
 from .states import DensityMatrix
 
 
@@ -522,9 +522,10 @@ def trial_counts(shots: int, p: float, trials: int, seed: int) -> np.ndarray:
     """Successes of `trials` runs of `shots` Bernoulli(p) draws, as an int64 array.
 
     Trial i is np.random.default_rng(seed + i).binomial(shots, p), bit for
-    bit.  Fewer than _PUBLIC_BELOW trials are drawn so; otherwise the seeded
-    states are computed SEED_CHUNK trials at a time, and fewer than
-    _BTPE_FROM trials are each drawn from its seeded state by the generator.
+    bit, and a negative seed raises its ValueError before any seeding.  Fewer
+    than _PUBLIC_BELOW trials are drawn so; otherwise the seeded states are
+    computed SEED_CHUNK trials at a time, and fewer than _BTPE_FROM trials
+    are each drawn from its seeded state by the generator.
 
     From _BTPE_FROM trials on, where numpy draws by BTPE, each chunk takes
     Step 10 of a BTPE pass in numpy: two PCG64 outputs per trial.  The
@@ -556,6 +557,8 @@ def trial_counts(shots: int, p: float, trials: int, seed: int) -> np.ndarray:
     step or pass accepts.  On a mismatch, every trial not yet checked is
     drawn by the generator.
     """
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
     if trials < _PUBLIC_BELOW:
         return np.array([np.random.default_rng(seed + i).binomial(shots, p) for i in range(trials)], dtype=np.int64)
     run = _TrialCounts(shots, p, trials, by_btpe=trials >= _BTPE_FROM)
@@ -577,7 +580,7 @@ def estimate_negativity(
     """
     if shots < 1 or trials < 1:
         raise ValueError(f"shots and trials must be >= 1, got {shots}, {trials}")
-    mu_true = spa_pt_affine(rho).mu_min
+    mu_true = float(mu_min_batch(spa_pt_affine_batch(rho.mat[None]))[0])
     f_true = favg_from_mu(mu_true)
     counts = trial_counts(shots, f_true, trials, rng_seed)
     # Each trial's estimate takes the place of its count, SEED_CHUNK trials at

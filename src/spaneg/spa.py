@@ -31,7 +31,6 @@ from .linalg import (
     first_index,
     herm_eigen_batch,
     lapack,
-    partial_transpose_b,
     partial_transpose_batch,
 )
 from .states import DensityMatrix, StateValidationError, validate_batch
@@ -152,14 +151,14 @@ def _apply_product_map(rho_mat: np.ndarray, map_a, map_b) -> np.ndarray:
 
 
 _ACTIONS = {
-    "affine": lambda x: partial_transpose_b(x) / 9.0 + (2.0 / 9.0) * np.trace(x) * np.eye(4),
+    "affine": lambda x: partial_transpose_batch(x[None])[0] / 9.0 + (2.0 / 9.0) * np.trace(x) * np.eye(4),
     # Built from the tetrahedral POVM maps only, never from the affine form,
     # so that the two stay independent oracles for each other.
     "compositional": lambda x: (
         _apply_product_map(x, lambda y: y, spa_transpose_tilde) / 3.0
         + 2.0 * _apply_product_map(x, spa_theta, depol_d) / 3.0
     ),
-    "pt": partial_transpose_b,
+    "pt": lambda x: partial_transpose_batch(x[None])[0],
     "identity": lambda x: x,
 }
 
@@ -185,7 +184,7 @@ def spa_pt_compositional_batch(rhos) -> np.ndarray:
     Each output is validated as a state; ConstructionInconsistencyError names
     the first that fails.
     """
-    rhos = _as_stack(rhos, dims=(4,))
+    rhos = _as_stack(rhos)
     # One matrix-vector product per state, bitwise the per-state S @ vec(rho);
     # a single (N, 16) x (16, 16) product rounds differently.
     out = (superoperator("compositional") @ rhos.reshape(-1, 16, 1)).reshape(-1, 4, 4)
@@ -211,7 +210,7 @@ def spa_pt_paper_entries_batch(rhos) -> np.ndarray:
     lower one is its conjugate by construction.  Entrywise, not a 16x16
     superoperator: a matrix product rounds the entries differently.
     """
-    t = _as_stack(rhos, dims=(4,))
+    t = _as_stack(rhos)
     e = np.empty_like(t)
     tc = t.conj()
     e[:, 0, 0] = (2 + t[:, 0, 0]) / 9

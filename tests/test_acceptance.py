@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from spaneg import cli, measures, shotsim, spa, states
-from spaneg.linalg import partial_transpose_b
+from spaneg.linalg import partial_transpose_batch
 
 ENSEMBLE_SIZE = 100_000
 PURE_ENSEMBLE_SIZE = 10_000
@@ -133,7 +133,7 @@ def test_criterion_6_spa_channel_integrity(ensemble):
     for _ in range(1000):
         rho = states.DensityMatrix(mat=states.random_mixed_batch(rng, 1)[0])
         p = states.random_pure_batch(rng, 1)[0]
-        lhs = np.trace(p @ partial_transpose_b(rho.mat)).real
+        lhs = np.trace(p @ partial_transpose_batch(rho.mat[None])[0]).real
         rhs = 9 * np.trace(p @ spa.spa_pt_affine(rho).rho_tilde.mat).real - 2
         max_trace = max(max_trace, abs(lhs - rhs))
     _, affine_cp, affine_min = spa.choi_matrix("affine")

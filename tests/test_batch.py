@@ -327,19 +327,14 @@ class TestBoundary:
         with pytest.raises(ValueError, match=r"is not \(N, 4\)"):
             states.pure_from_vectors(np.ones(4))
 
-    def test_per_state_dimension_errors_unchanged(self):
-        with pytest.raises(DimensionError, match="expected dimension in \\(4,\\), got 3"):
-            linalg.partial_transpose_b(np.eye(3))
-        with pytest.raises(DimensionError, match="expected a square matrix, got shape \\(4, 3\\)"):
-            linalg.partial_transpose_b(np.ones((4, 3)))
-        with pytest.raises(DimensionError, match="expected a square matrix"):
-            linalg.partial_transpose_b(np.eye(4)[None])
-
     def test_batch_dimension_errors(self):
         with pytest.raises(DimensionError, match="stack of square matrices"):
             linalg.partial_transpose_batch(np.eye(4))
         with pytest.raises(DimensionError, match="expected dimension in \\(4,\\), got 3"):
             linalg.partial_transpose_batch(np.zeros((2, 3, 3)))
+        # Every stack holds 4x4 operators, so a 2x2 stack is refused too.
+        with pytest.raises(DimensionError, match="expected dimension in \\(4,\\), got 2"):
+            linalg.herm_eigen_batch(np.eye(2)[None])
         with pytest.raises(DimensionError):
             measures.concurrence_wootters_batch(np.zeros((2, 4, 3)))
 
@@ -357,7 +352,7 @@ def test_random_study_rows_match_per_state_reports(rank):
     for i, row in enumerate(rows):
         rho = states.DensityMatrix(mat=states.random_mixed_batch(rng, 1, rank=rank)[0])
         rep = measures.full_report(rho)
-        lam = np.linalg.eigvalsh(linalg.partial_transpose_b(rho.mat))
+        lam = np.linalg.eigvalsh(linalg.partial_transpose_batch(rho.mat[None])[0])
         neg = int((lam < -linalg.RESIDUAL_TOL).sum())
         expected = (i, rank, rep.nd, rep.nn, rep.mu_min, rep.concurrence, rep.ppt, neg)
         assert row == expected
@@ -394,7 +389,7 @@ def per_state_residuals(seed, n_states):
         comp = spa.spa_pt_compositional_batch(rho.mat[None])[0]
         max_dev = max(max_dev, float(np.abs(affine.rho_tilde.mat - comp).max()))
         phi = inline_pure(rng.standard_normal(4) + 1j * rng.standard_normal(4))
-        lhs = np.trace(phi @ np.asarray(spa.partial_transpose_b(rho.mat))).real
+        lhs = np.trace(phi @ spa.partial_transpose_batch(rho.mat[None])[0]).real
         rhs = 9.0 * np.trace(phi @ affine.rho_tilde.mat).real - 2.0
         max_trace_rel = max(max_trace_rel, abs(lhs - rhs))
     return max_dev, max_trace_rel

@@ -158,6 +158,14 @@ class TestExitCodes:
         assert os.listdir(tmp_path) == ["a_directory"]
         assert os.listdir(tmp_path / "a_directory") == []
 
+    def test_empty_out_path_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # An empty --out names no file; only a missing --out is stdout.
+        monkeypatch.chdir(tmp_path)
+        assert cli.run(["analyze", "--family", "bell", "--out", ""]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "usage error: --out '': empty path\n"
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("name", ["a\0b", "a\x01b", "a\ud800b"])
     def test_unprintable_state_path_is_shown_as_its_repr(self, tmp_path, capsys, name):
         path = tmp_path / name
@@ -949,7 +957,7 @@ _VALUES = {
     "--family": st.sampled_from(sorted(states.FAMILIES) + ["nope", ""]),
     "--param": st.floats().map(repr) | st.sampled_from(["x", "", "-0", "2.0", "1e300"]),
     "--state": st.sampled_from(["STATE", "STATE", "MISSING", "DIR"]),
-    "--out": st.sampled_from(["OUT", "OUT", "OUT_NUL", "OUT_LONG", "DIR"]),
+    "--out": st.sampled_from(["OUT", "OUT", "OUT_NUL", "OUT_LONG", "OUT_EMPTY", "DIR"]),
     **{f"--{name}": _int_values(name) for name in cli._LIMITS},
 }
 _FLAGS = {
@@ -996,6 +1004,7 @@ def test_any_input_exits_with_a_contract_code(tmp_path, argv, state):
         "OUT": out,
         "OUT_NUL": work / "out\x00.txt",
         "OUT_LONG": work / ("o" * 300),
+        "OUT_EMPTY": "",
     }
     argv = [str(paths.get(arg, arg)) for arg in argv]
     err = io.StringIO()

@@ -18,7 +18,7 @@ from spaneg.linalg import (
     SIGMA_Z,
     herm_eigen_batch,
     lapack,
-    partial_transpose_b,
+    partial_transpose_batch,
     psd_sqrt_batch,
     trace_batch,
 )
@@ -36,6 +36,16 @@ def eigen(m):
     """(w, v) of one Hermitian matrix through the batched eigensolve."""
     w, v = herm_eigen_batch(np.asarray(m)[None])
     return w[0], v[0]
+
+
+def partial_transpose(m):
+    """rho^{T_B} of one 4x4 matrix through the batched partial transpose."""
+    return partial_transpose_batch(np.asarray(m)[None])[0]
+
+
+def asymmetry(m):
+    """||M - M^dag||_max of one matrix."""
+    return np.abs(m - m.conj().T).max()
 
 
 def kron_by_hand(a, b):
@@ -70,11 +80,11 @@ class TestKron:
 class TestPartialTranspose:
     def test_diagonal_invariant(self):
         d = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
-        assert np.array_equal(partial_transpose_b(d), d)
+        assert np.array_equal(partial_transpose(d), d)
 
     def test_bell_spectrum(self):
         v = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-        lam = np.linalg.eigvalsh(partial_transpose_b(np.outer(v, v.conj())))
+        lam = np.linalg.eigvalsh(partial_transpose(np.outer(v, v.conj())))
         assert np.allclose(lam, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
     def test_pure_m_entry_relocation(self):
@@ -82,7 +92,7 @@ class TestPartialTranspose:
         m = np.zeros((4, 4), dtype=complex)
         m[1, 1], m[2, 2] = 0.3, 0.7
         m[1, 2] = m[2, 1] = 0.458
-        pt = partial_transpose_b(m)
+        pt = partial_transpose(m)
         assert pt[0, 3] == 0.458 and pt[3, 0] == 0.458
         assert pt[1, 2] == 0 and pt[2, 1] == 0
         assert np.array_equal(np.diag(pt), np.diag(m))
@@ -90,14 +100,14 @@ class TestPartialTranspose:
     def test_involution_bitwise(self):
         rng = np.random.default_rng(5)
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert np.array_equal(partial_transpose_b(partial_transpose_b(m)), m)
+        assert np.array_equal(partial_transpose(partial_transpose(m)), m)
 
     def test_trace_and_hermiticity_preserved(self):
         rng = np.random.default_rng(6)
         h = random_hermitian(rng)
-        pt = partial_transpose_b(h)
+        pt = partial_transpose(h)
         assert abs(np.trace(pt) - np.trace(h)) < 1e-14
-        assert linalg.hermiticity_defect(pt) < 1e-14
+        assert asymmetry(pt) < 1e-14
 
 
 class TestHermEigen:
@@ -106,8 +116,8 @@ class TestHermEigen:
         assert np.allclose(w, [0, 1, 2, 3], atol=0)
 
     def test_pauli_x(self):
-        w, _ = eigen(SIGMA_X)
-        assert np.allclose(w, [-1, 1], atol=1e-14)
+        w, _ = eigen(np.kron(SIGMA_X, np.eye(2)))
+        assert np.allclose(w, [-1, -1, 1, 1], atol=1e-14)
 
     def test_char_poly_oracle(self):
         rng = np.random.default_rng(7)
@@ -183,7 +193,7 @@ class TestPsdSqrt:
             m = g @ g.conj().T
             s = psd_sqrt_batch(m[None])[0]
             assert np.abs(s @ s - m).max() <= 1e-9 * max(1.0, np.abs(m).max())
-            assert linalg.hermiticity_defect(s) < 1e-12
+            assert asymmetry(s) < 1e-12
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(linalg.NotPsdError):
@@ -334,6 +344,54 @@ def test_eigensolves_go_through_the_helper():
     assert len(sources) > 5
     found = {p.name: direct_linalg_calls(p) for p in sources}
     assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+# Module-level names that no production module calls, each kept as public API
+# that spaneg/__init__ exports.  A new function or class with no production
+# caller fails the test below until it is called, deleted or listed here.
+PUBLIC_ONLY = ["measures.ls_upper_bound", "measures.witness_pair", "states.random_pure_batch", "states.save_state"]
+
+
+def unreferenced_names(folder):
+    """'module.name' of each module-level function or class of the package in
+    `folder` that no module other than __init__ reads outside its own
+    definition, as a bare name or as an attribute of a package module."""
+    modules = {path.stem for path in folder.glob("*.py")}
+    defined, used = [], set()
+    for path in sorted(folder.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            own = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+            if own:
+                defined.append(f"{path.stem}.{own}")
+            names = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            names |= {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)
+                      and isinstance(sub.value, ast.Name) and sub.value.id in modules}
+            used |= names - {own}
+    return sorted(q for q in defined if q.split(".")[1] not in used)
+
+
+def test_every_unreferenced_name_is_documented_api():
+    assert unreferenced_names(ROOT / "src" / "spaneg") == PUBLIC_ONLY
+
+
+def test_unreferenced_name_scan_sees_unused_names(tmp_path):
+    # A re-export, an import, a self-reference, an assigned name and an
+    # attribute of anything but a package module are not uses.
+    (tmp_path / "__init__.py").write_text("from .a import Cls, unused, used\n")
+    (tmp_path / "a.py").write_text(
+        "def used():\n    return 1\n"
+        "def unused():\n    return unused\n"
+        "def field():\n    pass\n"
+        "class Cls:\n    pass\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from . import a\nfrom .a import unused\n"
+        "X = a.used()\nfield = X.field\n"
+        "def f():\n    return Cls\n"
+    )
+    assert unreferenced_names(tmp_path) == ["a.field", "a.unused", "b.f"]
 
 
 def test_direct_call_scan_sees_calls(tmp_path):

@@ -10,10 +10,9 @@ from spaneg.measures import (
     concurrence_wootters_batch,
     estimator_bias,
     favg_from_mu,
+    fidelity_link,
     full_report,
     ls_upper_bound,
-    mu_from_favg,
-    negativity_lower_bound,
     negativity_normalized_batch,
     pt_spectrum_batch,
     verstraete_rhs,
@@ -49,16 +48,6 @@ class TestNegativityExact:
     @pytest.mark.parametrize("m,expected", [(0.5, 1.0), (0.2, 0.8)])
     def test_pure_m_closed_form(self, m, expected):
         assert pt_spectrum_batch(family_batch("pure_m", [m]))[0][0] == pytest.approx(expected, abs=1e-12)
-
-
-class TestLowerBound:
-    @pytest.mark.parametrize("mu,expected", [(1 / 6, 1.0), (2 / 9, 0.0), (0.25, -0.5)])
-    def test_values(self, mu, expected):
-        assert negativity_lower_bound(mu) == pytest.approx(expected, abs=1e-12)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            negativity_lower_bound(0.1)
 
 
 class TestNormalizedNegativity:
@@ -222,11 +211,7 @@ class TestFidelityLink:
 
     def test_round_trip(self):
         for mu in np.linspace(1 / 6, 0.25, 50):
-            assert mu_from_favg(favg_from_mu(float(mu))) == pytest.approx(mu, abs=1e-15)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            mu_from_favg(0.5)
+            assert fidelity_link(favg_from_mu(float(mu))) == pytest.approx(mu, abs=1e-15)
 
 
 class TestLsUpperBound:
@@ -423,7 +408,7 @@ class TestEachIntermediateOnce:
         monkeypatch.setattr(measures, "_check_mu", lambda mu: checked.append(mu) or check(mu))
         rep = full_report(from_spec("horodecki", 0.5))
         assert checked == [rep.mu_min]
-        assert rep.lower_bound == measures.negativity_lower_bound(rep.mu_min)
+        assert rep.lower_bound == 4.0 - 18.0 * rep.mu_min
 
 
 def test_estimator_bias_formula():

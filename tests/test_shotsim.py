@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spaneg import btpe, shotsim
-from spaneg.measures import favg_from_mu, fidelity_link, mu_from_favg, negativity_normalized_batch
+from spaneg.measures import favg_from_mu, fidelity_link, negativity_normalized_batch
 from spaneg.shotsim import SEED_CHUNK, _pcg64_words, estimate_negativity, trial_counts
 from spaneg.spa import MU_MIN_HI, MU_MIN_LO, spa_pt_affine
 from spaneg.states import bell_state, from_spec, validate
@@ -27,6 +27,26 @@ def test_invalid_counts():
         estimate_negativity(rho, 0, 1, 1)
     with pytest.raises(ValueError):
         estimate_negativity(rho, 10, 0, 1)
+
+
+@pytest.mark.parametrize("seed", [-1, -5])
+@pytest.mark.parametrize("trials", [1, 13, 350, 4097])
+def test_a_negative_seed_is_rejected_before_any_seeding(monkeypatch, trials, seed):
+    # The public path rejects the seed with this error; every way of
+    # trial_counts does the same, before it seeds a trial.
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        np.random.default_rng(seed)
+    rho = from_spec("horodecki", 0.8)
+
+    def refuse(*args):
+        raise AssertionError("a trial was seeded")
+
+    monkeypatch.setattr(shotsim, "_pcg64_words", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        trial_counts(100000, 0.448, trials, seed)
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        estimate_negativity(rho, 100000, trials, seed)
 
 
 def test_favg_concentration_at_large_shots():
@@ -118,7 +138,7 @@ def test_noise_free_passthrough_matches_pipeline():
     for p in np.linspace(0, 1, 11):
         rho = from_spec("horodecki", float(p))
         exact = float(negativity_normalized_batch(spa_pt_affine(rho).mu_min))
-        mu = mu_from_favg(favg_from_mu(spa_pt_affine(rho).mu_min))
+        mu = fidelity_link(favg_from_mu(spa_pt_affine(rho).mu_min))
         passthrough = float(negativity_normalized_batch(min(max(mu, MU_MIN_LO), MU_MIN_HI)))
         assert passthrough == pytest.approx(exact, abs=1e-12)
 
