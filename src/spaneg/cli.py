@@ -150,7 +150,9 @@ def _write(text: str, out_path) -> None:
 
 
 def _resolve_state(args) -> states.DensityMatrix:
-    if args.state:
+    if args.state is not None:
+        if not args.state:  # names no file, as an empty --out
+            raise UsageError("--state '': empty path")
         return states.load_state(args.state)
     if not args.family:
         raise UsageError("one of --family or --state is required")
@@ -381,7 +383,7 @@ def spa_verify_report(seed: int = 20260824, n_states: int = 1000, grid: int = 21
             f"paper-literal mu_min vs closed form on {family} grid: {max_mu:.3e}"
         )
 
-    for method, expect_cp in (("affine", True), ("compositional", True), ("pt", False), ("identity", True)):
+    for method in spa.CHOI_METHODS:
         _, is_cp, min_eig = spa.choi_matrix(method)
         verdict = "CP" if is_cp else "NOT CP"
         lines.append(f"Choi({method}): min eigenvalue {min_eig:.6e} -> {verdict}")

@@ -27,9 +27,9 @@ the error state np.linalg sets, so a run that does not converge raises
 LinAlgError with numpy's message.  At N = 1, np.linalg's Python wrappers
 cost about as much as LAPACK itself.  The module is private, so the first
 call in a process (not the import) checks the gufuncs bitwise against
-np.linalg on a fixed stack.  On a mismatch or a missing module or name, and
-for any input that is not a complex128 ndarray stack of square matrices,
-`lapack` calls np.linalg instead.
+np.linalg on a fixed stack.  On a mismatch or a missing module or name,
+`lapack` calls np.linalg instead.  It takes complex128 ndarray stacks of
+square matrices, which every caller passes, and does not test its input.
 
 Every trace of an (N, 4, 4) stack goes through `trace_batch`, bitwise
 np.trace(m, axis1=1, axis2=2): numpy sums each diagonal of a C-contiguous
@@ -200,25 +200,19 @@ def _svd_call(gufunc, a):
 class _Lapack:
     """np.linalg.eigh, eigvalsh and values-only svd through numpy's gufuncs.
 
-    Each call returns np.linalg's bits.  The first call checks the gufuncs
-    against np.linalg; if that check fails, and for input other than a
-    complex128 ndarray stack of square matrices, the calls go to np.linalg.
+    Each call takes a complex128 ndarray stack of square matrices, as every
+    caller passes, and returns np.linalg's bits.  The first call checks the
+    gufuncs against np.linalg; if that check fails, the calls go to np.linalg.
     """
 
     def __init__(self, module):
         self.module = module
         self.verified = None  # the check's verdict; None until the first call
 
-    def _fast(self, a) -> bool:
+    def _fast(self) -> bool:
         if self.verified is None:
             self.verified = self._matches_numpy()
-        return (
-            self.verified
-            and type(a) is np.ndarray
-            and a.dtype == np.complex128
-            and a.ndim >= 2
-            and a.shape[-1] == a.shape[-2]
-        )
+        return self.verified
 
     def _matches_numpy(self) -> bool:
         """True iff each gufunc gives np.linalg's bits on a fixed stack."""
@@ -241,19 +235,19 @@ class _Lapack:
 
     def eigh(self, a):
         """np.linalg.eigh(a): ascending eigenvalues w and eigenvectors v."""
-        if self._fast(a):
+        if self._fast():
             return _eig_call(self.module.eigh_lo, a, "D->dD")
         return np.linalg.eigh(a)
 
     def eigvalsh(self, a):
         """np.linalg.eigvalsh(a): ascending eigenvalues."""
-        if self._fast(a):
+        if self._fast():
             return _eig_call(self.module.eigvalsh_lo, a, "D->d")
         return np.linalg.eigvalsh(a)
 
     def svdvals(self, a):
         """np.linalg.svd(a, compute_uv=False): descending singular values."""
-        if self._fast(a):
+        if self._fast():
             return _svd_call(self.module.svd, a)
         return np.linalg.svd(a, compute_uv=False)
 

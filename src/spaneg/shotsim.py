@@ -76,45 +76,48 @@ def _column(calls: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
     return columns
 
 
-def _hashmix(value: int, call: tuple[int, int]) -> int:
-    x, m = call
-    value = (value ^ x) * m & _MASK32
-    return value ^ value >> 16
-
-
 @functools.lru_cache(maxsize=8)
 def _hash_calls(n: int) -> tuple:
-    """The hashmix calls of a SeedSequence of n entropy words, n >= 4, laid out
-    for _seed_state_words: the 4 calls that fill the pool, the 4 mixing rounds
-    and the calls of each entropy word past the fourth as columns, and the two
-    halves of generate_state's 8 calls as columns.
+    """The hashmix calls of a SeedSequence of n entropy words, n >= 4, as
+    columns for _seed_state_words: the pool's fill (the columns of entropy
+    words 1..3, then those of the lowest word), the 4 mixing rounds, the calls
+    of each entropy word past the fourth, and the two halves of
+    generate_state's 8 calls.
 
     Round src hashes pool word src into the other three, by the calls
     4 + 3 src on in ascending order of the word mixed into.  Its three words
     are taken in the order src + 1, src + 2, src + 3 (mod 4), the rows of the
     pool that _seed_state_words mixes, so its calls are permuted to that order.
+    Half h of generate_state's calls is shaped (2, 2, 1): entry (k, j) is the
+    call of output word 4 h + 2 k + j, uint32 j of uint64 k.
     """
     calls = _chain(_INIT_A, _MULT_A, 4 * n)
+    fill = _column(calls[1:4]), _column(calls[:1])
     rounds = []
     for src in range(4):
         others = [d for d in range(4) if d != src]
         rounds.append(_column([calls[4 + 3 * src + others.index((src + k) % 4)] for k in (1, 2, 3)]))
     extra = [_column(calls[4 * src:4 * src + 4]) for src in range(4, n)]
     state = _chain(_INIT_B, _MULT_B, 8)
-    return calls[:4], rounds, extra, [_column(state[:4]), _column(state[4:])]
+    generate = [tuple(c.reshape(2, 2, 1) for c in _column(state[h:h + 4])) for h in (0, 4)]
+    return fill, rounds, extra, generate
 
 
-def _mix_into(rows: np.ndarray, src, calls: tuple, scratch: tuple) -> None:
-    """Mix hashmix(src) by the (XOR, multiplier) columns `calls` into `rows`, in place.
-
-    Row r of `rows` takes the hash by call r of the columns.  `src` is a row
-    or a scalar; `scratch` is two arrays of rows' shape.
-    """
+def _hash(src, calls: tuple, out: np.ndarray, scratch: tuple) -> None:
+    """SeedSequence's hashmix of `src` by the (XOR, multiplier) columns `calls`
+    into `out`, row r by call r.  `scratch` is two arrays of out's shape, the
+    first of which may be `out` itself."""
     h, t = scratch
     np.bitwise_xor(src, calls[0], out=h)
     np.multiply(h, calls[1], out=h)
     np.right_shift(h, 16, out=t)
-    np.bitwise_xor(h, t, out=h)
+    np.bitwise_xor(h, t, out=out)
+
+
+def _mix_into(rows: np.ndarray, src, calls: tuple, scratch: tuple) -> None:
+    """Mix the _hash of `src`, a row or a scalar, by `calls` into `rows`, in place."""
+    h, t = scratch
+    _hash(src, calls, h, scratch)
     # mix: L pool - R hash, then the same xorshift.
     np.multiply(h, _MIX_R, out=h)
     np.multiply(rows, _MIX_L, out=rows)
@@ -134,7 +137,8 @@ def _seed_state_words(first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
 
     The seeds must differ only in their lowest 32 bits, so that every entropy
     word but the lowest is one constant, hashed once.  Below 2**128 an entropy
-    of fewer words, zero-padded to the pool size, gives the same pool.
+    of fewer words, zero-padded to the pool size, gives the same pool.  Each
+    hashmix is a _hash over uint32 columns.
     """
     n = _entropy_words(first)
     fill, rounds, extra, generate = _hash_calls(n)
@@ -147,12 +151,11 @@ def _seed_state_words(first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     pool = np.empty((7, count), dtype=np.uint32)
     scratch = np.empty((4, count), dtype=np.uint32), np.empty((4, count), dtype=np.uint32)
     three = tuple(a[:3] for a in scratch)
-    lowest = pool[3]
-    np.bitwise_xor(np.arange(words[0], words[0] + count, dtype=np.uint32), fill[0][0], out=lowest)
-    np.multiply(lowest, fill[0][1], out=lowest)
-    np.right_shift(lowest, 16, out=scratch[0][0])
-    np.bitwise_xor(lowest, scratch[0][0], out=lowest)
-    pool[:3] = np.array([[_hashmix(words[d], fill[d])] for d in (1, 2, 3)], dtype=np.uint32)
+    head = np.array(words[1:4], dtype=np.uint32)[:, None]
+    _hash(head, fill[0], head, (head, np.empty_like(head)))
+    pool[:3] = head
+    _hash(np.arange(words[0], words[0] + count, dtype=np.uint32), fill[1], pool[3:4],
+          tuple(a[:1] for a in scratch))
     for src in range(4):
         _mix_into(pool[src:src + 3], pool[(src + 3) % 4], rounds[src], three)
         if src < 3:
@@ -163,13 +166,10 @@ def _seed_state_words(first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     # Output word w hashes pool word w % 4 by call w; a uint64 is two words read
     # little-endian, so each half's hashes go to alternate uint32s of its words.
     out = []
+    final, pair = pool[3:].reshape(2, 2, count), tuple(a.reshape(2, 2, count) for a in scratch)
     for calls in generate:
-        h, t = scratch
-        np.bitwise_xor(pool[3:], calls[0], out=h)
-        np.multiply(h, calls[1], out=h)
-        np.right_shift(h, 16, out=t)
         halves = np.empty((2, count, 2), dtype=np.uint32)
-        np.bitwise_xor(h.reshape(2, 2, count), t.reshape(2, 2, count), out=halves.transpose(0, 2, 1))
+        _hash(final, calls, halves.transpose(0, 2, 1), pair)
         out.append(halves.view(np.uint64).reshape(2, count))
     return out[0], out[1]
 

@@ -52,10 +52,9 @@ class ConstructionInconsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpaOutcome:
-    """SPA-PT output state, its minimum eigenvalue mu_min, and the partial
+    """Minimum eigenvalue mu_min of an SPA-PT output, and the partial
     transpose rho^{T_B} it was built from."""
 
-    rho_tilde: DensityMatrix
     mu_min: float
     rho_pt: np.ndarray
 
@@ -130,12 +129,10 @@ def mu_min_batch(rho_tildes) -> np.ndarray:
 
 
 def spa_pt_affine(rho: DensityMatrix) -> SpaOutcome:
-    """Canonical SPA-PT of one state: rho_tilde = (1/9) rho^{T_B} + (2/9) I."""
+    """mu_min of the canonical SPA-PT (1/9) rho^{T_B} + (2/9) I of one state,
+    with its rho^{T_B}."""
     pt = partial_transpose_batch(rho.mat[None])
-    mat = affine_from_pt(pt)
-    return SpaOutcome(
-        rho_tilde=DensityMatrix(mat=mat[0]), mu_min=float(mu_min_batch(mat)[0]), rho_pt=pt[0]
-    )
+    return SpaOutcome(mu_min=float(mu_min_batch(affine_from_pt(pt))[0]), rho_pt=pt[0])
 
 
 def _apply_product_map(rho_mat: np.ndarray, map_a, map_b) -> np.ndarray:

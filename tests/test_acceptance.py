@@ -134,7 +134,7 @@ def test_criterion_6_spa_channel_integrity(ensemble):
         rho = states.DensityMatrix(mat=states.random_mixed_batch(rng, 1)[0])
         p = states.random_pure_batch(rng, 1)[0]
         lhs = np.trace(p @ partial_transpose_batch(rho.mat[None])[0]).real
-        rhs = 9 * np.trace(p @ spa.spa_pt_affine(rho).rho_tilde.mat).real - 2
+        rhs = 9 * np.trace(p @ spa.spa_pt_affine_batch(rho.mat[None])[0]).real - 2
         max_trace = max(max_trace, abs(lhs - rhs))
     _, affine_cp, affine_min = spa.choi_matrix("affine")
     _, pt_cp, pt_min = spa.choi_matrix("pt")

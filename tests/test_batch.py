@@ -385,12 +385,12 @@ def per_state_residuals(seed, n_states):
     max_trace_rel = 0.0
     for _ in range(n_states):
         rho = states.DensityMatrix(mat=states.random_mixed_batch(rng, 1)[0])
-        affine = spa.spa_pt_affine(rho)
+        affine = spa.spa_pt_affine_batch(rho.mat[None])[0]
         comp = spa.spa_pt_compositional_batch(rho.mat[None])[0]
-        max_dev = max(max_dev, float(np.abs(affine.rho_tilde.mat - comp).max()))
+        max_dev = max(max_dev, float(np.abs(affine - comp).max()))
         phi = inline_pure(rng.standard_normal(4) + 1j * rng.standard_normal(4))
         lhs = np.trace(phi @ spa.partial_transpose_batch(rho.mat[None])[0]).real
-        rhs = 9.0 * np.trace(phi @ affine.rho_tilde.mat).real - 2.0
+        rhs = 9.0 * np.trace(phi @ affine).real - 2.0
         max_trace_rel = max(max_trace_rel, abs(lhs - rhs))
     return max_dev, max_trace_rel
 
@@ -416,8 +416,8 @@ def per_point_literal_grid(family, mu_cf, grid):
         rho = states.from_spec(family, float(value))
         literal = spa.spa_pt_paper_entries_batch(rho.mat[None])
         literal_mu = float(spa.mu_min_batch((literal + literal.conj().swapaxes(1, 2)) / 2)[0])
-        affine = spa.spa_pt_affine(rho)
-        max_lit = max(max_lit, float(np.abs(literal[0] - affine.rho_tilde.mat).max()))
+        affine = spa.spa_pt_affine_batch(rho.mat[None])[0]
+        max_lit = max(max_lit, float(np.abs(literal[0] - affine).max()))
         max_mu = max(max_mu, abs(literal_mu - mu_cf(float(value))))
     return max_lit, max_mu
 

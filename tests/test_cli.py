@@ -166,6 +166,16 @@ class TestExitCodes:
         assert out == "" and err == "usage error: --out '': empty path\n"
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--state", ""],
+        ["analyze", "--family", "bell", "--state", ""],
+        ["simulate", "--family", "bell", "--state", ""],
+    ])
+    def test_empty_state_path_is_usage_error(self, capsys, argv):
+        # An empty --state names no file; only a missing --state is absent.
+        assert cli.run(argv) == 1
+        assert capsys.readouterr() == ("", "usage error: --state '': empty path\n")
+
     @pytest.mark.parametrize("name", ["a\0b", "a\x01b", "a\ud800b"])
     def test_unprintable_state_path_is_shown_as_its_repr(self, tmp_path, capsys, name):
         path = tmp_path / name

@@ -18,7 +18,7 @@ from spaneg.measures import (
     verstraete_rhs,
     witness_pair,
 )
-from spaneg.spa import spa_pt_affine
+from spaneg.spa import spa_pt_affine, spa_pt_affine_batch
 from spaneg.states import (
     DensityMatrix,
     bell_state,
@@ -190,7 +190,7 @@ class TestWitness:
                 b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
                 v = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
                 sigma += w * np.outer(v, v.conj())
-            rho_tilde = spa_pt_affine(validate(sigma)).rho_tilde.mat
+            rho_tilde = spa_pt_affine_batch(validate(sigma).mat[None])[0]
             assert np.trace(pair.w @ rho_tilde).real >= -1e-10
 
     def test_rejects_unnormalized(self):

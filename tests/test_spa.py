@@ -152,19 +152,22 @@ class TestAffine:
             assert mu == pytest.approx(2 / 9 - np.sqrt(m * (1 - m)) / 9, abs=1e-12)
 
     def test_outcome_fields_consistent(self):
-        out = spa_pt_affine(from_spec("horodecki", 0.7))
-        w, vecs = herm_eigen_batch(out.rho_tilde.mat[None])
+        rho = from_spec("horodecki", 0.7)
+        out = spa_pt_affine(rho)
+        tilde = spa_pt_affine_batch(rho.mat[None])[0]
+        w, vecs = herm_eigen_batch(tilde[None])
         assert out.mu_min == w[0, 0]
+        assert out.rho_pt.tobytes() == partial_transpose_batch(rho.mat[None])[0].tobytes()
         v = vecs[0][:, 0]
-        resid = np.abs(out.rho_tilde.mat @ v - out.mu_min * v).max()
+        resid = np.abs(tilde @ v - out.mu_min * v).max()
         assert resid < 1e-10
-        validate(out.rho_tilde.mat)
+        validate(tilde)
 
     def test_spectrum_mapping(self):
         for mat in random_mixed_batch(np.random.default_rng(26), 100):
             rho = DensityMatrix(mat=mat)
             lam = np.linalg.eigvalsh(partial_transpose(rho.mat))
-            mu = herm_eigen_batch(spa_pt_affine(rho).rho_tilde.mat[None])[0][0]
+            mu = herm_eigen_batch(spa_pt_affine_batch(rho.mat[None]))[0][0]
             assert np.abs(mu - (lam / 9 + 2 / 9)).max() <= 1e-10
 
     def test_mu_range_and_npt_equivalence(self):
@@ -181,7 +184,7 @@ class TestAffine:
             rho = DensityMatrix(mat=random_mixed_batch(rng, 1)[0])
             p = random_pure_batch(rng, 1)[0]
             lhs = np.trace(p @ partial_transpose(rho.mat)).real
-            rhs = 9 * np.trace(p @ spa_pt_affine(rho).rho_tilde.mat).real - 2
+            rhs = 9 * np.trace(p @ spa_pt_affine_batch(rho.mat[None])[0]).real - 2
             assert abs(lhs - rhs) <= 1e-10
 
 
@@ -246,8 +249,8 @@ class TestPaperLiteral:
     def test_diagonal_state_matches_affine(self):
         rho = validate(np.diag([0.4, 0.3, 0.2, 0.1]))
         lit = spa_pt_paper_entries_batch(rho.mat[None])[0]
-        aff = spa_pt_affine(rho)
-        assert np.abs(lit - aff.rho_tilde.mat).max() < 1e-14
+        aff = spa_pt_affine_batch(rho.mat[None])[0]
+        assert np.abs(lit - aff).max() < 1e-14
 
     def test_output_on_its_family_is_a_valid_state(self):
         out, _ = literal_of("pure_m", 0.5)
