@@ -145,6 +145,10 @@ def _output(out_path):
 
 
 def _write(text: str, out_path) -> None:
+    """Write a run's whole output: straight to stdout with no --out, else through _output."""
+    if out_path is None:
+        sys.stdout.write(text)
+        return
     with _output(out_path) as write:
         write(text)
 
@@ -164,6 +168,7 @@ def _resolve_state(args) -> states.DensityMatrix:
 # The analyze report as json.dumps(payload, indent=1) prints it, where
 # payload holds every EntanglementReport field that is not None, in field
 # order: json writes a float as repr(float(x)) and a bool as true or false.
+# Every float field of a report is a Python float, so %r is that repr.
 _ANALYZE = (
     '{\n "nd": %r,\n "nn": %r,\n "lower_bound": %r,\n "concurrence": %r,\n'
     ' "ppt": %s,\n "mu_min": %r,\n "bias": %r'
@@ -174,14 +179,13 @@ _ANALYZE_QUASI = ',\n "concurrence_quasi_est": %r'
 
 def _analyze_text(report: measures.EntanglementReport) -> str:
     text = _ANALYZE % (
-        float(report.nd), float(report.nn), float(report.lower_bound),
-        float(report.concurrence), "true" if report.ppt else "false",
-        float(report.mu_min), float(report.bias),
+        report.nd, report.nn, report.lower_bound, report.concurrence,
+        "true" if report.ppt else "false", report.mu_min, report.bias,
     )
     if report.concurrence_pure_est is not None:
-        text += _ANALYZE_PURE % float(report.concurrence_pure_est)
+        text += _ANALYZE_PURE % report.concurrence_pure_est
     if report.concurrence_quasi_est is not None:
-        text += _ANALYZE_QUASI % float(report.concurrence_quasi_est)
+        text += _ANALYZE_QUASI % report.concurrence_quasi_est
     return text + "\n}\n"
 
 

@@ -119,7 +119,7 @@ def _by_entry(a) -> np.ndarray:
 
 def _matrix_max(a) -> np.ndarray:
     """Largest entry of each matrix of an (N, 4, 4) stack."""
-    return _by_entry(a).max(axis=0)
+    return np.maximum.reduce(_by_entry(a), axis=0)
 
 
 def _matrix_count(b) -> np.ndarray:
@@ -156,7 +156,7 @@ def check_hermitian(m) -> np.ndarray:
     except FloatingPointError:  # an asymmetry past float64's maximum
         with np.errstate(over="ignore"):
             asym, mh = _hermitian_parts(m)
-    if not asym.max(initial=0.0) <= VALIDATE_TOL:  # true for NaN
+    if not np.maximum.reduce(asym, axis=None, initial=0.0) <= VALIDATE_TOL:  # true for NaN
         defect = _matrix_max(asym)
         i = first_index(~(defect <= VALIDATE_TOL))
         raise NotHermitianError(
@@ -164,7 +164,7 @@ def check_hermitian(m) -> np.ndarray:
             f"exceeds {VALIDATE_TOL:.0e}"
         )
     try:
-        return (m + mh) / 2
+        h = m + mh
     except FloatingPointError:
         with np.errstate(over="ignore"):
             bad = _matrix_count(~np.isfinite(m + mh))
@@ -173,6 +173,7 @@ def check_hermitian(m) -> np.ndarray:
             f"matrix {i} of {len(m)}: entries too large: (M + M^dag) / 2 overflows in "
             f"{bad[i]} of 16"
         ) from None
+    return np.divide(h, 2, out=h)
 
 
 def _eig_nonconvergence(err, flag):
@@ -235,19 +236,19 @@ class _Lapack:
 
     def eigh(self, a):
         """np.linalg.eigh(a): ascending eigenvalues w and eigenvectors v."""
-        if self._fast():
+        if self.verified or self._fast():
             return _eig_call(self.module.eigh_lo, a, "D->dD")
         return np.linalg.eigh(a)
 
     def eigvalsh(self, a):
         """np.linalg.eigvalsh(a): ascending eigenvalues."""
-        if self._fast():
+        if self.verified or self._fast():
             return _eig_call(self.module.eigvalsh_lo, a, "D->d")
         return np.linalg.eigvalsh(a)
 
     def svdvals(self, a):
         """np.linalg.svd(a, compute_uv=False): descending singular values."""
-        if self._fast():
+        if self.verified or self._fast():
             return _svd_call(self.module.svd, a)
         return np.linalg.svd(a, compute_uv=False)
 
@@ -335,11 +336,11 @@ def psd_sqrt_batch(m) -> np.ndarray:
     NotPsdError naming the first such matrix.
     """
     w, v = herm_eigen_batch(m)
-    if w[:, 0].min(initial=0.0) < -PSD_CLAMP:
+    if np.minimum.reduce(w[:, 0], initial=0.0) < -PSD_CLAMP:
         i = first_index(w[:, 0] < -PSD_CLAMP)
         raise NotPsdError(
             f"matrix {i} of {len(w)} is not PSD: minimum eigenvalue {w[i, 0]:.3e} "
             f"below -{PSD_CLAMP:.0e}"
         )
-    s = np.sqrt(np.maximum(w, 0.0))
+    s = np.sqrt(np.maximum(w, 0.0, out=w), out=w)
     return (v * s[:, None, :]) @ v.conj().swapaxes(1, 2)

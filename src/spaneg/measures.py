@@ -14,8 +14,9 @@ the single curve N^N = N^D (338 + N^D) / 339.
 
 Negativity, the estimator and Wootters concurrence are computed over
 (N, 4, 4) stacks of states (or (N,) arrays of mu_min) by the *_batch
-functions; full_report, the one per-state entry, calls them on a stack of
-one state.
+functions.  full_report, the one per-state entry, calls their LAPACK steps
+on a stack of one state and finishes in Python floats, through the same
+formulas (_estimator, _wootters_gap) with min/max as the clamps.
 
 A report transposes each state once.  That partial transpose feeds two
 separate spectra: eigvalsh of rho^{T_B} gives N^D, and eigh of the SPA-PT
@@ -26,6 +27,7 @@ the partial transpose from spa_pt_affine's outcome.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,8 +97,10 @@ class WitnessPair:
     phi: np.ndarray
 
 
-def _check_mu(mu) -> np.ndarray:
-    """mu_min value(s) as a float array; ValueError names the first outside [1/6, 1/4]."""
+def _check_mu(mu):
+    """mu_min, a float as is or else as a float array; ValueError names the first outside [1/6, 1/4]."""
+    if type(mu) is float and MU_MIN_LO - _RANGE_SLACK <= mu <= MU_MIN_HI + _RANGE_SLACK:
+        return mu  # a float outside the range, or NaN, is named below
     mu = np.asarray(mu, dtype=float)
     ok = (MU_MIN_LO - _RANGE_SLACK <= mu) & (mu <= MU_MIN_HI + _RANGE_SLACK)
     if np.count_nonzero(ok) < mu.size:
@@ -123,12 +127,18 @@ def _pt_spectrum(pts) -> tuple[np.ndarray, np.ndarray]:
 
 def _negativity(lam) -> np.ndarray:
     """N^D = 2 sum_i max(0, -lambda_i) of each row of partial-transpose spectra."""
-    return 2.0 * np.maximum(0.0, -lam).sum(axis=1)
+    return 2.0 * np.add.reduce(np.maximum(0.0, -lam), axis=1)
 
 
 def _lower_bound(mu: float) -> float:
     """Negativity lower bound 4 - 18 mu_min of a checked mu_min (< 0: separable margin)."""
     return 4.0 - 18.0 * mu
+
+
+def _estimator(mu):
+    """(108/113)(2/9 - mu)(19 - mu) of checked mu_min, a float or an array, before its clamp."""
+    # mu >= 2/9 gives a value <= 0 but never -0.0, so either clamp maps it to +0.0.
+    return (108.0 / 113.0) * (SEPARABILITY_THRESHOLD - mu) * (19.0 - mu)
 
 
 def negativity_normalized_batch(mu_min) -> np.ndarray:
@@ -137,10 +147,7 @@ def negativity_normalized_batch(mu_min) -> np.ndarray:
     (108/113)(2/9 - mu)(19 - mu) for mu < 2/9, clamped to 0 at and above
     the separability threshold, matching N^D = 0 there.
     """
-    mu = _check_mu(mu_min)
-    # In range, mu >= 2/9 gives val <= 0, which the clamp maps to +0.0.
-    val = (108.0 / 113.0) * (SEPARABILITY_THRESHOLD - mu) * (19.0 - mu)
-    return np.minimum(np.maximum(val, 0.0), 1.0)
+    return np.minimum(np.maximum(_estimator(_check_mu(mu_min)), 0.0), 1.0)
 
 
 def estimator_bias(nd: float) -> float:
@@ -158,10 +165,18 @@ def concurrence_wootters_batch(rhos) -> np.ndarray:
     = A A^dag; taking singular values directly keeps the small l_i at
     absolute machine precision instead of sqrt-amplifying eigenvalue noise.
     """
+    return np.maximum(0.0, _wootters_gap(*_wootters_values(rhos).T))
+
+
+def _wootters_values(rhos) -> np.ndarray:
+    """Descending singular values l_i of sqrt(rho) (sy x sy) sqrt(rho)*, one row per state."""
     root = psd_sqrt_batch(rhos)
-    a = root @ SIGMA_YY @ root.conj()
-    l = lapack.svdvals(a)
-    return np.maximum(0.0, l[:, 0] - l[:, 1] - l[:, 2] - l[:, 3])
+    return lapack.svdvals(root @ SIGMA_YY @ root.conj())
+
+
+def _wootters_gap(l0, l1, l2, l3):
+    """l0 - l1 - l2 - l3, floats or columns; never -0.0, as the l_i are >= +0.0 and sorted."""
+    return l0 - l1 - l2 - l3
 
 
 def concurrence_quasi(n: float) -> float:
@@ -171,7 +186,7 @@ def concurrence_quasi(n: float) -> float:
         raise ValueError(f"negativity {n} outside [0, 1]")
     # Within the slack, clamp: below 0 the root would be NaN, above 1 C > 1.
     n = min(max(float(n), 0.0), 1.0)
-    return -n + np.sqrt(2.0 * n * (n + 1.0))
+    return -n + math.sqrt(2.0 * n * (n + 1.0))
 
 
 def verstraete_rhs(c: float) -> float:
@@ -226,8 +241,7 @@ def ls_upper_bound(lam: float, mu_min_of_pure_part: float) -> float:
 
 
 def _is_pure(rho: DensityMatrix, tol: float = 1e-9) -> bool:
-    purity = float(np.trace(rho.mat @ rho.mat).real)
-    return purity >= 1.0 - tol
+    return float((rho.mat @ rho.mat).trace().real) >= 1.0 - tol
 
 
 def _matches_quasi(rho: DensityMatrix, tol: float = 1e-9) -> bool:
@@ -268,15 +282,14 @@ def full_report(rho: DensityMatrix) -> EntanglementReport:
     when the state matches those families within 1e-9.
     """
     outcome = spa_pt_affine(rho)
-    mu = outcome.mu_min
+    mu = _check_mu(outcome.mu_min)  # a float, checked once for nn and the lower bound
     nd = float(_negativity(lapack.eigvalsh(outcome.rho_pt[None]))[0])
-    # negativity_normalized_batch checks mu; the lower bound reuses that check.
-    nn = float(negativity_normalized_batch(mu))
+    nn = min(max(_estimator(mu), 0.0), 1.0)
     return EntanglementReport(
         nd=nd,
         nn=nn,
         lower_bound=_lower_bound(mu),
-        concurrence=float(concurrence_wootters_batch(rho.mat[None])[0]),
+        concurrence=max(0.0, _wootters_gap(*_wootters_values(rho.mat[None])[0].tolist())),
         ppt=nd <= PPT_TOL,
         mu_min=mu,
         bias=estimator_bias(nd),

@@ -3,6 +3,7 @@ file I/O, and seeded random ensembles."""
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -363,12 +364,25 @@ def path_text(path) -> str:
     return text if text.isprintable() else repr(text)
 
 
+# The JSON numbers, and every other value np.asarray(dtype=float) takes as an
+# entry: it parses "0.25" and true.
+_NUMBERS = {int, float}
+_NOT_NUMBER = {str: "a string", bool: "a boolean", type(None): "null"}
+
+
 def load_state(path) -> DensityMatrix:
-    """Load and validate a state from the JSON file format of save_state."""
+    """Load and validate a state from the JSON file format of save_state; an
+    entry that is not a JSON number makes the file unreadable, named."""
     try:
         payload = json.loads(_read_capped(path).decode("utf-8"))
         re = np.asarray(payload["re"], dtype=float)
         im = np.asarray(payload["im"], dtype=float)
+        if re.shape == im.shape == (4, 4):  # then each is a list of 4 lists of 4 values
+            entries = [*itertools.chain(*payload["re"], *payload["im"])]
+            if not {*map(type, entries)} <= _NUMBERS:  # one pass in C: half a loop's cost
+                k = next(k for k, x in enumerate(entries) if type(x) not in _NUMBERS)
+                key, (i, j) = ("re", "im")[k // 16], divmod(k % 16, 4)
+                raise ValueError(f"{key}[{i}][{j}] is {_NOT_NUMBER[type(entries[k])]}, not a number")
     # json.loads raises RecursionError on a deeply nested file, and float()
     # OverflowError on an integer literal past float64's range.
     except (OSError, json.JSONDecodeError, RecursionError, OverflowError, KeyError, TypeError, ValueError) as exc:
@@ -386,10 +400,10 @@ def load_state(path) -> DensityMatrix:
 
 def from_spec(kind: str, param: float | None = None) -> DensityMatrix:
     """Resolve a family and its parameter to a state; a bell index (default 0)
-    must be integral, so 2.0 is accepted and 1.9 rejected."""
+    must be an integer 0..3, so 2.0 is accepted and 1.9 or 1e300 rejected."""
     if kind == "bell":
         index = 0.0 if param is None else float(param)
-        if not index.is_integer():
+        if not (index.is_integer() and 0.0 <= index <= 3.0):
             raise ValueError(f"bell index must be an integer 0..3, got {param}")
         return bell_state(int(index))
     if param is None:

@@ -55,6 +55,27 @@ class TestExitCodes:
         assert cli.run(["analyze", "--family", "bell", "--param", "1.9"]) == 2
         assert "bell index" in capsys.readouterr().err
 
+    def test_huge_bell_index_is_echoed_as_given(self, capsys):
+        # int(1e300) would print 301 digits.
+        assert cli.run(["analyze", "--family", "bell", "--param", "1e300"]) == 2
+        assert capsys.readouterr() == ("", "input error: bell index must be an integer 0..3, got 1e+300\n")
+
+    @pytest.mark.parametrize("entries, shown", [
+        # np.asarray(dtype=float) parses "0.25", and takes true and false as
+        # 1.0 and 0.0: that file read as |00><00|.
+        (lambda j, k: str(0.25 * (j == k)), "a string"),
+        (lambda j, k: j == k == 0, "a boolean"),
+    ], ids=["strings", "booleans"])
+    def test_state_file_entry_that_is_not_a_number_is_input_error(self, tmp_path, capsys, entries, shown):
+        path = tmp_path / "entries.json"
+        re = [[entries(j, k) for k in range(4)] for j in range(4)]
+        path.write_text(json.dumps({"re": re, "im": [[0] * 4] * 4}))
+        assert cli.run(["analyze", "--state", str(path)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"input error: invalid density matrix: unreadable state file {path}: "
+            f"re[0][0] is {shown}, not a number\n"
+        ))
+
     def test_integral_float_bell_index_is_accepted(self, tmp_path):
         code, text = run_to_file(tmp_path, ["analyze", "--family", "bell", "--param", "2.0"])
         assert code == 0
@@ -943,6 +964,8 @@ _STATE_TEXTS = st.one_of(
     st.builds(_with_number, st.integers(0, 31), st.sampled_from([b"NaN", b"Infinity", b"-Infinity", b"1e400"])),
     st.builds(_with_number, st.integers(0, 31), st.integers(300, 5000).map(lambda digits: b"9" * digits)),
     st.builds(_with_number, st.integers(0, 31), st.sampled_from(_HUGE)),
+    # JSON values that are not numbers, where a number stands.
+    st.builds(_with_number, st.integers(0, 31), st.sampled_from([b'"0.25"', b'"0"', b"true", b"false", b"null"])),
     st.builds(_with_pair, st.integers(0, 15), st.sampled_from(_HUGE)),
     st.builds(lambda value, key: _STATE.replace(key, value, 1), st.sampled_from(_WRONG), st.sampled_from([_RE, _IM])),
     st.sampled_from(_WRONG),

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -327,6 +330,58 @@ class TestFullReport:
     def test_pure_equality(self):
         rhos = random_pure_batch(np.random.default_rng(36), 500)
         assert np.abs(concurrence_wootters_batch(rhos) - pt_spectrum_batch(rhos)[0]).max() <= 1e-9
+
+
+class TestFloatTail:
+    # full_report finishes its scalars in Python floats; the batch_report row
+    # of its state is the oracle, bit for bit (repr) and type for type.
+    FIELDS = ("nd", "nn", "mu_min", "concurrence")
+
+    @staticmethod
+    def check(rho: DensityMatrix):
+        rep = full_report(rho)
+        row = measures.batch_report(rho.mat[None])
+        for name in TestFloatTail.FIELDS:
+            ours, theirs = getattr(rep, name), getattr(row, name).tolist()[0]
+            assert repr(ours) == repr(theirs), name
+            assert type(ours) is type(theirs), name
+        assert rep.ppt is row.ppt.tolist()[0]
+        # cli._analyze_text prints each float field with %r, which would show
+        # an np.float64 as "np.float64(...)".
+        for field in dataclasses.fields(measures.EntanglementReport):
+            value = getattr(rep, field.name)
+            assert type(value) is (bool if field.name == "ppt" else float) or value is None, field.name
+        # The float and array clamps agree because no -0.0 reaches them.
+        gap = measures._wootters_gap(*measures._wootters_values(rho.mat[None])[0].tolist())
+        for value in (gap, measures._estimator(rep.mu_min)):
+            assert not (value == 0.0 and math.copysign(1.0, value) < 0.0)
+        return rep
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    def test_ginibre_states(self, seed, rank):
+        self.check(DensityMatrix(mat=random_mixed_batch(np.random.default_rng(seed), 1, rank)[0]))
+
+    @pytest.mark.parametrize("family", ["pure_m", "horodecki", "quasi"])
+    def test_family_points(self, family):
+        # Each family is separable at param 0, where mu_min sits at 2/9 and nn
+        # clamps to +0.0, and entangled just above it.
+        for param in (0.0, 1e-17, 1e-12, 1e-9, 0.5, 1.0 - 1e-12, 1.0):
+            self.check(from_spec(family, param))
+
+    def test_werner_states_at_the_threshold(self):
+        # p |phi+><phi+| + (1 - p) I / 4 is separable exactly for p <= 1/3.
+        clamped = 0
+        for p in (1 / 3 - 1e-9, 1 / 3 - 1e-15, 1 / 3, 1 / 3 + 1e-15, 1 / 3 + 1e-9):
+            rep = self.check(validate(p * bell_state(0).mat + (1 - p) * np.eye(4) / 4))
+            clamped += repr(rep.nn) == "0.0"
+        assert 0 < clamped < 5
+
+    def test_pure_and_bell_states(self):
+        # A pure state's l1..l3 are ~0.
+        for mat in random_pure_batch(np.random.default_rng(41), 40):
+            assert self.check(DensityMatrix(mat=mat)).concurrence_pure_est is not None
+        for index in range(4):
+            self.check(bell_state(index))
 
 
 class TestEachIntermediateOnce:

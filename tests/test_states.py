@@ -184,6 +184,23 @@ class TestValidate:
         loaded = load_state(path)
         assert np.abs(loaded.mat - rho.mat).max() <= 1e-15
 
+    def test_load_takes_json_numbers_only(self, tmp_path):
+        # Integers are numbers; true, a string and null are not, wherever they stand.
+        path = tmp_path / "state.json"
+        re = [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+        path.write_text(json.dumps({"re": re, "im": [[0] * 4] * 4}))
+        assert np.array_equal(load_state(path).mat, np.diag([1.0, 0, 0, 0]).astype(complex))
+        for literal, shown in (("true", "a boolean"), ('"1"', "a string"), ("null", "null")):
+            for key, i, j in (("re", 0, 0), ("im", 2, 1)):
+                rows = {"re": [row[:] for row in re], "im": [[0] * 4 for _ in range(4)]}
+                rows[key][i][j] = "LITERAL"
+                path.write_text(json.dumps(rows).replace('"LITERAL"', literal))
+                with pytest.raises(StateValidationError) as info:
+                    load_state(path)
+                assert info.value.violations == [
+                    f"unreadable state file {path}: {key}[{i}][{j}] is {shown}, not a number"
+                ]
+
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -463,6 +480,7 @@ def test_from_spec_dispatch():
 def test_from_spec_bell_index_must_be_integral():
     assert np.array_equal(states.from_spec("bell").mat, bell_state(0).mat)
     assert np.array_equal(states.from_spec("bell", 2.0).mat, bell_state(2).mat)
-    for bad in (1.9, 0.5, -0.1, np.nan, np.inf, 4.0):
-        with pytest.raises(ValueError, match="bell index"):
+    for bad in (1.9, 0.5, -0.1, np.nan, np.inf, 4.0, -1.0, 1e300, -1e300):
+        with pytest.raises(ValueError, match="bell index") as info:
             states.from_spec("bell", bad)
+        assert str(info.value) == f"bell index must be an integer 0..3, got {bad}"
