@@ -27,9 +27,10 @@ the error state np.linalg sets, so a run that does not converge raises
 LinAlgError with numpy's message.  At N = 1, np.linalg's Python wrappers
 cost about as much as LAPACK itself.  The module is private, so the first
 call in a process (not the import) checks the gufuncs bitwise against
-np.linalg on a fixed stack.  On a mismatch or a missing module or name,
-`lapack` calls np.linalg instead.  It takes complex128 ndarray stacks of
-square matrices, which every caller passes, and does not test its input.
+np.linalg on a fixed stack, through _gufuncs_match.  On a mismatch or a
+missing module or name, `lapack` calls np.linalg instead.  It takes
+complex128 ndarray stacks of square matrices, which every caller passes,
+and does not test its input.
 
 Every trace of an (N, 4, 4) stack goes through `trace_batch`, bitwise
 np.trace(m, axis1=1, axis2=2): numpy sums each diagonal of a C-contiguous
@@ -38,11 +39,16 @@ does the same with four elementwise adds.  Right after a BLAS matmul,
 np.trace of a 256-stack costs several times the adds.  The order is a numpy
 internal, so trace_batch keeps the guarantees of `lapack`: the first call
 that may take the adds checks them bitwise against np.trace on a fixed
-stack, and on a mismatch, for a stack of fewer than 8 matrices and for any
-other input, trace_batch calls np.trace.
+stack, through _adds_match, and on a mismatch, for a stack of fewer than 8
+matrices and for any other input, trace_batch calls np.trace.
+
+Each check is a zero-argument functools.cache predicate, so it runs once
+per process.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -55,6 +61,10 @@ except ImportError:  # a numpy that moved its gufuncs: np.linalg throughout
 VALIDATE_TOL = 1e-9
 RESIDUAL_TOL = 1e-10
 PSD_CLAMP = 1e-10
+
+# The violation of a matrix whose Hermitian part overflows, by its count of
+# non-finite entries; check_hermitian and states.validate_batch both name it.
+OVERFLOW_VIOLATION = "entries too large: (M + M^dag) / 2 overflows in {} of 16"
 
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -169,10 +179,7 @@ def check_hermitian(m) -> np.ndarray:
         with np.errstate(over="ignore"):
             bad = _matrix_count(~np.isfinite(m + mh))
         i = first_index(bad > 0)
-        raise HermitianOverflowError(
-            f"matrix {i} of {len(m)}: entries too large: (M + M^dag) / 2 overflows in "
-            f"{bad[i]} of 16"
-        ) from None
+        raise HermitianOverflowError(f"matrix {i} of {len(m)}: " + OVERFLOW_VIOLATION.format(bad[i])) from None
     return np.divide(h, 2, out=h)
 
 
@@ -198,62 +205,56 @@ def _svd_call(gufunc, a):
     return gufunc(a, signature="D->d")
 
 
+@functools.cache
+def _gufuncs_match() -> bool:
+    """True iff each gufunc gives np.linalg's bits on a fixed stack; taken once,
+    by the first call of lapack in the process."""
+    # Fixed, generic entries; np.random is not imported for the check.
+    z = np.sin(np.arange(1.0, 257.0) ** 2).reshape(8, 4, 4, 2) @ [1, 1j]
+    h = z @ z.conj().swapaxes(1, 2)
+    try:
+        ours = [
+            *_eig_call(_umath_linalg.eigh_lo, h, "D->dD"),
+            _eig_call(_umath_linalg.eigvalsh_lo, h, "D->d"),
+            _svd_call(_umath_linalg.svd, z),
+        ]
+    except (AttributeError, TypeError, ValueError):  # no such name, or a refused call
+        return False
+    theirs = [*np.linalg.eigh(h), np.linalg.eigvalsh(h), np.linalg.svd(z, compute_uv=False)]
+    return all(
+        x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        for x, y in zip(ours, theirs)
+    )
+
+
 class _Lapack:
     """np.linalg.eigh, eigvalsh and values-only svd through numpy's gufuncs.
 
     Each call takes a complex128 ndarray stack of square matrices, as every
-    caller passes, and returns np.linalg's bits.  The first call checks the
-    gufuncs against np.linalg; if that check fails, the calls go to np.linalg.
+    caller passes, and returns np.linalg's bits; if _gufuncs_match fails, the
+    calls go to np.linalg.
     """
-
-    def __init__(self, module):
-        self.module = module
-        self.verified = None  # the check's verdict; None until the first call
-
-    def _fast(self) -> bool:
-        if self.verified is None:
-            self.verified = self._matches_numpy()
-        return self.verified
-
-    def _matches_numpy(self) -> bool:
-        """True iff each gufunc gives np.linalg's bits on a fixed stack."""
-        # Fixed, generic entries; np.random is not imported for the check.
-        z = np.sin(np.arange(1.0, 257.0) ** 2).reshape(8, 4, 4, 2) @ [1, 1j]
-        h = z @ z.conj().swapaxes(1, 2)
-        try:
-            ours = [
-                *_eig_call(self.module.eigh_lo, h, "D->dD"),
-                _eig_call(self.module.eigvalsh_lo, h, "D->d"),
-                _svd_call(self.module.svd, z),
-            ]
-        except (AttributeError, TypeError, ValueError):  # no such name, or a refused call
-            return False
-        theirs = [*np.linalg.eigh(h), np.linalg.eigvalsh(h), np.linalg.svd(z, compute_uv=False)]
-        return all(
-            x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
-            for x, y in zip(ours, theirs)
-        )
 
     def eigh(self, a):
         """np.linalg.eigh(a): ascending eigenvalues w and eigenvectors v."""
-        if self.verified or self._fast():
-            return _eig_call(self.module.eigh_lo, a, "D->dD")
+        if _gufuncs_match():
+            return _eig_call(_umath_linalg.eigh_lo, a, "D->dD")
         return np.linalg.eigh(a)
 
     def eigvalsh(self, a):
         """np.linalg.eigvalsh(a): ascending eigenvalues."""
-        if self.verified or self._fast():
-            return _eig_call(self.module.eigvalsh_lo, a, "D->d")
+        if _gufuncs_match():
+            return _eig_call(_umath_linalg.eigvalsh_lo, a, "D->d")
         return np.linalg.eigvalsh(a)
 
     def svdvals(self, a):
         """np.linalg.svd(a, compute_uv=False): descending singular values."""
-        if self.verified or self._fast():
-            return _svd_call(self.module.svd, a)
+        if _gufuncs_match():
+            return _svd_call(_umath_linalg.svd, a)
         return np.linalg.svd(a, compute_uv=False)
 
 
-lapack = _Lapack(_umath_linalg)
+lapack = _Lapack()
 
 
 # Stacks of fewer matrices are summed by np.trace's one reduce.  Alone, that
@@ -262,60 +263,45 @@ lapack = _Lapack(_umath_linalg)
 _ADDS_MIN = 8
 
 
-class _Trace:
+def trace_batch(m) -> np.ndarray:
     """np.trace(m, axis1=1, axis2=2) of an (N, 4, 4) stack, bit for bit.
 
     numpy 2.4.6 sums the 8 doubles of a complex diagonal pairwise and adds
     the result to the sum's +0 start, so each trace is 0 + ((d0 + d1) +
     (d2 + d3)): +0, not -0, for a diagonal of signed zeros.  That holds when
     the diagonal is the inner loop of the reduce, as it is for a C-contiguous
-    stack; on a Fortran-ordered one numpy sums in sequence.  The first call
-    checks the adds against np.trace on a fixed stack; if that check fails,
-    and for input other than a C-contiguous complex128 (N, 4, 4) ndarray of
-    at least _ADDS_MIN matrices, the call goes to np.trace.
+    stack; on a Fortran-ordered one numpy sums in sequence.  A C-contiguous
+    complex128 (N, 4, 4) ndarray of at least _ADDS_MIN matrices takes _adds
+    if _adds_match holds; any other input, and every input if it fails, goes
+    to np.trace.
     """
-
-    def __init__(self):
-        self.verified = None  # the check's verdict; None until the first call
-
-    def __call__(self, m) -> np.ndarray:
-        if type(m) is not np.ndarray:
-            return np.trace(m, axis1=1, axis2=2)
-        if m.ndim == 3 and len(m) >= _ADDS_MIN and self._fast(m):
-            return self._adds(m)
-        return m.trace(axis1=1, axis2=2)  # np.trace's own call on an ndarray
-
-    def _fast(self, m) -> bool:
-        if self.verified is None:
-            self.verified = self._matches_numpy()
-        return (
-            self.verified
-            and m.dtype == np.complex128
-            and m.shape[1:] == (4, 4)
-            and m.flags.c_contiguous
-        )
-
-    @staticmethod
-    def _adds(m) -> np.ndarray:
-        d = m.reshape(len(m), 16)  # diagonal entries at columns 0, 5, 10, 15
-        t = (d[:, 0] + d[:, 5]) + (d[:, 10] + d[:, 15])
-        t += 0.0
-        return t
-
-    def _matches_numpy(self) -> bool:
-        """True iff the adds give np.trace's bits on a fixed stack."""
-        # Fixed entries whose magnitudes span 1e-8..1e8, so that another order
-        # rounds differently; np.random is not imported for the check.  The
-        # last matrix is all -0, where the +0 start shows.
-        k = np.arange(1.0, 1025.0)
-        z = (np.sin(k ** 2) * 10.0 ** (8 * np.sin(k))).reshape(32, 4, 4, 2) @ [1, 1j]
-        z[-1] = complex(-0.0, -0.0)
-        ours = self._adds(z)
-        theirs = np.trace(z, axis1=1, axis2=2)
-        return ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+    if type(m) is not np.ndarray:
+        return np.trace(m, axis1=1, axis2=2)
+    if (m.ndim == 3 and len(m) >= _ADDS_MIN and m.dtype == np.complex128
+            and m.shape[1:] == (4, 4) and m.flags.c_contiguous and _adds_match()):
+        return _adds(m)
+    return m.trace(axis1=1, axis2=2)  # np.trace's own call on an ndarray
 
 
-trace_batch = _Trace()
+def _adds(m) -> np.ndarray:
+    d = m.reshape(len(m), 16)  # diagonal entries at columns 0, 5, 10, 15
+    t = (d[:, 0] + d[:, 5]) + (d[:, 10] + d[:, 15])
+    t += 0.0
+    return t
+
+
+@functools.cache
+def _adds_match() -> bool:
+    """True iff _adds gives np.trace's bits on a fixed stack; taken once, by
+    the first call of trace_batch in the process that may take the adds."""
+    # Fixed entries whose magnitudes span 1e-8..1e8, so that another order
+    # rounds differently; np.random is not imported for the check.  The last
+    # matrix is all -0, where the +0 start shows.
+    k = np.arange(1.0, 1025.0)
+    z = (np.sin(k ** 2) * 10.0 ** (8 * np.sin(k))).reshape(32, 4, 4, 2) @ [1, 1j]
+    z[-1] = complex(-0.0, -0.0)
+    ours, theirs = _adds(z), np.trace(z, axis1=1, axis2=2)
+    return ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
 
 
 def herm_eigen_batch(m) -> tuple[np.ndarray, np.ndarray]:

@@ -55,6 +55,9 @@ PPT_TOL = 1e-10
 SIGMA_YY = np.kron(SIGMA_Y, SIGMA_Y)
 
 _RANGE_SLACK = 1e-9
+# How far a state may sit from purity, or from the quasi family, and still
+# get that family's concurrence estimate in full_report.
+_MATCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -240,21 +243,21 @@ def ls_upper_bound(lam: float, mu_min_of_pure_part: float) -> float:
     return (1.0 - lam) * max(0.0, _lower_bound(mu))
 
 
-def _is_pure(rho: DensityMatrix, tol: float = 1e-9) -> bool:
-    return float((rho.mat @ rho.mat).trace().real) >= 1.0 - tol
+def _is_pure(rho: DensityMatrix) -> bool:
+    return float((rho.mat @ rho.mat).trace().real) >= 1.0 - _MATCH_TOL
 
 
-def _matches_quasi(rho: DensityMatrix, tol: float = 1e-9) -> bool:
+def _matches_quasi(rho: DensityMatrix) -> bool:
     c = 2.0 * float(rho.mat[0, 0].real)
-    if not -tol <= c <= 1.0 + tol:
+    if not -_MATCH_TOL <= c <= 1.0 + _MATCH_TOL:
         return False
     c = min(max(c, 0.0), 1.0)
     # The reference's entry (1, 1) is 1 - c: testing it first spares most
     # states the construction of the reference, with the same verdict.
-    if abs(rho.mat[1, 1] - (1.0 - c)) > tol:
+    if abs(rho.mat[1, 1] - (1.0 - c)) > _MATCH_TOL:
         return False
     ref = family_batch("quasi", [c])[0]
-    return bool(np.abs(rho.mat - ref).max() <= tol)
+    return bool(np.abs(rho.mat - ref).max() <= _MATCH_TOL)
 
 
 def batch_report(rhos) -> BatchReport:

@@ -287,16 +287,12 @@ def _view_sets_state(bit_gen: np.random.PCG64, view: memoryview) -> bool:
     return bit_gen.state == reference.state
 
 
-# _view_sets_state's verdict, taken by the first trial_counts call of the
-# process that draws through the generator; None until then.
-_layout_verdict: bool | None = None
-
-
-def _layout_holds(bit_gen: np.random.PCG64, view: memoryview) -> bool:
-    global _layout_verdict
-    if _layout_verdict is None:
-        _layout_verdict = _view_sets_state(bit_gen, view)
-    return _layout_verdict
+@functools.cache
+def _layout_holds() -> bool:
+    """_view_sets_state on a PCG64 of its own; taken once, by the first
+    trial_counts call of the process that draws through the generator."""
+    bit_gen = np.random.PCG64(0)
+    return _view_sets_state(bit_gen, _state_view(bit_gen))
 
 
 # Shot trials per chunk of trial_counts' seed hashing, and the most trials
@@ -401,7 +397,7 @@ class _TrialCounts:
         self.bit_gen = np.random.PCG64(0)  # its state is replaced before every draw
         self.binomial = np.random.Generator(self.bit_gen).binomial
         self.view = _state_view(self.bit_gen)
-        self.fast = _layout_holds(self.bit_gen, self.view)
+        self.fast = _layout_holds()
         # 0-d arrays pass numpy's argument conversion faster than Python scalars.
         self.n_arr, self.p_arr = np.array(shots, dtype=np.int64), np.array(p, dtype=np.float64)
         # None where the generator draws every trial.
@@ -550,7 +546,7 @@ def trial_counts(shots: int, p: float, trials: int, seed: int) -> np.ndarray:
     bit_generator.state dict instead.
 
     Both shortcuts copy numpy's internals, not its API, so each is checked:
-    the layout by _view_sets_state, once per process (the first call that
+    the layout by _layout_holds, once per process (the first call that
     draws through the generator), and the steps on every call, by drawing
     through the generator as well the first _SELF_CHECKS trials that Step 10
     accepts in their first pass, and the first _SELF_CHECKS that any other

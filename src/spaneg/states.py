@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import (
-    PSD_CLAMP, VALIDATE_TOL, _hermitian_parts, _matrix_count, _matrix_max, first_index, lapack,
-    trace_batch,
+    OVERFLOW_VIOLATION, PSD_CLAMP, VALIDATE_TOL, _hermitian_parts, _matrix_count, _matrix_max,
+    first_index, lapack, trace_batch,
 )
 
 FAMILIES = ("pure_m", "horodecki", "quasi", "bell")
@@ -95,7 +95,7 @@ class StackValidity:
         if self.nonfinite[i]:
             return [f"non-finite entries: {self.nonfinite[i]} of 16"]
         if self.overflow[i]:
-            return [f"entries too large: (M + M^dag) / 2 overflows in {self.overflow[i]} of 16"]
+            return [OVERFLOW_VIOLATION.format(self.overflow[i])]
         out = []
         if not self.hermiticity_defect[i] <= VALIDATE_TOL:
             out.append(f"not Hermitian: max asymmetry {self.hermiticity_defect[i]:.3e}")
@@ -370,11 +370,25 @@ _NUMBERS = {int, float}
 _NOT_NUMBER = {str: "a string", bool: "a boolean", type(None): "null"}
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's (key, value) pairs as a dict; ValueError naming the
+    first key given twice, where json.loads alone would keep the last value."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
+    return out
+
+
 def load_state(path) -> DensityMatrix:
     """Load and validate a state from the JSON file format of save_state; an
-    entry that is not a JSON number makes the file unreadable, named."""
+    entry that is not a JSON number, or a key given twice, makes the file
+    unreadable, named."""
     try:
-        payload = json.loads(_read_capped(path).decode("utf-8"))
+        payload = json.loads(_read_capped(path).decode("utf-8"), object_pairs_hook=_unique_keys)
         re = np.asarray(payload["re"], dtype=float)
         im = np.asarray(payload["im"], dtype=float)
         if re.shape == im.shape == (4, 4):  # then each is a list of 4 lists of 4 values

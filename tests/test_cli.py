@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -74,6 +75,17 @@ class TestExitCodes:
         assert capsys.readouterr() == ("", (
             f"input error: invalid density matrix: unreadable state file {path}: "
             f"re[0][0] is {shown}, not a number\n"
+        ))
+
+    def test_state_file_with_a_key_given_twice_is_input_error(self, tmp_path, capsys):
+        # json.loads alone keeps the last "re", a valid state, and the first
+        # (trace 0.9) would go unseen.
+        path = tmp_path / "twice.json"
+        zeros, valid = json.dumps(np.zeros((4, 4)).tolist()), json.dumps((np.eye(4) / 4).tolist())
+        path.write_text(f'{{"re": {json.dumps((np.eye(4) / 4 * 0.9).tolist())}, "im": {zeros}, "re": {valid}}}')
+        assert cli.run(["analyze", "--state", str(path)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"input error: invalid density matrix: unreadable state file {path}: duplicate key 're'\n"
         ))
 
     def test_integral_float_bell_index_is_accepted(self, tmp_path):
@@ -221,8 +233,8 @@ class TestExitCodes:
         # helper's error state turns that into numpy's LinAlgError, exit 2.
         u = np.linalg._umath_linalg
         stub = SimpleNamespace(eigh_lo=lambda a, signature: u.eigh_lo(a * np.nan, signature=signature))
-        monkeypatch.setattr(linalg.lapack, "module", stub)
-        monkeypatch.setattr(linalg.lapack, "verified", True)
+        monkeypatch.setattr(linalg, "_umath_linalg", stub)
+        monkeypatch.setattr(linalg, "_gufuncs_match", lambda: True)
         assert cli.run(["analyze", "--family", "bell"]) == 2
         assert capsys.readouterr() == ("", "input error: Eigenvalues did not converge\n")
 
@@ -317,11 +329,13 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("gufuncs", ["_gufuncs_without_svd", "_gufuncs_one_ulp_off"])
     def test_golden_bytes_through_the_numpy_fallback(self, tmp_path, monkeypatch, gufuncs):
-        monkeypatch.setattr(linalg.lapack, "module", getattr(self, gufuncs)())
-        monkeypatch.setattr(linalg.lapack, "verified", None)
+        # A fresh cache, so that this test takes the check again and its
+        # verdict is dropped with the patch.
+        monkeypatch.setattr(linalg, "_umath_linalg", getattr(self, gufuncs)())
+        monkeypatch.setattr(linalg, "_gufuncs_match", functools.cache(linalg._gufuncs_match.__wrapped__))
         for case in sorted(self.GOLDEN):
             self.test_golden_bytes(tmp_path, case)
-        assert linalg.lapack.verified is False
+        assert linalg._gufuncs_match.cache_info().currsize == 1 and linalg._gufuncs_match() is False
 
     @staticmethod
     def _template_cases():
@@ -914,13 +928,12 @@ class TestSpaVerify:
 def test_golden_bytes_through_the_trace_fallback(tmp_path, monkeypatch):
     # Adds in the order np.trace takes on a Fortran-ordered stack, which rounds
     # differently: the check must catch it, and its bits must reach no output.
-    monkeypatch.setattr(linalg._Trace, "_adds",
-                        staticmethod(lambda m: np.trace(np.asfortranarray(m), axis1=1, axis2=2)))
-    monkeypatch.setattr(linalg.trace_batch, "verified", None)
+    monkeypatch.setattr(linalg, "_adds", lambda m: np.trace(np.asfortranarray(m), axis1=1, axis2=2))
+    monkeypatch.setattr(linalg, "_adds_match", functools.cache(linalg._adds_match.__wrapped__))
     for seed in sorted(TestSpaVerify.GOLDEN):
         TestSpaVerify().test_golden_bytes(tmp_path, seed)
     TestRandomStudy().test_golden_bytes(tmp_path)
-    assert linalg.trace_batch.verified is False
+    assert linalg._adds_match.cache_info().currsize == 1 and linalg._adds_match() is False
 
 
 # A property over the whole boundary: state-file texts made by mutating a

@@ -1,4 +1,5 @@
 import ast
+import functools
 import os
 import re
 import subprocess
@@ -244,7 +245,7 @@ class TestLapack:
         # On this numpy the check passes, so the tests below compare the gufunc
         # path itself, not the fallback.
         lapack.eigh(np.eye(4, dtype=complex)[None])
-        assert lapack.verified is True
+        assert linalg._gufuncs_match() is True
 
     @pytest.mark.parametrize("n", [1, 256])
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
@@ -313,40 +314,47 @@ class TestLapack:
 
     def test_check_runs_once_per_process(self, monkeypatch):
         checks = []
-        check = linalg._Lapack._matches_numpy
-        monkeypatch.setattr(linalg._Lapack, "_matches_numpy",
-                            lambda self: checks.append(1) or check(self))
-        monkeypatch.setattr(lapack, "verified", None)
+        check = linalg._gufuncs_match.__wrapped__
+        monkeypatch.setattr(linalg, "_gufuncs_match", functools.cache(lambda: checks.append(1) or check()))
         h = random_mixed_batch(np.random.default_rng(1710), 3)
         for call in [lapack.eigh, lapack.eigvalsh, lapack.svdvals] * 3:
             call(h)
-        assert checks == [1] and lapack.verified is True
+        assert checks == [1] and linalg._gufuncs_match() is True
 
     def test_check_waits_for_the_first_call(self):
         # Importing the CLI runs no check, so import time stays flat; the first
         # request runs it.
-        code = (
-            "from spaneg import cli, linalg\n"
-            "before = linalg.lapack.verified\n"
-            "cli.run(['analyze', '--family', 'bell', '--param', '0', '--out', __import__('os').devnull])\n"
-            "print(before, linalg.lapack.verified)\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True, timeout=120)
-        assert out.stdout.split() == ["None", "True"]
+        request = ["analyze", "--family", "bell", "--param", "0"]
+        assert checks_around_a_request("linalg._gufuncs_match", request) == ["0", "1"]
 
 
 DIRECT_CALL = re.compile(r"(np|numpy)\.linalg\.(eigh|eigvalsh|svd)")
 
 
+def checks_around_a_request(check, argv):
+    """The cache size of the check predicate `check` (module.name in spaneg)
+    in a new process right after importing the CLI, and after one cli.run of
+    `argv`, as strings."""
+    code = (
+        f"from spaneg import cli, {check.split('.')[0]}\n"
+        f"before = {check}.cache_info().currsize\n"
+        f"cli.run({argv!r} + ['--out', __import__('os').devnull])\n"
+        f"print(before, {check}.cache_info().currsize)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    return out.stdout.split()
+
+
 def direct_linalg_calls(path):
     """(line, call) of each np.linalg eigh, eigvalsh or svd call in a source
-    file, and each import of those names, outside linalg._Lapack."""
+    file, and each import of those names, outside linalg._Lapack and
+    linalg._gufuncs_match."""
     tree = ast.parse(path.read_text(), filename=str(path))
     helper = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == "_Lapack":
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in ("_Lapack", "_gufuncs_match"):
             helper.update(map(id, ast.walk(node)))
     found = []
     for node in ast.walk(tree):
@@ -475,10 +483,12 @@ def test_direct_call_scan_sees_calls(tmp_path):
         "class _Lapack:\n"
         "    def eigh(self, a):\n"
         "        return np.linalg.eigh(a)\n"
+        "def _gufuncs_match():\n"
+        "    return np.linalg.svd(a, compute_uv=False)\n"
         "def f(a):\n"
         "    return np.linalg.svd(a, compute_uv=False), numpy.linalg.eigh(a), np.linalg.norm(a)\n"
     )
-    assert direct_linalg_calls(path) == [(2, "eigvalsh"), (7, "np.linalg.svd"), (7, "numpy.linalg.eigh")]
+    assert direct_linalg_calls(path) == [(2, "eigvalsh"), (9, "np.linalg.svd"), (9, "numpy.linalg.eigh")]
 
 
 def np_trace(m):
@@ -526,13 +536,13 @@ class TestTraceBatch:
     def test_takes_the_adds_here(self):
         m = random_mixed_batch(np.random.default_rng(1720), 16)
         assert same_bits(trace_batch(m), np_trace(m))
-        assert trace_batch.verified is True
+        assert linalg._adds_match() is True
 
     @given(m=c_stacks())
     def test_adds_match_numpy(self, m):
         assert m.flags.c_contiguous and m.dtype == np.complex128
         assert same_bits(trace_batch(m), np_trace(m))
-        assert same_bits(linalg._Trace._adds(m), np_trace(m))
+        assert same_bits(linalg._adds(m), np_trace(m))
 
     def test_signed_zero_diagonal_sums_to_plus_zero(self):
         m = np.full((8, 4, 4), complex(-0.0, -0.0))
@@ -544,7 +554,7 @@ class TestTraceBatch:
         # adds must not take it.
         x = np.random.default_rng(1722).standard_normal((64, 4, 4, 2))
         f = np.asfortranarray(x @ [1, 1j])
-        assert not same_bits(linalg._Trace._adds(np.ascontiguousarray(f)), np_trace(f))
+        assert not same_bits(linalg._adds(np.ascontiguousarray(f)), np_trace(f))
         assert same_bits(sequential_adds(np.ascontiguousarray(f)), np_trace(f))
 
     @pytest.mark.parametrize("make", [
@@ -563,49 +573,53 @@ class TestTraceBatch:
             raise AssertionError("the adds were taken")
         m = make(random_mixed_batch(np.random.default_rng(1723), 32))
         expected = np_trace(np.asarray(m))
-        monkeypatch.setattr(trace_batch, "verified", True)
-        monkeypatch.setattr(linalg._Trace, "_adds", staticmethod(refuse))
+        monkeypatch.setattr(linalg, "_adds_match", lambda: True)
+        monkeypatch.setattr(linalg, "_adds", refuse)
         assert same_bits(trace_batch(m), expected)
 
     @pytest.mark.parametrize("adds, verdict", [
-        (linalg._Trace._adds, True),
+        (linalg._adds, True),
         (sequential_adds, False),
         (without_plus_zero, False),
     ], ids=["numpy-order", "sequential", "without-plus-zero"])
-    def test_check_sees_the_order(self, adds, verdict):
-        ours = linalg._Trace()
-        ours._adds = adds
-        assert ours._matches_numpy() is verdict
+    def test_check_sees_the_order(self, monkeypatch, adds, verdict):
+        # The unwrapped check, so that the process's cached verdict stays.
+        monkeypatch.setattr(linalg, "_adds", adds)
+        assert linalg._adds_match.__wrapped__() is verdict
 
     def test_failed_check_falls_back(self, monkeypatch):
-        monkeypatch.setattr(linalg._Trace, "_adds", staticmethod(sequential_adds))
-        monkeypatch.setattr(trace_batch, "verified", None)
+        monkeypatch.setattr(linalg, "_adds", sequential_adds)
+        monkeypatch.setattr(linalg, "_adds_match", functools.cache(linalg._adds_match.__wrapped__))
         m = random_mixed_batch(np.random.default_rng(1724), 256)
         m = m @ m
         assert not same_bits(sequential_adds(m), np_trace(m))
         assert same_bits(trace_batch(m), np_trace(m))
-        assert trace_batch.verified is False
+        assert linalg._adds_match.cache_info().currsize == 1 and linalg._adds_match() is False
 
     def test_check_runs_once_per_process(self, monkeypatch):
         checks = []
-        check = linalg._Trace._matches_numpy
-        monkeypatch.setattr(linalg._Trace, "_matches_numpy",
-                            lambda self: checks.append(1) or check(self))
-        monkeypatch.setattr(trace_batch, "verified", None)
+        check = linalg._adds_match.__wrapped__
+        monkeypatch.setattr(linalg, "_adds_match", functools.cache(lambda: checks.append(1) or check()))
         m = random_mixed_batch(np.random.default_rng(1725), 16)
         for _ in range(3):
             trace_batch(m)
-        assert checks == [1] and trace_batch.verified is True
+        assert checks == [1] and linalg._adds_match() is True
+
+    def test_check_waits_for_the_first_call(self):
+        # A random study normalizes its Ginibre draws by trace_batch, in
+        # stacks past _ADDS_MIN.
+        request = ["random-study", "--count", "16"]
+        assert checks_around_a_request("linalg._adds_match", request) == ["0", "1"]
 
 
 def stacked_traces(path):
     """(line, call) of each trace call over axes 1 and 2 in a source file,
-    outside linalg._Trace: np.trace(m, axis1=1, axis2=2), m.trace(axis1=1,
-    axis2=2), or the same axes passed by position."""
+    outside linalg.trace_batch and linalg._adds_match: np.trace(m, axis1=1,
+    axis2=2), m.trace(axis1=1, axis2=2), or the same axes passed by position."""
     tree = ast.parse(path.read_text(), filename=str(path))
     helper = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == "_Trace":
+        if isinstance(node, ast.FunctionDef) and node.name in ("trace_batch", "_adds_match"):
             helper.update(map(id, ast.walk(node)))
     found = []
     for node in ast.walk(tree):
@@ -636,17 +650,18 @@ def test_stacked_trace_scan_sees_calls(tmp_path):
     path = tmp_path / "probe.py"
     path.write_text(
         "import numpy as np\n"
-        "class _Trace:\n"
-        "    def __call__(self, m):\n"
-        "        return np.trace(m, axis1=1, axis2=2)\n"
+        "def trace_batch(m):\n"
+        "    return np.trace(m, axis1=1, axis2=2)\n"
+        "def _adds_match():\n"
+        "    return np.trace(z, axis1=1, axis2=2)\n"
         "def f(m, x):\n"
         "    a = np.trace(m, axis1=1, axis2=2) + m.trace(axis1=1, axis2=2)\n"
         "    b = numpy.trace(m, 0, 1, 2) + m.trace(0, 1, 2) + np.trace(x) + x.trace()\n"
         "    return a, b\n"
     )
     assert stacked_traces(path) == [
-        (6, "np.trace(m, axis1=1, axis2=2)"),
-        (6, "m.trace(axis1=1, axis2=2)"),
-        (7, "numpy.trace(m, 0, 1, 2)"),
-        (7, "m.trace(0, 1, 2)"),
+        (7, "np.trace(m, axis1=1, axis2=2)"),
+        (7, "m.trace(axis1=1, axis2=2)"),
+        (8, "numpy.trace(m, 0, 1, 2)"),
+        (8, "m.trace(0, 1, 2)"),
     ]

@@ -1,5 +1,10 @@
+import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -206,31 +211,49 @@ def test_trial_counts_at_the_real_chunk_across_an_entropy_word(edge):
 def test_failed_layout_check_falls_back_to_the_state_dict(monkeypatch):
     # Writes through a view of memory the generator does not read leave its
     # state alone, so the layout check fails and every trial must go through
-    # bit_generator.state: the draws are still default_rng's.  The verdict is
-    # cleared, so that this process takes the check again.
+    # bit_generator.state: the draws are still default_rng's.  A fresh cache
+    # takes the check again in this process, and its verdict goes with the patch.
     spare = bytearray(32)
     monkeypatch.setattr(shotsim, "_state_view", lambda bit_gen: memoryview(spare))
-    monkeypatch.setattr(shotsim, "_layout_verdict", None)
+    monkeypatch.setattr(shotsim, "_layout_holds", functools.cache(shotsim._layout_holds.__wrapped__))
     monkeypatch.setattr(shotsim, "SEED_CHUNK", SMALL_CHUNK)
     assert not shotsim._view_sets_state(np.random.PCG64(0), memoryview(spare))
     for base in (0, 2**64 - 128, 2**128 - 3):
         trials = 2 * SMALL_CHUNK + 1
         assert trial_counts(1000, 0.3, trials, base).tolist() == _default_rng_counts(1000, 0.3, trials, base)
+    assert shotsim._layout_holds.cache_info().currsize == 1 and shotsim._layout_holds() is False
 
 
 def test_layout_check_passes_on_this_build():
     bit_gen = np.random.PCG64(0)
     assert shotsim._view_sets_state(bit_gen, shotsim._state_view(bit_gen))
+    assert shotsim._layout_holds() is True
 
 
 def test_layout_check_runs_once_per_process(monkeypatch):
     checks = []
     check = shotsim._view_sets_state
     monkeypatch.setattr(shotsim, "_view_sets_state", lambda *args: checks.append(1) or check(*args))
-    monkeypatch.setattr(shotsim, "_layout_verdict", None)
+    monkeypatch.setattr(shotsim, "_layout_holds", functools.cache(shotsim._layout_holds.__wrapped__))
     for trials in (1, 100, 5000):
         assert trial_counts(1000, 0.3, trials, 11).tolist() == _default_rng_counts(1000, 0.3, trials, 11)
-    assert checks == [1] and shotsim._layout_verdict is True
+    assert checks == [1] and shotsim._layout_holds() is True
+
+
+def test_layout_check_waits_for_the_first_call():
+    # Importing the CLI runs no check; the first simulation that draws through
+    # the generator runs it.
+    code = (
+        "import os\n"
+        "from spaneg import cli, shotsim\n"
+        "before = shotsim._layout_holds.cache_info().currsize\n"
+        "cli.run(['simulate', '--family', 'bell', '--trials', '20', '--shots', '100', '--out', os.devnull])\n"
+        "print(before, shotsim._layout_holds.cache_info().currsize)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["0", "1"]
 
 
 def test_pcg64_seeding_is_pinned():
