@@ -9,35 +9,37 @@ one implementation over (N, 4, 4) stacks (the *_batch functions), and no
 per-matrix wrapper.  A batch error names the index of the first offending
 matrix.
 
-Each Hermiticity check forms M^dag once: _hermitian_parts returns the
-entrywise asymmetry |M - M^dag| with the M^dag it came from, and the
-Hermitian part (M + M^dag) / 2 reuses that M^dag.  check_hermitian decides a
-whole stack with one reduce, the largest entry of |M - M^dag|, and forms the
-Hermitian part only once the check passes; per-matrix defects are reduced
-only to name the first bad matrix.  A non-finite entry fails the check (its
-asymmetry is NaN or inf), and a Hermitian part that overflows, from finite
-entries near float64's maximum, raises HermitianOverflowError, so the
-eigensolve behind a check never sees a non-finite entry.
+Each Hermiticity check goes through hermitian_split, which forms M^dag once
+and returns the Hermitian part (M + M^dag) / 2, the entrywise asymmetry
+|M - M^dag| and whether M + M^dag overflowed float64, found by an error
+state in which overflow raises, so a stack that does not overflow pays
+nothing for it.  check_hermitian and states.validate_batch both take it.
+check_hermitian decides a whole stack with one reduce, the largest entry of
+|M - M^dag|; per-matrix defects are reduced only to name the first bad
+matrix.  A non-finite entry fails the check (its asymmetry is NaN or inf),
+and a Hermitian part that overflows, from finite entries near float64's
+maximum, raises HermitianOverflowError, so the eigensolve behind a check
+never sees a non-finite entry.
 
-Every eigensolve and SVD of the package goes through `lapack`
-(lapack.eigh, lapack.eigvalsh, lapack.svdvals).  It calls numpy's LAPACK
-gufuncs in numpy.linalg._umath_linalg (eigh_lo, eigvalsh_lo and the
-values-only svd) with numpy's complex128 signatures, D->dD and D->d, under
-the error state np.linalg sets, so a run that does not converge raises
-LinAlgError with numpy's message.  At N = 1, np.linalg's Python wrappers
-cost about as much as LAPACK itself.  The module is private, so the first
-call in a process (not the import) checks the gufuncs bitwise against
-np.linalg on a fixed stack, through _gufuncs_match.  On a mismatch or a
-missing module or name, `lapack` calls np.linalg instead.  It takes
-complex128 ndarray stacks of square matrices, which every caller passes,
-and does not test its input.
+Every eigensolve and SVD of the package goes through eigh, eigvalsh and
+svdvals, called as linalg.<name>.  Each calls numpy's LAPACK gufunc in
+numpy.linalg._umath_linalg (eigh_lo, eigvalsh_lo and the values-only svd)
+with numpy's complex128 signature, D->dD or D->d, under the error state
+np.linalg sets, so a run that does not converge raises LinAlgError with
+numpy's message.  At N = 1, np.linalg's Python wrappers cost about as much
+as LAPACK itself.  The module is private, so the first call in a process
+(not the import) checks the gufuncs bitwise against np.linalg on a fixed
+stack, through _gufuncs_match.  On a mismatch or a missing module or name,
+each function calls np.linalg instead.  Each takes complex128 ndarray
+stacks of square matrices, which every caller passes, and does not test its
+input.
 
 Every trace of an (N, 4, 4) stack goes through `trace_batch`, bitwise
 np.trace(m, axis1=1, axis2=2): numpy sums each diagonal of a C-contiguous
 complex128 stack pairwise, as 0 + ((d0 + d1) + (d2 + d3)), and trace_batch
 does the same with four elementwise adds.  Right after a BLAS matmul,
 np.trace of a 256-stack costs several times the adds.  The order is a numpy
-internal, so trace_batch keeps the guarantees of `lapack`: the first call
+internal, so trace_batch keeps the same guarantees: the first call
 that may take the adds checks them bitwise against np.trace on a fixed
 stack, through _adds_match, and on a mismatch, for a stack of fewer than 8
 matrices and for any other input, trace_batch calls np.trace.
@@ -49,6 +51,7 @@ per process.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -89,15 +92,11 @@ class HermitianOverflowError(ValueError):
     """Input matrix is Hermitian, but its Hermitian part (M + M^dag) / 2 overflows."""
 
 
-def _as_stack(m) -> np.ndarray:
+def as_stack(m) -> np.ndarray:
     """m as a complex (N, 4, 4) stack; DimensionError for any other shape."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 3 or m.shape[1] != m.shape[2]:
-        raise DimensionError(
-            f"expected a stack of square matrices (N, d, d), got shape {m.shape}"
-        )
-    if m.shape[1] != 4:
-        raise DimensionError(f"expected dimension in (4,), got {m.shape[1]}")
+    if m.ndim != 3 or m.shape[1:] != (4, 4):
+        raise DimensionError(f"expected a stack of square matrices (N, 4, 4), got shape {m.shape}")
     return m
 
 
@@ -107,35 +106,21 @@ def first_index(bad: np.ndarray) -> int | None:
     return i if bad[i] else None
 
 
-def _hermitian_parts(m) -> tuple[np.ndarray, np.ndarray]:
-    """(|M - M^dag|, M^dag) of an (N, 4, 4) stack: the entrywise
-    asymmetry and the one M^dag it came from.  An infinite entry gives a NaN
-    or infinite asymmetry; a caller that takes such input ignores the
-    invalid-value warning of inf - inf (and, for entries past ~9e307, the
-    overflow warning)."""
-    m = np.asarray(m, dtype=complex)
-    mh = m.conj().swapaxes(-1, -2)
-    return np.abs(m - mh), mh
+def per_matrix(reduce, a, **kwargs) -> np.ndarray:
+    """reduce over each matrix of an (N, ...) stack, through a contiguous
+    (K, N) copy of its N matrices of K entries.
 
-
-def _by_entry(a) -> np.ndarray:
-    """Contiguous (16, N) copy of an (N, 4, 4) stack.
-
-    A reduce over its axis 0 is a per-matrix reduce: at N = 256 it is ~3x
-    faster than one over each matrix's trailing (4, 4) axes.
+    A reduce over that copy's axis 0 is ~3x faster at N = 256 than one over
+    each matrix's trailing axes.
     """
-    return np.ascontiguousarray(a.reshape(len(a), 16).T)
+    k = math.prod(a.shape[1:])  # not -1, which an empty stack cannot take
+    return reduce(np.ascontiguousarray(a.reshape(len(a), k).T), axis=0, **kwargs)
 
 
-def _matrix_max(a) -> np.ndarray:
-    """Largest entry of each matrix of an (N, 4, 4) stack."""
-    return np.maximum.reduce(_by_entry(a), axis=0)
-
-
-def _matrix_count(b) -> np.ndarray:
+def matrix_count(b) -> np.ndarray:
     """Number of true entries of each matrix of a bool (N, 4, 4) stack, as uint8."""
     # A uint8 sum of the bool bytes adds rows without a cast; 16 fits.
-    return np.add.reduce(_by_entry(b).view(np.uint8), axis=0, dtype=np.uint8)
+    return per_matrix(np.add.reduce, b.view(np.uint8), dtype=np.uint8)
 
 
 def partial_transpose_batch(m) -> np.ndarray:
@@ -144,14 +129,38 @@ def partial_transpose_batch(m) -> np.ndarray:
     Involutive and trace-preserving, but not completely positive: hence its
     structural physical approximation downstream.
     """
-    m = _as_stack(m)
+    m = as_stack(m)
     return m.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
 
 
 # inf - inf is ignored.  Overflow raises, so that a Hermitian part past
-# float64's maximum is named at no cost to a stack that does not overflow.  As
-# a decorator, see _eig_call.
+# float64's maximum is found at no cost to a stack that does not overflow.  As
+# a decorator, errstate costs about half of what entering a new errstate on
+# each call does.
 @np.errstate(invalid="ignore", over="raise")
+def hermitian_split(m) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(H, |M - M^dag|, overflowed) of a complex (N, 4, 4) stack M.
+
+    H = (M + M^dag) / 2 is the Hermitian part and |M - M^dag| the entrywise
+    asymmetry, both from one M^dag; overflowed is true iff M + M^dag
+    overflowed float64 in some entry, which H then holds as inf.  A
+    non-finite entry of M makes its entries of H and of the asymmetry
+    non-finite.  No warning is emitted.
+    """
+    mh = m.conj().swapaxes(-1, -2)
+    try:
+        asym = np.abs(m - mh)
+    except FloatingPointError:  # an asymmetry past float64's maximum
+        with np.errstate(over="ignore"):
+            asym = np.abs(m - mh)
+    try:
+        h, overflowed = m + mh, False
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            h, overflowed = m + mh, True
+    return np.divide(h, 2, out=h), asym, overflowed
+
+
 def check_hermitian(m) -> np.ndarray:
     """Hermitian part (M + M^dag) / 2 of each matrix of an (N, 4, 4) stack.
 
@@ -160,27 +169,20 @@ def check_hermitian(m) -> np.ndarray:
     entry, and HermitianOverflowError naming the first Hermitian matrix with
     an entry near float64's maximum that makes its Hermitian part overflow.
     """
-    m = _as_stack(m)
-    try:
-        asym, mh = _hermitian_parts(m)
-    except FloatingPointError:  # an asymmetry past float64's maximum
-        with np.errstate(over="ignore"):
-            asym, mh = _hermitian_parts(m)
+    m = as_stack(m)
+    h, asym, overflowed = hermitian_split(m)
     if not np.maximum.reduce(asym, axis=None, initial=0.0) <= VALIDATE_TOL:  # true for NaN
-        defect = _matrix_max(asym)
+        defect = per_matrix(np.maximum.reduce, asym)
         i = first_index(~(defect <= VALIDATE_TOL))
         raise NotHermitianError(
             f"matrix {i} of {len(m)} is not Hermitian: max asymmetry {defect[i]:.3e} "
             f"exceeds {VALIDATE_TOL:.0e}"
         )
-    try:
-        h = m + mh
-    except FloatingPointError:
-        with np.errstate(over="ignore"):
-            bad = _matrix_count(~np.isfinite(m + mh))
+    if overflowed:
+        bad = matrix_count(~np.isfinite(h))
         i = first_index(bad > 0)
-        raise HermitianOverflowError(f"matrix {i} of {len(m)}: " + OVERFLOW_VIOLATION.format(bad[i])) from None
-    return np.divide(h, 2, out=h)
+        raise HermitianOverflowError(f"matrix {i} of {len(m)}: " + OVERFLOW_VIOLATION.format(bad[i]))
+    return h
 
 
 def _eig_nonconvergence(err, flag):
@@ -191,32 +193,49 @@ def _svd_nonconvergence(err, flag):
     raise np.linalg.LinAlgError("SVD did not converge")
 
 
-# np.linalg's error state around these gufuncs.  As a decorator, errstate
-# costs about half of what entering a new errstate on each call does.
-@np.errstate(call=_eig_nonconvergence, invalid="call", over="ignore", divide="ignore",
-             under="ignore")
-def _eig_call(gufunc, a, signature):
-    return gufunc(a, signature=signature)
+# np.linalg's error state around its LAPACK gufuncs.
+_EIG_STATE = np.errstate(call=_eig_nonconvergence, invalid="call", over="ignore", divide="ignore",
+                         under="ignore")
+
+
+@_EIG_STATE
+def eigh(a):
+    """np.linalg.eigh(a): ascending eigenvalues w and eigenvectors v."""
+    if _gufuncs_match():
+        return _umath_linalg.eigh_lo(a, signature="D->dD")
+    return np.linalg.eigh(a)
+
+
+@_EIG_STATE
+def eigvalsh(a):
+    """np.linalg.eigvalsh(a): ascending eigenvalues."""
+    if _gufuncs_match():
+        return _umath_linalg.eigvalsh_lo(a, signature="D->d")
+    return np.linalg.eigvalsh(a)
 
 
 @np.errstate(call=_svd_nonconvergence, invalid="call", over="ignore", divide="ignore",
              under="ignore")
-def _svd_call(gufunc, a):
-    return gufunc(a, signature="D->d")
+def svdvals(a):
+    """np.linalg.svd(a, compute_uv=False): descending singular values."""
+    if _gufuncs_match():
+        return _umath_linalg.svd(a, signature="D->d")
+    return np.linalg.svd(a, compute_uv=False)
 
 
 @functools.cache
 def _gufuncs_match() -> bool:
     """True iff each gufunc gives np.linalg's bits on a fixed stack; taken once,
-    by the first call of lapack in the process."""
+    by the first call of eigh, eigvalsh or svdvals in the process, under its
+    error state."""
     # Fixed, generic entries; np.random is not imported for the check.
     z = np.sin(np.arange(1.0, 257.0) ** 2).reshape(8, 4, 4, 2) @ [1, 1j]
     h = z @ z.conj().swapaxes(1, 2)
     try:
         ours = [
-            *_eig_call(_umath_linalg.eigh_lo, h, "D->dD"),
-            _eig_call(_umath_linalg.eigvalsh_lo, h, "D->d"),
-            _svd_call(_umath_linalg.svd, z),
+            *_umath_linalg.eigh_lo(h, signature="D->dD"),
+            _umath_linalg.eigvalsh_lo(h, signature="D->d"),
+            _umath_linalg.svd(z, signature="D->d"),
         ]
     except (AttributeError, TypeError, ValueError):  # no such name, or a refused call
         return False
@@ -225,36 +244,6 @@ def _gufuncs_match() -> bool:
         x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
         for x, y in zip(ours, theirs)
     )
-
-
-class _Lapack:
-    """np.linalg.eigh, eigvalsh and values-only svd through numpy's gufuncs.
-
-    Each call takes a complex128 ndarray stack of square matrices, as every
-    caller passes, and returns np.linalg's bits; if _gufuncs_match fails, the
-    calls go to np.linalg.
-    """
-
-    def eigh(self, a):
-        """np.linalg.eigh(a): ascending eigenvalues w and eigenvectors v."""
-        if _gufuncs_match():
-            return _eig_call(_umath_linalg.eigh_lo, a, "D->dD")
-        return np.linalg.eigh(a)
-
-    def eigvalsh(self, a):
-        """np.linalg.eigvalsh(a): ascending eigenvalues."""
-        if _gufuncs_match():
-            return _eig_call(_umath_linalg.eigvalsh_lo, a, "D->d")
-        return np.linalg.eigvalsh(a)
-
-    def svdvals(self, a):
-        """np.linalg.svd(a, compute_uv=False): descending singular values."""
-        if _gufuncs_match():
-            return _svd_call(_umath_linalg.svd, a)
-        return np.linalg.svd(a, compute_uv=False)
-
-
-lapack = _Lapack()
 
 
 # Stacks of fewer matrices are summed by np.trace's one reduce.  Alone, that
@@ -312,7 +301,7 @@ def herm_eigen_batch(m) -> tuple[np.ndarray, np.ndarray]:
     VALIDATE_TOL.  The strictly Hermitian part is diagonalized, so residuals
     stay at machine precision.
     """
-    return lapack.eigh(check_hermitian(m))
+    return eigh(check_hermitian(m))
 
 
 def psd_sqrt_batch(m) -> np.ndarray:

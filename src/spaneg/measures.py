@@ -32,11 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .linalg import (
     RESIDUAL_TOL,
     SIGMA_Y,
     first_index,
-    lapack,
     partial_transpose_batch,
     psd_sqrt_batch,
 )
@@ -124,7 +124,7 @@ def pt_spectrum_batch(rhos) -> tuple[np.ndarray, np.ndarray]:
 
 def _pt_spectrum(pts) -> tuple[np.ndarray, np.ndarray]:
     """(N^D, negative count) of each partial transpose of an (N, 4, 4) stack."""
-    lam = lapack.eigvalsh(pts)
+    lam = linalg.eigvalsh(pts)
     return _negativity(lam), (lam < -RESIDUAL_TOL).sum(axis=1)
 
 
@@ -174,7 +174,7 @@ def concurrence_wootters_batch(rhos) -> np.ndarray:
 def _wootters_values(rhos) -> np.ndarray:
     """Descending singular values l_i of sqrt(rho) (sy x sy) sqrt(rho)*, one row per state."""
     root = psd_sqrt_batch(rhos)
-    return lapack.svdvals(root @ SIGMA_YY @ root.conj())
+    return linalg.svdvals(root @ SIGMA_YY @ root.conj())
 
 
 def _wootters_gap(l0, l1, l2, l3):
@@ -286,7 +286,7 @@ def full_report(rho: DensityMatrix) -> EntanglementReport:
     """
     outcome = spa_pt_affine(rho)
     mu = _check_mu(outcome.mu_min)  # a float, checked once for nn and the lower bound
-    nd = float(_negativity(lapack.eigvalsh(outcome.rho_pt[None]))[0])
+    nd = float(_negativity(linalg.eigvalsh(outcome.rho_pt[None]))[0])
     nn = min(max(_estimator(mu), 0.0), 1.0)
     return EntanglementReport(
         nd=nd,

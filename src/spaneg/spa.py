@@ -23,14 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .linalg import (
     PAULIS,
     RESIDUAL_TOL,
     SIGMA_Y,
-    _as_stack,
+    as_stack,
     first_index,
     herm_eigen_batch,
-    lapack,
     partial_transpose_batch,
 )
 from .states import DensityMatrix, StateValidationError, validate_batch
@@ -181,7 +181,7 @@ def spa_pt_compositional_batch(rhos) -> np.ndarray:
     Each output is validated as a state; ConstructionInconsistencyError names
     the first that fails.
     """
-    rhos = _as_stack(rhos)
+    rhos = as_stack(rhos)
     # One matrix-vector product per state, bitwise the per-state S @ vec(rho);
     # a single (N, 16) x (16, 16) product rounds differently.
     out = (superoperator("compositional") @ rhos.reshape(-1, 16, 1)).reshape(-1, 4, 4)
@@ -192,7 +192,7 @@ def spa_pt_compositional_batch(rhos) -> np.ndarray:
         raise ConstructionInconsistencyError(
             f"compositional SPA output {i} of {len(out)} is not a valid state "
             f"({StateValidationError(check.violations(i))})",
-            lapack.eigvalsh((bad + bad.conj().T) / 2),
+            linalg.eigvalsh((bad + bad.conj().T) / 2),
         )
     return out
 
@@ -207,7 +207,7 @@ def spa_pt_paper_entries_batch(rhos) -> np.ndarray:
     lower one is its conjugate by construction.  Entrywise, not a 16x16
     superoperator: a matrix product rounds the entries differently.
     """
-    t = _as_stack(rhos)
+    t = as_stack(rhos)
     e = np.empty_like(t)
     tc = t.conj()
     e[:, 0, 0] = (2 + t[:, 0, 0]) / 9
@@ -235,5 +235,5 @@ def choi_matrix(method: str) -> tuple[np.ndarray, bool, float]:
     """
     choi = superoperator(method).reshape(4, 4, 4, 4).transpose(2, 0, 3, 1).reshape(16, 16)
     choi.flags.writeable = False
-    min_eig = float(lapack.eigvalsh((choi + choi.conj().T) / 2)[0])
+    min_eig = float(linalg.eigvalsh((choi + choi.conj().T) / 2)[0])
     return choi, min_eig >= -RESIDUAL_TOL, min_eig

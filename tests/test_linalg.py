@@ -18,7 +18,6 @@ from spaneg.linalg import (
     SIGMA_Y,
     SIGMA_Z,
     herm_eigen_batch,
-    lapack,
     partial_transpose_batch,
     psd_sqrt_batch,
     trace_batch,
@@ -231,20 +230,20 @@ def numpy_calls(h, m):
     """(ours, np.linalg's) result of each helper call: eigh and eigvalsh of the
     Hermitian stack h, singular values of the stack m."""
     return [
-        (lapack.eigh(h), tuple(np.linalg.eigh(h))),
-        (lapack.eigvalsh(h), np.linalg.eigvalsh(h)),
-        (lapack.svdvals(m), np.linalg.svd(m, compute_uv=False)),
+        (linalg.eigh(h), tuple(np.linalg.eigh(h))),
+        (linalg.eigvalsh(h), np.linalg.eigvalsh(h)),
+        (linalg.svdvals(m), np.linalg.svd(m, compute_uv=False)),
     ]
 
 
 class TestLapack:
-    # linalg.lapack calls numpy's LAPACK gufuncs without np.linalg's wrappers;
-    # every result must be np.linalg's, bit for bit.
+    # linalg.eigh, eigvalsh and svdvals call numpy's LAPACK gufuncs without
+    # np.linalg's wrappers; every result must be np.linalg's, bit for bit.
 
     def test_takes_the_gufuncs_here(self):
         # On this numpy the check passes, so the tests below compare the gufunc
         # path itself, not the fallback.
-        lapack.eigh(np.eye(4, dtype=complex)[None])
+        linalg.eigh(np.eye(4, dtype=complex)[None])
         assert linalg._gufuncs_match() is True
 
     @pytest.mark.parametrize("n", [1, 256])
@@ -278,13 +277,13 @@ class TestLapack:
 
     @pytest.mark.parametrize("run", sorted(RUNS))
     def test_every_caller_passes_complex_square_stacks(self, tmp_path, monkeypatch, run):
-        # lapack tests no input; this is the precondition that lets it skip that.
+        # The three calls test no input; this is the precondition that lets them skip that.
         seen = []
         for name in ("eigh", "eigvalsh", "svdvals"):
-            def recorded(self, a, method=getattr(linalg._Lapack, name)):
+            def recorded(a, call=getattr(linalg, name)):
                 seen.append((type(a), getattr(a, "dtype", None), np.ndim(a), np.shape(a)[-2:]))
-                return method(self, a)
-            monkeypatch.setattr(linalg._Lapack, name, recorded)
+                return call(a)
+            monkeypatch.setattr(linalg, name, recorded)
         state = tmp_path / "state.json"
         states.save_state(states.DensityMatrix(mat=random_mixed_batch(np.random.default_rng(41), 1)[0]), state)
         if run == "spa-verify":
@@ -308,7 +307,7 @@ class TestLapack:
         with pytest.raises(np.linalg.LinAlgError) as expected:
             reference(m)
         with pytest.raises(np.linalg.LinAlgError) as raised:
-            getattr(lapack, call)(m)
+            getattr(linalg, call)(m)
         assert str(raised.value) == str(expected.value)
         assert str(raised.value) in ("Eigenvalues did not converge", "SVD did not converge")
 
@@ -317,7 +316,7 @@ class TestLapack:
         check = linalg._gufuncs_match.__wrapped__
         monkeypatch.setattr(linalg, "_gufuncs_match", functools.cache(lambda: checks.append(1) or check()))
         h = random_mixed_batch(np.random.default_rng(1710), 3)
-        for call in [lapack.eigh, lapack.eigvalsh, lapack.svdvals] * 3:
+        for call in [linalg.eigh, linalg.eigvalsh, linalg.svdvals] * 3:
             call(h)
         assert checks == [1] and linalg._gufuncs_match() is True
 
@@ -349,12 +348,12 @@ def checks_around_a_request(check, argv):
 
 def direct_linalg_calls(path):
     """(line, call) of each np.linalg eigh, eigvalsh or svd call in a source
-    file, and each import of those names, outside linalg._Lapack and
-    linalg._gufuncs_match."""
+    file, and each import of those names, outside linalg.eigh, linalg.eigvalsh,
+    linalg.svdvals and linalg._gufuncs_match."""
     tree = ast.parse(path.read_text(), filename=str(path))
     helper = set()
     for node in ast.walk(tree):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in ("_Lapack", "_gufuncs_match"):
+        if isinstance(node, ast.FunctionDef) and node.name in ("eigh", "eigvalsh", "svdvals", "_gufuncs_match"):
             helper.update(map(id, ast.walk(node)))
     found = []
     for node in ast.walk(tree):
@@ -480,15 +479,61 @@ def test_direct_call_scan_sees_calls(tmp_path):
     path.write_text(
         "import numpy as np\n"
         "from numpy.linalg import eigvalsh\n"
-        "class _Lapack:\n"
-        "    def eigh(self, a):\n"
-        "        return np.linalg.eigh(a)\n"
-        "def _gufuncs_match():\n"
+        "def eigh(a):\n"
+        "    return np.linalg.eigh(a)\n"
+        "def svdvals(a):\n"
         "    return np.linalg.svd(a, compute_uv=False)\n"
+        "def _gufuncs_match():\n"
+        "    return np.linalg.eigvalsh(a)\n"
         "def f(a):\n"
         "    return np.linalg.svd(a, compute_uv=False), numpy.linalg.eigh(a), np.linalg.norm(a)\n"
     )
-    assert direct_linalg_calls(path) == [(2, "eigvalsh"), (9, "np.linalg.svd"), (9, "numpy.linalg.eigh")]
+    assert direct_linalg_calls(path) == [(2, "eigvalsh"), (10, "np.linalg.svd"), (10, "numpy.linalg.eigh")]
+
+
+# linalg's LAPACK calls.  Tests count them by patching linalg's attribute,
+# which a from-imported binding would not see.
+LAPACK_CALLS = ("eigh", "eigvalsh", "svdvals")
+
+
+def private_imports(folder):
+    """'module:line name' of each name that a module of the package in
+    `folder` from-imports from another module of the package, where the
+    name starts with an underscore or is one of linalg's LAPACK_CALLS."""
+    found = []
+    for path in sorted(folder.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level:  # from . import x, from .linalg import x
+                source = node.module
+            elif node.module == "spaneg" or (node.module or "").startswith("spaneg."):
+                source = node.module.partition(".")[2] or None
+            else:
+                continue
+            found += [(path.stem, node.lineno, a.name) for a in node.names
+                      if a.name.startswith("_") or (source == "linalg" and a.name in LAPACK_CALLS)]
+    return [f"{stem}:{line} {name}" for stem, line, name in sorted(found)]
+
+
+def test_no_module_imports_private_names_or_lapack_calls():
+    assert private_imports(ROOT / "src" / "spaneg") == []
+
+
+def test_private_import_scan_sees_imports(tmp_path):
+    # Public names, linalg itself and underscore names of other packages pass.
+    (tmp_path / "linalg.py").write_text("from numpy.linalg import _umath_linalg\ndef eigh(a):\n    return a\n")
+    (tmp_path / "b.py").write_text(
+        "from . import linalg, _hidden\n"
+        "from .linalg import _helper, first_index\n"
+        "from .linalg import eigh, eigvalsh as solve\n"
+        "from spaneg.states import _x, svdvals\n"
+        "def f():\n"
+        "    from spaneg.linalg import svdvals\n"
+    )
+    assert private_imports(tmp_path) == [
+        "b:1 _hidden", "b:2 _helper", "b:3 eigh", "b:3 eigvalsh", "b:4 _x", "b:6 svdvals",
+    ]
 
 
 def np_trace(m):

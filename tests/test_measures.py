@@ -392,7 +392,7 @@ class TestEachIntermediateOnce:
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = dict.fromkeys(
-            ["hermitian_parts", "partial_transpose", "eigh", "eigvalsh", "svdvals", "screen"], 0
+            ["hermitian_split", "partial_transpose", "eigh", "eigvalsh", "svdvals", "screen"], 0
         )
 
         def counted(key, f):
@@ -401,22 +401,22 @@ class TestEachIntermediateOnce:
                 return f(*args, **kwargs)
             return wrapper
 
-        parts = counted("hermitian_parts", linalg._hermitian_parts)
+        split = counted("hermitian_split", linalg.hermitian_split)
         for module in (linalg, states):
-            monkeypatch.setattr(module, "_hermitian_parts", parts)
+            monkeypatch.setattr(module, "hermitian_split", split)
         pt = counted("partial_transpose", linalg.partial_transpose_batch)
         for module in (linalg, spa, measures):
             monkeypatch.setattr(module, "partial_transpose_batch", pt)
         for key in ("eigh", "eigvalsh", "svdvals"):
-            monkeypatch.setattr(linalg._Lapack, key, counted(key, getattr(linalg._Lapack, key)))
+            monkeypatch.setattr(linalg, key, counted(key, getattr(linalg, key)))
         monkeypatch.setattr(states, "_gershgorin_min", counted("screen", states._gershgorin_min))
         return calls
 
     # eigh of the SPA-PT output (mu_min) and of rho (its PSD root), eigvalsh
     # of the partial transpose (N^D), svd behind Wootters' concurrence.
-    REPORT = {"hermitian_parts": 2, "partial_transpose": 1, "eigh": 2, "eigvalsh": 1,
+    REPORT = {"hermitian_split": 2, "partial_transpose": 1, "eigh": 2, "eigvalsh": 1,
               "svdvals": 1, "screen": 0}
-    VALIDATE = {"hermitian_parts": 1, "partial_transpose": 0, "eigh": 0, "eigvalsh": 1,
+    VALIDATE = {"hermitian_split": 1, "partial_transpose": 0, "eigh": 0, "eigvalsh": 1,
                 "svdvals": 0, "screen": 0}
 
     def test_full_report(self, calls):

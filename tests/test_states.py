@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spaneg import linalg, measures, spa, states
-from spaneg.linalg import PSD_CLAMP, VALIDATE_TOL
+from spaneg.linalg import PSD_CLAMP, VALIDATE_TOL, first_index
 from spaneg.states import (
     FAMILIES,
     StateValidationError,
@@ -70,10 +70,8 @@ class TestValidate:
 
     def test_batch_skips_the_eigensolve_of_non_finite_matrices(self, monkeypatch):
         solved = []
-        real = linalg._Lapack.eigvalsh
-        monkeypatch.setattr(
-            linalg._Lapack, "eigvalsh", lambda self, m: solved.append(len(m)) or real(self, m)
-        )
+        real = linalg.eigvalsh
+        monkeypatch.setattr(linalg, "eigvalsh", lambda m: solved.append(len(m)) or real(m))
         # I/4 is cleared by its Gershgorin discs, so nothing is diagonalized.
         stack = np.stack([np.eye(4) / 4] * 3).astype(complex)
         stack[1, 0, 0] = np.nan
@@ -94,10 +92,8 @@ class TestValidate:
         # One matrix is diagonalized, not screened; in a stack, I/4 is cleared
         # by its discs.  The verdict, the texts and the 0.25 agree.
         solved = []
-        real = linalg._Lapack.eigvalsh
-        monkeypatch.setattr(
-            linalg._Lapack, "eigvalsh", lambda self, m: solved.append(len(m)) or real(self, m)
-        )
+        real = linalg.eigvalsh
+        monkeypatch.setattr(linalg, "eigvalsh", lambda m: solved.append(len(m)) or real(m))
         quarter = np.eye(4, dtype=complex) / 4
         alone = states.validate_batch(quarter[None])
         assert solved == [1]
@@ -119,10 +115,8 @@ class TestValidate:
         # Finite entries past ~9e307 overflow (M + M^dag) / 2; such a matrix
         # gets no eigensolve, and no warning is raised.
         solved = []
-        real = linalg._Lapack.eigvalsh
-        monkeypatch.setattr(
-            linalg._Lapack, "eigvalsh", lambda self, m: solved.append(len(m)) or real(self, m)
-        )
+        real = linalg.eigvalsh
+        monkeypatch.setattr(linalg, "eigvalsh", lambda m: solved.append(len(m)) or real(m))
         diagonal = np.diag([1.5e308, -1.5e308, 0.5, 0.5]).astype(complex)
         pair = np.eye(4, dtype=complex) / 4
         pair[0, 1] = pair[1, 0] = 1.5e308
@@ -163,6 +157,11 @@ class TestValidate:
             check = states.StackValidity(nonfinite=zero, overflow=zero, **values)
             assert not check.valid[0]
             assert len(check.violations(0)) == 1 and "nan" in check.violations(0)[0]
+
+    def test_empty_stack_has_empty_measures(self):
+        check = states.validate_batch(np.zeros((0, 4, 4)))
+        assert [getattr(check, f).shape for f in ("valid", "hermiticity_defect", "min_eigenvalue")] == [(0,)] * 3
+        assert linalg.check_hermitian(np.zeros((0, 4, 4))).shape == (0, 4, 4)
 
     def test_batch_rejects_wrong_shape(self):
         with pytest.raises(StateValidationError, match=r"shape \(4, 4\) is not \(N, 4, 4\)"):
@@ -289,6 +288,32 @@ def test_screen_keeps_the_eigvalsh_verdicts(matrices):
     check = states.validate_batch(stack)
     assert check.valid.tolist() == valid
     assert [check.violations(i) for i in range(len(stack))] == texts
+
+
+@given(matrices=st.lists(SCREEN_MATRICES, min_size=1, max_size=12))
+def test_check_hermitian_agrees_with_validate_batch(matrices):
+    # The kernels' guard and the input boundary share one Hermitian split, so
+    # they name the same first matrix, for the same reason.  The Hermitian
+    # matrices of a stack are checked again on their own, where an
+    # overflowing one is not hidden behind a non-Hermitian one.
+    stack = np.stack([screen_matrix(*spec) for spec in matrices])
+    for part in (stack, stack[states.validate_batch(stack).hermiticity_defect <= VALIDATE_TOL]):
+        if not len(part):
+            continue
+        check = states.validate_batch(part)
+        not_hermitian = first_index(~(check.hermiticity_defect <= VALIDATE_TOL))  # NaN included
+        overflowing = first_index(check.overflow > 0)
+        if not_hermitian is not None:
+            with pytest.raises(linalg.NotHermitianError, match=rf"^matrix {not_hermitian} of {len(part)} is not "):
+                linalg.check_hermitian(part)
+        elif overflowing is not None:
+            count = check.overflow[overflowing]
+            with pytest.raises(linalg.HermitianOverflowError,
+                               match=rf"^matrix {overflowing} of {len(part)}: .* overflows in {count} of 16$"):
+                linalg.check_hermitian(part)
+        else:
+            hermitian = (part + part.conj().swapaxes(1, 2)) / 2
+            assert linalg.check_hermitian(part).tobytes() == hermitian.tobytes()
 
 
 class TestPureFromVector:
