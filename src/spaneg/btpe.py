@@ -106,15 +106,6 @@ def _log_bracket(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a * (1.0 + _LOG_SLACK), a * (1.0 - _LOG_SLACK)
 
 
-def _first_step(u: np.ndarray, v: np.ndarray, s: Setup) -> tuple[np.ndarray, np.ndarray]:
-    """(accepted, y) of BTPE's Step 10 at uniforms u (scaled by p4) and v.
-
-    y = floor(xm - p1 * v + u), unflipped, is the count where accepted, which
-    is where not u > p1.
-    """
-    return ~(u > s.p1), np.floor(s.xm - s.p1 * v + u).astype(np.int64)
-
-
 def _later_steps(u: np.ndarray, v: np.ndarray, s: Setup) -> tuple[np.ndarray, np.ndarray]:
     """(outcome, y) of BTPE's Steps 20 to 52 at uniforms u > p1 (scaled) and v.
 
@@ -193,12 +184,13 @@ def _later_steps(u: np.ndarray, v: np.ndarray, s: Setup) -> tuple[np.ndarray, np
 
 def step_10(d1: np.ndarray, v: np.ndarray, s: Setup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(u, accepted, counts) of Step 10 of a pass at each pair of uniforms d1, v
-    of the generator: u = d1 * p4, and binomial(n, p) where accepted."""
+    of the generator: u = d1 * p4, accepted where not u > p1, and there
+    binomial(n, p) = floor(xm - p1 * v + u), flipped where p > 0.5."""
     u = d1 * s.p4
-    accepted, counts = _first_step(u, v, s)
+    counts = np.floor(s.xm - s.p1 * v + u).astype(np.int64)
     if s.flip:
         np.subtract(s.n, counts, out=counts)
-    return u, accepted, counts
+    return u, ~(u > s.p1), counts
 
 
 def steps_20_to_52(u: np.ndarray, v: np.ndarray, s: Setup) -> tuple[np.ndarray, np.ndarray]:

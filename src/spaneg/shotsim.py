@@ -251,83 +251,64 @@ def _pcg64_words(first: int, count: int) -> tuple[np.ndarray, ...]:
 
 
 def _state_view(bit_gen: np.random.PCG64) -> memoryview:
-    """Writable bytes of bit_gen's pcg64_random_t, its 128-bit state then inc.
+    """Writable bytes of bit_gen's pcg64_random_t: its 128-bit state, then inc.
 
     ctypes.state_address points to numpy's pcg64_state struct, whose first
-    field is the pcg64_random_t pointer.
+    field is the pcg64_random_t pointer.  The bytes are numpy's, not its API:
+    _word_order finds the order of _pcg64_words' columns in them, if any.
     """
     address = ctypes.c_void_p.from_address(bit_gen.ctypes.state_address).value
     return memoryview((ctypes.c_char * 32).from_address(address)).cast("B")
 
 
-def _dict_state(s_lo: int, s_hi: int, i_lo: int, i_hi: int) -> dict:
-    """The bit_generator.state dict of a PCG64 at the given words of _pcg64_words."""
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
-# Four distinct words (inc odd), so that a swapped or shifted layout shows.
-_PROBE_WORDS = (0xFEDCBA9876543210, 0x0123456789ABCDEF, 0x99AABBCCDDEEFF01, 0x1122334455667788)
-
-
-def _view_sets_state(bit_gen: np.random.PCG64, view: memoryview) -> bool:
-    """True if writing a row that draw stacks from _pcg64_words through `view`
-    sets bit_gen's whole state as the dict setter does.
-
-    The layout is numpy's, not its API: a big-endian build, or one whose
-    pcg128_t is a {high, low} struct, fails this check.
-    """
-    view[:] = np.array(_PROBE_WORDS, dtype=np.uint64).tobytes()
-    reference = np.random.PCG64(0)
-    reference.state = _dict_state(*_PROBE_WORDS)
-    return bit_gen.state == reference.state
+# The orders in which draw may stack _pcg64_words' columns into the bytes of
+# _state_view: numpy's pcg128_t as a native 128-bit integer, then as the
+# {high, low} struct of numpy/random/src/pcg64/pcg64.h where there is no __int128.
+_WORD_ORDERS = ((0, 1, 2, 3), (1, 0, 3, 2))
 
 
 @functools.cache
-def _layout_holds() -> bool:
-    """_view_sets_state on a PCG64 of its own; taken once, by the first
-    trial_counts call of the process that draws through the generator."""
+def _word_order() -> tuple[int, ...] | None:
+    """The first of _WORD_ORDERS whose rows of _pcg64_words, written through
+    _state_view, give default_rng's state at seeds on each side of 2**32,
+    2**64 and 2**128; None if neither does.
+
+    This checks the seeding copy and the memory layout against the public
+    path at once.  It is taken once, by the first trial_counts call of the
+    process that does not draw every trial by default_rng.
+    """
     bit_gen = np.random.PCG64(0)
-    return _view_sets_state(bit_gen, _state_view(bit_gen))
+    view = _state_view(bit_gen)
+    seeds = [edge + side for edge in (2**32, 2**64, 2**128) for side in (-1, 0)]
+    rows = [np.concatenate(_pcg64_words(seed, 1)) for seed in seeds]
+    states = [np.random.default_rng(seed).bit_generator.state for seed in seeds]
+    for order in _WORD_ORDERS:
+        for row, state in zip(rows, states):
+            view[:] = row[list(order)].tobytes()
+            if bit_gen.state != state:
+                break
+        else:
+            return order
+    return None
 
 
-# Shot trials per chunk of trial_counts' seed hashing, and the most trials
-# queued for the later steps, or pooled, before their pass.  At 4096 each
-# array of a chunk's numpy work stays below glibc's default mmap threshold of
-# 128 KiB: the largest is the hash pool's (7, 4096) uint32 rows, 112 KiB, and
-# a uint64 column is 32 KiB.  Arrays at the threshold get fresh pages from the
-# kernel chunk after chunk.  At the shots benchmark's inputs, timed on the
-# host of _BTPE_FROM's table, 2048 was ~30 % slower in-process; 8192 was
-# ~10 % faster in-process but not in six benchmark pairs (-1.1 %, 2 of 6),
-# with 0.3 MB more peak RSS and ~5x the minor faults; 16384 and 20000 were
-# slower.
+# Trials per chunk of seed hashing, and the most queued or pooled before a
+# pass: at 4096 a chunk's arrays stay below glibc's 128 KiB mmap threshold
+# (other sizes: BENCH_22.json, seed_chunk_us).
 SEED_CHUNK = 4096
 
 # Accepted trials of each call that are also drawn by the generator, as a
 # check: this many of those Step 10 accepts in a trial's first pass, and this
 # many of all the others.
 _SELF_CHECKS = 8
-# The trials sent back to Step 10 are pooled across chunks.  The pool takes at
-# most _POOL_PASSES passes in numpy, each only while it holds _POOL_MIN trials
-# or more, and the generator draws what is left.  A pass costs about what the
-# generator takes for ~300 pooled trials: at the shots benchmark's inputs, a
-# _POOL_MIN anywhere from 64 to 1024 timed the same, and no pool passes were
-# 30-45 % slower.
+# Trials sent back to Step 10 are pooled across chunks for up to _POOL_PASSES
+# passes, each while the pool holds _POOL_MIN or more: a pass costs what the
+# generator takes for ~300 trials (BENCH_22.json, pool_min_us).
 _POOL_PASSES = 2
 _POOL_MIN = 256
-# trial_counts takes one of three ways by its trial count.  Below
-# _PUBLIC_BELOW it calls default_rng(seed + i).binomial for each trial; below
-# _BTPE_FROM the generator draws every trial from its seeded columns; from
-# _BTPE_FROM on, BTPE's steps run in numpy.  Each bound is where the cheaper
-# way changes in two tables of trial_counts(100000, 0.448, n), each the
-# minimum of 15 interleaved rounds on a 2-core Xeon (numpy 2.4.6, 1 BLAS
-# thread): the public loop took ~11 us a trial, the generator
-# ~120 us plus ~0.85 us a trial, and BTPE ~300 us plus ~0.3 us a trial, so
-# the generator and BTPE cost the same between ~340 and ~380 trials.
+# Below _PUBLIC_BELOW trials default_rng draws each trial, below _BTPE_FROM the
+# generator draws each from its seeded state, and from there BTPE's steps run
+# in numpy: each bound is where the cheaper way changes (BENCH_22.json, ways_table_us).
 _PUBLIC_BELOW = 13
 _BTPE_FROM = 350
 
@@ -397,7 +378,7 @@ class _TrialCounts:
         self.bit_gen = np.random.PCG64(0)  # its state is replaced before every draw
         self.binomial = np.random.Generator(self.bit_gen).binomial
         self.view = _state_view(self.bit_gen)
-        self.fast = _layout_holds()
+        self.order = _word_order()
         # 0-d arrays pass numpy's argument conversion faster than Python scalars.
         self.n_arr, self.p_arr = np.array(shots, dtype=np.int64), np.array(p, dtype=np.float64)
         # None where the generator draws every trial.
@@ -415,19 +396,17 @@ class _TrialCounts:
 
     def draw(self, words: tuple, index=slice(None)) -> list[int]:
         """binomial(shots, p) of the generator at each trial `index` of the
-        columns `words`, whose 32-byte rows are stacked for these trials only."""
-        rows = np.stack([column[index] for column in words], axis=1)
+        columns `words`, whose 32-byte rows are stacked in _word_order for
+        these trials only."""
+        rows = np.stack([words[k][index] for k in self.order], axis=1)
+        if not len(rows):  # memoryview cannot cast an empty array
+            return []
         out = []
         binomial, n_arr, p_arr = self.binomial, self.n_arr, self.p_arr
-        if not self.fast:
-            for row in rows.tolist():
-                self.bit_gen.state = _dict_state(*row)
-                out.append(binomial(n_arr, p_arr))
-        elif len(rows):  # memoryview cannot cast an empty array
-            view, data = self.view, memoryview(rows).cast("B")
-            for off in range(0, data.nbytes, 32):
-                view[:] = data[off:off + 32]
-                out.append(binomial(n_arr, p_arr))
+        view, data = self.view, memoryview(rows).cast("B")
+        for off in range(0, data.nbytes, 32):
+            view[:] = data[off:off + 32]
+            out.append(binomial(n_arr, p_arr))
         return out
 
     def add(self, seed: int, start: int, count: int) -> None:
@@ -541,21 +520,21 @@ def trial_counts(shots: int, p: float, trials: int, seed: int) -> np.ndarray:
     trials) that is about 1 trial in 60.  Each is drawn from its seeded state
     by one reused PCG64, whose 32 bytes of state are written straight
     into the generator.  binomial draws only whole 64-bit outputs, so
-    has_uint32 and uinteger keep the 0 that the layout check saw.  If that
-    check fails, each trial sets the same words through the
-    bit_generator.state dict instead.
+    has_uint32 and uinteger keep the 0 that _word_order saw.
 
-    Both shortcuts copy numpy's internals, not its API, so each is checked:
-    the layout by _layout_holds, once per process (the first call that
-    draws through the generator), and the steps on every call, by drawing
-    through the generator as well the first _SELF_CHECKS trials that Step 10
-    accepts in their first pass, and the first _SELF_CHECKS that any other
-    step or pass accepts.  On a mismatch, every trial not yet checked is
-    drawn by the generator.
+    The seeding, the byte layout and the steps copy numpy's internals, not
+    its API, so each is checked against default_rng.  The seeding and the
+    layout are checked by _word_order, once per process (the first call of
+    _PUBLIC_BELOW trials or more); if it finds no order, every trial is
+    drawn by default_rng, as below _PUBLIC_BELOW.  The steps are checked on
+    every call, by drawing through the generator as well the first
+    _SELF_CHECKS trials that Step 10 accepts in their first pass, and the
+    first _SELF_CHECKS that any other step or pass accepts.  On a mismatch,
+    every trial not yet checked is drawn by the generator.
     """
     if seed < 0:
         raise ValueError("expected non-negative integer")
-    if trials < _PUBLIC_BELOW:
+    if trials < _PUBLIC_BELOW or _word_order() is None:
         return np.array([np.random.default_rng(seed + i).binomial(shots, p) for i in range(trials)], dtype=np.int64)
     run = _TrialCounts(shots, p, trials, by_btpe=trials >= _BTPE_FROM)
     for start in range(0, trials, SEED_CHUNK):

@@ -208,47 +208,103 @@ def test_trial_counts_at_the_real_chunk_across_an_entropy_word(edge):
     assert trial_counts(1000, 0.3, SEED_CHUNK, base).tolist() == _default_rng_counts(1000, 0.3, SEED_CHUNK, base)
 
 
-def test_failed_layout_check_falls_back_to_the_state_dict(monkeypatch):
+def _fresh_word_order(monkeypatch) -> None:
+    """A cache of _word_order of its own, so that the check is taken again in
+    this process and its verdict goes with the patch."""
+    monkeypatch.setattr(shotsim, "_word_order", functools.cache(shotsim._word_order.__wrapped__))
+
+
+def _refuse_draw(monkeypatch) -> None:
+    def refuse(*args):
+        raise AssertionError("a seeded column was drawn by the generator")
+
+    monkeypatch.setattr(shotsim._TrialCounts, "draw", refuse)
+
+
+def test_failed_word_order_check_falls_back_to_default_rng(monkeypatch):
     # Writes through a view of memory the generator does not read leave its
-    # state alone, so the layout check fails and every trial must go through
-    # bit_generator.state: the draws are still default_rng's.  A fresh cache
-    # takes the check again in this process, and its verdict goes with the patch.
+    # state alone, so no order passes the check and every trial is drawn by
+    # default_rng.
     spare = bytearray(32)
     monkeypatch.setattr(shotsim, "_state_view", lambda bit_gen: memoryview(spare))
-    monkeypatch.setattr(shotsim, "_layout_holds", functools.cache(shotsim._layout_holds.__wrapped__))
+    _fresh_word_order(monkeypatch)
+    _refuse_draw(monkeypatch)
     monkeypatch.setattr(shotsim, "SEED_CHUNK", SMALL_CHUNK)
-    assert not shotsim._view_sets_state(np.random.PCG64(0), memoryview(spare))
     for base in (0, 2**64 - 128, 2**128 - 3):
         trials = 2 * SMALL_CHUNK + 1
         assert trial_counts(1000, 0.3, trials, base).tolist() == _default_rng_counts(1000, 0.3, trials, base)
-    assert shotsim._layout_holds.cache_info().currsize == 1 and shotsim._layout_holds() is False
+    assert shotsim._word_order.cache_info().currsize == 1 and shotsim._word_order() is None
 
 
-def test_layout_check_passes_on_this_build():
-    bit_gen = np.random.PCG64(0)
-    assert shotsim._view_sets_state(bit_gen, shotsim._state_view(bit_gen))
-    assert shotsim._layout_holds() is True
+def _swap_32_bit_halves(words):
+    """`words` with the two uint32 halves of every uint64 swapped."""
+    return tuple(w << np.uint64(32) | w >> np.uint64(32) for w in words)
 
 
-def test_layout_check_runs_once_per_process(monkeypatch):
+@pytest.mark.parametrize("trials", [shotsim._PUBLIC_BELOW, shotsim._BTPE_FROM, SEED_CHUNK + 1])
+def test_a_seeding_that_differs_from_numpys_falls_back_to_default_rng(monkeypatch, trials):
+    # A big-endian build would assemble each uint64 of generate_state from
+    # its uint32 words the other way round.  Every count drawn from those
+    # states would be wrong, and the self-checks draw from the same states,
+    # so only the check against default_rng's own seeding can see it.
+    seed_words = shotsim._seed_state_words
+    monkeypatch.setattr(shotsim, "_seed_state_words", lambda *args: _swap_32_bit_halves(seed_words(*args)))
+    _fresh_word_order(monkeypatch)
+    _refuse_draw(monkeypatch)
+    assert trial_counts(100000, 0.448, trials, 7).tolist() == _default_rng_counts(100000, 0.448, trials, 7)
+    assert shotsim._word_order() is None
+
+
+class _HighLowView:
+    """The bytes of a _state_view as a build whose pcg128_t is a {high, low}
+    struct lays them out: each 16-byte word is written high half first."""
+
+    def __init__(self, view):
+        self.view = view
+
+    def __setitem__(self, key, data):
+        data = bytes(data)
+        self.view[key] = data[8:16] + data[:8] + data[24:32] + data[16:24]
+
+
+@pytest.mark.parametrize("trials", [shotsim._BTPE_FROM, SEED_CHUNK + 1])
+def test_a_high_low_layout_stacks_the_halves_swapped(monkeypatch, trials):
+    state_view = shotsim._state_view
+    monkeypatch.setattr(shotsim, "_state_view", lambda bit_gen: _HighLowView(state_view(bit_gen)))
+    _fresh_word_order(monkeypatch)
+    assert shotsim._word_order() == (1, 0, 3, 2)
+    base = 2**64 - 300
+    draws = _count_draws(monkeypatch)
+    assert trial_counts(100000, 0.448, trials, base).tolist() == _default_rng_counts(100000, 0.448, trials, base)
+    assert draws[0] > 0  # the self-checks, at least, were drawn through the wrapped view
+
+
+def test_word_order_check_passes_on_this_build():
+    assert shotsim._word_order.__wrapped__() == (0, 1, 2, 3)
+    assert shotsim._word_order() == (0, 1, 2, 3)
+
+
+def test_word_order_check_runs_once_per_process(monkeypatch):
+    # The public loop below _PUBLIC_BELOW trials takes no check; the first
+    # call past it takes it, and no later call takes it again.
     checks = []
-    check = shotsim._view_sets_state
-    monkeypatch.setattr(shotsim, "_view_sets_state", lambda *args: checks.append(1) or check(*args))
-    monkeypatch.setattr(shotsim, "_layout_holds", functools.cache(shotsim._layout_holds.__wrapped__))
-    for trials in (1, 100, 5000):
+    check = shotsim._word_order.__wrapped__
+    monkeypatch.setattr(shotsim, "_word_order", functools.cache(lambda: checks.append(1) or check()))
+    for trials, taken in ((1, []), (100, [1]), (5000, [1])):
         assert trial_counts(1000, 0.3, trials, 11).tolist() == _default_rng_counts(1000, 0.3, trials, 11)
-    assert checks == [1] and shotsim._layout_holds() is True
+        assert checks == taken
+    assert shotsim._word_order() == (0, 1, 2, 3)
 
 
-def test_layout_check_waits_for_the_first_call():
+def test_word_order_check_waits_for_the_first_call():
     # Importing the CLI runs no check; the first simulation that draws through
     # the generator runs it.
     code = (
         "import os\n"
         "from spaneg import cli, shotsim\n"
-        "before = shotsim._layout_holds.cache_info().currsize\n"
+        "before = shotsim._word_order.cache_info().currsize\n"
         "cli.run(['simulate', '--family', 'bell', '--trials', '20', '--shots', '100', '--out', os.devnull])\n"
-        "print(before, shotsim._layout_holds.cache_info().currsize)\n"
+        "print(before, shotsim._word_order.cache_info().currsize)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -338,10 +394,21 @@ def test_lcg_step_reaches_every_carry():
     assert _lcg_rows(rows) == _lcg_by_int(rows)
 
 
-def _generator_draw(row: list[int], shots: int, p: float) -> int:
+def _bit_gen_at(row: list[int]) -> np.random.PCG64:
+    """A PCG64 at the _pcg64_words row (state lo, state hi, inc lo, inc hi)."""
+    s_lo, s_hi, i_lo, i_hi = row
     bit_gen = np.random.PCG64(0)
-    bit_gen.state = shotsim._dict_state(*row)
-    return int(np.random.Generator(bit_gen).binomial(shots, p))
+    bit_gen.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bit_gen
+
+
+def _generator_draw(row: list[int], shots: int, p: float) -> int:
+    return int(np.random.Generator(_bit_gen_at(row)).binomial(shots, p))
 
 
 @given(
@@ -534,21 +601,21 @@ def test_a_failed_self_check_leaves_the_draws_to_the_generator(monkeypatch, chun
     # A step that miscounts every accepted trial, or only the last one the
     # self-check draws (in the third chunk or later when chunks are 4
     # trials), must not reach the output.
-    step = btpe._first_step
+    step = btpe.step_10
     seen = [0]
 
-    def wrong_step(u, v, setup):
-        accepted, counts = step(u, v, setup)
+    def wrong_step(d1, v, setup):
+        u, accepted, counts = step(d1, v, setup)
         for j in np.flatnonzero(accepted):
             seen[0] += 1
             if wrong == "every" or seen[0] == shotsim._SELF_CHECKS:
                 counts[j] += 1
-        return accepted, counts
+        return u, accepted, counts
 
     base = 2**64 - chunk
     expected = _default_rng_counts(1000, 0.3, trials, base)
     _by_btpe(monkeypatch)
-    monkeypatch.setattr(btpe, "_first_step", wrong_step)
+    monkeypatch.setattr(btpe, "step_10", wrong_step)
     monkeypatch.setattr(shotsim, "SEED_CHUNK", chunk)
     assert trial_counts(1000, 0.3, trials, base).tolist() == expected
     assert seen[0] >= (shotsim._SELF_CHECKS if wrong == "last checked" else 1)
@@ -573,8 +640,7 @@ def _btpe_path(row: list[int], shots: int, p: float) -> list[str]:
     the generator gives the count.  A pass ends in its count, in Step 50 or
     the full Stirling test, or in a loop back to Step 10.
     """
-    bit_gen = np.random.PCG64(0)
-    bit_gen.state = shotsim._dict_state(*row)
+    bit_gen = _bit_gen_at(row)
     s = btpe.setup(shots, p)
 
     def double():
