@@ -55,9 +55,10 @@ STUDY_CHUNK = 256
 MAX_COUNT = 1_000_000
 # sweep: ~20 s (horodecki, the slowest family).
 MAX_POINTS = 1_000_000
-# simulate takes BTPE's steps in numpy for all but about 1 trial in 60, and
-# draws those from one reused generator: ~0.22 s and ~54 MB peak RSS at
-# --shots 100000, measured at the cap itself (1 BLAS thread).
+# simulate takes BTPE's steps in numpy for all but about 1 trial in 55, and
+# draws those from one reused generator: ~0.28 s (0.22-0.34 s) and ~54 MB
+# peak RSS at --shots 100000, measured at the cap itself (in-process cli.run
+# after a 100-trial call, median of 8 processes, 1 BLAS thread).
 MAX_TRIALS = 1_000_000
 # A trial's F_avg is k / shots, which float64 holds exactly for shots <= 2**53.
 MAX_SHOTS = 2**53

@@ -292,20 +292,20 @@ def _word_order() -> tuple[int, ...] | None:
     return None
 
 
-# Trials per chunk of seed hashing, and the most queued or pooled before a
-# pass: at 4096 a chunk's arrays stay below glibc's 128 KiB mmap threshold
-# (other sizes: BENCH_22.json, seed_chunk_us).
+# Trials per chunk of seed hashing, and the most queued before a pass: at
+# 4096 a chunk's arrays stay below glibc's 128 KiB mmap threshold (other
+# sizes: BENCH_22.json, seed_chunk_us).
 SEED_CHUNK = 4096
 
 # Accepted trials of each call that are also drawn by the generator, as a
 # check: this many of those Step 10 accepts in a trial's first pass, and this
 # many of all the others.
 _SELF_CHECKS = 8
-# Trials sent back to Step 10 are pooled across chunks for up to _POOL_PASSES
-# passes, each while the pool holds _POOL_MIN or more: a pass costs what the
+# The end of a call takes up to _END_PASSES passes of the later steps, each
+# while the queue holds _PASS_MIN or more trials: a pass costs what the
 # generator takes for ~300 trials (BENCH_22.json, pool_min_us).
-_POOL_PASSES = 2
-_POOL_MIN = 256
+_END_PASSES = 3
+_PASS_MIN = 256
 # Below _PUBLIC_BELOW trials default_rng draws each trial, below _BTPE_FROM the
 # generator draws each from its seeded state, and from there BTPE's steps run
 # in numpy: each bound is where the cheaper way changes (BENCH_22.json, ways_table_us).
@@ -371,7 +371,7 @@ class _TrialCounts:
     low and high; inc low and high; current state low and high.  That is,
     the PCG64 each trial was seeded with, and the same PCG64 after the
     passes taken so far.  A count in self.counts is final once its trial is
-    neither queued nor pooled.
+    no longer queued.
     """
 
     def __init__(self, shots: int, p: float, trials: int, by_btpe: bool = True):
@@ -390,9 +390,6 @@ class _TrialCounts:
         # and v as two more columns, queued for Steps 20 to 52.
         self.queue: list[tuple] = []
         self.queued = 0
-        # Batches of the trials sent back to Step 10.
-        self.pool: list[tuple] = []
-        self.pooled = 0
 
     def draw(self, words: tuple, index=slice(None)) -> list[int]:
         """binomial(shots, p) of the generator at each trial `index` of the
@@ -420,27 +417,22 @@ class _TrialCounts:
         del seeds, index  # the queue keeps the rows it needs
         if self.queued >= SEED_CHUNK:
             self._later_steps()
-        if self.pooled >= SEED_CHUNK:
-            self.flush()
 
     def flush(self) -> None:
-        """Take the queued trials' later steps and the pool's passes, then draw
-        what is left by the generator."""
-        self._later_steps()
-        for _ in range(_POOL_PASSES):
-            if self.pooled < _POOL_MIN:
+        """Take up to _END_PASSES passes of the later steps, each while the
+        queue holds _PASS_MIN or more trials, then draw what is left by the
+        generator."""
+        for _ in range(_END_PASSES):
+            if self.queued < _PASS_MIN:
                 break
-            batch = _joined(self.pool)
-            self.pool, self.pooled = [], 0
-            self._step_10(batch, first=False)
             self._later_steps()
         self._draw_left()
 
     def _draw_left(self) -> None:
-        """Draw every queued and pooled trial by the generator."""
-        for batch in self.queue + self.pool:
+        """Draw every queued trial by the generator."""
+        for batch in self.queue:
             self.counts[batch[0]] = self.draw(_seeds(batch))
-        self.queue, self.queued, self.pool, self.pooled = [], 0, [], 0
+        self.queue, self.queued = [], 0
 
     def _checked(self, group: int, mask: np.ndarray, seeds: tuple, counts: np.ndarray) -> bool:
         """Draw the first trials at `mask` that self-check `group` has left
@@ -474,9 +466,9 @@ class _TrialCounts:
             self.queued += len(rejected)
 
     def _later_steps(self) -> None:
-        """Steps 20 to 52 of every queued trial, in one numpy pass."""
-        if not self.queued:
-            return
+        """Steps 20 to 52 of every queued trial, in one numpy pass.  The
+        trials they send back to Step 10 take it at once, and those it rejects
+        make up the new queue."""
         *batch, u, v = _joined(self.queue)
         self.queue, self.queued = [], 0
         outcome, counts = btpe.steps_20_to_52(u, v, self.setup)
@@ -489,8 +481,7 @@ class _TrialCounts:
         self.counts[index[deferred]] = self.draw(_seeds(batch), deferred)
         looped = np.flatnonzero(outcome == btpe.LOOP)
         if len(looped):
-            self.pool.append(_rows_at(batch, looped))
-            self.pooled += len(looped)
+            self._step_10(_rows_at(batch, looped), first=False)
 
 
 def trial_counts(shots: int, p: float, trials: int, seed: int) -> np.ndarray:
@@ -505,21 +496,21 @@ def trial_counts(shots: int, p: float, trials: int, seed: int) -> np.ndarray:
     From _BTPE_FROM trials on, where numpy draws by BTPE, each chunk takes
     Step 10 of a BTPE pass in numpy: two PCG64 outputs per trial.  The
     trials Step 10 rejects are queued across chunks, and whenever the queue
-    holds SEED_CHUNK trials, and at the end, they take Steps 20, 30 and 40
-    and Step 52's squeeze in one numpy pass (btpe.steps_20_to_52).  A
-    decision that reads a log is taken only when np.log's value, widened by a
-    relative 2**-40 each way, settles it.  Trials sent back to Step 10 join a
-    pool of their PCG64 columns after the pass.  Whenever the pool holds
-    SEED_CHUNK trials, and at the end, it takes up to _POOL_PASSES passes of
-    its own, each while it holds at least _POOL_MIN trials.
+    holds SEED_CHUNK trials they take Steps 20, 30 and 40 and Step 52's
+    squeeze in one numpy pass (btpe.steps_20_to_52).  A decision that reads
+    a log is taken only when np.log's value, widened by a relative 2**-40
+    each way, settles it.  A trial that the pass sends back to Step 10 takes
+    it there and then, and joins the queue again if rejected.  At the end,
+    the queue takes up to _END_PASSES passes, each while it holds at least
+    _PASS_MIN trials.
 
     The generator draws the rest: the trials a pass leaves to it (Step 50,
     the full Stirling test, a log decision that the bracket does not settle),
-    those the pool still holds after its passes, and every trial where numpy
-    does not use BTPE.  At the shots benchmark's inputs (100000 shots, 20000
-    trials) that is about 1 trial in 60.  Each is drawn from its seeded state
-    by one reused PCG64, whose 32 bytes of state are written straight
-    into the generator.  binomial draws only whole 64-bit outputs, so
+    those still queued at the end, and every trial where numpy does not use
+    BTPE.  At the shots benchmark's inputs (100000 shots, 20000 trials) that
+    is about 1 trial in 55.  Each is drawn from its seeded state by one
+    reused PCG64, whose 32 bytes of state are written straight into the
+    generator.  binomial draws only whole 64-bit outputs, so
     has_uint32 and uinteger keep the 0 that _word_order saw.
 
     The seeding, the byte layout and the steps copy numpy's internals, not

@@ -177,8 +177,8 @@ def _small_chunk_counts(shots, p, trials, base):
     with pytest.MonkeyPatch.context() as mp:
         _by_btpe(mp)
         mp.setattr(shotsim, "SEED_CHUNK", SMALL_CHUNK)
-        # Any pool takes its passes, so that they too cross the chunk edges.
-        mp.setattr(shotsim, "_POOL_MIN", 1)
+        # Any queue takes its end passes, so that they too cross the chunk edges.
+        mp.setattr(shotsim, "_PASS_MIN", 1)
         return trial_counts(shots, p, trials, base).tolist()
 
 
@@ -529,8 +529,8 @@ def test_invalid_p_still_raises(p):
 def test_the_step_draws_three_in_four_workload_trials(monkeypatch):
     # The shots benchmark: Horodecki p = 0.8, 100000 shots, 20000 trials.
     # Step 10 accepts p1 / p4 = 0.7544 of the passes there.  The later steps
-    # and the pool's passes count most of the rest, so at most 3 % of the
-    # trials call the generator (about 1 in 60, with the 16 self-checks).
+    # and the passes after a loop count most of the rest, so at most 3 % of the
+    # trials call the generator (about 1 in 55, with the 16 self-checks).
     f = favg_from_mu(spa_pt_affine(from_spec("horodecki", 0.8)).mu_min)
     setup = btpe.setup(100000, f)
     assert setup.p1 / setup.p4 == pytest.approx(0.7544, abs=1e-4)
@@ -539,6 +539,32 @@ def test_the_step_draws_three_in_four_workload_trials(monkeypatch):
     trial_counts(100000, f, trials, 1401)
     assert draws[0] / trials <= 0.03
     assert draws[0] / trials == pytest.approx(0.0166, abs=0.003)
+
+
+def test_a_long_run_draws_what_is_left_once_at_the_end(monkeypatch):
+    # The shots benchmark's inputs at 100000 trials: the trials that a pass
+    # sends back to Step 10 take it in that pass, so nothing is left to the
+    # generator before the end of the call.
+    f = favg_from_mu(spa_pt_affine(from_spec("horodecki", 0.8)).mu_min)
+    trials, base = 100000, 1401
+    calls = []
+
+    def record(name):
+        method = getattr(shotsim._TrialCounts, name)
+
+        def recorded(run, *args):
+            calls.append(name)
+            return method(run, *args)
+
+        monkeypatch.setattr(shotsim._TrialCounts, name, recorded)
+
+    record("add")
+    record("_draw_left")
+    counts = trial_counts(100000, f, trials, base)
+    assert calls.count("_draw_left") == 1 and calls[-1] == "_draw_left"
+    assert calls.count("add") == -(-trials // SEED_CHUNK)
+    sample = np.random.default_rng(7).choice(trials, 200, replace=False).tolist()
+    assert counts[sample].tolist() == [np.random.default_rng(base + i).binomial(100000, f) for i in sample]
 
 
 def _record_stacks(monkeypatch) -> list[np.ndarray]:
@@ -585,8 +611,8 @@ def test_draw_stacks_only_the_indices_it_is_given(monkeypatch, index):
 
 
 def test_a_run_stacks_rows_only_for_the_trials_the_generator_draws(monkeypatch):
-    # The self-checks, the deferred trials and what the pool leaves: about
-    # 1 trial in 60 at the shots benchmark's inputs.
+    # The self-checks, the deferred trials and what the queue leaves: about
+    # 1 trial in 55 at the shots benchmark's inputs.
     trials = 20000
     draws = _count_draws(monkeypatch)
     stacked = _record_stacks(monkeypatch)
@@ -714,9 +740,9 @@ LATER_PATHS = [
 def test_each_later_step_path_is_default_rngs(monkeypatch, shots, p, seed, path):
     assert _btpe_path(_rows(_pcg64_words(seed, 1))[0].tolist(), shots, p) == path
     expected = _default_rng_counts(shots, p, 1, seed)
-    # A pool of one trial takes its passes, and no self-check draws.
+    # A queue of one trial takes its end passes, and no self-check draws.
     _by_btpe(monkeypatch)
-    monkeypatch.setattr(shotsim, "_POOL_MIN", 1)
+    monkeypatch.setattr(shotsim, "_PASS_MIN", 1)
     monkeypatch.setattr(shotsim, "_SELF_CHECKS", 0)
     draws = _count_draws(monkeypatch)
     assert trial_counts(shots, p, 1, seed).tolist() == expected
@@ -786,7 +812,7 @@ def test_a_wide_log_bracket_leaves_every_log_decision_to_the_generator(monkeypat
     for row in _rows(words)[outcome == btpe.LOOP].tolist():
         assert _btpe_path(row, shots, p)[0] == "20 loops"
     assert np.count_nonzero(outcome == btpe.DEFER) > 100
-    monkeypatch.setattr(shotsim, "_POOL_MIN", 1)
+    monkeypatch.setattr(shotsim, "_PASS_MIN", 1)
     assert trial_counts(shots, p, 600, base).tolist() == _default_rng_counts(shots, p, 600, base)
 
 
@@ -795,7 +821,7 @@ def test_a_wide_log_bracket_leaves_every_log_decision_to_the_generator(monkeypat
 def test_a_failed_later_step_self_check_leaves_the_draws_to_the_generator(monkeypatch, chunk, trials, wrong):
     # Later steps that miscount every squeeze acceptance, or only the last one
     # the self-check draws, must not reach the output.  Nor may steps that send
-    # back to Step 10 what numpy accepts: the pool's passes then count what the
+    # back to Step 10 what numpy accepts: their next passes then count what the
     # generator would not, and the self-check of their acceptances draws each
     # trial from its seeded state.
     steps = btpe._later_steps
@@ -818,7 +844,7 @@ def test_a_failed_later_step_self_check_leaves_the_draws_to_the_generator(monkey
     # Blocks of one row, so that the wrong steps see each trial once.
     monkeypatch.setattr(btpe, "_BLOCK", 1)
     monkeypatch.setattr(shotsim, "SEED_CHUNK", chunk)
-    monkeypatch.setattr(shotsim, "_POOL_MIN", 1)
+    monkeypatch.setattr(shotsim, "_PASS_MIN", 1)
     assert trial_counts(100000, 0.448, trials, base).tolist() == expected
     assert seen[0] >= (shotsim._SELF_CHECKS if wrong == "last checked" else 1)
 
