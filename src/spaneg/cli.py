@@ -345,22 +345,32 @@ def random_pair_residuals(seed: int, n_states: int) -> tuple[float, float]:
     return max_dev, max_trace_rel
 
 
-def _literal_grid_deviations(family: str, mu_cf, grid: int) -> tuple[float, float]:
-    """Worst paper-literal vs affine entry deviation, and worst paper-literal
-    mu_min vs its closed form mu_cf, over `grid` points of a family in [0, 1].
+# The families whose published SPA-PT entries spa-verify checks, each with
+# its closed-form mu_min, in report order.
+_LITERAL_GRID_FAMILIES = (("pure_m", curves.mu_pure_m), ("horodecki", curves.mu_horodecki))
 
-    The grid is one stack.  The literal mu_min is the least eigenvalue of the
-    literal output's Hermitian part; the closed form is evaluated per point.
+
+def _literal_grid_deviations(grid: int) -> dict[str, tuple[float, float]]:
+    """Worst paper-literal vs affine entry deviation, and worst paper-literal
+    mu_min vs its closed form, over `grid` points in [0, 1] of each family of
+    _LITERAL_GRID_FAMILIES, by family.
+
+    Both grids are one stack.  The literal mu_min is the least eigenvalue of
+    the literal output's Hermitian part; the closed form is evaluated per point.
     """
     values = np.linspace(0.0, 1.0, grid).tolist()
-    rhos = states.family_batch(family, values)
+    rhos = np.concatenate([states.family_batch(family, values) for family, _ in _LITERAL_GRID_FAMILIES])
     affine = spa.spa_pt_affine_batch(rhos)
     linalg.check_hermitian(affine)  # the guard spa_pt_affine applies to its output
     literal = spa.spa_pt_paper_entries_batch(rhos)
-    mu = spa.mu_min_batch((literal + literal.conj().swapaxes(1, 2)) / 2)
-    max_lit = float(np.abs(literal - affine).max())
-    max_mu = max(abs(mu_i - mu_cf(value)) for mu_i, value in zip(mu.tolist(), values))
-    return max_lit, max_mu
+    mu = spa.mu_min_batch((literal + literal.conj().swapaxes(1, 2)) / 2).tolist()
+    deviation = np.abs(literal - affine)
+    out = {}
+    for k, (family, mu_cf) in enumerate(_LITERAL_GRID_FAMILIES):
+        part = slice(k * grid, (k + 1) * grid)
+        max_mu = max(abs(mu_i - mu_cf(value)) for mu_i, value in zip(mu[part], values))
+        out[family] = float(deviation[part].max()), max_mu
+    return out
 
 
 def spa_verify_report(seed: int = 20260824, n_states: int = 1000, grid: int = 21):
@@ -379,8 +389,7 @@ def spa_verify_report(seed: int = 20260824, n_states: int = 1000, grid: int = 21
     if max_dev > 1e-10:
         lines.append("NOTE: compositional path deviates from affine beyond 1e-10")
 
-    for family, mu_cf in (("pure_m", curves.mu_pure_m), ("horodecki", curves.mu_horodecki)):
-        max_lit, max_mu = _literal_grid_deviations(family, mu_cf, grid)
+    for family, (max_lit, max_mu) in _literal_grid_deviations(grid).items():
         lines.append(
             f"paper-literal vs affine max entry deviation on {family} grid: {max_lit:.3e}"
         )

@@ -197,6 +197,12 @@ def spa_pt_compositional_batch(rhos) -> np.ndarray:
     return out
 
 
+# Row and column indices of the strict lower triangle of a 4x4 matrix.
+_LOWER_I, _LOWER_J = np.tril_indices(4, -1)
+_LOWER_I.flags.writeable = False
+_LOWER_J.flags.writeable = False
+
+
 def spa_pt_paper_entries_batch(rhos) -> np.ndarray:
     """SPA-PT of each state in an (N, 4, 4) stack, built verbatim from the
     published per-entry formulas.
@@ -220,8 +226,7 @@ def spa_pt_paper_entries_batch(rhos) -> np.ndarray:
     e[:, 2, 2] = (2 + t[:, 2, 2]) / 9
     e[:, 2, 3] = (-1j * t[:, 2, 3] + tc[:, 2, 3]) / 9
     e[:, 3, 3] = (2 + t[:, 3, 3]) / 9
-    i, j = np.tril_indices(4, -1)
-    e[:, i, j] = e[:, j, i].conj()
+    e[:, _LOWER_I, _LOWER_J] = e[:, _LOWER_J, _LOWER_I].conj()
     return e
 
 

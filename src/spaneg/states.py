@@ -384,12 +384,21 @@ def _unique_keys(pairs: list) -> dict:
     return out
 
 
+# One decoder for every state file, as json.loads keeps one for calls
+# without hooks; json.loads(text, object_pairs_hook=...) builds a new one
+# each call.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def load_state(path) -> DensityMatrix:
     """Load and validate a state from the JSON file format of save_state; an
     entry that is not a JSON number, or a key given twice, makes the file
     unreadable, named."""
     try:
-        payload = json.loads(_read_capped(path).decode("utf-8"), object_pairs_hook=_unique_keys)
+        text = _read_capped(path).decode("utf-8")
+        if text.startswith("\ufeff"):  # json.loads's own check, with its text
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        payload = _DECODER.decode(text)
         re = np.asarray(payload["re"], dtype=float)
         im = np.asarray(payload["im"], dtype=float)
         if re.shape == im.shape == (4, 4):  # then each is a list of 4 lists of 4 values

@@ -248,8 +248,9 @@ class TestBoundary:
 
         monkeypatch.setattr(spa, "spa_pt_affine_batch", skewed)
         monkeypatch.setattr(spa, "mu_min_batch", None)  # the guard needs no eigensolve
-        with pytest.raises(NotHermitianError, match="matrix 7 of 21 is not Hermitian"):
-            cli._literal_grid_deviations("horodecki", curves.mu_horodecki, 21)
+        # Both 21-point family grids are one stack of 42 states.
+        with pytest.raises(NotHermitianError, match="matrix 7 of 42 is not Hermitian"):
+            cli._literal_grid_deviations(21)
 
     def test_first_offending_index_is_named(self):
         stack = ginibre(2, 6)
@@ -449,12 +450,18 @@ def per_point_literal_grid(family, mu_cf, grid):
     return max_lit, max_mu
 
 
+def per_point_literal_grids(grid):
+    """per_point_literal_grid over each family spa-verify reports, in its order."""
+    return {family: per_point_literal_grid(family, mu_cf, grid)
+            for family, mu_cf in (("pure_m", curves.mu_pure_m), ("horodecki", curves.mu_horodecki))}
+
+
 @pytest.mark.parametrize("grid", [2, 21, 101])
 def test_spa_verify_grids_match_per_point_loop(grid):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "random_pair_residuals", lambda seed, n: (0.0, 0.0))
         stacked = cli.spa_verify_report(grid=grid)
-        mp.setattr(cli, "_literal_grid_deviations", per_point_literal_grid)
+        mp.setattr(cli, "_literal_grid_deviations", per_point_literal_grids)
         assert cli.spa_verify_report(grid=grid) == stacked
 
 

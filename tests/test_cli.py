@@ -88,6 +88,18 @@ class TestExitCodes:
             f"input error: invalid density matrix: unreadable state file {path}: duplicate key 're'\n"
         ))
 
+    def test_state_file_with_a_byte_order_mark_is_input_error(self, tmp_path, capsys):
+        # json.loads rejects a leading BOM before it decodes; a decoder's own
+        # decode() would name the same file "Expecting value".
+        path = tmp_path / "bom.json"
+        valid = {"re": (np.eye(4) / 4).tolist(), "im": np.zeros((4, 4)).tolist()}
+        path.write_text("\ufeff" + json.dumps(valid), encoding="utf-8")
+        assert cli.run(["analyze", "--state", str(path)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"input error: invalid density matrix: unreadable state file {path}: "
+            "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)\n"
+        ))
+
     def test_integral_float_bell_index_is_accepted(self, tmp_path):
         code, text = run_to_file(tmp_path, ["analyze", "--family", "bell", "--param", "2.0"])
         assert code == 0
@@ -643,6 +655,15 @@ class TestRandomStudy:
         _, a = run_to_file(tmp_path, ["random-study", "--count", "50", "--seed", "4"], "a.csv")
         _, b = run_to_file(tmp_path, ["random-study", "--count", "50", "--seed", "4"], "b.csv")
         assert a == b
+
+    def test_all_ppt_study_reports_no_negative_eigenvalue(self, tmp_path):
+        # The one state of seed 13 is PPT, so the summary's maximum is that of
+        # no negative eigenvalue at all, not of a count seen in some row.
+        code, text = run_to_file(tmp_path, ["random-study", "--count", "1", "--seed", "13"])
+        assert code == 0
+        _, row, summary = text.strip().split("\n")
+        assert row.split(",")[6:] == ["true", "0"]
+        assert summary.endswith(",max_neg_pt_eigs=0")
 
     def test_bad_count(self, capsys):
         assert cli.run(["random-study", "--count", "0"]) == 1

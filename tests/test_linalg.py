@@ -178,6 +178,29 @@ def test_an_overflowing_asymmetry_is_still_not_hermitian():
         herm_eigen_batch(m[None])
 
 
+def _with_asymmetry(a):
+    """The maximally mixed state with one entry a above the diagonal, so that
+    ||M - M^dag||_max is a exactly."""
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 1] = a
+    return m
+
+
+def test_an_asymmetry_of_exactly_the_tolerance_passes():
+    linalg.check_hermitian(_with_asymmetry(linalg.VALIDATE_TOL)[None])
+    above = np.nextafter(linalg.VALIDATE_TOL, 1.0)
+    with pytest.raises(linalg.NotHermitianError, match=f"^matrix 0 of 1 is not Hermitian: max asymmetry {above:.3e}"):
+        linalg.check_hermitian(_with_asymmetry(above)[None])
+
+
+def test_the_first_matrix_above_the_tolerance_is_named():
+    # Matrix 0 sits exactly at the tolerance, so matrix 2 is the first that fails.
+    at, above = linalg.VALIDATE_TOL, np.nextafter(linalg.VALIDATE_TOL, 1.0)
+    stack = np.stack([_with_asymmetry(at), _with_asymmetry(0.0), _with_asymmetry(above), _with_asymmetry(1.0)])
+    with pytest.raises(linalg.NotHermitianError, match="^matrix 2 of 4 is not Hermitian"):
+        linalg.check_hermitian(stack)
+
+
 class TestPsdSqrt:
     def test_identity(self):
         assert np.abs(psd_sqrt_batch(np.eye(4)[None])[0] - np.eye(4)).max() < 1e-14
@@ -638,6 +661,16 @@ class TestTraceBatch:
         m = random_mixed_batch(np.random.default_rng(1724), 256)
         m = m @ m
         assert not same_bits(sequential_adds(m), np_trace(m))
+        assert same_bits(trace_batch(m), np_trace(m))
+        assert linalg._adds_match.cache_info().currsize == 1 and linalg._adds_match() is False
+
+    def test_failed_check_keeps_plus_zero(self, monkeypatch):
+        # Without its += 0.0 the adds differ from np.trace only on a diagonal
+        # of -0, which the check's last matrix holds.
+        monkeypatch.setattr(linalg, "_adds", without_plus_zero)
+        monkeypatch.setattr(linalg, "_adds_match", functools.cache(linalg._adds_match.__wrapped__))
+        m = np.full((linalg._ADDS_MIN, 4, 4), complex(-0.0, -0.0))
+        assert not same_bits(without_plus_zero(m), np_trace(m))
         assert same_bits(trace_batch(m), np_trace(m))
         assert linalg._adds_match.cache_info().currsize == 1 and linalg._adds_match() is False
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,27 @@ class TestNormalizedNegativity:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             negativity_normalized_batch(0.3)
+
+
+class TestMuRange:
+    # _check_mu accepts [MU_MIN_LO - slack, MU_MIN_HI + slack], ends included,
+    # on its float path and on its array path alike.
+    LOW = measures.MU_MIN_LO - measures._RANGE_SLACK
+    HIGH = measures.MU_MIN_HI + measures._RANGE_SLACK
+
+    @pytest.mark.parametrize("end", [LOW, HIGH], ids=["low", "high"])
+    def test_the_ends_are_accepted(self, end):
+        out = measures._check_mu(end)
+        assert type(out) is float and out == end  # the float path returns its argument
+        assert measures._check_mu(np.array([end, end])).tolist() == [end, end]
+
+    @pytest.mark.parametrize("end, outward", [(LOW, -1.0), (HIGH, 1.0)], ids=["low", "high"])
+    def test_the_next_float_out_is_rejected(self, end, outward):
+        beyond = float(np.nextafter(end, outward))
+        with pytest.raises(ValueError, match=f"^mu_min {re.escape(repr(beyond))} outside"):
+            measures._check_mu(beyond)
+        with pytest.raises(ValueError, match=f"^mu_min {re.escape(repr(beyond))} at index 1 outside"):
+            measures._check_mu(np.array([end, beyond]))
 
 
 class TestConcurrence:

@@ -255,6 +255,26 @@ def test_a_seeding_that_differs_from_numpys_falls_back_to_default_rng(monkeypatc
     assert shotsim._word_order() is None
 
 
+def test_a_seeding_wrong_only_for_four_word_seeds_falls_back_to_default_rng(monkeypatch):
+    # Seeds of four entropy words at or above 2**96 take every hash round
+    # of the pool at full width; of the check's seeds only 2**128 - 1 is one.
+    seed_words = shotsim._seed_state_words
+
+    def wrong_from_2_96(first, count):
+        low, high = seed_words(first, count)
+        if 2**96 <= first < 2**128:
+            low = low ^ np.uint64(1)
+        return low, high
+
+    monkeypatch.setattr(shotsim, "_seed_state_words", wrong_from_2_96)
+    _fresh_word_order(monkeypatch)
+    _refuse_draw(monkeypatch)
+    base = 2**100
+    trials = shotsim._BTPE_FROM
+    assert trial_counts(100000, 0.448, trials, base).tolist() == _default_rng_counts(100000, 0.448, trials, base)
+    assert shotsim._word_order() is None
+
+
 class _HighLowView:
     """The bytes of a _state_view as a build whose pcg128_t is a {high, low}
     struct lays them out: each 16-byte word is written high half first."""
