@@ -1,4 +1,10 @@
-"""Two-qubit entanglement negativity and concurrence via SPA-PT."""
+"""Two-qubit entanglement negativity and concurrence via SPA-PT.
+
+ShotEstimate and estimate_negativity load lazily: the first access of either
+name imports spaneg.shotsim (and with it spaneg.btpe), so `import spaneg`
+does not pay for the shot machinery.  `from spaneg import *` does not list
+them; import them by name.
+"""
 
 from .linalg import (
     PSD_CLAMP,
@@ -24,7 +30,6 @@ from .measures import (
     verstraete_rhs,
     witness_pair,
 )
-from .shotsim import ShotEstimate, estimate_negativity
 from .spa import (
     SpaOutcome,
     choi_matrix,
@@ -52,3 +57,12 @@ from .states import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # PEP 562: called only for a name the module does not hold.
+    if name in ("ShotEstimate", "estimate_negativity"):
+        from . import shotsim
+
+        return getattr(shotsim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import curves, linalg, measures, shotsim, spa, states
+from . import curves, linalg, measures, spa, states
 from .states import path_text
 
 EXIT_OK = 0
@@ -300,6 +300,10 @@ def cmd_random_study(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # The shot machinery (shotsim and btpe) loads here, on the first simulate,
+    # so that no other command pays for importing it.
+    from . import shotsim
+
     rho = _resolve_state(args)
     est = shotsim.estimate_negativity(rho, args.shots, args.trials, args.seed)
     payload = dataclasses.asdict(est)

@@ -522,6 +522,12 @@ def trial_counts(shots: int, p: float, trials: int, seed: int) -> np.ndarray:
     _SELF_CHECKS trials that Step 10 accepts in their first pass, and the
     first _SELF_CHECKS that any other step or pass accepts.  On a mismatch,
     every trial not yet checked is drawn by the generator.
+
+    Those 8 + 8 trials per call catch gross drift only.  A BTPE threshold moved
+    by a relative 2**-20, a strict comparison made loose, or the log bracket
+    collapsed to one side changes only the near-tie trials within that
+    margin of a decision, which the self-checks rarely draw; such a drift
+    would print wrong counts and exit 0.
     """
     if seed < 0:
         raise ValueError("expected non-negative integer")

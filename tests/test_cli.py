@@ -770,6 +770,46 @@ class TestPeakRss:
         assert large - small <= 5 * 1024, f"peak RSS {small} KiB at 1000, {large} KiB at 50000"
 
 
+class TestStartup:
+    # The child prints, after each step, which of the shot modules it holds.
+    # It runs in a fresh interpreter, as this process imported them already.
+    CHILD = (
+        "import sys\n"
+        "shot = ('spaneg.shotsim', 'spaneg.btpe')\n"
+        "def loaded(step):\n"
+        "    print(step, *[name for name in shot if name in sys.modules])\n"
+        "import spaneg\n"
+        "loaded('package')\n"
+        "import spaneg.cli\n"
+        "loaded('cli')\n"
+        "from spaneg import ShotEstimate, estimate_negativity\n"
+        "from spaneg import shotsim\n"
+        "print('same', ShotEstimate is shotsim.ShotEstimate,"
+        " estimate_negativity is shotsim.estimate_negativity)\n"
+        "try:\n"
+        "    getattr(spaneg, 'no_such_name')\n"
+        "except AttributeError as exc:\n"
+        "    print('missing', exc)\n"
+        "print('simulate', spaneg.cli.run(['simulate', '--family', 'bell', '--trials', '20',"
+        " '--out', sys.argv[1]]))\n"
+    )
+
+    def test_shot_machinery_loads_on_first_use(self, tmp_path):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", self.CHILD, str(tmp_path / "out.json")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines() == [
+            "package",
+            "cli",
+            "same True True",
+            "missing module 'spaneg' has no attribute 'no_such_name'",
+            "simulate 0",
+        ]
+        assert json.loads((tmp_path / "out.json").read_text())["trials"] == 20
+
+
 class TestSimulate:
     def test_bell(self, tmp_path):
         code, text = run_to_file(

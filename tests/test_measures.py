@@ -172,6 +172,16 @@ class TestVerstraete:
     def test_in_range_keeps_the_formula_bits(self, c):
         assert verstraete_rhs(c) == np.sqrt((1.0 - c) ** 2 + c**2) - (1.0 - c)
 
+    # The range [-slack, 1 + slack], ends included, clamps to [0, 1].
+    @pytest.mark.parametrize("end, outward, value", [
+        (-measures._RANGE_SLACK, -1.0, 0.0), (1.0 + measures._RANGE_SLACK, 2.0, 1.0),
+    ], ids=["low", "high"])
+    def test_the_ends_are_accepted_and_the_next_float_out_is_not(self, end, outward, value):
+        assert verstraete_rhs(end) == value
+        beyond = float(np.nextafter(end, outward))
+        with pytest.raises(ValueError, match=f"^concurrence {re.escape(repr(beyond))} outside"):
+            verstraete_rhs(beyond)
+
     def test_inequality_on_random_states(self):
         rhos = random_mixed_batch(np.random.default_rng(32), 2000)
         nd = pt_spectrum_batch(rhos)[0]
@@ -222,6 +232,20 @@ class TestWitness:
         with pytest.raises(ValueError):
             witness_pair([1, 1, 0, 0])
 
+    @pytest.mark.parametrize("outward", [2.0, 0.0], ids=["above", "below"])
+    def test_the_nearest_norms_on_each_side_of_the_slack(self, outward):
+        # |norm - 1| is exact near 1 and a multiple of 2**-53, so no norm is
+        # off 1 by exactly the slack: take the last float within it on this
+        # side of 1 and the next one out.  For [x, 0, 0, 0] the norm is x.
+        inside = 1.0 + np.sign(outward - 1.0) * measures._RANGE_SLACK
+        while abs(inside - 1.0) > measures._RANGE_SLACK:
+            inside = float(np.nextafter(inside, 1.0))
+        beyond = float(np.nextafter(inside, outward))
+        assert abs(beyond - 1.0) > measures._RANGE_SLACK
+        assert witness_pair([inside, 0, 0, 0]).phi[0] == inside
+        with pytest.raises(ValueError, match="^witness vector norm "):
+            witness_pair([beyond, 0, 0, 0])
+
     @pytest.mark.parametrize("first, shown", [(np.nan, "nan"), (np.inf, "inf"), (1.1, "1.100000000")])
     def test_rejects_a_norm_off_one_or_non_finite(self, first, shown):
         # A NaN norm fails every comparison; the check must still reject it.
@@ -248,6 +272,14 @@ class TestLsUpperBound:
 
     def test_half_weight(self):
         assert ls_upper_bound(0.5, 1 / 6) == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("end, outward", [(0.0, -1.0), (1.0, 2.0)], ids=["low", "high"])
+    def test_the_weight_ends_are_accepted_and_the_next_float_out_is_not(self, end, outward):
+        mu = measures.MU_MIN_LO
+        assert ls_upper_bound(end, mu) == (1.0 - end) * max(0.0, 4.0 - 18.0 * mu)
+        beyond = float(np.nextafter(end, outward))
+        with pytest.raises(ValueError, match=f"^lambda {re.escape(repr(beyond))} outside"):
+            ls_upper_bound(beyond, mu)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -313,6 +345,27 @@ def test_quasi_match_shortcut_keeps_the_verdict():
     verdicts = [measures._matches_quasi(DensityMatrix(mat=m)) for m in mats]
     assert verdicts == [reference_only_quasi_match(DensityMatrix(mat=m)) for m in mats]
     assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["above", "below"])
+def test_quasi_entry_test_at_the_tolerance(monkeypatch, sign):
+    # At C = 1 the reference's entry (1, 1) is 0, so rho[1, 1] is the
+    # deviation itself and lands exactly on the tolerance.  There the state
+    # matches; one float further out, the entry test alone rejects it,
+    # before any reference is built.
+    def with_11(x):
+        m = family_batch("quasi", [1.0])[0]
+        m[1, 1] = x
+        return DensityMatrix(mat=m)
+
+    at = sign * measures._MATCH_TOL
+    assert measures._matches_quasi(with_11(at))
+
+    def refuse(*args):
+        raise AssertionError("the reference was built")
+
+    monkeypatch.setattr(measures, "family_batch", refuse)
+    assert not measures._matches_quasi(with_11(float(np.nextafter(at, 2.0 * sign))))
 
 
 class TestFullReport:
