@@ -365,7 +365,7 @@ def _literal_grid_deviations(grid: int) -> dict[str, tuple[float, float]]:
     values = np.linspace(0.0, 1.0, grid).tolist()
     rhos = np.concatenate([states.family_batch(family, values) for family, _ in _LITERAL_GRID_FAMILIES])
     affine = spa.spa_pt_affine_batch(rhos)
-    linalg.check_hermitian(affine)  # the guard spa_pt_affine applies to its output
+    linalg.check_hermitian(affine)  # the guard an affine output meets before its mu_min
     literal = spa.spa_pt_paper_entries_batch(rhos)
     mu = spa.mu_min_batch((literal + literal.conj().swapaxes(1, 2)) / 2).tolist()
     deviation = np.abs(literal - affine)

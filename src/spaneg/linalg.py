@@ -6,8 +6,9 @@ complex numpy arrays; the basis order for 4x4 operators is
 
 The partial transpose, the Hermitian eigensolve and the PSD root each have
 one implementation over (N, 4, 4) stacks (the *_batch functions), and no
-per-matrix wrapper.  A batch error names the index of the first offending
-matrix.
+per-matrix wrapper.  The PSD root's tail after the eigensolve is
+psd_sqrt_from_eigen, for a caller that already holds the eigendecomposition.
+A batch error names the index of the first offending matrix.
 
 Each Hermiticity check goes through hermitian_split, which forms M^dag once
 and returns the Hermitian part (M + M^dag) / 2, the entrywise asymmetry
@@ -310,7 +311,16 @@ def psd_sqrt_batch(m) -> np.ndarray:
     Eigenvalues in [-PSD_CLAMP, 0) are clamped to zero; a lower one raises
     NotPsdError naming the first such matrix.
     """
-    w, v = herm_eigen_batch(m)
+    return psd_sqrt_from_eigen(*herm_eigen_batch(m))
+
+
+def psd_sqrt_from_eigen(w, v) -> np.ndarray:
+    """Hermitian PSD square root v diag(sqrt(w)) v^dag of each eigendecomposition
+    (w, v) of an (N, 4) and (N, 4, 4) pair, as herm_eigen_batch returns it.
+
+    Eigenvalues in [-PSD_CLAMP, 0) are clamped to zero, in w itself; a lower
+    one raises NotPsdError naming the first such matrix of the N.
+    """
     if np.minimum.reduce(w[:, 0], initial=0.0) < -PSD_CLAMP:
         i = first_index(w[:, 0] < -PSD_CLAMP)
         raise NotPsdError(

@@ -15,14 +15,19 @@ the single curve N^N = N^D (338 + N^D) / 339.
 Negativity, the estimator and Wootters concurrence are computed over
 (N, 4, 4) stacks of states (or (N,) arrays of mu_min) by the *_batch
 functions.  full_report, the one per-state entry, calls their LAPACK steps
-on a stack of one state and finishes in Python floats, through the same
-formulas (_estimator, _wootters_gap) with min/max as the clamps.
+on stacks of one or two matrices and finishes in Python floats, through the
+same formulas (_estimator, _wootters_gap) with min/max as the clamps.
 
 A report transposes each state once.  That partial transpose feeds two
 separate spectra: eigvalsh of rho^{T_B} gives N^D, and eigh of the SPA-PT
 output (1/9) rho^{T_B} + (2/9) I gives mu_min, so the tightness identity
 N^D = max(0, 4 - 18 mu_min) compares two eigensolves.  full_report takes
-the partial transpose from spa_pt_affine's outcome.
+rho^{T_B} and the SPA-PT output from spa_pt_affine's outcome, and checks and
+diagonalizes that output in one (2, 4, 4) stack with the state itself, whose
+eigendecomposition gives the PSD root behind Wootters' concurrence: one
+Hermiticity check and one eigh for both.  LAPACK diagonalizes each matrix of
+a stack on its own, so each row has the bits of a separate call (a property
+in tests/test_linalg.py holds this).
 """
 
 from __future__ import annotations
@@ -37,8 +42,10 @@ from .linalg import (
     RESIDUAL_TOL,
     SIGMA_Y,
     first_index,
+    herm_eigen_batch,
     partial_transpose_batch,
     psd_sqrt_batch,
+    psd_sqrt_from_eigen,
 )
 from .spa import (
     MU_MIN_HI,
@@ -173,8 +180,12 @@ def concurrence_wootters_batch(rhos) -> np.ndarray:
 
 def _wootters_values(rhos) -> np.ndarray:
     """Descending singular values l_i of sqrt(rho) (sy x sy) sqrt(rho)*, one row per state."""
-    root = psd_sqrt_batch(rhos)
-    return linalg.svdvals(root @ SIGMA_YY @ root.conj())
+    return _wootters_values_of_roots(psd_sqrt_batch(rhos))
+
+
+def _wootters_values_of_roots(roots) -> np.ndarray:
+    """Descending singular values l_i of R (sy x sy) R*, one row per PSD root R = sqrt(rho)."""
+    return linalg.svdvals(roots @ SIGMA_YY @ roots.conj())
 
 
 def _wootters_gap(l0, l1, l2, l3):
@@ -285,14 +296,19 @@ def full_report(rho: DensityMatrix) -> EntanglementReport:
     when the state matches those families within 1e-9.
     """
     outcome = spa_pt_affine(rho)
-    mu = _check_mu(outcome.mu_min)  # a float, checked once for nn and the lower bound
-    nd = float(_negativity(linalg.eigvalsh(outcome.rho_pt[None]))[0])
+    # Row 0 is the state, for its PSD root; row 1 the SPA-PT output, for mu_min.
+    w, v = herm_eigen_batch(np.concatenate((rho.mat[None], outcome.rho_tilde[None])))
+    mu = _check_mu(float(w[1, 0]))  # a float, checked once for nn and the lower bound
+    l0, l1, l2, l3 = linalg.eigvalsh(outcome.rho_pt[None])[0].tolist()
+    # _negativity's terms, summed in the order of numpy's reduce over 4 entries.
+    nd = 2.0 * (((max(0.0, -l0) + max(0.0, -l1)) + max(0.0, -l2)) + max(0.0, -l3))
     nn = min(max(_estimator(mu), 0.0), 1.0)
+    root = psd_sqrt_from_eigen(w[:1], v[:1])
     return EntanglementReport(
         nd=nd,
         nn=nn,
         lower_bound=_lower_bound(mu),
-        concurrence=max(0.0, _wootters_gap(*_wootters_values(rho.mat[None])[0].tolist())),
+        concurrence=max(0.0, _wootters_gap(*_wootters_values_of_roots(root)[0].tolist())),
         ppt=nd <= PPT_TOL,
         mu_min=mu,
         bias=estimator_bias(nd),

@@ -52,11 +52,20 @@ class ConstructionInconsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpaOutcome:
-    """Minimum eigenvalue mu_min of an SPA-PT output, and the partial
-    transpose rho^{T_B} it was built from."""
+    """SPA-PT output rho_tilde = (1/9) rho^{T_B} + (2/9) I of one state, and
+    the partial transpose rho^{T_B} it was built from, both 4x4.
 
-    mu_min: float
+    mu_min, the least eigenvalue of rho_tilde, is computed on each access by
+    mu_min_batch, whose Hermiticity check raises NotHermitianError for an
+    output that is not Hermitian.
+    """
+
+    rho_tilde: np.ndarray
     rho_pt: np.ndarray
+
+    @property
+    def mu_min(self) -> float:
+        return float(mu_min_batch(self.rho_tilde[None])[0])
 
 
 def _tetrahedral_povm() -> tuple[tuple, tuple]:
@@ -129,10 +138,15 @@ def mu_min_batch(rho_tildes) -> np.ndarray:
 
 
 def spa_pt_affine(rho: DensityMatrix) -> SpaOutcome:
-    """mu_min of the canonical SPA-PT (1/9) rho^{T_B} + (2/9) I of one state,
-    with its rho^{T_B}."""
+    """Canonical SPA-PT (1/9) rho^{T_B} + (2/9) I of one state, with its
+    rho^{T_B}.
+
+    The output is neither checked nor diagonalized here: the outcome's mu_min
+    does both on each access, and measures.full_report does both in one stack
+    with the state.
+    """
     pt = partial_transpose_batch(rho.mat[None])
-    return SpaOutcome(mu_min=float(mu_min_batch(affine_from_pt(pt))[0]), rho_pt=pt[0])
+    return SpaOutcome(rho_tilde=affine_from_pt(pt)[0], rho_pt=pt[0])
 
 
 def _apply_product_map(rho_mat: np.ndarray, map_a, map_b) -> np.ndarray:

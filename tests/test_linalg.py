@@ -350,6 +350,41 @@ class TestLapack:
         assert checks_around_a_request("linalg._gufuncs_match", request) == ["0", "1"]
 
 
+@st.composite
+def report_inputs(draw):
+    """The Hermitian part of a state that reports meet, or of its SPA-PT output:
+    a Ginibre state of rank 1-4, a Haar pure state, a family point (an end or
+    interior), a Bell state or I/4."""
+    kind = draw(st.sampled_from(["ginibre", "haar", "family", "bell", "mixed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "ginibre":
+        m = random_mixed_batch(rng, 1, rank=draw(st.integers(1, 4)))[0]
+    elif kind == "haar":
+        m = states.random_pure_batch(rng, 1)[0]
+    elif kind == "family":
+        param = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+        m = states.family_batch(draw(st.sampled_from(["pure_m", "horodecki", "quasi"])), [param])[0]
+    elif kind == "bell":
+        m = states.bell_state(draw(st.integers(0, 3))).mat
+    else:
+        m = np.eye(4, dtype=complex) / 4
+    if draw(st.booleans()):
+        m = spa.spa_pt_affine_batch(m[None])[0]
+    return linalg.hermitian_split(m[None])[0][0]
+
+
+@given(st.lists(report_inputs(), min_size=2, max_size=6))
+def test_each_matrix_of_a_stack_gets_the_bits_of_its_own_call(parts):
+    # full_report diagonalizes a state and its SPA-PT output as one stack, and
+    # its bytes rest on each row equalling a call on that matrix alone.
+    stack = np.stack(parts)
+    for call in (linalg.eigh, linalg.eigvalsh, linalg.svdvals):
+        together = call(stack)
+        for i, m in enumerate(parts):
+            row = tuple(x[i:i + 1] for x in together) if isinstance(together, tuple) else together[i:i + 1]
+            assert same_bits(row, call(m[None])), (call.__name__, i)
+
+
 DIRECT_CALL = re.compile(r"(np|numpy)\.linalg\.(eigh|eigvalsh|svd)")
 
 

@@ -432,6 +432,16 @@ class TestFloatTail:
             assert not (value == 0.0 and math.copysign(1.0, value) < 0.0)
         return rep
 
+    def test_nd_sums_its_terms_in_numpys_order(self, monkeypatch):
+        # A two-qubit rho^{T_B} has at most one negative eigenvalue, so on real
+        # spectra the order of N^D's four terms rarely shows.  On this one,
+        # ((m0 + m1) + m2) + m3 and numpy's reduce differ in the last bit from
+        # the pairwise and the reversed orders.
+        lam = np.array([[-0.01, -3e-18, -3e-18, -3e-18]])
+        monkeypatch.setattr(linalg, "eigvalsh", lambda pts: lam.copy())
+        nd = full_report(from_spec("horodecki", 0.5)).nd
+        assert nd.hex() == float(measures._negativity(lam)[0]).hex()
+
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
     def test_ginibre_states(self, seed, rank):
         self.check(DensityMatrix(mat=random_mixed_batch(np.random.default_rng(seed), 1, rank)[0]))
@@ -460,9 +470,11 @@ class TestFloatTail:
 
 
 class TestEachIntermediateOnce:
-    # A report transposes its states once, and forms M^dag once for each
-    # eigh input, which is also each input of a Hermiticity check.  A single
-    # state is validated by one eigvalsh, without the Gershgorin screen.
+    # A report transposes its states once.  batch_report forms M^dag once for
+    # each eigh input, which is also each input of a Hermiticity check;
+    # full_report checks and diagonalizes both of its eigh inputs in one
+    # stack.  A single state is validated by one eigvalsh, without the
+    # Gershgorin screen.
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -491,13 +503,16 @@ class TestEachIntermediateOnce:
     # of the partial transpose (N^D), svd behind Wootters' concurrence.
     REPORT = {"hermitian_split": 2, "partial_transpose": 1, "eigh": 2, "eigvalsh": 1,
               "svdvals": 1, "screen": 0}
+    # The same calls, with both eigh inputs in one (2, 4, 4) stack.
+    FULL_REPORT = {"hermitian_split": 1, "partial_transpose": 1, "eigh": 1, "eigvalsh": 1,
+                   "svdvals": 1, "screen": 0}
     VALIDATE = {"hermitian_split": 1, "partial_transpose": 0, "eigh": 0, "eigvalsh": 1,
                 "svdvals": 0, "screen": 0}
 
     def test_full_report(self, calls):
         rho = DensityMatrix(mat=random_mixed_batch(np.random.default_rng(37), 1)[0])
         full_report(rho)
-        assert calls == self.REPORT
+        assert calls == self.FULL_REPORT
 
     def test_batch_report(self, calls):
         measures.batch_report(random_mixed_batch(np.random.default_rng(38), 5))
@@ -522,7 +537,7 @@ class TestEachIntermediateOnce:
         assert cli.run(argv) == 0
         assert capsys.readouterr().out
         assert at_report == [before]
-        assert {key: calls[key] - before[key] for key in calls} == self.REPORT
+        assert {key: calls[key] - before[key] for key in calls} == self.FULL_REPORT
 
     def test_full_report_counts_no_negative_eigenvalues(self, monkeypatch):
         # The count is batch_report's; full_report takes N^D alone.
@@ -539,6 +554,51 @@ class TestEachIntermediateOnce:
         rep = full_report(from_spec("horodecki", 0.5))
         assert checked == [rep.mu_min]
         assert rep.lower_bound == 4.0 - 18.0 * rep.mu_min
+
+
+class TestStackedEigensolve:
+    # spa_pt_affine neither checks nor diagonalizes its output: its mu_min
+    # does, and full_report does both for the state and the output in one stack.
+
+    @staticmethod
+    def skewed() -> DensityMatrix:
+        mat = from_spec("horodecki", 0.5).mat.copy()
+        mat[0, 1] += 1e-3
+        return DensityMatrix(mat=mat)
+
+    def test_full_report_names_the_state_before_any_eigensolve(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an eigensolve ran before the Hermiticity check")
+
+        for name in ("eigh", "eigvalsh", "svdvals"):
+            monkeypatch.setattr(linalg, name, refuse)
+        with pytest.raises(linalg.NotHermitianError,
+                           match=r"^matrix 0 of 2 is not Hermitian: max asymmetry 1\.000e-03 "):
+            full_report(self.skewed())
+
+    def test_outcome_mu_min_checks_the_output(self):
+        outcome = spa_pt_affine(self.skewed())
+        with pytest.raises(linalg.NotHermitianError, match=r"^matrix 0 of 1 is not Hermitian: max asymmetry 1\.111e-04 "):
+            outcome.mu_min
+
+    @staticmethod
+    def same_mu(rho: DensityMatrix):
+        ours, theirs = spa_pt_affine(rho).mu_min, full_report(rho).mu_min
+        assert type(ours) is type(theirs) is float
+        assert ours.hex() == theirs.hex()
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    def test_outcome_mu_min_is_the_reports_on_ginibre_states(self, seed, rank):
+        self.same_mu(DensityMatrix(mat=random_mixed_batch(np.random.default_rng(seed), 1, rank)[0]))
+
+    @pytest.mark.parametrize("family", ["pure_m", "horodecki", "quasi"])
+    def test_outcome_mu_min_is_the_reports_on_family_points(self, family):
+        for param in np.linspace(0.0, 1.0, 21).tolist():
+            self.same_mu(from_spec(family, param))
+
+    def test_outcome_mu_min_is_the_reports_on_bell_states(self):
+        for index in range(4):
+            self.same_mu(bell_state(index))
 
 
 def test_estimator_bias_formula():

@@ -157,6 +157,7 @@ class TestAffine:
         tilde = spa_pt_affine_batch(rho.mat[None])[0]
         w, vecs = herm_eigen_batch(tilde[None])
         assert out.mu_min == w[0, 0]
+        assert out.rho_tilde.tobytes() == tilde.tobytes()
         assert out.rho_pt.tobytes() == partial_transpose_batch(rho.mat[None])[0].tobytes()
         v = vecs[0][:, 0]
         resid = np.abs(tilde @ v - out.mu_min * v).max()
