@@ -23,11 +23,11 @@ separate spectra: eigvalsh of rho^{T_B} gives N^D, and eigh of the SPA-PT
 output (1/9) rho^{T_B} + (2/9) I gives mu_min, so the tightness identity
 N^D = max(0, 4 - 18 mu_min) compares two eigensolves.  full_report takes
 rho^{T_B} and the SPA-PT output from spa_pt_affine's outcome, and checks and
-diagonalizes that output in one (2, 4, 4) stack with the state itself, whose
-eigendecomposition gives the PSD root behind Wootters' concurrence: one
-Hermiticity check and one eigh for both.  LAPACK diagonalizes each matrix of
-a stack on its own, so each row has the bits of a separate call (a property
-in tests/test_linalg.py holds this).
+diagonalizes that output in one (2, 4, 4) stack with the state itself.  That
+one eigh has three uses: mu_min, the state's PSD root behind Wootters'
+concurrence, and its purity Tr rho^2 = sum_i lambda_i^2, which decides
+concurrence_pure_est.  LAPACK diagonalizes each matrix of a stack on its own,
+so each row has the bits of a separate call (tests/test_linalg.py holds this).
 """
 
 from __future__ import annotations
@@ -254,10 +254,6 @@ def ls_upper_bound(lam: float, mu_min_of_pure_part: float) -> float:
     return (1.0 - lam) * max(0.0, _lower_bound(mu))
 
 
-def _is_pure(rho: DensityMatrix) -> bool:
-    return float((rho.mat @ rho.mat).trace().real) >= 1.0 - _MATCH_TOL
-
-
 def _matches_quasi(rho: DensityMatrix) -> bool:
     c = 2.0 * float(rho.mat[0, 0].real)
     if not -_MATCH_TOL <= c <= 1.0 + _MATCH_TOL:
@@ -293,7 +289,8 @@ def full_report(rho: DensityMatrix) -> EntanglementReport:
     """All quantifiers of one state via the affine SPA pipeline.
 
     The pure-state and quasi-distillable specializations are evaluated only
-    when the state matches those families within 1e-9.
+    when the state matches those families within 1e-9.  Purity is Tr rho^2
+    summed from the state's spectrum, one row of the stacked eigh.
     """
     outcome = spa_pt_affine(rho)
     # Row 0 is the state, for its PSD root; row 1 the SPA-PT output, for mu_min.
@@ -303,6 +300,9 @@ def full_report(rho: DensityMatrix) -> EntanglementReport:
     # _negativity's terms, summed in the order of numpy's reduce over 4 entries.
     nd = 2.0 * (((max(0.0, -l0) + max(0.0, -l1)) + max(0.0, -l2)) + max(0.0, -l3))
     nn = min(max(_estimator(mu), 0.0), 1.0)
+    # Tr rho^2 = sum_i lambda_i^2, read before psd_sqrt_from_eigen clamps and roots w in place.
+    p0, p1, p2, p3 = w[0].tolist()
+    pure = ((p0 * p0 + p1 * p1) + p2 * p2) + p3 * p3 >= 1.0 - _MATCH_TOL
     root = psd_sqrt_from_eigen(w[:1], v[:1])
     return EntanglementReport(
         nd=nd,
@@ -312,6 +312,6 @@ def full_report(rho: DensityMatrix) -> EntanglementReport:
         ppt=nd <= PPT_TOL,
         mu_min=mu,
         bias=estimator_bias(nd),
-        concurrence_pure_est=nn if _is_pure(rho) else None,
+        concurrence_pure_est=nn if pure else None,
         concurrence_quasi_est=concurrence_quasi(min(nd, 1.0)) if _matches_quasi(rho) else None,
     )

@@ -997,6 +997,22 @@ def test_golden_bytes_through_the_trace_fallback(tmp_path, monkeypatch):
     assert linalg._adds_match.cache_info().currsize == 1 and linalg._adds_match() is False
 
 
+def _byte_contract(path: Path) -> str:
+    """The byte contract as `path` states it, with line wraps and comment markers removed."""
+    words = " ".join(" ".join(line.strip().removeprefix("#") for line in path.read_text().splitlines()).split())
+    start = words.index("Identical seeds give")
+    end = words.index("POVM completeness residual.", start) + len("POVM completeness residual.")
+    return words[start:end]
+
+
+def test_byte_contract_reads_the_same_in_readme_pyproject_and_ci():
+    readme, pyproject, ci = (_byte_contract(ROOT / name) for name in
+                             ("README.md", "pyproject.toml", ".github/workflows/tier1.yml"))
+    assert readme == pyproject == ci
+    for term in ("numpy 2.4.6", "one BLAS thread", "SkylakeX", "X86_V3"):
+        assert term in readme
+
+
 # A property over the whole boundary: state-file texts made by mutating a
 # valid file, and argv drawn from each subcommand's flags with values at and
 # beyond each _LIMITS edge.  Whatever is drawn, cli.run returns an exit code
@@ -1125,3 +1141,79 @@ def test_any_input_exits_with_a_contract_code(tmp_path, argv, state):
     # A rejected input is named at the boundary, never by LAPACK.
     assert code != 2 or "did not converge" not in err.getvalue()
 
+
+# One differential property over the whole CLI.  Four pieces of code copy
+# numpy's internals: the LAPACK gufuncs (_gufuncs_match), the stacked 4x4
+# trace (_adds_match), the seeding copy and its state layout (_word_order)
+# and BTPE's steps (from _BTPE_FROM trials on).  Each check tests its copy on
+# a fixed probe of its own; this property tests all four on drawn argv, where
+# the contract is stated: the CLI's stdout, stderr and exit code equal those
+# of the same argv with every copy forced onto numpy's public path.  With
+# _word_order None every trial is drawn by default_rng, so _BTPE_FROM above
+# the trials matters only if that routing changes.
+def _around(*centers):
+    return st.sampled_from(centers).flatmap(lambda c: st.integers(c - 1, c + 1)).map(str)
+
+
+_EDGE_SEEDS = st.one_of(
+    st.integers(0, 2**12),
+    st.sampled_from([2**32, 2**64, 2**128]).flatmap(lambda edge: st.integers(edge - 2**12, edge + 2**12)),
+).map(str)
+_FAMILY_PARAMS = st.one_of(
+    st.tuples(st.sampled_from(["pure_m", "horodecki", "quasi"]),
+              st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0])),
+    st.tuples(st.just("bell"), st.integers(0, 3)),
+)
+# A state file holds a Ginibre state of the drawn seed and rank.
+_SOURCES = st.one_of(
+    _FAMILY_PARAMS.map(lambda fp: ["--family", fp[0], "--param", repr(fp[1])]),
+    st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 4)).map(lambda sr: ["--state", f"STATE {sr[0]} {sr[1]}"]),
+)
+_DIFFERENTIAL_ARGVS = {
+    "analyze": st.tuples(st.just(["analyze"]), _SOURCES),
+    "sweep": st.tuples(
+        st.just(["sweep", "--family"]), st.sampled_from(sorted(cli.curves.ND_CLOSED)).map(lambda f: [f]),
+        st.just(["--points"]), _around(3, cli.STUDY_CHUNK).map(lambda n: [n]),
+    ),
+    "random-study": st.tuples(
+        st.just(["random-study", "--count"]), _around(2, cli.STUDY_CHUNK).map(lambda n: [n]),
+        st.just(["--seed"]), _EDGE_SEEDS.map(lambda s: [s]),
+    ),
+    "simulate": st.tuples(
+        st.just(["simulate"]), _SOURCES,
+        st.just(["--shots"]), st.sampled_from(["1", "40", "1000", "100000"]).map(lambda n: [n]),
+        st.just(["--trials"]),
+        _around(shotsim._PUBLIC_BELOW, shotsim._BTPE_FROM, shotsim.SEED_CHUNK).map(lambda n: [n]),
+        st.just(["--seed"]), _EDGE_SEEDS.map(lambda s: [s]),
+    ),
+    "spa-verify": st.tuples(st.just(["spa-verify", "--seed"]), _EDGE_SEEDS.map(lambda s: [s])),
+}
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(_DIFFERENTIAL_ARGVS))
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_copy_of_numpys_internals_is_invisible_in_the_output(tmp_path, command, data):
+    argv = [token for part in data.draw(_DIFFERENTIAL_ARGVS[command]) for token in part]
+    for i, token in enumerate(argv):
+        if token.startswith("STATE "):
+            seed, rank = map(int, token.split()[1:])
+            path = tmp_path / f"state_{seed}_{rank}.json"
+            save_state(DensityMatrix(mat=random_mixed_batch(np.random.default_rng(seed), 1, rank)[0]), path)
+            argv[i] = str(path)
+    as_is = _run_captured(argv)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_gufuncs_match", functools.cache(lambda: False))
+        mp.setattr(linalg, "_adds_match", functools.cache(lambda: False))
+        mp.setattr(shotsim, "_word_order", functools.cache(lambda: None))
+        mp.setattr(shotsim, "_BTPE_FROM", cli.MAX_TRIALS + 1)
+        forced = _run_captured(argv)
+    assert as_is[0] == 0
+    assert forced == as_is

@@ -407,6 +407,51 @@ class TestFullReport:
         assert np.abs(concurrence_wootters_batch(rhos) - pt_spectrum_batch(rhos)[0]).max() <= 1e-9
 
 
+class TestPurity:
+    # full_report gives concurrence_pure_est exactly when Tr rho^2 >= 1 - 1e-9;
+    # the oracle is the trace of rho @ rho, the report reads its own spectrum.
+    @staticmethod
+    def oracle(rho: DensityMatrix) -> bool:
+        return float(np.trace(rho.mat @ rho.mat).real) >= 1.0 - 1e-9
+
+    def check(self, rhos) -> list:
+        verdicts = []
+        for rho in rhos:
+            pure = self.oracle(rho)
+            assert (full_report(rho).concurrence_pure_est is not None) is pure
+            verdicts.append(pure)
+        return verdicts
+
+    def test_ginibre_and_haar_states(self):
+        rng = np.random.default_rng(42)
+        mats = [m for rank in (1, 2, 3, 4) for m in random_mixed_batch(rng, 40, rank)]
+        mats += list(random_pure_batch(rng, 40))
+        verdicts = self.check(DensityMatrix(mat=m) for m in mats)
+        assert verdicts == [True] * 40 + [False] * 120 + [True] * 40
+
+    @pytest.mark.parametrize("family", ["pure_m", "horodecki", "quasi"])
+    def test_family_grids(self, family):
+        verdicts = self.check(DensityMatrix(mat=m) for m in family_batch(family, np.linspace(0.0, 1.0, 201)))
+        assert verdicts[-1] and (family == "pure_m" or not all(verdicts))
+
+    def test_bell_states(self):
+        assert self.check(bell_state(index) for index in range(4)) == [True] * 4
+
+    def test_mixtures_on_each_side_of_the_threshold(self):
+        # (1 - d) |psi><psi| + d I/4 has Tr rho^2 = 1 - 1.5 d + 0.75 d^2, so
+        # d = (1e-9 - gap) / 1.5 puts it `gap` above 1 - 1e-9, to ~1e-18.
+        gaps = [sign * g for g in (1e-12, 1e-11, 1e-10) for sign in (1.0, -1.0)]
+        rhos = []
+        for k, psi in enumerate(random_pure_batch(np.random.default_rng(43), 60)):
+            d = (1e-9 - gaps[k % len(gaps)]) / 1.5
+            rhos.append(validate((1.0 - d) * psi + d * np.eye(4) / 4))
+        for rho in rhos:
+            gap = abs(float(np.trace(rho.mat @ rho.mat).real) - (1.0 - 1e-9))
+            assert 0.9e-12 <= gap <= 1.1e-10
+        verdicts = self.check(rhos)
+        assert verdicts.count(True) == verdicts.count(False) == 30
+
+
 class TestFloatTail:
     # full_report finishes its scalars in Python floats; the batch_report row
     # of its state is the oracle, bit for bit (repr) and type for type.
