@@ -31,7 +31,6 @@ from .measures import (
     witness_pair,
 )
 from .spa import (
-    SpaOutcome,
     choi_matrix,
     depol_d,
     mu_min_batch,

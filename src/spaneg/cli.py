@@ -158,6 +158,9 @@ def _resolve_state(args) -> states.DensityMatrix:
     if args.state is not None:
         if not args.state:  # names no file, as an empty --out
             raise UsageError("--state '': empty path")
+        given = [f"--{name}" for name in ("family", "param") if getattr(args, name) is not None]
+        if given:  # named before the file is read, so it wins over an unreadable file
+            raise UsageError(f"--state cannot be combined with {' or '.join(given)}")
         return states.load_state(args.state)
     if not args.family:
         raise UsageError("one of --family or --state is required")
@@ -388,9 +391,9 @@ def spa_verify_report(seed: int = 20260824, n_states: int = 1000, grid: int = 21
     max_dev, max_trace_rel = random_pair_residuals(seed, n_states)
     lines.append(f"compositional vs affine max deviation ({n_states} random states): {max_dev:.3e}")
     lines.append(f"affine trace-relation residual ({n_states} random (rho, P) pairs): {max_trace_rel:.3e}")
-    if max_trace_rel > 1e-10:
+    if max_trace_rel > linalg.RESIDUAL_TOL:
         ok = False
-    if max_dev > 1e-10:
+    if max_dev > linalg.RESIDUAL_TOL:
         lines.append("NOTE: compositional path deviates from affine beyond 1e-10")
 
     for family, (max_lit, max_mu) in _literal_grid_deviations(grid).items():

@@ -22,8 +22,9 @@ A report transposes each state once.  That partial transpose feeds two
 separate spectra: eigvalsh of rho^{T_B} gives N^D, and eigh of the SPA-PT
 output (1/9) rho^{T_B} + (2/9) I gives mu_min, so the tightness identity
 N^D = max(0, 4 - 18 mu_min) compares two eigensolves.  full_report takes
-rho^{T_B} and the SPA-PT output from spa_pt_affine's outcome, and checks and
-diagonalizes that output in one (2, 4, 4) stack with the state itself.  That
+rho^{T_B} and the SPA-PT output as the pair of one-state stacks that
+spa_pt_affine returns, unchecked, and checks and diagonalizes that output in
+one (2, 4, 4) stack with the state itself.  That
 one eigh has three uses: mu_min, the state's PSD root behind Wootters'
 concurrence, and its purity Tr rho^2 = sum_i lambda_i^2, which decides
 concurrence_pure_est.  LAPACK diagonalizes each matrix of a stack on its own,
@@ -175,15 +176,10 @@ def concurrence_wootters_batch(rhos) -> np.ndarray:
     = A A^dag; taking singular values directly keeps the small l_i at
     absolute machine precision instead of sqrt-amplifying eigenvalue noise.
     """
-    return np.maximum(0.0, _wootters_gap(*_wootters_values(rhos).T))
+    return np.maximum(0.0, _wootters_gap(*_wootters_values(psd_sqrt_batch(rhos)).T))
 
 
-def _wootters_values(rhos) -> np.ndarray:
-    """Descending singular values l_i of sqrt(rho) (sy x sy) sqrt(rho)*, one row per state."""
-    return _wootters_values_of_roots(psd_sqrt_batch(rhos))
-
-
-def _wootters_values_of_roots(roots) -> np.ndarray:
+def _wootters_values(roots) -> np.ndarray:
     """Descending singular values l_i of R (sy x sy) R*, one row per PSD root R = sqrt(rho)."""
     return linalg.svdvals(roots @ SIGMA_YY @ roots.conj())
 
@@ -292,11 +288,11 @@ def full_report(rho: DensityMatrix) -> EntanglementReport:
     when the state matches those families within 1e-9.  Purity is Tr rho^2
     summed from the state's spectrum, one row of the stacked eigh.
     """
-    outcome = spa_pt_affine(rho)
+    pt, rho_tilde = spa_pt_affine(rho)
     # Row 0 is the state, for its PSD root; row 1 the SPA-PT output, for mu_min.
-    w, v = herm_eigen_batch(np.concatenate((rho.mat[None], outcome.rho_tilde[None])))
+    w, v = herm_eigen_batch(np.concatenate((rho.mat[None], rho_tilde)))
     mu = _check_mu(float(w[1, 0]))  # a float, checked once for nn and the lower bound
-    l0, l1, l2, l3 = linalg.eigvalsh(outcome.rho_pt[None])[0].tolist()
+    l0, l1, l2, l3 = linalg.eigvalsh(pt)[0].tolist()
     # _negativity's terms, summed in the order of numpy's reduce over 4 entries.
     nd = 2.0 * (((max(0.0, -l0) + max(0.0, -l1)) + max(0.0, -l2)) + max(0.0, -l3))
     nn = min(max(_estimator(mu), 0.0), 1.0)
@@ -308,7 +304,7 @@ def full_report(rho: DensityMatrix) -> EntanglementReport:
         nd=nd,
         nn=nn,
         lower_bound=_lower_bound(mu),
-        concurrence=max(0.0, _wootters_gap(*_wootters_values_of_roots(root)[0].tolist())),
+        concurrence=max(0.0, _wootters_gap(*_wootters_values(root)[0].tolist())),
         ppt=nd <= PPT_TOL,
         mu_min=mu,
         bias=estimator_bias(nd),

@@ -19,7 +19,6 @@ superoperator; both its action and its Choi matrix are read from that array.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,24 +47,6 @@ class ConstructionInconsistencyError(RuntimeError):
     def __init__(self, message: str, eigenvalues: np.ndarray):
         self.eigenvalues = eigenvalues
         super().__init__(f"{message}; spectrum {np.array2string(eigenvalues)}")
-
-
-@dataclass(frozen=True)
-class SpaOutcome:
-    """SPA-PT output rho_tilde = (1/9) rho^{T_B} + (2/9) I of one state, and
-    the partial transpose rho^{T_B} it was built from, both 4x4.
-
-    mu_min, the least eigenvalue of rho_tilde, is computed on each access by
-    mu_min_batch, whose Hermiticity check raises NotHermitianError for an
-    output that is not Hermitian.
-    """
-
-    rho_tilde: np.ndarray
-    rho_pt: np.ndarray
-
-    @property
-    def mu_min(self) -> float:
-        return float(mu_min_batch(self.rho_tilde[None])[0])
 
 
 def _tetrahedral_povm() -> tuple[tuple, tuple]:
@@ -137,16 +118,11 @@ def mu_min_batch(rho_tildes) -> np.ndarray:
     return herm_eigen_batch(rho_tildes)[0][:, 0]
 
 
-def spa_pt_affine(rho: DensityMatrix) -> SpaOutcome:
-    """Canonical SPA-PT (1/9) rho^{T_B} + (2/9) I of one state, with its
-    rho^{T_B}.
-
-    The output is neither checked nor diagonalized here: the outcome's mu_min
-    does both on each access, and measures.full_report does both in one stack
-    with the state.
-    """
+def spa_pt_affine(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(rho^{T_B}, (1/9) rho^{T_B} + (2/9) I) of one state as (1, 4, 4) stacks,
+    spa_pt_affine_batch's two steps; neither is checked or diagonalized."""
     pt = partial_transpose_batch(rho.mat[None])
-    return SpaOutcome(rho_tilde=affine_from_pt(pt)[0], rho_pt=pt[0])
+    return pt, affine_from_pt(pt)
 
 
 def _apply_product_map(rho_mat: np.ndarray, map_a, map_b) -> np.ndarray:

@@ -205,7 +205,7 @@ def test_criterion_8_concurrence_suite(ensemble, pure_ensemble):
 def test_criterion_9_shot_noise_protocol():
     t0 = time.perf_counter()
     rho = states.from_spec("horodecki", 0.8)
-    exact = float(measures.negativity_normalized_batch(spa.spa_pt_affine(rho).mu_min))
+    exact = float(measures.negativity_normalized_batch(spa.mu_min_batch(spa.spa_pt_affine_batch(rho.mat[None])))[0])
     est = shotsim.estimate_negativity(rho, 10**5, 200, 42)
     est4 = shotsim.estimate_negativity(rho, 4 * 10**5, 200, 1042)
     elapsed = time.perf_counter() - t0

@@ -496,7 +496,7 @@ def test_estimate_matches_per_trial_scalar_path(shots):
     rho = states.from_spec("horodecki", 0.8)
     trials = 40
     est = shotsim.estimate_negativity(rho, shots, trials, 5)
-    f_true = measures.favg_from_mu(spa.spa_pt_affine(rho).mu_min)
+    f_true = measures.favg_from_mu(spa.mu_min_batch(spa.spa_pt_affine_batch(rho.mat[None]))[0])
     nn, clamped = [], 0
     for i in range(trials):
         favg = float(np.random.default_rng(5 + i).binomial(shots, f_true)) / shots

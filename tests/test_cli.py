@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import shlex
 import stat
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spaneg import cli, linalg, measures, shotsim, states
-from spaneg.states import DensityMatrix, from_spec, random_mixed_batch, save_state
+from spaneg.states import DensityMatrix, bell_state, from_spec, random_mixed_batch, save_state
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -220,6 +221,27 @@ class TestExitCodes:
         # An empty --state names no file; only a missing --state is absent.
         assert cli.run(argv) == 1
         assert capsys.readouterr() == ("", "usage error: --state '': empty path\n")
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    @pytest.mark.parametrize("flags, named", [
+        (["--family", "quasi", "--param", "1", "--state", "STATE"], "--family or --param"),
+        (["--state", "STATE", "--family", "quasi", "--param", "1"], "--family or --param"),
+        (["--family", "bell", "--state", "STATE"], "--family"),
+        (["--state", "STATE", "--param", "0.5"], "--param"),
+        (["--state", "MISSING", "--family", "horodecki", "--param", "0.5"], "--family or --param"),
+    ])
+    def test_state_beside_family_or_param_is_usage_error(self, tmp_path, monkeypatch, capsys, command, flags, named):
+        # Named before any file is read: a missing file would be exit 2.
+        save_state(from_spec("horodecki", 0.5), tmp_path / "state.json")
+        paths = {"STATE": str(tmp_path / "state.json"), "MISSING": str(tmp_path / "missing.json")}
+        argv = [command] + [paths.get(flag, flag) for flag in flags]
+        with monkeypatch.context() as mp:
+            mp.setattr(states, "load_state", lambda path: pytest.fail("read a state file"))
+            assert cli.run(argv) == 1
+        assert capsys.readouterr() == ("", f"usage error: --state cannot be combined with {named}\n")
+        # The same --state alone is read: exit 2 for the missing file, else 0.
+        missing = "MISSING" in flags
+        assert cli.run([command, "--state", paths["MISSING" if missing else "STATE"]]) == (2 if missing else 0)
 
     @pytest.mark.parametrize("name", ["a\0b", "a\x01b", "a\ud800b"])
     def test_unprintable_state_path_is_shown_as_its_repr(self, tmp_path, capsys, name):
@@ -979,6 +1001,14 @@ class TestSpaVerify:
         assert "Choi(pt)" in text and "NOT CP" in text
         assert "affine invariants: PASS" in text
 
+    @pytest.mark.parametrize("above", [False, True])
+    def test_residuals_are_judged_at_the_residual_tolerance(self, monkeypatch, above):
+        res = np.nextafter(linalg.RESIDUAL_TOL, 1.0) if above else linalg.RESIDUAL_TOL
+        monkeypatch.setattr(cli, "random_pair_residuals", lambda seed, n: (res, res))
+        text, ok = cli.spa_verify_report(seed=1)
+        assert ok is not above
+        assert (f"beyond {linalg.RESIDUAL_TOL:g}\n" in text) is above
+
     def test_stable_across_seeds(self, tmp_path):
         for seed in ("1", "2"):
             code, text = run_to_file(tmp_path, ["spa-verify", "--seed", seed], f"v{seed}.txt")
@@ -995,6 +1025,25 @@ def test_golden_bytes_through_the_trace_fallback(tmp_path, monkeypatch):
         TestSpaVerify().test_golden_bytes(tmp_path, seed)
     TestRandomStudy().test_golden_bytes(tmp_path)
     assert linalg._adds_match.cache_info().currsize == 1 and linalg._adds_match() is False
+
+
+def _readme_cli_argvs() -> list[list[str]]:
+    """The argv of each `spaneg` command in README's ## CLI block."""
+    block = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1].split("```")[1]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("spaneg ")]
+
+
+def test_every_readme_cli_command_exits_0(tmp_path, monkeypatch, capsys):
+    # Relative paths, --out files and mystate.json alike, land in tmp_path.
+    monkeypatch.chdir(tmp_path)
+    save_state(bell_state(0), "mystate.json")
+    argvs = _readme_cli_argvs()
+    assert {argv[0] for argv in argvs} == set(cli._DISPATCH)
+    for argv in argvs:
+        assert cli.run(argv) == 0, argv
+        assert capsys.readouterr().err == "", argv
+    outs = [argv[argv.index("--out") + 1] for argv in argvs if "--out" in argv]
+    assert outs and all((tmp_path / out).stat().st_size > 0 for out in outs)
 
 
 def _byte_contract(path: Path) -> str:
@@ -1097,10 +1146,14 @@ def _argvs(draw) -> list[str]:
     command = draw(st.sampled_from(sorted(_FLAGS)))
     argv = [command]
     # Most runs that take a state read the drawn file, so that its mutations
-    # reach the parser; a later --state or --family flag may override it.
-    if "--state" in _FLAGS[command] and draw(st.integers(0, 3)):
+    # reach the parser; a later --state flag may replace it.  Such a run draws
+    # no --family or --param, which beside --state is a usage error raised
+    # before the file is read.
+    flags = _FLAGS[command]
+    if "--state" in flags and draw(st.integers(0, 3)):
         argv += ["--state", "STATE"]
-    for flag in draw(st.lists(st.sampled_from(_FLAGS[command]), unique=True)):
+        flags = [flag for flag in flags if flag not in ("--family", "--param")]
+    for flag in draw(st.lists(st.sampled_from(flags), unique=True)):
         argv += [flag, draw(_VALUES[flag])]
     return argv + draw(st.sampled_from([[]] * 5 + [["--bogus"], ["--help"], ["extra"]]))
 

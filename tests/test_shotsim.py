@@ -15,8 +15,13 @@ from hypothesis import strategies as st
 from spaneg import btpe, shotsim
 from spaneg.measures import favg_from_mu, fidelity_link, negativity_normalized_batch
 from spaneg.shotsim import SEED_CHUNK, _pcg64_words, estimate_negativity, trial_counts
-from spaneg.spa import MU_MIN_HI, MU_MIN_LO, spa_pt_affine
-from spaneg.states import bell_state, from_spec, validate
+from spaneg.spa import MU_MIN_HI, MU_MIN_LO, mu_min_batch, spa_pt_affine_batch
+from spaneg.states import DensityMatrix, bell_state, from_spec, validate
+
+
+def mu_min_of(rho: DensityMatrix) -> float:
+    """mu_min of one state, through the batch pipeline."""
+    return float(mu_min_batch(spa_pt_affine_batch(rho.mat[None]))[0])
 
 
 def test_determinism():
@@ -56,7 +61,7 @@ def test_a_negative_seed_is_rejected_before_any_seeding(monkeypatch, trials, see
 
 def test_favg_concentration_at_large_shots():
     rho = bell_state(0)
-    f_true = favg_from_mu(spa_pt_affine(rho).mu_min)
+    f_true = favg_from_mu(mu_min_of(rho))
     f_hat = estimate_negativity(rho, 10**7, 1, 17).favg_hat
     assert abs(f_hat - f_true) <= 5 * np.sqrt(f_true * (1 - f_true) / 10**7)
     assert 0.0 <= f_hat <= 1.0
@@ -64,7 +69,7 @@ def test_favg_concentration_at_large_shots():
 
 def test_unbiased_at_fidelity_level():
     rho = from_spec("horodecki", 0.6)
-    f_true = favg_from_mu(spa_pt_affine(rho).mu_min)
+    f_true = favg_from_mu(mu_min_of(rho))
     shots, trials = 10000, 300
     means = trial_counts(shots, f_true, trials, 0) / shots
     se = np.sqrt(f_true * (1 - f_true) / shots) / np.sqrt(trials)
@@ -99,12 +104,12 @@ def test_estimate_fields_consistent():
     assert est.nn_hat == negativity_normalized_batch(est.mu_hat)
     assert est.ci95[0] <= est.mean_nn <= est.ci95[1]
     assert est.std_nn >= 0.0
-    assert est.exact_nn == negativity_normalized_batch(spa_pt_affine(from_spec("horodecki", 0.8)).mu_min)
+    assert est.exact_nn == negativity_normalized_batch(mu_min_of(from_spec("horodecki", 0.8)))
 
 
 def test_clt_consistency_against_exact():
     rho = from_spec("horodecki", 0.8)
-    exact = float(negativity_normalized_batch(spa_pt_affine(rho).mu_min))
+    exact = float(negativity_normalized_batch(mu_min_of(rho)))
     est = estimate_negativity(rho, 10**5, 200, 42)
     assert abs(est.mean_nn - exact) <= 3 * est.std_nn / np.sqrt(200)
 
@@ -125,7 +130,7 @@ def test_estimate_is_the_whole_array_formulas(trials):
     # so at 100 shots about half the trials clamp.
     rho = validate(np.eye(4) / 4)
     est = estimate_negativity(rho, 100, trials, 3)
-    mu_true = spa_pt_affine(rho).mu_min
+    mu_true = mu_min_of(rho)
     favg = trial_counts(100, favg_from_mu(mu_true), trials, 3) / 100
     mu_raw = fidelity_link(favg)
     mu_hat = np.minimum(np.maximum(mu_raw, MU_MIN_LO), MU_MIN_HI)
@@ -142,8 +147,8 @@ def test_noise_free_passthrough_matches_pipeline():
     # amplified by |dN/dmu| ~ 18 in the negativity.
     for p in np.linspace(0, 1, 11):
         rho = from_spec("horodecki", float(p))
-        exact = float(negativity_normalized_batch(spa_pt_affine(rho).mu_min))
-        mu = fidelity_link(favg_from_mu(spa_pt_affine(rho).mu_min))
+        exact = float(negativity_normalized_batch(mu_min_of(rho)))
+        mu = fidelity_link(favg_from_mu(mu_min_of(rho)))
         passthrough = float(negativity_normalized_batch(min(max(mu, MU_MIN_LO), MU_MIN_HI)))
         assert passthrough == pytest.approx(exact, abs=1e-12)
 
@@ -551,7 +556,7 @@ def test_the_step_draws_three_in_four_workload_trials(monkeypatch):
     # Step 10 accepts p1 / p4 = 0.7544 of the passes there.  The later steps
     # and the passes after a loop count most of the rest, so at most 3 % of the
     # trials call the generator (about 1 in 55, with the 16 self-checks).
-    f = favg_from_mu(spa_pt_affine(from_spec("horodecki", 0.8)).mu_min)
+    f = favg_from_mu(mu_min_of(from_spec("horodecki", 0.8)))
     setup = btpe.setup(100000, f)
     assert setup.p1 / setup.p4 == pytest.approx(0.7544, abs=1e-4)
     trials = 20000
@@ -565,7 +570,7 @@ def test_a_long_run_draws_what_is_left_once_at_the_end(monkeypatch):
     # The shots benchmark's inputs at 100000 trials: the trials that a pass
     # sends back to Step 10 take it in that pass, so nothing is left to the
     # generator before the end of the call.
-    f = favg_from_mu(spa_pt_affine(from_spec("horodecki", 0.8)).mu_min)
+    f = favg_from_mu(mu_min_of(from_spec("horodecki", 0.8)))
     trials, base = 100000, 1401
     calls = []
 

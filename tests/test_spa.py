@@ -138,31 +138,35 @@ class TestDepol:
         assert np.abs(depol_d(x) - np.trace(x) * np.eye(2) / 2).max() <= 1e-14
 
 
+def mu_min_of(rho: DensityMatrix) -> float:
+    """mu_min of one state, through the batch pipeline."""
+    return float(mu_min_batch(spa_pt_affine_batch(rho.mat[None]))[0])
+
+
 class TestAffine:
     def test_bell_mu_min(self):
-        assert spa_pt_affine(bell_state(0)).mu_min == pytest.approx(1 / 6, abs=1e-12)
+        assert mu_min_of(bell_state(0)) == pytest.approx(1 / 6, abs=1e-12)
 
     def test_separable_pure(self):
         rho = validate(pure_from_vectors([[1, 0, 0, 0]])[0])
-        assert spa_pt_affine(rho).mu_min == pytest.approx(2 / 9, abs=1e-12)
+        assert mu_min_of(rho) == pytest.approx(2 / 9, abs=1e-12)
 
     def test_pure_m_closed_form(self):
         for m in np.linspace(0, 1, 21):
-            mu = spa_pt_affine(from_spec("pure_m", float(m))).mu_min
+            mu = mu_min_of(from_spec("pure_m", float(m)))
             assert mu == pytest.approx(2 / 9 - np.sqrt(m * (1 - m)) / 9, abs=1e-12)
 
     def test_outcome_fields_consistent(self):
         rho = from_spec("horodecki", 0.7)
-        out = spa_pt_affine(rho)
-        tilde = spa_pt_affine_batch(rho.mat[None])[0]
-        w, vecs = herm_eigen_batch(tilde[None])
-        assert out.mu_min == w[0, 0]
-        assert out.rho_tilde.tobytes() == tilde.tobytes()
-        assert out.rho_pt.tobytes() == partial_transpose_batch(rho.mat[None])[0].tobytes()
+        pt, tilde = spa_pt_affine(rho)
+        assert pt.shape == tilde.shape == (1, 4, 4)
+        assert pt.tobytes() == partial_transpose_batch(rho.mat[None]).tobytes()
+        assert tilde.tobytes() == spa_pt_affine_batch(rho.mat[None]).tobytes()
+        w, vecs = herm_eigen_batch(tilde)
         v = vecs[0][:, 0]
-        resid = np.abs(tilde @ v - out.mu_min * v).max()
+        resid = np.abs(tilde[0] @ v - w[0, 0] * v).max()
         assert resid < 1e-10
-        validate(tilde)
+        validate(tilde[0])
 
     def test_spectrum_mapping(self):
         for mat in random_mixed_batch(np.random.default_rng(26), 100):
@@ -172,11 +176,10 @@ class TestAffine:
             assert np.abs(mu - (lam / 9 + 2 / 9)).max() <= 1e-10
 
     def test_mu_range_and_npt_equivalence(self):
-        for mat in random_mixed_batch(np.random.default_rng(27), 500):
-            rho = DensityMatrix(mat=mat)
-            mu = spa_pt_affine(rho).mu_min
+        mats = random_mixed_batch(np.random.default_rng(27), 500)
+        for mat, mu in zip(mats, mu_min_batch(spa_pt_affine_batch(mats))):
             assert 1 / 6 - 1e-10 <= mu <= 0.25 + 1e-10
-            npt = np.linalg.eigvalsh(partial_transpose(rho.mat))[0] < -1e-10
+            npt = np.linalg.eigvalsh(partial_transpose(mat))[0] < -1e-10
             assert npt == (mu < 2 / 9 - 1e-10 / 9)
 
     def test_trace_relation(self):
@@ -191,9 +194,8 @@ class TestAffine:
 
 class TestCompositional:
     def test_bell_matches_affine(self):
-        a = spa_pt_affine(bell_state(0))
         c_mu = mu_min_batch(spa_pt_compositional_batch(bell_state(0).mat[None]))[0]
-        assert abs(a.mu_min - c_mu) < 1e-10
+        assert abs(mu_min_of(bell_state(0)) - c_mu) < 1e-10
         assert c_mu == pytest.approx(1 / 6, abs=1e-12)
 
     def test_horodecki_closed_form(self):
