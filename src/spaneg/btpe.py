@@ -2,20 +2,20 @@
 
 numpy's Generator.binomial (random_binomial, numpy/random/src/distributions)
 draws by BTPE, the sampler of Kachitvichyanukul & Schmeiser (1988), when
-r * n > 30 with r = min(p, 1 - p); it draws for r and flips the count to
-n - count when p > 0.5.  Each pass of BTPE from its Step 10 takes two
-uniforms u, v of the generator and scales u by p4.  Step 10 accepts
-floor(xm - p1 * v + u) unless u > p1: about 3 draws in 4 at n = 100000.
-Steps 20, 30 and 40 place the other draws on a parallelogram or one of two
-exponential tails, and Step 52's squeeze accepts them, sends them back to
-Step 10 for two fresh uniforms, or leaves them to a full Stirling test.
+r * n > 30 with r = min(p, 1 - p), and flips a draw for 1 - p when p > 0.5.
+shotsim leaves the flipped calls to the generator, so here r = p.  Each pass
+from Step 10 takes two uniforms u, v of the generator and scales u by p4.
+Step 10 accepts floor(xm - p1 * v + u) unless u > p1: about 3 draws in 4 at
+n = 100000.  Steps 20, 30 and 40 place the other draws on a parallelogram or
+one of two exponential tails, and Step 52's squeeze accepts them, sends them
+back to Step 10 for two fresh uniforms, or leaves them to a full Stirling
+test.
 
 The setup and the steps are scalar SSE2 arithmetic without FMA in numpy's
 build, so Python floats and float64 ufuncs taken in the same order give the
 same bits.  Only the C library's log, which numpy calls, differs from np.log
-(see _LOG_SLACK).  What this module cannot decide, it leaves to the
-generator: shotsim draws the uniforms from each trial's PCG64 and draws the
-rest through numpy itself.
+(see _LOG_SLACK).  What this module cannot decide, shotsim leaves to the
+generator.
 """
 
 from __future__ import annotations
@@ -38,11 +38,10 @@ _EXACT_INT = 2**53
 # np.log's.  +, -, *, / and floor round monotonically, so that bracket holds
 # the C log's decision too.
 _LOG_SLACK = 2.0**-40
-# The later steps take their rows in whole blocks of this many, the last block
-# filled up by repeating rows whose results are dropped.  Their temporaries
-# then come in a few sizes that the allocator reuses.  Subsets of every size
-# grew the resident memory of a long run of simulate calls by ~1 MB over
-# 2000 calls; blocks hold it within ~0.1 MB of the Step 10 pass alone.
+# The later steps take rows in whole blocks of this many, the last filled up
+# with repeated rows whose results are dropped, so that the allocator reuses
+# their temporaries: subsets of every size grew a long run's resident memory
+# by ~1 MB over 2000 simulate calls.
 _BLOCK = 256
 
 
@@ -50,7 +49,6 @@ class Setup(NamedTuple):
     """Constants of random_binomial_btpe's setup for binomial(n, p)."""
 
     n: int
-    flip: bool  # p > 0.5: BTPE draws for 1 - p and the count is n - draw
     m: int
     nrq: float
     p1: float
@@ -68,30 +66,29 @@ class Setup(NamedTuple):
 def setup(shots: int, p: float) -> Setup | None:
     """The constants of random_binomial_btpe's setup for binomial(shots, p).
 
-    None where numpy does not draw by BTPE.  The test is written so that a
-    NaN p, a p outside [0, 1] or a negative shots also gives None, and such a
-    call is left to the generator, which raises.  The constants are computed
-    in the order of numpy's setup.
+    None where numpy does not draw by BTPE, where it draws for 1 - p and
+    flips the count (p > 0.5), and for a NaN p or, at shots >= 0, a negative
+    one; the generator then draws the call, and raises if it is invalid.
+    The constants follow numpy's setup in its order, with r = min(p, 1 - p) = p.
     """
-    r = min(p, 1.0 - p)
-    if not r * shots > _MIN_MEAN:
+    if not (p <= 0.5 and p * shots > _MIN_MEAN):
         return None
-    q = 1.0 - r
-    fm = shots * r + r
+    q = 1.0 - p
+    fm = shots * p + p
     m = math.floor(fm)
-    p1 = math.floor(2.195 * math.sqrt(shots * r * q) - 4.6 * q) + 0.5
+    p1 = math.floor(2.195 * math.sqrt(shots * p * q) - 4.6 * q) + 0.5
     xm = m + 0.5
     xl = xm - p1
     xr = xm + p1
     c = 0.134 + 20.5 / (15.3 + m)
-    a = (fm - xl) / (fm - xl * r)
+    a = (fm - xl) / (fm - xl * p)
     laml = a * (1.0 + a / 2.0)
     a = (xr - fm) / (xr * q)
     lamr = a * (1.0 + a / 2.0)
     p2 = p1 * (1.0 + 2.0 * c)
     p3 = p2 + c / laml
     p4 = p3 + c / lamr
-    return Setup(shots, p > 0.5, m, shots * r * q, p1, p2, p3, p4, xm, xl, xr, c, laml, lamr)
+    return Setup(shots, m, shots * p * q, p1, p2, p3, p4, xm, xl, xr, c, laml, lamr)
 
 
 # As a decorator, errstate costs about half of what entering one on each call does.
@@ -109,7 +106,7 @@ def _log_bracket(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _later_steps(u: np.ndarray, v: np.ndarray, s: Setup) -> tuple[np.ndarray, np.ndarray]:
     """(outcome, y) of BTPE's Steps 20 to 52 at uniforms u > p1 (scaled) and v.
 
-    y is the unflipped count where outcome is SQUEEZE, and 0 elsewhere.
+    y is the count where outcome is SQUEEZE, and 0 elsewhere.
     Step 50 (a count within 20 of the mode, or far in the tail) and the full
     Stirling test are left to the generator, as is a log decision that the
     bracket does not settle.
@@ -185,12 +182,9 @@ def _later_steps(u: np.ndarray, v: np.ndarray, s: Setup) -> tuple[np.ndarray, np
 def step_10(d1: np.ndarray, v: np.ndarray, s: Setup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(u, accepted, counts) of Step 10 of a pass at each pair of uniforms d1, v
     of the generator: u = d1 * p4, accepted where not u > p1, and there
-    binomial(n, p) = floor(xm - p1 * v + u), flipped where p > 0.5."""
+    binomial(n, p) = floor(xm - p1 * v + u)."""
     u = d1 * s.p4
-    counts = np.floor(s.xm - s.p1 * v + u).astype(np.int64)
-    if s.flip:
-        np.subtract(s.n, counts, out=counts)
-    return u, ~(u > s.p1), counts
+    return u, ~(u > s.p1), np.floor(s.xm - s.p1 * v + u).astype(np.int64)
 
 
 def steps_20_to_52(u: np.ndarray, v: np.ndarray, s: Setup) -> tuple[np.ndarray, np.ndarray]:
@@ -205,7 +199,4 @@ def steps_20_to_52(u: np.ndarray, v: np.ndarray, s: Setup) -> tuple[np.ndarray, 
         size = count + _BLOCK - count % _BLOCK
         u, v = (np.concatenate((a, np.full(size - count, a[0]))) for a in (u, v))
     outcome, counts = _later_steps(u, v, s)
-    outcome, counts = outcome[:count], counts[:count]
-    if s.flip:
-        np.subtract(s.n, counts, out=counts)
-    return outcome, counts
+    return outcome[:count], counts[:count]

@@ -162,7 +162,8 @@ def negativity_normalized_batch(mu_min) -> np.ndarray:
 
 
 def estimator_bias(nd: float) -> float:
-    """Systematic gap N^D - N^N = N^D (1 - N^D) / 339, at most 1/1356."""
+    """Systematic gap N^D - N^N = N^D (1 - N^D) / 339: in [0, 1/1356] for N^D
+    in [0, 1], and raw outside it (-6.55e-19 for a Bell state's rounded N^D)."""
     return nd * (1.0 - nd) / 339.0
 
 

@@ -274,8 +274,8 @@ def _word_order() -> tuple[int, ...] | None:
     2**64 and 2**128; None if neither does.
 
     This checks the seeding copy and the memory layout against the public
-    path at once.  It is taken once, by the first trial_counts call of the
-    process that does not draw every trial by default_rng.
+    path at once, once per process: in its first trial_counts call of
+    _PUBLIC_BELOW trials or more.
     """
     bit_gen = np.random.PCG64(0)
     view = _state_view(bit_gen)
@@ -306,11 +306,9 @@ _SELF_CHECKS = 8
 # generator takes for ~300 trials (BENCH_22.json, pool_min_us).
 _END_PASSES = 3
 _PASS_MIN = 256
-# Below _PUBLIC_BELOW trials default_rng draws each trial, below _BTPE_FROM the
-# generator draws each from its seeded state, and from there BTPE's steps run
-# in numpy: each bound is where the cheaper way changes (BENCH_22.json, ways_table_us).
-_PUBLIC_BELOW = 13
-_BTPE_FROM = 350
+# Below _PUBLIC_BELOW trials default_rng draws each trial, the cheaper way
+# there (CHANGES.md's ways table).
+_PUBLIC_BELOW = 20
 
 _ROT_SHIFT, _ROT_MASK, _DOUBLE_SHIFT = np.uint64(58), np.uint64(63), np.uint64(11)
 
@@ -374,7 +372,7 @@ class _TrialCounts:
     no longer queued.
     """
 
-    def __init__(self, shots: int, p: float, trials: int, by_btpe: bool = True):
+    def __init__(self, shots: int, p: float, trials: int):
         self.bit_gen = np.random.PCG64(0)  # its state is replaced before every draw
         self.binomial = np.random.Generator(self.bit_gen).binomial
         self.view = _state_view(self.bit_gen)
@@ -382,7 +380,7 @@ class _TrialCounts:
         # 0-d arrays pass numpy's argument conversion faster than Python scalars.
         self.n_arr, self.p_arr = np.array(shots, dtype=np.int64), np.array(p, dtype=np.float64)
         # None where the generator draws every trial.
-        self.setup = btpe.setup(int(self.n_arr), float(self.p_arr)) if by_btpe else None
+        self.setup = btpe.setup(int(self.n_arr), float(self.p_arr))
         self.counts = np.empty(trials, dtype=np.int64)
         # Self-checks left: Step 10 in a trial's first pass, every other acceptance.
         self.checks = [_SELF_CHECKS, _SELF_CHECKS]
@@ -394,7 +392,9 @@ class _TrialCounts:
     def draw(self, words: tuple, index=slice(None)) -> list[int]:
         """binomial(shots, p) of the generator at each trial `index` of the
         columns `words`, whose 32-byte rows are stacked in _word_order for
-        these trials only."""
+        these trials only and written straight into the one reused PCG64.
+        binomial draws only whole 64-bit outputs, so has_uint32 and uinteger
+        keep the 0 that _word_order saw."""
         rows = np.stack([words[k][index] for k in self.order], axis=1)
         if not len(rows):  # memoryview cannot cast an empty array
             return []
@@ -488,40 +488,28 @@ def trial_counts(shots: int, p: float, trials: int, seed: int) -> np.ndarray:
     """Successes of `trials` runs of `shots` Bernoulli(p) draws, as an int64 array.
 
     Trial i is np.random.default_rng(seed + i).binomial(shots, p), bit for
-    bit, and a negative seed raises its ValueError before any seeding.  Fewer
-    than _PUBLIC_BELOW trials are drawn so; otherwise the seeded states are
-    computed SEED_CHUNK trials at a time, and fewer than _BTPE_FROM trials
-    are each drawn from its seeded state by the generator.
+    bit, and a negative seed raises its ValueError before any seeding.  Two
+    decisions pick the way, each from what the call observes.  Below
+    _PUBLIC_BELOW trials, or where _word_order finds no layout, default_rng
+    draws each trial.  Otherwise the seeded states are computed SEED_CHUNK
+    trials at a time, and where btpe.setup says numpy draws by BTPE (p <= 0.5
+    and p * shots > 30), each chunk takes Step 10 of a pass in numpy; the
+    trials it rejects are queued across chunks for Steps 20 to 52.
 
-    From _BTPE_FROM trials on, where numpy draws by BTPE, each chunk takes
-    Step 10 of a BTPE pass in numpy: two PCG64 outputs per trial.  The
-    trials Step 10 rejects are queued across chunks, and whenever the queue
-    holds SEED_CHUNK trials they take Steps 20, 30 and 40 and Step 52's
-    squeeze in one numpy pass (btpe.steps_20_to_52).  A decision that reads
-    a log is taken only when np.log's value, widened by a relative 2**-40
-    each way, settles it.  A trial that the pass sends back to Step 10 takes
-    it there and then, and joins the queue again if rejected.  At the end,
-    the queue takes up to _END_PASSES passes, each while it holds at least
-    _PASS_MIN trials.
-
-    The generator draws the rest: the trials a pass leaves to it (Step 50,
-    the full Stirling test, a log decision that the bracket does not settle),
-    those still queued at the end, and every trial where numpy does not use
-    BTPE.  At the shots benchmark's inputs (100000 shots, 20000 trials) that
-    is about 1 trial in 55.  Each is drawn from its seeded state by one
-    reused PCG64, whose 32 bytes of state are written straight into the
-    generator.  binomial draws only whole 64-bit outputs, so
-    has_uint32 and uinteger keep the 0 that _word_order saw.
+    The generator draws, each from its seeded state, the trials a pass
+    leaves to it (Step 50, the full Stirling test, a log decision that btpe's
+    bracket does not settle), those still queued at the end, and every trial
+    of a call that btpe.setup leaves to it (inversion, or p > 0.5, which
+    numpy flips).  At the shots benchmark's inputs (100000 shots, 20000
+    trials) that is about 1 trial in 55.
 
     The seeding, the byte layout and the steps copy numpy's internals, not
-    its API, so each is checked against default_rng.  The seeding and the
-    layout are checked by _word_order, once per process (the first call of
-    _PUBLIC_BELOW trials or more); if it finds no order, every trial is
-    drawn by default_rng, as below _PUBLIC_BELOW.  The steps are checked on
-    every call, by drawing through the generator as well the first
-    _SELF_CHECKS trials that Step 10 accepts in their first pass, and the
-    first _SELF_CHECKS that any other step or pass accepts.  On a mismatch,
-    every trial not yet checked is drawn by the generator.
+    its API, so each is checked against default_rng: the first two by
+    _word_order, and the steps on every call, by drawing through the
+    generator as well the first _SELF_CHECKS trials that Step 10 accepts in
+    their first pass, and the first _SELF_CHECKS that any other step or pass
+    accepts.  On a mismatch, every trial not yet checked is drawn by the
+    generator.
 
     Those 8 + 8 trials per call catch gross drift only.  A BTPE threshold moved
     by a relative 2**-20, a strict comparison made loose, or the log bracket
@@ -533,7 +521,7 @@ def trial_counts(shots: int, p: float, trials: int, seed: int) -> np.ndarray:
         raise ValueError("expected non-negative integer")
     if trials < _PUBLIC_BELOW or _word_order() is None:
         return np.array([np.random.default_rng(seed + i).binomial(shots, p) for i in range(trials)], dtype=np.int64)
-    run = _TrialCounts(shots, p, trials, by_btpe=trials >= _BTPE_FROM)
+    run = _TrialCounts(shots, p, trials)
     for start in range(0, trials, SEED_CHUNK):
         run.add(seed, start, min(SEED_CHUNK, trials - start))
     run.flush()

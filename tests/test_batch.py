@@ -289,7 +289,7 @@ class TestBoundary:
     def test_non_psd_matrix_is_named(self):
         stack = ginibre(3, 5)
         stack[2] = np.diag([0.5, 0.3, 0.2 + 1e-6, -1e-6])
-        with pytest.raises(NotPsdError, match="matrix 2 of 5 is not PSD"):
+        with pytest.raises(NotPsdError, match=r"^matrix 2 of 5 is not PSD: minimum eigenvalue -1\.000e-06 "):
             linalg.psd_sqrt_batch(stack)
         with pytest.raises(NotPsdError, match="matrix 2 of 5"):
             measures.concurrence_wootters_batch(stack)

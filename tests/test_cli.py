@@ -320,6 +320,22 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(text)["mu_min"] == pytest.approx(0.2107162899340807, abs=1e-12)
 
+    def test_quasi_state_past_nd_one_is_clamped_for_its_concurrence(self, tmp_path):
+        # A real quasi-distillable state whose rounding puts N^D at
+        # 1.00000000116.  It passes validate (trace off by 9.8e-10, least
+        # eigenvalue -0.9e-10) and _matches_quasi, so full_report's min(nd, 1.0)
+        # is what keeps concurrence_quasi inside its 1e-9 slack: without it,
+        # this exits 2 with "negativity 1.00000000116 outside [0, 1]".
+        m = np.zeros((4, 4), dtype=complex)
+        m[0, 0] = m[3, 3] = 0.5 + 0.49e-9
+        m[0, 3] = m[3, 0] = m[0, 0] + 0.9e-10
+        path = tmp_path / "q.json"
+        save_state(DensityMatrix(mat=m), path)
+        code, text = run_to_file(tmp_path, ["analyze", "--state", str(path)])
+        assert code == 0
+        payload = json.loads(text)
+        assert payload["nd"] == 1.00000000116 and payload["concurrence_quasi_est"] == 1.0
+
     # SHA-256 of the `analyze` JSON, recorded when the parser was still built
     # per call and the payload went through dataclasses.asdict.
     GOLDEN = {
@@ -679,13 +695,14 @@ class TestRandomStudy:
         assert a == b
 
     def test_all_ppt_study_reports_no_negative_eigenvalue(self, tmp_path):
-        # The one state of seed 13 is PPT, so the summary's maximum is that of
-        # no negative eigenvalue at all, not of a count seen in some row.
+        # The one state of seed 13 is PPT, so the summary's maxima are those of
+        # no negative eigenvalue and no violation at all, not of a value seen
+        # in some row.
         code, text = run_to_file(tmp_path, ["random-study", "--count", "1", "--seed", "13"])
         assert code == 0
         _, row, summary = text.strip().split("\n")
         assert row.split(",")[6:] == ["true", "0"]
-        assert summary.endswith(",max_neg_pt_eigs=0")
+        assert summary == "# summary,max_tightness_violation=0,max_universal_relation_violation=0,max_neg_pt_eigs=0"
 
     def test_bad_count(self, capsys):
         assert cli.run(["random-study", "--count", "0"]) == 1
@@ -1198,12 +1215,11 @@ def test_any_input_exits_with_a_contract_code(tmp_path, argv, state):
 # One differential property over the whole CLI.  Four pieces of code copy
 # numpy's internals: the LAPACK gufuncs (_gufuncs_match), the stacked 4x4
 # trace (_adds_match), the seeding copy and its state layout (_word_order)
-# and BTPE's steps (from _BTPE_FROM trials on).  Each check tests its copy on
-# a fixed probe of its own; this property tests all four on drawn argv, where
-# the contract is stated: the CLI's stdout, stderr and exit code equal those
-# of the same argv with every copy forced onto numpy's public path.  With
-# _word_order None every trial is drawn by default_rng, so _BTPE_FROM above
-# the trials matters only if that routing changes.
+# and BTPE's steps.  Each check tests its copy on a fixed probe of its own;
+# this property tests all four on drawn argv, where the contract is stated:
+# the CLI's stdout, stderr and exit code equal those of the same argv with
+# every copy forced onto numpy's public path.  With _word_order None every
+# trial is drawn by default_rng, BTPE's steps included.
 def _around(*centers):
     return st.sampled_from(centers).flatmap(lambda c: st.integers(c - 1, c + 1)).map(str)
 
@@ -1236,7 +1252,7 @@ _DIFFERENTIAL_ARGVS = {
         st.just(["simulate"]), _SOURCES,
         st.just(["--shots"]), st.sampled_from(["1", "40", "1000", "100000"]).map(lambda n: [n]),
         st.just(["--trials"]),
-        _around(shotsim._PUBLIC_BELOW, shotsim._BTPE_FROM, shotsim.SEED_CHUNK).map(lambda n: [n]),
+        _around(shotsim._PUBLIC_BELOW, 100, shotsim.SEED_CHUNK).map(lambda n: [n]),
         st.just(["--seed"]), _EDGE_SEEDS.map(lambda s: [s]),
     ),
     "spa-verify": st.tuples(st.just(["spa-verify", "--seed"]), _EDGE_SEEDS.map(lambda s: [s])),
@@ -1266,7 +1282,6 @@ def test_every_copy_of_numpys_internals_is_invisible_in_the_output(tmp_path, com
         mp.setattr(linalg, "_gufuncs_match", functools.cache(lambda: False))
         mp.setattr(linalg, "_adds_match", functools.cache(lambda: False))
         mp.setattr(shotsim, "_word_order", functools.cache(lambda: None))
-        mp.setattr(shotsim, "_BTPE_FROM", cli.MAX_TRIALS + 1)
         forced = _run_captured(argv)
     assert as_is[0] == 0
     assert forced == as_is

@@ -146,10 +146,13 @@ class TestHermEigen:
 
 
 def _overflowing(kind: str) -> np.ndarray:
-    """I/4 with a Hermitian pair or diagonal of entries whose sum overflows float64."""
+    """I/4 with a Hermitian pair or diagonal of entries whose sum overflows
+    float64, or with one diagonal entry that overflows when doubled."""
     m = np.eye(4, dtype=complex) / 4
     if kind == "diagonal":
         m[0, 0], m[1, 1] = 1.5e308, -1.5e308
+    elif kind == "one entry":
+        m[0, 0] = 1.5e308
     elif kind == "real pair":
         m[0, 1] = m[1, 0] = 1.5e308
     else:
@@ -158,14 +161,15 @@ def _overflowing(kind: str) -> np.ndarray:
 
 
 @pytest.mark.parametrize("kernel", [herm_eigen_batch, psd_sqrt_batch, spa.mu_min_batch, linalg.check_hermitian])
-@pytest.mark.parametrize("kind", ["diagonal", "real pair", "imaginary pair"])
-def test_an_overflowing_hermitian_part_is_named(kernel, kind):
+@pytest.mark.parametrize("kind, count", [("diagonal", 2), ("real pair", 2), ("imaginary pair", 2), ("one entry", 1)])
+def test_an_overflowing_hermitian_part_is_named(kernel, kind, count):
     # A Hermitian matrix with finite entries near float64's maximum: its
-    # Hermitian part overflows.  The kernel names it by index, with no
-    # warning (which fails the test) and no eigensolve message.
+    # Hermitian part overflows, in each entry of a pair or in one diagonal
+    # entry alone.  The kernel names it by index and counts the overflowed
+    # entries, with no warning (which fails the test) and no eigensolve message.
     stack = np.stack([np.eye(4) / 4, _overflowing(kind), np.eye(4) / 4])
     with pytest.raises(linalg.HermitianOverflowError, match=r"^matrix 1 of 3: entries too large: "
-                       r"\(M \+ M\^dag\) / 2 overflows in 2 of 16$"):
+                       rf"\(M \+ M\^dag\) / 2 overflows in {count} of 16$"):
         kernel(stack)
 
 

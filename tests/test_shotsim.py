@@ -172,15 +172,15 @@ def _default_rng_counts(shots, p, trials, base):
     return [np.random.default_rng(base + i).binomial(shots, p) for i in range(trials)]
 
 
-def _by_btpe(mp) -> None:
-    """Take BTPE's steps in numpy at every trial count, as larger runs do."""
+def _seeded_at_every_size(mp) -> None:
+    """Draw from the seeded states at every trial count, as runs of
+    _PUBLIC_BELOW trials or more do: by BTPE's steps where btpe.setup says so."""
     mp.setattr(shotsim, "_PUBLIC_BELOW", 0)
-    mp.setattr(shotsim, "_BTPE_FROM", 0)
 
 
 def _small_chunk_counts(shots, p, trials, base):
     with pytest.MonkeyPatch.context() as mp:
-        _by_btpe(mp)
+        _seeded_at_every_size(mp)
         mp.setattr(shotsim, "SEED_CHUNK", SMALL_CHUNK)
         # Any queue takes its end passes, so that they too cross the chunk edges.
         mp.setattr(shotsim, "_PASS_MIN", 1)
@@ -246,7 +246,7 @@ def _swap_32_bit_halves(words):
     return tuple(w << np.uint64(32) | w >> np.uint64(32) for w in words)
 
 
-@pytest.mark.parametrize("trials", [shotsim._PUBLIC_BELOW, shotsim._BTPE_FROM, SEED_CHUNK + 1])
+@pytest.mark.parametrize("trials", [shotsim._PUBLIC_BELOW, 100, SEED_CHUNK + 1])
 def test_a_seeding_that_differs_from_numpys_falls_back_to_default_rng(monkeypatch, trials):
     # A big-endian build would assemble each uint64 of generate_state from
     # its uint32 words the other way round.  Every count drawn from those
@@ -275,7 +275,7 @@ def test_a_seeding_wrong_only_for_four_word_seeds_falls_back_to_default_rng(monk
     _fresh_word_order(monkeypatch)
     _refuse_draw(monkeypatch)
     base = 2**100
-    trials = shotsim._BTPE_FROM
+    trials = 100
     assert trial_counts(100000, 0.448, trials, base).tolist() == _default_rng_counts(100000, 0.448, trials, base)
     assert shotsim._word_order() is None
 
@@ -292,7 +292,7 @@ class _HighLowView:
         self.view[key] = data[8:16] + data[:8] + data[24:32] + data[16:24]
 
 
-@pytest.mark.parametrize("trials", [shotsim._BTPE_FROM, SEED_CHUNK + 1])
+@pytest.mark.parametrize("trials", [100, SEED_CHUNK + 1])
 def test_a_high_low_layout_stacks_the_halves_swapped(monkeypatch, trials):
     state_view = shotsim._state_view
     monkeypatch.setattr(shotsim, "_state_view", lambda bit_gen: _HighLowView(state_view(bit_gen)))
@@ -357,7 +357,7 @@ def test_binomial_sampler_is_pinned(monkeypatch):
     per_seed = [47115, 46941, 46762, 46975, 47404, 47036]
     assert _default_rng_counts(100000, 0.47, 6, 2**32) == per_seed
     assert trial_counts(100000, 0.47, 6, 2**32).tolist() == per_seed
-    _by_btpe(monkeypatch)
+    _seeded_at_every_size(monkeypatch)
     assert trial_counts(100000, 0.47, 6, 2**32).tolist() == per_seed
 
 
@@ -440,7 +440,7 @@ def _generator_draw(row: list[int], shots: int, p: float) -> int:
     state=st.integers(0, 2**128 - 1),
     inc=st.integers(0, 2**127 - 1),
     shots=st.integers(31, 2**53),
-    p=st.floats(0.0, 1.0),
+    p=st.floats(0.0, 0.5),
 )
 def test_btpe_first_step_is_the_generators_where_it_accepts(state, inc, shots, p):
     setup = btpe.setup(shots, p)
@@ -455,7 +455,8 @@ def test_btpe_first_step_is_the_generators_where_it_accepts(state, inc, shots, p
         assert count == _generator_draw(row, shots, p)
 
 
-@pytest.mark.parametrize("p", [0.3, 0.7])
+# numpy draws p = 0.7 by BTPE for 1 - 0.7 = 0.30000000000000004 and flips it.
+@pytest.mark.parametrize("p", [0.3, 1 - 0.7])
 def test_btpe_first_step_accepts_u_equal_to_p1(p):
     # numpy rejects only u > p1.  At 1000 shots p1 = 28.5, and the first
     # double k * 2**-53 of this k makes u = d1 * p4 exactly p1.  The state
@@ -489,42 +490,55 @@ def _count_draws(monkeypatch) -> list[int]:
     return draws
 
 
-# (shots, p, whether numpy draws by BTPE): it does where min(p, 1 - p) * shots
-# > 30.  0.3 * 100 is 30.0, but 1 - 0.7 is 0.30000000000000004, so 100 shots
-# draw by inversion at p = 0.3 and by BTPE at p = 0.7.  p > 0.5 draws for
-# 1 - p and flips the count.  Past 2**53 shots the later steps leave every
-# trial that Step 10 rejects to the generator.
+def _count_step_10(monkeypatch) -> list[int]:
+    """A one-item list counting btpe.step_10's calls from now on."""
+    calls = [0]
+    step = btpe.step_10
+
+    def counted(*args):
+        calls[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(btpe, "step_10", counted)
+    return calls
+
+
+# (shots, p, whether trial_counts takes BTPE's steps in numpy): numpy draws by
+# BTPE where min(p, 1 - p) * shots > 30, and for p > 0.5 it draws for 1 - p
+# and flips the count, which btpe.setup leaves to the generator.  0.3 * 100 is
+# 30.0, so 100 shots draw by inversion at p = 0.3; 1 - 0.7 is
+# 0.30000000000000004, so numpy draws by BTPE at p = 0.7, flipped.  Past 2**53
+# shots the later steps leave every trial that Step 10 rejects to the generator.
 BTPE_EDGES = [
     (60, 0.5, False),
     (61, 0.5, True),
     (100, 0.3, False),
-    (100, 0.7, True),
-    (1000, 0.7, True),
+    (100, 0.7, False),
+    (1000, 0.7, False),
     (1000, 0.5, True),
     (2**53, 0.47, True),
     (2**62, 0.47, True),
 ]
 
 
-@pytest.mark.parametrize("shots, p, by_btpe", BTPE_EDGES)
-def test_trial_counts_at_the_real_chunk_around_btpe(monkeypatch, shots, p, by_btpe):
+@pytest.mark.parametrize("shots, p, stepped", BTPE_EDGES)
+def test_trial_counts_at_the_real_chunk_around_btpe(monkeypatch, shots, p, stepped):
     trials, base = SEED_CHUNK + 1, 2**64 - SEED_CHUNK // 2
     expected = _default_rng_counts(shots, p, trials, base)
     draws = _count_draws(monkeypatch)
     assert trial_counts(shots, p, trials, base).tolist() == expected
-    assert (btpe.setup(shots, p) is not None) == by_btpe
-    if by_btpe:
+    assert (btpe.setup(shots, p) is not None) == stepped
+    if stepped:
         # The step accepted its share (p1 / p4 >= 0.38 here): no fallback.
         assert draws[0] < 0.7 * trials
     else:
         assert draws[0] == trials
 
 
-# Both sides of each bound between trial_counts' three ways, and of a chunk.
+# Both sides of the bound between trial_counts' two ways, and of a chunk.
 WAY_EDGES = sorted({
     1, 2,
     shotsim._PUBLIC_BELOW - 1, shotsim._PUBLIC_BELOW, shotsim._PUBLIC_BELOW + 1,
-    shotsim._BTPE_FROM - 1, shotsim._BTPE_FROM, shotsim._BTPE_FROM + 1,
     SEED_CHUNK - 1, SEED_CHUNK + 1,
 })
 
@@ -532,17 +546,55 @@ WAY_EDGES = sorted({
 @pytest.mark.parametrize("trials", WAY_EDGES)
 @pytest.mark.parametrize("base", [0, 2**64 - 300])
 def test_each_way_draws_default_rngs_counts(monkeypatch, trials, base):
-    # The public loop draws through default_rng, which the counter does not
-    # see; the generator draws every trial from its seeded columns; BTPE in
-    # numpy leaves it a few.
+    # The public loop draws through default_rng, which the counters do not
+    # see.  From _PUBLIC_BELOW trials on, BTPE's steps run in numpy and leave
+    # the generator the self-checks and a few trials: below _PASS_MIN
+    # queued, every trial Step 10 rejects.
     draws = _count_draws(monkeypatch)
+    steps = _count_step_10(monkeypatch)
     assert trial_counts(100000, 0.448, trials, base).tolist() == _default_rng_counts(100000, 0.448, trials, base)
     if trials < shotsim._PUBLIC_BELOW:
-        assert draws[0] == 0
-    elif trials < shotsim._BTPE_FROM:
-        assert draws[0] == trials
+        assert draws[0] == 0 and steps[0] == 0
     else:
-        assert 0 < draws[0] < trials / 2
+        assert steps[0] > 0 and 0 < draws[0] < max(trials / 2, 2 * shotsim._SELF_CHECKS)
+
+
+@pytest.mark.parametrize("trials", [shotsim._PUBLIC_BELOW, SEED_CHUNK + 1])
+def test_the_generator_alone_draws_default_rngs_counts(monkeypatch, trials):
+    # Where btpe.setup gives None, the generator draws every trial from its
+    # seeded columns.
+    base = 2**64 - 300
+    monkeypatch.setattr(btpe, "setup", lambda shots, p: None)
+    draws = _count_draws(monkeypatch)
+    steps = _count_step_10(monkeypatch)
+    assert trial_counts(100000, 0.448, trials, base).tolist() == _default_rng_counts(100000, 0.448, trials, base)
+    assert draws[0] == trials and steps[0] == 0
+
+
+# The paper's link maps mu_min in [1/6, 1/4] onto F_avg in [59/135, 65/135],
+# the p of every simulate call.  From _PUBLIC_BELOW trials on, each run takes
+# BTPE's steps, on both sides of ~200 trials, where drawing every trial by
+# the generator stops being cheaper, and of the former switch at 350.
+@pytest.mark.parametrize("p", [59 / 135, 65 / 135])
+@pytest.mark.parametrize("trials", [shotsim._PUBLIC_BELOW, 100, 200, 349, 350])
+def test_every_seeded_run_in_the_papers_range_takes_btpes_steps(monkeypatch, trials, p):
+    base = 2**64 - 100
+    steps = _count_step_10(monkeypatch)
+    assert trial_counts(100000, p, trials, base).tolist() == _default_rng_counts(100000, p, trials, base)
+    assert steps[0] > 0
+
+
+@pytest.mark.parametrize("shots, p", [(100000, 0.552), (1000, 0.7), (10**9, 0.999)])
+@pytest.mark.parametrize("trials", [shotsim._PUBLIC_BELOW, 350])
+def test_p_above_one_half_is_drawn_by_the_generator(monkeypatch, shots, p, trials):
+    # numpy draws such a call by BTPE for 1 - p and flips the count; btpe.setup
+    # leaves it to the generator, which draws every trial from its seeded state.
+    assert btpe.setup(shots, p) is None and btpe.setup(shots, 1 - p) is not None
+    base = 2**64 - 100
+    draws = _count_draws(monkeypatch)
+    steps = _count_step_10(monkeypatch)
+    assert trial_counts(shots, p, trials, base).tolist() == _default_rng_counts(shots, p, trials, base)
+    assert draws[0] == trials and steps[0] == 0
 
 
 @pytest.mark.parametrize("p", [float("nan"), 1.5, -0.5])
@@ -665,7 +717,7 @@ def test_a_failed_self_check_leaves_the_draws_to_the_generator(monkeypatch, chun
 
     base = 2**64 - chunk
     expected = _default_rng_counts(1000, 0.3, trials, base)
-    _by_btpe(monkeypatch)
+    _seeded_at_every_size(monkeypatch)
     monkeypatch.setattr(btpe, "step_10", wrong_step)
     monkeypatch.setattr(shotsim, "SEED_CHUNK", chunk)
     assert trial_counts(1000, 0.3, trials, base).tolist() == expected
@@ -740,24 +792,22 @@ def _btpe_path(row: list[int], shots: int, p: float) -> list[str]:
 
 # Seeds whose default_rng(seed).binomial(shots, p) takes each path through
 # BTPE's later steps, as _btpe_path names it, found by a search over the first
-# seeds.  A tail's y leaves [0, n] only at small n.  p = 0.552 draws for
-# 1 - p = 0.448 and flips the count.
+# seeds.  A tail's y leaves [0, n] only at small n.
 LATER_PATHS = [
     (100000, 0.448, 9, ["20 52 accepts"]),
-    (100000, 0.552, 9, ["20 52 accepts"]),
     (100000, 0.448, 13, ["20 loops", "20 52 accepts"]),
     (100000, 0.448, 108, ["20 loops", "10"]),
     (100000, 0.448, 5, ["20 52 loops", "10"]),
     (100000, 0.448, 134, ["30 52 accepts"]),
     (100000, 0.448, 93, ["40 52 accepts"]),
     (100000, 0.448, 133, ["30 52 loops", "10"]),
-    (100000, 0.552, 316, ["40 52 loops", "30 52 accepts"]),
+    (100000, 0.448, 316, ["40 52 loops", "30 52 accepts"]),
     (62, 0.5, 64649, ["30 y < 0", "10"]),
     (62, 0.5, 409060, ["40 y > n", "10"]),
     (100000, 0.448, 120, ["20 50"]),
     (100000, 0.448, 206, ["20 stirling"]),
     (100000, 0.448, 439, ["30 stirling"]),
-    (100000, 0.552, 1602, ["40 stirling"]),
+    (100000, 0.448, 1602, ["40 stirling"]),
 ]
 
 
@@ -766,7 +816,7 @@ def test_each_later_step_path_is_default_rngs(monkeypatch, shots, p, seed, path)
     assert _btpe_path(_rows(_pcg64_words(seed, 1))[0].tolist(), shots, p) == path
     expected = _default_rng_counts(shots, p, 1, seed)
     # A queue of one trial takes its end passes, and no self-check draws.
-    _by_btpe(monkeypatch)
+    _seeded_at_every_size(monkeypatch)
     monkeypatch.setattr(shotsim, "_PASS_MIN", 1)
     monkeypatch.setattr(shotsim, "_SELF_CHECKS", 0)
     draws = _count_draws(monkeypatch)
@@ -804,7 +854,7 @@ def test_step_20_goes_on_at_v_equal_to_one():
 
 @given(
     shots=st.integers(31, 2**53),
-    p=st.floats(0.0, 1.0),
+    p=st.floats(0.0, 0.5),
     doubles=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 2**53 - 1)), min_size=1, max_size=8),
 )
 def test_btpe_later_steps_are_the_generators_where_they_decide(shots, p, doubles):
@@ -864,7 +914,7 @@ def test_a_failed_later_step_self_check_leaves_the_draws_to_the_generator(monkey
 
     base = 2**64 - chunk
     expected = _default_rng_counts(100000, 0.448, trials, base)
-    _by_btpe(monkeypatch)
+    _seeded_at_every_size(monkeypatch)
     monkeypatch.setattr(btpe, "_later_steps", wrong_steps)
     # Blocks of one row, so that the wrong steps see each trial once.
     monkeypatch.setattr(btpe, "_BLOCK", 1)
@@ -889,8 +939,8 @@ def test_np_log_stays_far_inside_the_log_bracket():
 
 # (shots, p) where the later steps meet each of their cases often: the tails'
 # y leaves [0, n] at 62 shots, Step 50 takes most trials at 1000 shots and few
-# at 10**9, and p > 0.5 flips the count.
-ROUND_CASES = [(62, 0.5), (1000, 0.3), (100000, 0.448), (100000, 0.552), (10**9, 0.999), (2**53, 0.47)]
+# at 10**9, and 65/135 is the top of the paper's F_avg range.
+ROUND_CASES = [(62, 0.5), (1000, 0.3), (100000, 0.448), (100000, 65 / 135), (10**9, 0.001), (2**53, 0.47)]
 
 
 @pytest.mark.parametrize("shots, p", ROUND_CASES)

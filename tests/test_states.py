@@ -122,8 +122,10 @@ class TestValidate:
         pair[0, 1] = pair[1, 0] = 1.5e308
         imaginary = np.eye(4, dtype=complex) / 4
         imaginary[2, 2] = complex(0.25, 5e307)
+        one = np.eye(4, dtype=complex) / 4
+        one[0, 0] = 1.5e308
         text = "entries too large: (M + M^dag) / 2 overflows in {} of 16"
-        for mat, count in [(diagonal, 2), (pair, 2)]:
+        for mat, count in [(diagonal, 2), (pair, 2), (one, 1)]:
             check = states.validate_batch(mat[None])
             assert check.violations(0) == [text.format(count)] and not check.valid[0]
             assert check.nonfinite[0] == 0 and np.isnan(check.min_eigenvalue[0])
