@@ -67,11 +67,11 @@ def setup(shots: int, p: float) -> Setup | None:
     """The constants of random_binomial_btpe's setup for binomial(shots, p).
 
     None where numpy does not draw by BTPE, where it draws for 1 - p and
-    flips the count (p > 0.5), and for a NaN p or, at shots >= 0, a negative
-    one; the generator then draws the call, and raises if it is invalid.
-    The constants follow numpy's setup in its order, with r = min(p, 1 - p) = p.
+    flips the count (p > 0.5), and for a NaN or negative p; the generator
+    then draws the call, and raises if it is invalid.  The constants follow
+    numpy's setup in its order, with r = min(p, 1 - p) = p.
     """
-    if not (p <= 0.5 and p * shots > _MIN_MEAN):
+    if not (0.0 <= p <= 0.5 and p * shots > _MIN_MEAN):
         return None
     q = 1.0 - p
     fm = shots * p + p

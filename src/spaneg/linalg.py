@@ -38,8 +38,11 @@ input.
 Every trace of an (N, 4, 4) stack goes through `trace_batch`, bitwise
 np.trace(m, axis1=1, axis2=2): numpy sums each diagonal of a C-contiguous
 complex128 stack pairwise, as 0 + ((d0 + d1) + (d2 + d3)), and trace_batch
-does the same with four elementwise adds.  Right after a BLAS matmul,
-np.trace of a 256-stack costs several times the adds.  The order is a numpy
+does the same with four elementwise adds.  Right after an OpenBLAS zgemm,
+np.trace of a 256-stack costs ~10 times the adds, ~5 times its own cost
+otherwise: its reduce loop pays for the AVX upper state the product leaves
+until a numpy loop clears it (np.negative does; np.abs, np.sqrt do not).
+The order is a numpy
 internal, so trace_batch keeps the same guarantees: the first call
 that may take the adds checks them bitwise against np.trace on a fixed
 stack, through _adds_match, and on a mismatch, for a stack of fewer than 8
@@ -249,7 +252,8 @@ def _gufuncs_match() -> bool:
 
 # Stacks of fewer matrices are summed by np.trace's one reduce.  Alone, that
 # reduce costs ~1.6 us at N = 1 against ~3.5 us for the four adds; right
-# after a BLAS matmul the adds are cheaper from N = 8 on (timeit, 1 thread).
+# after an OpenBLAS zgemm, whose AVX upper state that reduce pays for, the
+# adds are cheaper from N = 8 on (timeit, 1 thread).
 _ADDS_MIN = 8
 
 

@@ -274,8 +274,7 @@ def _word_order() -> tuple[int, ...] | None:
     2**64 and 2**128; None if neither does.
 
     This checks the seeding copy and the memory layout against the public
-    path at once, once per process: in its first trial_counts call of
-    _PUBLIC_BELOW trials or more.
+    path at once, once per process: in its first trial_counts call.
     """
     bit_gen = np.random.PCG64(0)
     view = _state_view(bit_gen)
@@ -301,14 +300,10 @@ SEED_CHUNK = 4096
 # check: this many of those Step 10 accepts in a trial's first pass, and this
 # many of all the others.
 _SELF_CHECKS = 8
-# The end of a call takes up to _END_PASSES passes of the later steps, each
-# while the queue holds _PASS_MIN or more trials: a pass costs what the
-# generator takes for ~300 trials (BENCH_22.json, pool_min_us).
-_END_PASSES = 3
+# The end of a call takes passes of the later steps while the queue holds
+# _PASS_MIN or more trials: a pass costs what the generator takes for ~300
+# trials (BENCH_22.json, pool_min_us).
 _PASS_MIN = 256
-# Below _PUBLIC_BELOW trials default_rng draws each trial, the cheaper way
-# there (CHANGES.md's ways table).
-_PUBLIC_BELOW = 20
 
 _ROT_SHIFT, _ROT_MASK, _DOUBLE_SHIFT = np.uint64(58), np.uint64(63), np.uint64(11)
 
@@ -419,12 +414,9 @@ class _TrialCounts:
             self._later_steps()
 
     def flush(self) -> None:
-        """Take up to _END_PASSES passes of the later steps, each while the
-        queue holds _PASS_MIN or more trials, then draw what is left by the
-        generator."""
-        for _ in range(_END_PASSES):
-            if self.queued < _PASS_MIN:
-                break
+        """Take passes of the later steps while the queue holds _PASS_MIN or
+        more trials, then draw what is left by the generator."""
+        while self.queued >= _PASS_MIN:
             self._later_steps()
         self._draw_left()
 
@@ -489,19 +481,21 @@ def trial_counts(shots: int, p: float, trials: int, seed: int) -> np.ndarray:
 
     Trial i is np.random.default_rng(seed + i).binomial(shots, p), bit for
     bit, and a negative seed raises its ValueError before any seeding.  Two
-    decisions pick the way, each from what the call observes.  Below
-    _PUBLIC_BELOW trials, or where _word_order finds no layout, default_rng
-    draws each trial.  Otherwise the seeded states are computed SEED_CHUNK
-    trials at a time, and where btpe.setup says numpy draws by BTPE (p <= 0.5
-    and p * shots > 30), each chunk takes Step 10 of a pass in numpy; the
-    trials it rejects are queued across chunks for Steps 20 to 52.
+    decisions pick the way, each from what the call observes.  Where
+    _word_order finds no layout, default_rng draws each trial.  Otherwise the
+    seeded states are computed SEED_CHUNK trials at a time, and where
+    btpe.setup says numpy draws by BTPE (0 <= p <= 0.5 and p * shots > 30),
+    each chunk takes Step 10 of a pass in numpy; the trials it rejects are
+    queued across chunks for Steps 20 to 52, and the end of the call takes
+    passes while _PASS_MIN or more are queued.
 
     The generator draws, each from its seeded state, the trials a pass
     leaves to it (Step 50, the full Stirling test, a log decision that btpe's
     bracket does not settle), those still queued at the end, and every trial
-    of a call that btpe.setup leaves to it (inversion, or p > 0.5, which
-    numpy flips).  At the shots benchmark's inputs (100000 shots, 20000
-    trials) that is about 1 trial in 55.
+    of a call that btpe.setup leaves to it (inversion, p > 0.5, which numpy
+    flips, or an invalid p or shots, for which it raises numpy's error).  At
+    the shots benchmark's inputs (100000 shots, 20000 trials) that is about
+    1 trial in 55.
 
     The seeding, the byte layout and the steps copy numpy's internals, not
     its API, so each is checked against default_rng: the first two by
@@ -519,7 +513,7 @@ def trial_counts(shots: int, p: float, trials: int, seed: int) -> np.ndarray:
     """
     if seed < 0:
         raise ValueError("expected non-negative integer")
-    if trials < _PUBLIC_BELOW or _word_order() is None:
+    if _word_order() is None:
         return np.array([np.random.default_rng(seed + i).binomial(shots, p) for i in range(trials)], dtype=np.int64)
     run = _TrialCounts(shots, p, trials)
     for start in range(0, trials, SEED_CHUNK):

@@ -1252,7 +1252,7 @@ _DIFFERENTIAL_ARGVS = {
         st.just(["simulate"]), _SOURCES,
         st.just(["--shots"]), st.sampled_from(["1", "40", "1000", "100000"]).map(lambda n: [n]),
         st.just(["--trials"]),
-        _around(shotsim._PUBLIC_BELOW, 100, shotsim.SEED_CHUNK).map(lambda n: [n]),
+        _around(2, 100, shotsim.SEED_CHUNK).map(lambda n: [n]),
         st.just(["--seed"]), _EDGE_SEEDS.map(lambda s: [s]),
     ),
     "spa-verify": st.tuples(st.just(["spa-verify", "--seed"]), _EDGE_SEEDS.map(lambda s: [s])),

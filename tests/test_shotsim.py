@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -172,15 +173,8 @@ def _default_rng_counts(shots, p, trials, base):
     return [np.random.default_rng(base + i).binomial(shots, p) for i in range(trials)]
 
 
-def _seeded_at_every_size(mp) -> None:
-    """Draw from the seeded states at every trial count, as runs of
-    _PUBLIC_BELOW trials or more do: by BTPE's steps where btpe.setup says so."""
-    mp.setattr(shotsim, "_PUBLIC_BELOW", 0)
-
-
 def _small_chunk_counts(shots, p, trials, base):
     with pytest.MonkeyPatch.context() as mp:
-        _seeded_at_every_size(mp)
         mp.setattr(shotsim, "SEED_CHUNK", SMALL_CHUNK)
         # Any queue takes its end passes, so that they too cross the chunk edges.
         mp.setattr(shotsim, "_PASS_MIN", 1)
@@ -246,7 +240,7 @@ def _swap_32_bit_halves(words):
     return tuple(w << np.uint64(32) | w >> np.uint64(32) for w in words)
 
 
-@pytest.mark.parametrize("trials", [shotsim._PUBLIC_BELOW, 100, SEED_CHUNK + 1])
+@pytest.mark.parametrize("trials", [1, 100, SEED_CHUNK + 1])
 def test_a_seeding_that_differs_from_numpys_falls_back_to_default_rng(monkeypatch, trials):
     # A big-endian build would assemble each uint64 of generate_state from
     # its uint32 words the other way round.  Every count drawn from those
@@ -310,25 +304,25 @@ def test_word_order_check_passes_on_this_build():
 
 
 def test_word_order_check_runs_once_per_process(monkeypatch):
-    # The public loop below _PUBLIC_BELOW trials takes no check; the first
-    # call past it takes it, and no later call takes it again.
+    # The first call takes the check, whatever its trial count, and no later
+    # call takes it again.
     checks = []
     check = shotsim._word_order.__wrapped__
     monkeypatch.setattr(shotsim, "_word_order", functools.cache(lambda: checks.append(1) or check()))
-    for trials, taken in ((1, []), (100, [1]), (5000, [1])):
+    for trials, taken in ((1, [1]), (100, [1]), (5000, [1])):
         assert trial_counts(1000, 0.3, trials, 11).tolist() == _default_rng_counts(1000, 0.3, trials, 11)
         assert checks == taken
     assert shotsim._word_order() == (0, 1, 2, 3)
 
 
 def test_word_order_check_waits_for_the_first_call():
-    # Importing the CLI runs no check; the first simulation that draws through
-    # the generator runs it.
+    # Importing the CLI runs no check; the first simulation runs it, even one
+    # of a single trial.
     code = (
         "import os\n"
         "from spaneg import cli, shotsim\n"
         "before = shotsim._word_order.cache_info().currsize\n"
-        "cli.run(['simulate', '--family', 'bell', '--trials', '20', '--shots', '100', '--out', os.devnull])\n"
+        "cli.run(['simulate', '--family', 'bell', '--trials', '1', '--shots', '100', '--out', os.devnull])\n"
         "print(before, shotsim._word_order.cache_info().currsize)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -347,7 +341,7 @@ def test_pcg64_seeding_is_pinned():
     assert (s_hi << 64 | s_lo, i_hi << 64 | i_lo) == pinned
 
 
-def test_binomial_sampler_is_pinned(monkeypatch):
+def test_binomial_sampler_is_pinned():
     # default_rng(2**32).binomial(100000, 0.47) under numpy 2.4, which draws
     # by BTPE there.  If a numpy release changes the sampler, this fails by
     # name, besides trial_counts' own check against the generator.
@@ -356,8 +350,6 @@ def test_binomial_sampler_is_pinned(monkeypatch):
     assert [int(rng.binomial(100000, 0.47)) for _ in pinned] == pinned, "numpy changed binomial"
     per_seed = [47115, 46941, 46762, 46975, 47404, 47036]
     assert _default_rng_counts(100000, 0.47, 6, 2**32) == per_seed
-    assert trial_counts(100000, 0.47, 6, 2**32).tolist() == per_seed
-    _seeded_at_every_size(monkeypatch)
     assert trial_counts(100000, 0.47, 6, 2**32).tolist() == per_seed
 
 
@@ -535,31 +527,23 @@ def test_trial_counts_at_the_real_chunk_around_btpe(monkeypatch, shots, p, stepp
         assert draws[0] == trials
 
 
-# Both sides of the bound between trial_counts' two ways, and of a chunk.
-WAY_EDGES = sorted({
-    1, 2,
-    shotsim._PUBLIC_BELOW - 1, shotsim._PUBLIC_BELOW, shotsim._PUBLIC_BELOW + 1,
-    SEED_CHUNK - 1, SEED_CHUNK + 1,
-})
+# The shortest runs, and both sides of a chunk.
+WAY_EDGES = [1, 2, 19, SEED_CHUNK - 1, SEED_CHUNK + 1]
 
 
 @pytest.mark.parametrize("trials", WAY_EDGES)
 @pytest.mark.parametrize("base", [0, 2**64 - 300])
 def test_each_way_draws_default_rngs_counts(monkeypatch, trials, base):
-    # The public loop draws through default_rng, which the counters do not
-    # see.  From _PUBLIC_BELOW trials on, BTPE's steps run in numpy and leave
-    # the generator the self-checks and a few trials: below _PASS_MIN
-    # queued, every trial Step 10 rejects.
+    # At every trial count BTPE's steps run in numpy and leave the generator
+    # the self-checks and a few trials: below _PASS_MIN queued, every trial
+    # Step 10 rejects.
     draws = _count_draws(monkeypatch)
     steps = _count_step_10(monkeypatch)
     assert trial_counts(100000, 0.448, trials, base).tolist() == _default_rng_counts(100000, 0.448, trials, base)
-    if trials < shotsim._PUBLIC_BELOW:
-        assert draws[0] == 0 and steps[0] == 0
-    else:
-        assert steps[0] > 0 and 0 < draws[0] < max(trials / 2, 2 * shotsim._SELF_CHECKS)
+    assert steps[0] > 0 and 0 < draws[0] < max(trials / 2, 2 * shotsim._SELF_CHECKS)
 
 
-@pytest.mark.parametrize("trials", [shotsim._PUBLIC_BELOW, SEED_CHUNK + 1])
+@pytest.mark.parametrize("trials", [1, SEED_CHUNK + 1])
 def test_the_generator_alone_draws_default_rngs_counts(monkeypatch, trials):
     # Where btpe.setup gives None, the generator draws every trial from its
     # seeded columns.
@@ -572,11 +556,11 @@ def test_the_generator_alone_draws_default_rngs_counts(monkeypatch, trials):
 
 
 # The paper's link maps mu_min in [1/6, 1/4] onto F_avg in [59/135, 65/135],
-# the p of every simulate call.  From _PUBLIC_BELOW trials on, each run takes
-# BTPE's steps, on both sides of ~200 trials, where drawing every trial by
-# the generator stops being cheaper, and of the former switch at 350.
+# the p of every simulate call.  Each run takes BTPE's steps, from a single
+# trial on, past ~200 trials, where drawing every trial by the generator stops
+# being cheaper, and on both sides of the former switch at 350.
 @pytest.mark.parametrize("p", [59 / 135, 65 / 135])
-@pytest.mark.parametrize("trials", [shotsim._PUBLIC_BELOW, 100, 200, 349, 350])
+@pytest.mark.parametrize("trials", [1, 19, 100, 200, 349, 350])
 def test_every_seeded_run_in_the_papers_range_takes_btpes_steps(monkeypatch, trials, p):
     base = 2**64 - 100
     steps = _count_step_10(monkeypatch)
@@ -585,7 +569,7 @@ def test_every_seeded_run_in_the_papers_range_takes_btpes_steps(monkeypatch, tri
 
 
 @pytest.mark.parametrize("shots, p", [(100000, 0.552), (1000, 0.7), (10**9, 0.999)])
-@pytest.mark.parametrize("trials", [shotsim._PUBLIC_BELOW, 350])
+@pytest.mark.parametrize("trials", [1, 350])
 def test_p_above_one_half_is_drawn_by_the_generator(monkeypatch, shots, p, trials):
     # numpy draws such a call by BTPE for 1 - p and flips the count; btpe.setup
     # leaves it to the generator, which draws every trial from its seeded state.
@@ -601,6 +585,19 @@ def test_p_above_one_half_is_drawn_by_the_generator(monkeypatch, shots, p, trial
 def test_invalid_p_still_raises(p):
     with pytest.raises(ValueError):
         trial_counts(100000, p, 3, 0)
+
+
+@pytest.mark.parametrize("trials", [1, 100])
+def test_negative_shots_and_p_are_left_to_the_generators_error(monkeypatch, trials):
+    # (-0.5)(-100) = 50 is past BTPE's mean of 30, but numpy draws no such
+    # call: btpe.setup leaves it to the generator, which raises numpy's error.
+    assert btpe.setup(-100, -0.5) is None
+    with pytest.raises(ValueError) as public:
+        np.random.default_rng(0).binomial(-100, -0.5)
+    steps = _count_step_10(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(public.value))}$"):
+        trial_counts(-100, -0.5, trials, 0)
+    assert steps[0] == 0
 
 
 def test_the_step_draws_three_in_four_workload_trials(monkeypatch):
@@ -642,6 +639,30 @@ def test_a_long_run_draws_what_is_left_once_at_the_end(monkeypatch):
     assert calls.count("add") == -(-trials // SEED_CHUNK)
     sample = np.random.default_rng(7).choice(trials, 200, replace=False).tolist()
     assert counts[sample].tolist() == [np.random.default_rng(base + i).binomial(100000, f) for i in sample]
+
+
+def test_the_end_of_a_call_takes_passes_until_the_queue_is_short(monkeypatch):
+    # At 62 shots one chunk of 4096 trials leaves ~1000 queued at the end of
+    # the call, and a few of them are still queued after three passes.  With
+    # _PASS_MIN = 1 the end passes go on until none is, so that the
+    # generator draws no queued trial.
+    shots, p, trials, base = 62, 0.5, SEED_CHUNK, 0
+    monkeypatch.setattr(shotsim, "_PASS_MIN", 1)
+    left, passes = [], [0]
+    draw_left, later_steps = shotsim._TrialCounts._draw_left, shotsim._TrialCounts._later_steps
+
+    def recorded_draw_left(run):
+        left.append(run.queued)
+        draw_left(run)
+
+    def counted_later_steps(run):
+        passes[0] += 1
+        later_steps(run)
+
+    monkeypatch.setattr(shotsim._TrialCounts, "_draw_left", recorded_draw_left)
+    monkeypatch.setattr(shotsim._TrialCounts, "_later_steps", counted_later_steps)
+    assert trial_counts(shots, p, trials, base).tolist() == _default_rng_counts(shots, p, trials, base)
+    assert left == [0] and passes[0] > 3
 
 
 def _record_stacks(monkeypatch) -> list[np.ndarray]:
@@ -717,7 +738,6 @@ def test_a_failed_self_check_leaves_the_draws_to_the_generator(monkeypatch, chun
 
     base = 2**64 - chunk
     expected = _default_rng_counts(1000, 0.3, trials, base)
-    _seeded_at_every_size(monkeypatch)
     monkeypatch.setattr(btpe, "step_10", wrong_step)
     monkeypatch.setattr(shotsim, "SEED_CHUNK", chunk)
     assert trial_counts(1000, 0.3, trials, base).tolist() == expected
@@ -816,7 +836,6 @@ def test_each_later_step_path_is_default_rngs(monkeypatch, shots, p, seed, path)
     assert _btpe_path(_rows(_pcg64_words(seed, 1))[0].tolist(), shots, p) == path
     expected = _default_rng_counts(shots, p, 1, seed)
     # A queue of one trial takes its end passes, and no self-check draws.
-    _seeded_at_every_size(monkeypatch)
     monkeypatch.setattr(shotsim, "_PASS_MIN", 1)
     monkeypatch.setattr(shotsim, "_SELF_CHECKS", 0)
     draws = _count_draws(monkeypatch)
@@ -914,7 +933,6 @@ def test_a_failed_later_step_self_check_leaves_the_draws_to_the_generator(monkey
 
     base = 2**64 - chunk
     expected = _default_rng_counts(100000, 0.448, trials, base)
-    _seeded_at_every_size(monkeypatch)
     monkeypatch.setattr(btpe, "_later_steps", wrong_steps)
     # Blocks of one row, so that the wrong steps see each trial once.
     monkeypatch.setattr(btpe, "_BLOCK", 1)
